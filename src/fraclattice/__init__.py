@@ -14,7 +14,6 @@ and the absorbing-ball bound around the stationary damped field.
 from .errors import (
     BlowUpError,
     ConfigError,
-    DegenerateInputError,
     EmbeddingError,
     FracLatticeError,
     InsufficientHorizonError,
@@ -30,6 +29,7 @@ from .fbm import (
     fgn_autocovariance,
     reanchor,
     sample_fbm,
+    sample_fbm_array,
     sample_fbm_cholesky,
     sample_fbm_paths,
     two_sided_sample,
@@ -53,7 +53,6 @@ from .noise import (
     build_noise_field,
     coarsen_noise,
     derive_seed,
-    eval_W,
     noise_growth_constant,
     ou_solution,
     shift_noise,

@@ -85,6 +85,11 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
+#: Top-level keys; the object-valued ones are the sections.
+_TOP_LEVEL_KEYS = frozenset(_DEFAULTS) | {"hurst_reference_mode"}
+_SECTIONS = ("lattice", "nonlinearity", "solver", "grid", "experiment")
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -140,7 +145,8 @@ class RunManifest:
             "error": self.error,
             "all_passed": self.all_passed,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # NaN, inf -> null
+        return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _merge_defaults(raw: dict) -> dict:
@@ -179,18 +185,37 @@ def _parse_support(raw, half_width: int, label: str, violations: list[str]):
     return entries
 
 
+def _key_violations(eff: dict) -> list[str]:
+    """Keys of a defaults-filled config that no part of the run reads."""
+    found = [f"{key}: unknown key" for key in eff if key not in _TOP_LEVEL_KEYS]
+    name = eff["experiment"].get("name")
+    for section in _SECTIONS:
+        if section != "experiment":
+            known = set(_DEFAULTS[section])
+        elif name in _EXPERIMENT_DEFAULTS:
+            known = {"name", *_EXPERIMENT_DEFAULTS[name]}
+        else:
+            continue  # a bad experiment.name is reported on its own
+        found += [f"{section}.{key}: unknown key (known: {', '.join(sorted(known))})"
+                  for key in eff[section] if key not in known]
+    return found
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig`, reporting every violation at once."""
-    eff = _merge_defaults(raw)
-    violations: list[str] = []
+    """Build an :class:`ExperimentConfig`, reporting every violation at once.
+
+    Unknown keys are violations too, so a typo never falls back to a default.
+    """
+    violations = [f"{key}: expected an object" for key in _SECTIONS
+                  if key in raw and not isinstance(raw[key], dict)]
+    eff = _merge_defaults({k: v for k, v in raw.items()
+                           if k not in _SECTIONS or isinstance(v, dict)})
+    violations += _key_violations(eff)
 
     hurst = None
     try:
         h = float(eff["hurst"])
-        if eff.get("hurst_reference_mode"):
-            hurst = HurstParameter(h, reference_mode=True)
-        else:
-            hurst = HurstParameter(h)
+        hurst = HurstParameter(h, reference_mode=bool(eff.get("hurst_reference_mode")))
     except (TypeError, ValueError) as exc:
         violations.append(f"hurst: {exc}")
 
@@ -307,22 +332,26 @@ def validate_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a JSON config file.
-
-    Parse errors carry line/column; validation reports the full list of
-    violations, not just the first.
-    """
-    text = Path(path).read_text()
+def _read_json(path: str | Path) -> dict:
+    """The top-level JSON object of a config file."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top-level JSON value must be an object"])
-    return validate_config(raw)
+    return raw
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate a JSON config file.
+
+    Parse errors carry line/column; validation reports the full list of
+    violations, not just the first.
+    """
+    return validate_config(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +412,14 @@ def _trajectory_rows(states: np.ndarray, times: np.ndarray, half_width: int):
 # experiment runners
 
 
-def _build_field(cfg: ExperimentConfig, threads: int = 1) -> nz.NoiseField:
-    return nz.build_noise_field(
-        cfg.params, cfg.grid, cfg.master_seed, cfg.hurst, threads=threads
-    )
+def _build_field(cfg: ExperimentConfig, manifest: RunManifest) -> nz.NoiseField:
+    """The run's noise field; its per-site seeds are recorded on the manifest."""
+    field = nz.build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
+    manifest.site_seeds = field.seed_scheme
+    return field
 
 
-def _run_sample_fbm(cfg, out: Path, manifest: RunManifest, threads: int):
+def _run_sample_fbm(cfg, out: Path, manifest: RunManifest):
     n_steps = int(cfg.options.get("n_steps", 1000))
     path = sample_fbm(n_steps, cfg.hurst, cfg.grid.dt, cfg.master_seed)
     rows = zip(map(float, path.grid.times()), map(float, path.values))
@@ -400,7 +430,7 @@ def _run_sample_fbm(cfg, out: Path, manifest: RunManifest, threads: int):
     manifest.numbers["n_steps"] = n_steps
 
 
-def _run_verify_operators(cfg, out: Path, manifest: RunManifest, threads: int):
+def _run_verify_operators(cfg, out: Path, manifest: RunManifest):
     n_vec = int(cfg.options.get("n_vectors", 1000))
     tol = float(cfg.options.get("tol", 1e-12))
     n = cfg.params.half_width
@@ -411,14 +441,10 @@ def _run_verify_operators(cfg, out: Path, manifest: RunManifest, threads: int):
         x = rng.standard_normal(2 * n + 1)
         y = rng.standard_normal(2 * n + 1)
         xv, yv = LatticeVector(x), LatticeVector(y)
-        for bnd, key, (xi, yi) in (
-            (Boundary.PERIODIC, "factor_periodic", (xv, yv)),
-            (Boundary.ZERO_PADDING, "factor_zero_interior", (None, None)),
-        ):
-            if xi is None:
-                xz = x.copy()
-                xz[0] = xz[-1] = 0.0
-                xi = LatticeVector(xz)
+        xz = x.copy()
+        xz[0] = xz[-1] = 0.0  # zero padding factorizes on interior support
+        for bnd, key, xi in ((Boundary.PERIODIC, "factor_periodic", xv),
+                             (Boundary.ZERO_PADDING, "factor_zero_interior", LatticeVector(xz))):
             ax = apply_laplacian(xi, bnd).values
             bbs = apply_diff(apply_diff_adjoint(xi, bnd), bnd).values
             bsb = apply_diff_adjoint(apply_diff(xi, bnd), bnd).values
@@ -437,9 +463,8 @@ def _run_verify_operators(cfg, out: Path, manifest: RunManifest, threads: int):
     manifest.numbers["n_vectors"] = n_vec
 
 
-def _run_simulate(cfg, out: Path, manifest: RunManifest, threads: int):
-    field = _build_field(cfg, threads)
-    manifest.site_seeds = dict(field.seed_scheme)
+def _run_simulate(cfg, out: Path, manifest: RunManifest):
+    field = _build_field(cfg, manifest)
     u0 = LatticeVector.from_support(cfg.params.half_width, {
         int(k): float(v) for k, v in cfg.options.get("u0", {}).items()
     })
@@ -452,9 +477,8 @@ def _run_simulate(cfg, out: Path, manifest: RunManifest, threads: int):
     manifest.numbers["final_norm"] = float(traj.endpoint().norm())
 
 
-def _run_ou(cfg, out: Path, manifest: RunManifest, threads: int):
-    field = _build_field(cfg, threads)
-    manifest.site_seeds = dict(field.seed_scheme)
+def _run_ou(cfg, out: Path, manifest: RunManifest):
+    field = _build_field(cfg, manifest)
     ou = nz.stationary_ou(cfg.params.damping, field)
     rho = nz.noise_growth_constant(field)
     times = ou.grid.times()
@@ -473,9 +497,8 @@ def _run_ou(cfg, out: Path, manifest: RunManifest, threads: int):
     manifest.numbers["tail_bound"] = ou.tail_bound
 
 
-def _run_contraction(cfg, out: Path, manifest: RunManifest, threads: int):
-    field = _build_field(cfg, threads)
-    manifest.site_seeds = dict(field.seed_scheme)
+def _run_contraction(cfg, out: Path, manifest: RunManifest):
+    field = _build_field(cfg, manifest)
     n = cfg.params.half_width
     u0 = LatticeVector.from_support(n, {int(k): float(v) for k, v in cfg.options["u0"].items()})
     w0 = LatticeVector.from_support(n, {int(k): float(v) for k, v in cfg.options["w0"].items()})
@@ -488,9 +511,8 @@ def _run_contraction(cfg, out: Path, manifest: RunManifest, threads: int):
     manifest.numbers["rate"] = rep.rate
 
 
-def _run_pullback(cfg, out: Path, manifest: RunManifest, threads: int):
-    field = _build_field(cfg, threads)
-    manifest.site_seeds = dict(field.seed_scheme)
+def _run_pullback(cfg, out: Path, manifest: RunManifest):
+    field = _build_field(cfg, manifest)
     opts = cfg.options
     equilibrium = None
     tol = opts.get("equilibrium_tol")
@@ -511,9 +533,8 @@ def _run_pullback(cfg, out: Path, manifest: RunManifest, threads: int):
     manifest.numbers["final_diameter"] = float(rep.diameters[-1])
 
 
-def _run_equilibrium(cfg, out: Path, manifest: RunManifest, threads: int):
-    field = _build_field(cfg, threads)
-    manifest.site_seeds = dict(field.seed_scheme)
+def _run_equilibrium(cfg, out: Path, manifest: RunManifest):
+    field = _build_field(cfg, manifest)
     opts = cfg.options
     tol = float(opts["tol"])
     eq = at.random_equilibrium(
@@ -541,9 +562,8 @@ def _run_equilibrium(cfg, out: Path, manifest: RunManifest, threads: int):
         manifest.numbers["max_stationarity_residual"] = float(rep.residuals.max())
 
 
-def _run_absorb(cfg, out: Path, manifest: RunManifest, threads: int):
-    field = _build_field(cfg, threads)
-    manifest.site_seeds = dict(field.seed_scheme)
+def _run_absorb(cfg, out: Path, manifest: RunManifest):
+    field = _build_field(cfg, manifest)
     opts = cfg.options
     t_past = float(opts["t_past"])
     rep = at.absorption_check(
@@ -584,7 +604,7 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, threads: int = 1) -> RunManifest:
+def run(cfg: ExperimentConfig) -> RunManifest:
     """Execute the configured experiment; never raises on module errors.
 
     Failures land in ``manifest.error`` with no checks passed, so the
@@ -599,7 +619,7 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> RunManifest:
     )
     t0 = time.perf_counter()
     try:
-        _RUNNERS[cfg.experiment](cfg, out, manifest, threads)
+        _RUNNERS[cfg.experiment](cfg, out, manifest)
     except (FracLatticeError, ValueError) as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"
     manifest.timings["total"] = time.perf_counter() - t0
@@ -617,22 +637,15 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output directory (overrides env and config)")
     p.add_argument("--seed", type=int, help="master seed override")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for per-site path generation")
 
 
 def _cfg_from_args(args, experiment: str) -> ExperimentConfig:
-    raw = {}
-    if args.config:
-        text = Path(args.config).read_text()
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-            ) from exc
-    raw.setdefault("experiment", {})
-    raw["experiment"]["name"] = experiment
+    raw = _read_json(args.config) if args.config else {}
+    options = raw.setdefault("experiment", {})
+    if isinstance(options, dict):  # otherwise validation reports it
+        options["name"] = experiment
+        if getattr(args, "steps", None) is not None:
+            options["n_steps"] = args.steps
     if getattr(args, "h", None) is not None:
         raw["hurst"] = args.h
     if getattr(args, "dt", None) is not None:
@@ -640,8 +653,6 @@ def _cfg_from_args(args, experiment: str) -> ExperimentConfig:
         raw.setdefault("solver", {})["dt"] = args.dt
     if getattr(args, "t_past", None) is not None:
         raw.setdefault("grid", {})["t_past"] = args.t_past
-    if getattr(args, "steps", None) is not None:
-        raw["experiment"]["n_steps"] = args.steps
     if getattr(args, "lam", None) is not None:
         raw.setdefault("lattice", {})["damping"] = args.lam
     if args.seed is not None:
@@ -709,7 +720,7 @@ def main(argv=None) -> int:
             print(f"config error: {v}", file=sys.stderr)
         return 2
 
-    manifest = run(cfg, threads=max(1, args.threads))
+    manifest = run(cfg)
     for name, ok in sorted(manifest.checks.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     if manifest.error:

@@ -33,10 +33,6 @@ class InsufficientHorizonError(FracLatticeError):
     """The sampled past window is too short for the requested truncation."""
 
 
-class DegenerateInputError(FracLatticeError):
-    """Inputs coincide where a distinct pair is required."""
-
-
 class ConfigError(FracLatticeError):
     """Configuration failed validation; carries every violation found."""
 

@@ -28,6 +28,7 @@ __all__ = [
     "ScalarPath",
     "fgn_autocovariance",
     "sample_fbm",
+    "sample_fbm_array",
     "sample_fbm_paths",
     "sample_fbm_cholesky",
     "reanchor",
@@ -241,6 +242,25 @@ def sample_fbm(
     return sample_fbm_paths(1, n_steps, h, dt, seed)[0]
 
 
+def sample_fbm_array(
+    n_paths: int,
+    n_steps: int,
+    h: "HurstParameter | float",
+    dt: float,
+    seed,
+) -> np.ndarray:
+    """(n_paths, n_steps + 1) independent fBm paths from one generator
+    stream; row k samples path k on the nodes 0, dt, ..., exactly 0 at t = 0."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    hurst = as_hurst(h)
+    rng = np.random.default_rng(seed)
+    fgn = _sample_fgn_batch(n_paths, n_steps, hurst.h, rng) * dt**hurst.h
+    out = np.zeros((n_paths, n_steps + 1))
+    np.cumsum(fgn, axis=1, out=out[:, 1:])
+    return out
+
+
 def sample_fbm_paths(
     n_paths: int,
     n_steps: int,
@@ -249,17 +269,9 @@ def sample_fbm_paths(
     seed,
 ) -> list[ScalarPath]:
     """Sample ``n_paths`` independent fBm paths from one generator stream."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    hurst = as_hurst(h)
-    rng = np.random.default_rng(seed)
-    fgn = _sample_fgn_batch(n_paths, n_steps, hurst.h, rng) * dt**hurst.h
     grid = TimeGrid(dt=dt, n_steps=n_steps, i_start=0)
-    paths = []
-    for row in fgn:
-        values = np.concatenate([[0.0], np.cumsum(row)])
-        paths.append(ScalarPath(grid=grid, values=values))
-    return paths
+    return [ScalarPath(grid=grid, values=row)
+            for row in sample_fbm_array(n_paths, n_steps, h, dt, seed)]
 
 
 def _fbm_covariance_matrix(n_steps: int, h: float, dt: float) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The driving noise is W(t) = sum_i sigma_i * omega_i(t) e^i with
 independent per-site fractional Brownian paths omega_i, sampled only at
-the sites where sigma_i is nonzero.  Per-site seeds derive
-deterministically from one master seed, so a field is reproducible from
-``(params, grid, master_seed)`` alone and is unchanged when the lattice
-truncation is widened.
+the sites where sigma_i is nonzero.  A field stores the unscaled paths
+as one array, a column per site, and scales by sigma on read.  Per-site
+seeds derive deterministically from one master seed, so a field is
+reproducible from ``(params, grid, master_seed)`` alone and is unchanged
+when the lattice truncation is widened.
 
 Integrals against W never difference the rough path.  Everything is
 reduced, by integration by parts, to ordinary trapezoid quadrature of
@@ -22,12 +23,11 @@ on the same identity, evaluated by one O(n) sweep along the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InsufficientHorizonError, WindowError
-from .fbm import HurstParameter, ScalarPath, TimeGrid, as_hurst, reanchor, sample_fbm
+from .fbm import HurstParameter, ScalarPath, TimeGrid, as_hurst, sample_fbm_array
 from .lattice import LatticeParams, LatticeVector
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "OUProcess",
     "derive_seed",
     "build_noise_field",
-    "eval_W",
     "shift_noise",
     "coarsen_noise",
     "stieltjes_exp_integral",
@@ -58,31 +57,44 @@ def derive_seed(master_seed: int, stream: int, index: int) -> np.random.SeedSequ
     return np.random.SeedSequence((int(master_seed), int(stream), int(index)))
 
 
+def _site_seeds(master_seed: int, sigma: LatticeVector) -> dict[int, tuple]:
+    """Seed tuple of every site i with sigma_i != 0: (master, site stream, i)."""
+    n = sigma.half_width
+    return {i: (int(master_seed), _SITE_STREAM, i + _SITE_OFFSET)
+            for i in (np.flatnonzero(sigma.values) - n).tolist()}
+
+
 @dataclass(frozen=True)
 class NoiseField:
     """The sampled noise W on a time grid.
 
-    ``site_paths`` holds one anchored scalar path per site with nonzero
-    intensity; all paths share ``grid``.  The field is immutable after
-    construction and safe to share across threads.
+    ``paths`` is the read-only (n_nodes, n_sites) array of the unscaled
+    anchored paths omega_i: column i + N holds site i, row k is time t_k,
+    the row at t = 0 is exactly zero and columns of sites with
+    sigma_i = 0 are zero.  W itself is ``paths * sigma``.  An array that
+    owns its data is made read-only in place rather than copied.
     """
 
     grid: TimeGrid
     sigma: LatticeVector
-    site_paths: dict[int, ScalarPath]
-    seed_scheme: dict[int, tuple]
+    master_seed: int
+    paths: np.ndarray
 
     def __post_init__(self):
-        n = self.sigma.half_width
-        for i, path in self.site_paths.items():
-            if not -n <= i <= n:
-                raise ValueError(f"site {i} outside [-{n}, {n}]")
-            if path.grid != self.grid:
-                raise ValueError(f"path at site {i} is on a different grid")
-            if not path.anchored:
-                raise ValueError(f"path at site {i} is not anchored")
-            if self.sigma.get(i) == 0.0:
-                raise ValueError(f"site {i} has a path but zero intensity")
+        paths = np.asarray(self.paths, dtype=float)
+        if paths.base is not None or not paths.flags.writeable:
+            paths = paths.copy()  # a view or shared array; an owned one is frozen in place
+        if paths.shape != (self.grid.n_nodes, self.n_sites):
+            raise ValueError(f"paths shape {paths.shape} is not (nodes, sites) = "
+                             f"({self.grid.n_nodes}, {self.n_sites})")
+        if not np.all(np.isfinite(paths)):
+            raise ValueError("paths must be finite")
+        if np.any(paths[self.grid.index_of(0.0)] != 0.0):
+            raise ValueError("paths must be exactly 0 at t = 0")
+        if np.any(paths[:, self.sigma.values == 0.0]):
+            raise ValueError("sites with zero intensity must carry zero paths")
+        paths.setflags(write=False)
+        object.__setattr__(self, "paths", paths)
 
     @property
     def half_width(self) -> int:
@@ -92,18 +104,18 @@ class NoiseField:
     def n_sites(self) -> int:
         return self.sigma.values.size
 
-    @cached_property
+    @property
+    def seed_scheme(self) -> dict[int, tuple]:
+        return _site_seeds(self.master_seed, self.sigma)
+
+    @property
     def w_matrix(self) -> np.ndarray:
         """Dense samples, shape (n_nodes, n_sites): row k is W(t_k)."""
-        w = np.zeros((self.grid.n_nodes, self.n_sites))
-        n = self.half_width
-        for i, path in self.site_paths.items():
-            w[:, i + n] = self.sigma.get(i) * path.values
-        w.setflags(write=False)
-        return w
+        return self.paths * self.sigma.values
 
     def at(self, t: float) -> LatticeVector:
-        return LatticeVector(self.w_matrix[self.grid.index_of(t)])
+        """The noise vector (sigma_i omega_i(t))_i at a grid time."""
+        return LatticeVector(self.paths[self.grid.index_of(t)] * self.sigma.values)
 
 
 def build_noise_field(
@@ -111,65 +123,37 @@ def build_noise_field(
     grid: TimeGrid,
     master_seed: int,
     h: "HurstParameter | float" = 0.75,
-    threads: int = 1,
 ) -> NoiseField:
     """Sample independent per-site paths for every site with sigma_i != 0.
 
     The grid must contain t = 0 so every path can be anchored there.
     Site i draws from the seed tuple ``(master_seed, site_stream, i)``,
     which depends on neither the truncation width nor the other sites, so
-    widening the truncation or changing the worker count leaves every
-    existing path untouched.
+    widening the truncation leaves every existing path untouched.
     """
-    grid.index_of(0.0)  # anchoring requires zero on the grid
+    k0 = grid.index_of(0.0)  # anchoring requires zero on the grid
     hurst = as_hurst(h)
+    paths = np.zeros((grid.n_nodes, params.n_sites))
     n = params.half_width
-    sites = [i for i in range(-n, n + 1) if params.noise_amp.get(i) != 0.0]
-    seed_scheme = {i: (int(master_seed), _SITE_STREAM, i + _SITE_OFFSET) for i in sites}
-
-    def one_site(i: int) -> ScalarPath:
-        path = sample_fbm(
-            grid.n_steps, hurst, grid.dt, np.random.SeedSequence(seed_scheme[i])
-        )
-        if grid.i_start != 0:
-            path = reanchor(path, -grid.i_start * grid.dt)
-        return path
-
-    if threads > 1 and len(sites) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            paths = list(pool.map(one_site, sites))
-    else:
-        paths = [one_site(i) for i in sites]
-    return NoiseField(
-        grid=grid,
-        sigma=params.noise_amp,
-        site_paths=dict(zip(sites, paths)),
-        seed_scheme=seed_scheme,
-    )
-
-
-def eval_W(field: NoiseField, t: float) -> LatticeVector:
-    """The noise vector (sigma_i omega_i(t))_i at a grid time."""
-    return field.at(t)
+    for i, seed in _site_seeds(master_seed, params.noise_amp).items():
+        paths[:, i + n] = sample_fbm_array(1, grid.n_steps, hurst, grid.dt,
+                                           np.random.SeedSequence(seed))[0]
+    paths -= paths[k0]
+    return NoiseField(grid=grid, sigma=params.noise_amp, master_seed=int(master_seed),
+                      paths=paths)
 
 
 def shift_noise(field: NoiseField, t: float) -> NoiseField:
     """Advance the noise origin: output W'(s) = W(s + t) - W(t).
 
-    Implemented by re-anchoring every site path, so the additivity
-    identity W(tau + t) = W'(tau) + W(t) holds on shared nodes up to one
-    floating subtraction per value.  The grid window translates by -t.
+    Every path is re-anchored at t by one row subtraction, so
+    W(tau + t) = W'(tau) + W(t) holds on shared nodes up to one floating
+    subtraction per value.  The grid window translates by -t.
     """
-    shifted = {i: reanchor(path, t) for i, path in field.site_paths.items()}
     k = field.grid.steps_of(t)
-    return NoiseField(
-        grid=field.grid.shifted(k),
-        sigma=field.sigma,
-        site_paths=shifted,
-        seed_scheme=dict(field.seed_scheme),
-    )
+    j = field.grid.index_of(t)  # raises WindowError if t is outside
+    return NoiseField(grid=field.grid.shifted(k), sigma=field.sigma,
+                      master_seed=field.master_seed, paths=field.paths - field.paths[j])
 
 
 def coarsen_noise(field: NoiseField, factor: int) -> NoiseField:
@@ -181,19 +165,13 @@ def coarsen_noise(field: NoiseField, factor: int) -> NoiseField:
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    if factor == 1:
-        return field
     g = field.grid
     if g.i_start % factor or g.n_steps % factor:
         raise WindowError("grid start and length must be divisible by factor")
     grid = TimeGrid(dt=g.dt * factor, n_steps=g.n_steps // factor,
                     i_start=g.i_start // factor)
-    paths = {
-        i: ScalarPath(grid=grid, values=p.values[::factor], anchored=True)
-        for i, p in field.site_paths.items()
-    }
-    return NoiseField(grid=grid, sigma=field.sigma, site_paths=paths,
-                      seed_scheme=dict(field.seed_scheme))
+    return NoiseField(grid=grid, sigma=field.sigma, master_seed=field.master_seed,
+                      paths=field.paths[::factor])
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,33 @@ class TestLoadConfig:
         path = write_config(tmp_path, extra={"hurst": 0.5, "hurst_reference_mode": True})
         assert load_config(path).hurst.h == 0.5
 
+    def test_unknown_keys_rejected_at_every_level(self, tmp_path):
+        path = write_config(tmp_path, extra={
+            "experimnt": {"name": "pullback"},
+            "lattice": {"dampng": 2.0},
+            "nonlinearity": {"kidn": "linear"},
+            "solver": {"sheme": "euler"},
+            "grid": {"tpast": 4.0},
+            "experiment": {"radius": 3.0},  # a pullback key, not a contraction one
+        })
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        found = sorted(v.split(":")[0] for v in err.value.violations)
+        assert found == ["experiment.radius", "experimnt", "grid.tpast",
+                         "lattice.dampng", "nonlinearity.kidn", "solver.sheme"]
+
+    def test_known_keys_depend_on_experiment(self, tmp_path):
+        path = write_config(tmp_path, name="pullback", extra={"experiment": {"radius": 3.0}})
+        assert load_config(path).options["radius"] == 3.0
+
+    def test_section_that_is_not_an_object_reported(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"lattice": [1, 2], "solver": {"sheme": "euler"}})
+        assert err.value.violations == [
+            "lattice: expected an object",
+            "solver.sheme: unknown key (known: dt, scheme, t_end)",
+        ]
+
 
 class TestRun:
     def test_contraction_manifest_structure(self, tmp_path):
@@ -94,6 +121,20 @@ class TestRun:
         a = (tmp_path / "a" / "out" / "pullback_diameters.csv").read_bytes()
         b = (tmp_path / "b" / "out" / "pullback_diameters.csv").read_bytes()
         assert a == b
+
+    def test_degenerate_contraction_manifest_is_strict_json(self, tmp_path):
+        # identical starts leave no slope to fit: the NaN must land as null
+        path = write_config(tmp_path, extra={"experiment": {"w0": {"0": 1.0}}})
+        manifest = run(load_config(path))
+        assert np.isnan(manifest.numbers["fitted_slope"])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "out" / "manifest.json").read_text()
+        data = json.loads(text, parse_constant=reject)
+        assert data["numbers"]["fitted_slope"] is None
+        assert data["checks"]["nondegenerate"] is False
 
     def test_insufficient_horizon_becomes_manifest_error(self, tmp_path):
         path = write_config(tmp_path, name="pullback",
@@ -140,6 +181,21 @@ class TestMain:
         path = write_config(tmp_path, extra={"hurst": 2.0})
         assert main(["contraction", "--config", str(path)]) == 2
         assert "hurst" in capsys.readouterr().err
+
+    def test_exit_two_on_misspelt_keys(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"lattice": {"dampng": 2}, "solver": {"sheme": "euler"},
+                                    "experimnt": {"name": "simulate"}}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "lattice.dampng" in err and "solver.sheme" in err and "experimnt" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_exit_two_on_non_object_config(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2, 3]")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "must be an object" in capsys.readouterr().err
 
     def test_sample_fbm_flags(self, tmp_path):
         out = tmp_path / "fbm"

@@ -5,10 +5,10 @@ from fraclattice.errors import InsufficientHorizonError, WindowError
 from fraclattice.fbm import ScalarPath, TimeGrid
 from fraclattice.lattice import LatticeParams, LatticeVector
 from fraclattice.noise import (
+    NoiseField,
     build_noise_field,
     coarsen_noise,
     decayed_exp_sweep,
-    eval_W,
     noise_growth_constant,
     ou_solution,
     shift_noise,
@@ -28,6 +28,16 @@ def make_params(half_width=4, sigma=None, forcing=None, damping=1.0):
     )
 
 
+def site_path(field, i):
+    """The unscaled path of site i as a scalar path on the field's grid."""
+    return ScalarPath(grid=field.grid, values=field.paths[:, i + field.half_width])
+
+
+def noisy_sites(field):
+    """Sites whose path column is not identically zero."""
+    return (np.flatnonzero(np.abs(field.paths).max(axis=0)) - field.half_width).tolist()
+
+
 @pytest.fixture
 def field():
     params = make_params()
@@ -41,43 +51,74 @@ class TestBuildField:
         grid = TimeGrid(dt=0.1, n_steps=30, i_start=-10)
         a = build_noise_field(params, grid, 2024)
         b = build_noise_field(params, grid, 2024)
-        for i in a.site_paths:
-            assert np.array_equal(a.site_paths[i].values, b.site_paths[i].values)
-
-    def test_thread_count_does_not_change_paths(self):
-        params = make_params(sigma={-2: 0.3, 0: 1.0, 1: 0.5, 3: 0.2})
-        grid = TimeGrid(dt=0.1, n_steps=30, i_start=-10)
-        a = build_noise_field(params, grid, 7)
-        b = build_noise_field(params, grid, 7, threads=4)
-        assert np.array_equal(a.w_matrix, b.w_matrix)
+        assert np.array_equal(a.paths, b.paths)
 
     def test_zero_intensity_sites_carry_no_path(self, field):
-        assert sorted(field.site_paths) == [0, 1]
+        assert noisy_sites(field) == [0, 1]
+        assert sorted(field.seed_scheme) == [0, 1]
 
     def test_all_zero_intensity_gives_zero_field(self):
         params = make_params(sigma={})
         grid = TimeGrid(dt=0.1, n_steps=20, i_start=-10)
         f = build_noise_field(params, grid, 1)
-        assert not f.site_paths
+        assert not f.seed_scheme
+        assert np.all(f.paths == 0.0)
         assert np.all(f.w_matrix == 0.0)
 
     def test_single_site_matches_scaled_path(self):
         params = make_params(sigma={2: 0.7})
         grid = TimeGrid(dt=0.1, n_steps=20, i_start=-10)
         f = build_noise_field(params, grid, 5)
-        w1 = eval_W(f, 1.0)
-        assert w1.get(2) == 0.7 * f.site_paths[2].value_at(1.0)
+        w1 = f.at(1.0)
+        assert w1.get(2) == 0.7 * site_path(f, 2).value_at(1.0)
         assert np.count_nonzero(w1.values) <= 1
 
     def test_anchored_at_zero(self, field):
-        assert eval_W(field, 0.0).norm() == 0.0
+        assert field.at(0.0).norm() == 0.0
 
     def test_widening_truncation_preserves_paths(self):
         grid = TimeGrid(dt=0.1, n_steps=30, i_start=-10)
         small = build_noise_field(make_params(4), grid, 11)
         wide = build_noise_field(make_params(9), grid, 11)
-        for i in small.site_paths:
-            assert np.array_equal(small.site_paths[i].values, wide.site_paths[i].values)
+        for i in noisy_sites(small):
+            assert np.array_equal(site_path(small, i).values, site_path(wide, i).values)
+
+
+class TestNoiseFieldChecks:
+    def test_paths_read_only_and_scaled_on_read(self, field):
+        with pytest.raises(ValueError):
+            field.paths[1, 4] = 1.0
+        np.testing.assert_array_equal(field.w_matrix, field.paths * field.sigma.values)
+        np.testing.assert_array_equal(field.at(1.0).values,
+                                      field.w_matrix[field.grid.index_of(1.0)])
+
+    def test_owned_arrays_frozen_and_views_copied(self, field):
+        owned = np.array(field.paths)
+        f = NoiseField(field.grid, field.sigma, field.master_seed, owned)
+        assert f.paths is owned and not owned.flags.writeable
+        base = np.array(field.paths)
+        g = NoiseField(field.grid, field.sigma, field.master_seed, base[:])
+        assert base.flags.writeable and not np.shares_memory(g.paths, base)
+
+    def test_rejects_inconsistent_paths(self, field):
+        k0 = field.grid.index_of(0.0)
+        short = np.array(field.paths[:-1])
+        infinite = np.array(field.paths)
+        infinite[-1, 4] = np.inf
+        unanchored = np.array(field.paths)
+        unanchored[k0, 4] = 1e-300
+        silent = np.array(field.paths)
+        silent[-1, 0] = 1.0  # site -4 has sigma = 0
+        for paths, message in ((short, "shape"), (infinite, "finite"),
+                               (unanchored, "exactly 0 at t = 0"),
+                               (silent, "zero intensity")):
+            with pytest.raises(ValueError, match=message):
+                NoiseField(grid=field.grid, sigma=field.sigma,
+                           master_seed=field.master_seed, paths=paths)
+
+    def test_seed_scheme_follows_master_seed(self, field):
+        assert field.seed_scheme == {0: (99, 101, 1 << 20), 1: (99, 101, 1 + (1 << 20))}
+        assert shift_noise(field, 0.5).seed_scheme == field.seed_scheme
 
 
 class TestShift:
@@ -104,10 +145,7 @@ class TestShift:
         a = shift_noise(shift_noise(field, 0.5), 0.25)
         b = shift_noise(field, 0.75)
         assert a.grid == b.grid
-        for i in a.site_paths:
-            np.testing.assert_allclose(
-                a.site_paths[i].values, b.site_paths[i].values, rtol=0.0, atol=1e-13
-            )
+        np.testing.assert_allclose(a.paths, b.paths, rtol=0.0, atol=1e-13)
 
     def test_window_error(self, field):
         with pytest.raises(WindowError):
@@ -146,7 +184,7 @@ class TestStieltjesIntegral:
         assert 3.5 <= errs[1e-2] / errs[5e-3] <= 4.5
 
     def test_linearity(self, field):
-        p0, p1 = field.site_paths[0], field.site_paths[1]
+        p0, p1 = site_path(field, 0), site_path(field, 1)
         both = ScalarPath(grid=p0.grid, values=p0.values + p1.values)
         lhs = stieltjes_exp_integral(both, 1.3, -1.0, 2.0)
         rhs = stieltjes_exp_integral(p0, 1.3, -1.0, 2.0) + stieltjes_exp_integral(
@@ -162,11 +200,11 @@ class TestStieltjesIntegral:
         vals = {}
         for fac in (4, 2, 1):
             f = coarsen_noise(fine, fac)
-            vals[fac] = stieltjes_exp_integral(f.site_paths[0], 1.0, 0.0, 1.0)
+            vals[fac] = stieltjes_exp_integral(site_path(f, 0), 1.0, 0.0, 1.0)
         assert abs(vals[2] - vals[4]) > abs(vals[1] - vals[2])
 
     def test_sweep_matches_direct_formula(self, field):
-        p = field.site_paths[0]
+        p = site_path(field, 0)
         sweep = decayed_exp_sweep(p.values, 1.3, field.grid.dt)
         for t in (-1.0, 0.5, 2.0):
             direct = np.exp(-1.3 * t) * stieltjes_exp_integral(
@@ -213,12 +251,8 @@ class TestStationaryOU:
     def test_doubling_past_changes_less_than_tail_bound(self):
         deep_grid = TimeGrid(dt=0.02, n_steps=2100, i_start=-2000)  # [-40, 2]
         deep = build_noise_field(self.params, deep_grid, 77)
-        shallow_paths = {
-            i: ScalarPath(grid=self.grid, values=p.values[1000:], anchored=True)
-            for i, p in deep.site_paths.items()
-        }
-        shallow = type(deep)(grid=self.grid, sigma=deep.sigma,
-                             site_paths=shallow_paths, seed_scheme=dict(deep.seed_scheme))
+        shallow = NoiseField(grid=self.grid, sigma=deep.sigma,
+                             master_seed=deep.master_seed, paths=deep.paths[1000:])
         ou_shallow = stationary_ou(1.0, shallow)
         ou_deep = stationary_ou(1.0, deep)
         gap = np.abs(ou_shallow.at(0.0).values - ou_deep.at(0.0).values).max()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fraclattice.errors import BlowUpError
 from fraclattice.fbm import TimeGrid
@@ -162,6 +163,40 @@ class TestIntegrate:
         for row, start in zip(ends, starts):
             single = integrate(LatticeVector(start), field, params, CUBIC, cfg)
             np.testing.assert_array_equal(row, single.endpoint().values)
+
+    def test_ensemble_rejects_mismatched_widths(self):
+        params = make_params(4, sigma={0: 0.8})  # 9 sites
+        field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=100), 5)
+        cfg = SolverConfig(dt=0.01, t_end=0.1)
+        for bad in (np.ones((3, 1)), np.ones(9), np.ones((2, 8)), np.ones((1, 2, 9))):
+            with pytest.raises(ValueError):
+                integrate_ensemble(bad, field, params, CUBIC, cfg)
+        wide = build_noise_field(make_params(5, sigma={0: 0.8}),
+                                 TimeGrid(dt=0.01, n_steps=100), 5)
+        with pytest.raises(ValueError):
+            integrate_ensemble(np.ones((2, 9)), wide, params, CUBIC, cfg)
+
+
+class TestSubStepCocycle:
+    # noise dt 0.02 on [0, 0.8]; the solver dt is that divided by m
+    PARAMS = make_params(2, sigma={0: 0.8, 1: 0.5, -2: 0.6}, forcing={0: 0.2})
+    FIELD = build_noise_field(PARAMS, TimeGrid(dt=0.02, n_steps=40), 2718)
+    U0 = LatticeVector.from_support(2, {0: 1.0, 1: -0.5})
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3, 4]), scheme=st.sampled_from(list(Scheme)),
+           shift=st.integers(1, 15), tau_steps=st.integers(1, 20))
+    @example(m=2, scheme=Scheme.HEUN, shift=5, tau_steps=7)
+    @example(m=2, scheme=Scheme.HEUN, shift=6, tau_steps=7)
+    @example(m=4, scheme=Scheme.EULER, shift=3, tau_steps=2)
+    def test_residual_rounding_level_for_odd_and_even_shifts(self, m, scheme, shift,
+                                                             tau_steps):
+        # the node a sub-step reads must not depend on the parity of the
+        # shift, or the two legs see different noise
+        cfg = SolverConfig(dt=0.02 / m, t_end=0.02, scheme=scheme)
+        rep = cocycle_check(shift * 0.02, tau_steps * cfg.dt, self.FIELD, self.U0,
+                            self.PARAMS, CUBIC, cfg)
+        assert rep.residual <= 1e-12
 
 
 class TestCocycle:
