@@ -68,7 +68,6 @@ from .solver import (
     cocycle_map,
     gronwall_envelope,
     integrate,
-    integrate_ensemble,
     linear_oracle,
     rode_rhs,
 )

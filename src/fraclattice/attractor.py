@@ -26,7 +26,7 @@ from .errors import InsufficientHorizonError
 from .fbm import TimeGrid
 from .lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from .noise import NoiseField, shift_noise, stationary_ou
-from .solver import SolverConfig, cocycle_map, integrate, integrate_ensemble
+from .solver import SolverConfig, cocycle_map, integrate
 
 __all__ = [
     "ContractionReport",
@@ -125,6 +125,14 @@ def sphere_starts(
     return radius * pts / norms
 
 
+def _pullback(
+    t: float, field: NoiseField, starts: LatticeVector | np.ndarray,
+    params: LatticeParams, spec: NonlinearitySpec, config: SolverConfig,
+) -> LatticeVector | np.ndarray:
+    """phi(t, shift_(-t) field, starts): the pullback observation at time 0."""
+    return cocycle_map(t, shift_noise(field, -t), starts, params, spec, config)
+
+
 def _diameter(points: np.ndarray) -> float:
     if points.shape[0] < 2:
         return 0.0
@@ -172,9 +180,7 @@ def pullback_experiment(
     diameters = np.empty(horizons.size)
     hausdorff = np.empty(horizons.size) if equilibrium is not None else None
     for j, t in enumerate(horizons):
-        shifted = shift_noise(field, -t)
-        cfg = SolverConfig(dt=config.dt, t_end=float(t), scheme=config.scheme)
-        ends = integrate_ensemble(starts, shifted, params, spec, cfg)
+        ends = _pullback(float(t), field, starts, params, spec, config)
         diameters[j] = _diameter(ends)
         if hausdorff is not None:
             hausdorff[j] = float(
@@ -197,18 +203,6 @@ class EquilibriumEstimate:
     cauchy_gap: float
     start_gap: float
     tol: float
-
-
-def _pullback_point(
-    t: float,
-    field: NoiseField,
-    start: LatticeVector,
-    params: LatticeParams,
-    spec: NonlinearitySpec,
-    config: SolverConfig,
-) -> LatticeVector:
-    """phi(t, shift_(-t) field, start): the pullback observation at time 0."""
-    return cocycle_map(t, shift_noise(field, -t), start, params, spec, config)
 
 
 def random_equilibrium(
@@ -242,12 +236,12 @@ def random_equilibrium(
         raise InsufficientHorizonError(
             f"field past {available:.3g} cannot support initial horizon {t:.3g}"
         )
-    prev = _pullback_point(t, field, start, params, spec, config)
+    prev = _pullback(t, field, start, params, spec, config)
     while True:
-        cur = _pullback_point(2.0 * t, field, start, params, spec, config)
+        cur = _pullback(2.0 * t, field, start, params, spec, config)
         gap = float(np.linalg.norm(cur.values - prev.values))
         if gap <= tol:
-            check = _pullback_point(2.0 * t, field, verify_start, params, spec, config)
+            check = _pullback(2.0 * t, field, verify_start, params, spec, config)
             start_gap = float(np.linalg.norm(check.values - cur.values))
             if start_gap <= 2.0 * tol:
                 return EquilibriumEstimate(
@@ -291,7 +285,7 @@ def forward_stationarity_check(
     residuals = np.empty(times.size)
     for j, t in enumerate(times):
         forward = cocycle_map(float(t), field, equilibrium.u0, params, spec, config)
-        shifted_eq = _pullback_point(
+        shifted_eq = _pullback(
             horizon, shift_noise(field, float(t)),
             LatticeVector.zeros(params.half_width), params, spec, config,
         )
@@ -399,9 +393,7 @@ def absorption_check(
     starts = sphere_starts(d_radius, n_starts, params.half_width, seed)
     max_norms = np.empty(horizons.size)
     for j, t in enumerate(horizons):
-        shifted = shift_noise(field, -float(t))
-        cfg = SolverConfig(dt=config.dt, t_end=float(t), scheme=config.scheme)
-        ends = integrate_ensemble(starts, shifted, params, spec, cfg)
+        ends = _pullback(float(t), field, starts, params, spec, config)
         max_norms[j] = float(np.linalg.norm(ends, axis=1).max())
     ok = max_norms <= bound
     entry = None

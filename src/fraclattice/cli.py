@@ -105,6 +105,7 @@ class ExperimentConfig:
     grid: TimeGrid
     experiment: str
     options: dict
+    starts: dict  # the experiment's start vectors (u0, w0) as LatticeVectors
     master_seed: int
     output_dir: str
     effective: dict  # defaults-filled plain dict, echoed and hashed
@@ -180,8 +181,10 @@ def _parse_support(raw, half_width: int, label: str, violations: list[str]):
             continue
         try:
             entries[i] = float(val)
+            if not np.isfinite(entries[i]):
+                raise ValueError
         except (TypeError, ValueError):
-            violations.append(f"{label}: value at site {i} is not a number")
+            violations.append(f"{label}: value at site {i} is not a finite number")
     return entries
 
 
@@ -294,6 +297,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     experiment = eff["experiment"].get("name")
     if experiment not in EXPERIMENTS:
         violations.append(f"experiment.name: {experiment!r} not in {list(EXPERIMENTS)}")
+    starts = {key: _parse_support(eff["experiment"][key], half_width, f"experiment.{key}",
+                                  violations)
+              for key in ("u0", "w0") if key in _EXPERIMENT_DEFAULTS.get(experiment, {})}
 
     master_seed = 0
     try:
@@ -326,6 +332,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         grid=grid,
         experiment=experiment,
         options=dict(eff["experiment"]),
+        starts={key: LatticeVector.from_support(half_width, entries)
+                for key, entries in starts.items()},
         master_seed=master_seed,
         output_dir=str(eff["output_dir"]),
         effective=eff,
@@ -333,9 +341,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 
 def _read_json(path: str | Path) -> dict:
-    """The top-level JSON object of a config file."""
+    """The top-level JSON object of a config or manifest file."""
     try:
         raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError([f"cannot read {path}: {exc.strerror or exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -465,10 +475,7 @@ def _run_verify_operators(cfg, out: Path, manifest: RunManifest):
 
 def _run_simulate(cfg, out: Path, manifest: RunManifest):
     field = _build_field(cfg, manifest)
-    u0 = LatticeVector.from_support(cfg.params.half_width, {
-        int(k): float(v) for k, v in cfg.options.get("u0", {}).items()
-    })
-    traj = sv.integrate(u0, field, cfg.params, cfg.spec, cfg.solver)
+    traj = sv.integrate(cfg.starts["u0"], field, cfg.params, cfg.spec, cfg.solver)
     manifest.artifacts.append(_write_csv(
         out / "trajectory.csv", ["t", "i", "u_i"],
         _trajectory_rows(traj.states, traj.grid.times(), cfg.params.half_width),
@@ -480,9 +487,8 @@ def _run_simulate(cfg, out: Path, manifest: RunManifest):
 def _run_ou(cfg, out: Path, manifest: RunManifest):
     field = _build_field(cfg, manifest)
     ou = nz.stationary_ou(cfg.params.damping, field)
-    rho = nz.noise_growth_constant(field)
     times = ou.grid.times()
-    bound = 4.0 * rho * (1.0 + np.abs(times)) ** 2
+    bound = 4.0 * ou.rho * (1.0 + np.abs(times)) ** 2
     manifest.artifacts.append(_write_csv(
         out / "noise_field.csv", ["t", "i", "value"],
         _trajectory_rows(field.w_matrix, field.grid.times(), cfg.params.half_width),
@@ -492,17 +498,15 @@ def _run_ou(cfg, out: Path, manifest: RunManifest):
         _trajectory_rows(ou.values, times, cfg.params.half_width),
     ))
     manifest.checks["growth_bound"] = bool((ou.norms() <= bound + 1e-12).all())
-    manifest.numbers["rho"] = rho
+    manifest.numbers["rho"] = ou.rho
     manifest.numbers["past_horizon"] = ou.past_horizon
     manifest.numbers["tail_bound"] = ou.tail_bound
 
 
 def _run_contraction(cfg, out: Path, manifest: RunManifest):
     field = _build_field(cfg, manifest)
-    n = cfg.params.half_width
-    u0 = LatticeVector.from_support(n, {int(k): float(v) for k, v in cfg.options["u0"].items()})
-    w0 = LatticeVector.from_support(n, {int(k): float(v) for k, v in cfg.options["w0"].items()})
-    rep = at.contraction_experiment(u0, w0, field, cfg.params, cfg.spec, cfg.solver)
+    rep = at.contraction_experiment(cfg.starts["u0"], cfg.starts["w0"], field,
+                                    cfg.params, cfg.spec, cfg.solver)
     manifest.artifacts.extend(emit_plot_series(rep, out, "contraction"))
     manifest.checks["slope"] = rep.slope_ok
     manifest.checks["pointwise_certificate"] = rep.pointwise_ok
@@ -702,7 +706,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "report":
-        data = json.loads(Path(args.manifest).read_text())
+        try:
+            data = _read_json(args.manifest)
+        except ConfigError as exc:
+            print(f"report error: {exc.violations[0]}", file=sys.stderr)
+            return 2
         print(f"experiment: {data['experiment']}   config {data['config_hash'][:12]}")
         for name, ok in sorted(data.get("checks", {}).items()):
             print(f"  {'PASS' if ok else 'FAIL'}  {name}")

@@ -100,6 +100,8 @@ class LatticeVector:
     def from_support(cls, half_width: int, entries: dict[int, float]) -> "LatticeVector":
         v = np.zeros(2 * half_width + 1)
         for i, x in entries.items():
+            if not -half_width <= int(i) <= half_width:
+                raise ValueError(f"site {i} outside [-{half_width}, {half_width}]")
             v[int(i) + half_width] = float(x)
         return cls(v)
 

@@ -303,9 +303,12 @@ def ou_solution(
 
 def noise_growth_constant(field: NoiseField) -> float:
     """Smallest c with |W(t)| <= c (1 + t^2) on every sampled node."""
-    norms = np.linalg.norm(field.w_matrix, axis=1)
-    times = field.grid.times()
-    return float((norms / (1.0 + times**2)).max())
+    return _growth_constant(field.w_matrix, field.grid)
+
+
+def _growth_constant(w: np.ndarray, grid: TimeGrid) -> float:
+    norms = np.linalg.norm(w, axis=1)
+    return float((norms / (1.0 + grid.times() ** 2)).max())
 
 
 def stationary_ou(
@@ -341,8 +344,9 @@ def stationary_ou(
             f"past horizon {past:.3g} too short: e^(-lam*T)(1+T)^2 = "
             f"{np.exp(-lam * past) * (1.0 + past) ** 2:.3e} > {tail_tol:.1e}"
         )
-    sweep = decayed_exp_sweep(field.w_matrix, lam, g.dt)
-    rho = noise_growth_constant(field)
+    w = field.w_matrix
+    sweep = decayed_exp_sweep(w, lam, g.dt)
+    rho = _growth_constant(w, g)
     return OUProcess(
         grid=eval_grid,
         values=sweep[first : last + 1],

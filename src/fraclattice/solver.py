@@ -4,24 +4,26 @@ The additive rough noise is removed by the substitution v = u - W, which
 turns the integral equation into an ordinary differential equation with
 continuous (Hoelder) time dependence,
 
-    dv/dt = -kappa A v - lam v + f(v + W(t)) + g - kappa A W(t) - lam W(t),
+    dv/dt = F(v + W(t)),   F(u) = -kappa A u - lam u + f(u) + g,
 
-stepped here by explicit Euler or Heun.  W is used only at its sampled
-nodes and never interpolated; refining the solver step below the noise
-step evaluates W at the nearest node, ties rounding up.  The solution map
+stepped here by explicit Euler or Heun, each stage evaluating the plain
+drift F once.  W is used only at its sampled nodes and never
+interpolated; refining the solver step below the noise step evaluates W
+at the nearest node, ties rounding up.  The solution map
 
     phi(t, field, u0) = endpoint of the integration over [0, t]
 
-satisfies phi(0) = id exactly and composes with the noise shift (the
-cocycle property); :func:`cocycle_check` measures that composition
-residual directly.  For linear drifts on the periodic lattice a spectral
-solution is available as an independent accuracy oracle.
+is :func:`cocycle_map`, for one start or a batch; it satisfies
+phi(0) = id exactly and composes with the noise shift (the cocycle
+property); :func:`cocycle_check` measures that composition residual
+directly.  For linear drifts on the periodic lattice a spectral solution
+is available as an independent accuracy oracle.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +45,6 @@ __all__ = [
     "Trajectory",
     "rode_rhs",
     "integrate",
-    "integrate_ensemble",
     "cocycle_map",
     "cocycle_check",
     "CocycleReport",
@@ -151,8 +152,7 @@ def rode_rhs(
 ) -> LatticeVector:
     """Right-hand side of the transformed equation at one instant.
 
-    Equals the plain drift -kappa A u - lam u + f(u) + g evaluated at
-    u = v + W(t); the grouping below keeps the noise terms explicit.
+    The plain drift -kappa A u - lam u + f(u) + g evaluated at u = v + W(t).
     """
     return LatticeVector(_rhs_array(v.values, w_t.values, params, spec))
 
@@ -160,18 +160,17 @@ def rode_rhs(
 def _rhs_array(
     v: np.ndarray, w: np.ndarray, params: LatticeParams, spec: NonlinearitySpec
 ) -> np.ndarray:
-    fx = spec.eval_array(v + w)
+    u = v + w
+    fx = spec.eval_array(u)
     if not np.all(np.isfinite(fx)):
         raise NonlinearityOverflowError(
             f"{spec.label or spec.kind.value} overflowed during stepping"
         )
     return (
-        -params.coupling * laplacian_array(v, params.boundary)
-        - params.damping * v
+        -params.coupling * laplacian_array(u, params.boundary)
+        - params.damping * u
         + fx
         + params.forcing.values
-        - params.coupling * laplacian_array(w, params.boundary)
-        - params.damping * w
     )
 
 
@@ -224,6 +223,17 @@ def _step_loop(
     return out if collect else v
 
 
+def _start_values(u0, field: NoiseField, params: LatticeParams) -> np.ndarray:
+    """Values of a LatticeVector or (n_starts, d) batch; all widths must agree."""
+    single = isinstance(u0, LatticeVector)
+    x = u0.values if single else np.asarray(u0, dtype=float)
+    if ((not single and x.ndim != 2) or x.shape[-1] != params.n_sites
+            or field.half_width != params.half_width):
+        raise ValueError(f"start {x.shape}, params ({params.n_sites} sites) and "
+                         f"field ({field.n_sites} sites) widths differ")
+    return x
+
+
 def integrate(
     u0: LatticeVector,
     field: NoiseField,
@@ -236,14 +246,14 @@ def integrate(
     Deterministic given its inputs; the whole run happens in the
     transformed variable and u = v + W is reconstructed on the nodes.
     """
-    if u0.half_width != params.half_width or field.half_width != params.half_width:
-        raise ValueError("u0, params, and field truncation widths differ")
+    if not isinstance(u0, LatticeVector):
+        raise TypeError("integrate takes one LatticeVector; batch through cocycle_map")
+    x0 = _start_values(u0, field, params)
     n_steps = config.n_steps()
     if n_steps < 1:
         raise ValueError("t_end must be at least one step (phi(0) is the identity)")
     w = _noise_rows(field, config, n_steps)
-    v0 = u0.values - w[0]
-    v_states = _step_loop(v0, w, params, spec, config, collect=True)
+    v_states = _step_loop(x0 - w[0], w, params, spec, config, collect=True)
     return Trajectory(
         grid=TimeGrid(dt=config.dt, n_steps=n_steps),
         states=v_states + w,
@@ -254,44 +264,28 @@ def integrate(
     )
 
 
-def integrate_ensemble(
-    u0_batch: np.ndarray,
-    field: NoiseField,
-    params: LatticeParams,
-    spec: NonlinearitySpec,
-    config: SolverConfig,
-) -> np.ndarray:
-    """Endpoints u(t_end) for a batch of starts, shape (n_starts, d).
-
-    All members share the one noise realization; the stepping is
-    vectorized across the batch.
-    """
-    u0_batch = np.asarray(u0_batch, dtype=float)
-    if (u0_batch.ndim != 2 or u0_batch.shape[1] != params.n_sites
-            or field.half_width != params.half_width):
-        raise ValueError(f"start batch {u0_batch.shape}, params ({params.n_sites} "
-                         f"sites) and field ({field.n_sites} sites) widths differ")
-    n_steps = config.n_steps()
-    w = _noise_rows(field, config, n_steps)
-    v = _step_loop(u0_batch - w[0], w, params, spec, config, collect=False)
-    return v + w[-1]
-
-
 def cocycle_map(
     t: float,
     field: NoiseField,
-    u0: LatticeVector,
+    u0: LatticeVector | np.ndarray,
     params: LatticeParams,
     spec: NonlinearitySpec,
     config: SolverConfig,
-) -> LatticeVector:
-    """Solution map phi(t, field, u0).  phi(0) returns u0 untouched."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+) -> LatticeVector | np.ndarray:
+    """Solution map phi(t, field, u0).  phi(0) returns u0 untouched.
+
+    ``u0`` is one ``LatticeVector``, giving one, or an (n_starts, d)
+    array of starts, giving the array of their endpoints.  A batch shares
+    the one noise realization and steps vectorized; each row equals the
+    single run from that start bit for bit.
+    """
+    x0 = _start_values(u0, field, params)
     if t == 0:
         return u0
-    cfg = SolverConfig(dt=config.dt, t_end=t, scheme=config.scheme)
-    return integrate(u0, field, params, spec, cfg).endpoint()
+    cfg = replace(config, t_end=t)  # raises for t < 0
+    w = _noise_rows(field, cfg, cfg.n_steps())
+    end = _step_loop(x0 - w[0], w, params, spec, cfg, collect=False) + w[-1]
+    return LatticeVector(end) if isinstance(u0, LatticeVector) else end
 
 
 @dataclass(frozen=True)

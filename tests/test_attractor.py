@@ -166,7 +166,7 @@ class TestForwardStationarity:
     def test_forward_attraction_envelope(self, field):
         # every start falls onto the moving equilibrium at least as fast
         # as e^(-damping t), with the discretization cushion
-        from fraclattice.attractor import _pullback_point
+        from fraclattice.attractor import _pullback
         from fraclattice.noise import shift_noise
         from fraclattice.solver import cocycle_map
 
@@ -176,7 +176,7 @@ class TestForwardStationarity:
         d0 = float(np.linalg.norm(u0.values - eq.u0.values))
         for t in (1.0, 2.0, 4.0):
             forward = cocycle_map(t, field, u0, params, CUBIC, CFG)
-            eq_shifted = _pullback_point(
+            eq_shifted = _pullback(
                 eq.horizon, shift_noise(field, t), LatticeVector.zeros(N),
                 params, CUBIC, CFG,
             )

@@ -102,6 +102,41 @@ class TestLoadConfig:
             "solver.sheme: unknown key (known: dt, scheme, t_end)",
         ]
 
+    @pytest.mark.parametrize("u0, message", [
+        ({"-6": 1.0}, "experiment.u0: site -6 outside [-4, 4]"),
+        ({"6": 1.0}, "experiment.u0: site 6 outside [-4, 4]"),
+        ({"x": 1.0}, "experiment.u0: site key 'x' is not an integer"),
+        ({"0": float("nan")}, "experiment.u0: value at site 0 is not a finite number"),
+    ])
+    def test_bad_start_vector_reported(self, tmp_path, u0, message):
+        path = write_config(tmp_path, name="simulate", extra={
+            "lattice": {"half_width": 4}, "experiment": {"u0": u0}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.violations == [message]
+
+    def test_bad_start_vectors_listed_with_other_violations(self, tmp_path):
+        path = write_config(tmp_path, extra={
+            "hurst": 2.0, "lattice": {"half_width": 4},
+            "experiment": {"u0": {"5": 1.0}, "w0": {"x": 1.0}}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        found = sorted(v.split(":")[0] for v in err.value.violations)
+        assert found == ["experiment.u0", "experiment.w0", "hurst"]
+
+    def test_start_vectors_parsed(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, extra={
+            "experiment": {"u0": {"-6": 2.0, "1": 0.5}, "w0": {"6": -1.0}}}))
+        assert cfg.starts["u0"].get(-6) == 2.0 and cfg.starts["u0"].get(1) == 0.5
+        assert cfg.starts["u0"].norm() == np.hypot(2.0, 0.5)
+        assert cfg.starts["w0"].get(6) == -1.0 and cfg.starts["w0"].norm() == 1.0
+
+    def test_unreadable_config_file_reported(self, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert err.value.violations[0].startswith(f"cannot read {path}: ")
+
 
 class TestRun:
     def test_contraction_manifest_structure(self, tmp_path):
@@ -197,6 +232,21 @@ class TestMain:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("u0", [{"-6": 1.0}, {"6": 1.0}, {"x": 1.0}])
+    def test_exit_two_on_bad_start_vector(self, tmp_path, capsys, u0):
+        path = write_config(tmp_path, name="simulate", extra={
+            "lattice": {"half_width": 4}, "experiment": {"u0": u0}})
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "config error: experiment.u0: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_exit_two_on_unreadable_config(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {path}: ") and err.count("\n") == 1
+
     def test_sample_fbm_flags(self, tmp_path):
         out = tmp_path / "fbm"
         code = main(["sample-fbm", "--h", "0.75", "--dt", "0.01", "--steps", "64",
@@ -226,6 +276,20 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "fitted_slope" in out
+
+    def test_report_exit_two_on_unreadable_manifest(self, tmp_path, capsys):
+        bad, listed = tmp_path / "bad.json", tmp_path / "list.json"
+        bad.write_text("{not json")
+        listed.write_text("[1]")
+        for path, reason in ((tmp_path / "nope.json", f"cannot read {tmp_path / 'nope.json'}"),
+                             (tmp_path, f"cannot read {tmp_path}"),
+                             (bad, "JSON parse error at line 1"),
+                             (listed, "top-level JSON value must be an object")):
+            assert main(["report", "--manifest", str(path)]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith(f"report error: {reason}")
+            assert out.err.count("\n") == 1
 
     def test_exit_one_on_failed_check(self, tmp_path):
         # horizons deeper than the sampled past surface as a manifest

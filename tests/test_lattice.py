@@ -36,6 +36,11 @@ class TestLatticeVector:
         with pytest.raises(IndexError):
             v.get(4)
 
+    def test_from_support_rejects_sites_outside_truncation(self):
+        for site in (-4, 4, 7):
+            with pytest.raises(ValueError, match="outside"):
+                LatticeVector.from_support(3, {site: 1.0})
+
     def test_basis_and_norm(self):
         e = LatticeVector.basis(4, -2)
         assert e.norm() == 1.0 and e.get(-2) == 1.0

@@ -273,6 +273,10 @@ class TestStationaryOU:
         times = ou.grid.times()
         assert (ou.norms() <= 4.0 * rho * (1.0 + np.abs(times)) ** 2 + 1e-12).all()
 
+    def test_rho_equals_growth_constant(self):
+        for f in (self.field, shift_noise(self.field, 1.0)):
+            assert stationary_ou(1.0, f).rho == noise_growth_constant(f)
+
     def test_tail_bound_recorded(self):
         ou = stationary_ou(1.0, self.field)
         rho = noise_growth_constant(self.field)

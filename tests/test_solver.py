@@ -20,7 +20,6 @@ from fraclattice.solver import (
     cocycle_map,
     gronwall_envelope,
     integrate,
-    integrate_ensemble,
     linear_oracle,
     rode_rhs,
 )
@@ -73,7 +72,7 @@ class TestRhs:
                 -laplacian_array(u, params.boundary) - u + CUBIC.eval_array(u)
                 + params.forcing.values
             )
-            assert np.abs(lhs - drift).max() <= 1e-12
+            np.testing.assert_array_equal(lhs, drift)
 
 
 class TestIntegrate:
@@ -159,10 +158,12 @@ class TestIntegrate:
             LatticeVector.from_support(8, {0: 1.0}).values,
             LatticeVector.from_support(8, {1: -2.0}).values,
         ])
-        ends = integrate_ensemble(starts, field, params, CUBIC, cfg)
+        ends = cocycle_map(1.0, field, starts, params, CUBIC, cfg)
         for row, start in zip(ends, starts):
             single = integrate(LatticeVector(start), field, params, CUBIC, cfg)
             np.testing.assert_array_equal(row, single.endpoint().values)
+            one = cocycle_map(1.0, field, LatticeVector(start), params, CUBIC, cfg)
+            np.testing.assert_array_equal(row, one.values)
 
     def test_ensemble_rejects_mismatched_widths(self):
         params = make_params(4, sigma={0: 0.8})  # 9 sites
@@ -170,11 +171,24 @@ class TestIntegrate:
         cfg = SolverConfig(dt=0.01, t_end=0.1)
         for bad in (np.ones((3, 1)), np.ones(9), np.ones((2, 8)), np.ones((1, 2, 9))):
             with pytest.raises(ValueError):
-                integrate_ensemble(bad, field, params, CUBIC, cfg)
+                cocycle_map(0.1, field, bad, params, CUBIC, cfg)
         wide = build_noise_field(make_params(5, sigma={0: 0.8}),
                                  TimeGrid(dt=0.01, n_steps=100), 5)
         with pytest.raises(ValueError):
-            integrate_ensemble(np.ones((2, 9)), wide, params, CUBIC, cfg)
+            cocycle_map(0.1, wide, np.ones((2, 9)), params, CUBIC, cfg)
+
+    def test_integrate_rejects_a_batch(self):
+        params = make_params(4, sigma={0: 0.8})
+        field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=10), 5)
+        with pytest.raises(TypeError):
+            integrate(np.ones((11, 9)), field, params, CUBIC, SolverConfig(dt=0.01, t_end=0.1))
+
+    def test_batch_at_time_zero_is_returned_unchanged(self):
+        params = make_params(4, sigma={0: 0.8})
+        field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=10), 5)
+        batch = np.arange(18.0).reshape(2, 9)
+        assert cocycle_map(0.0, field, batch, params, CUBIC,
+                           SolverConfig(dt=0.01, t_end=0.1)) is batch
 
 
 class TestSubStepCocycle:
