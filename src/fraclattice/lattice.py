@@ -277,13 +277,12 @@ class NonlinearitySpec:
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         # overflow surfaces as non-finite output, which callers turn into
-        # NonlinearityOverflowError; keep numpy quiet about it here
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind is NonlinearityKind.LINEAR:
-                return -self.a * x
-            if self.kind is NonlinearityKind.CUBIC:
-                return -self.a * x - self.b * x**3
-            return np.asarray(self.fn(x), dtype=float)
+        # NonlinearityOverflowError inside their own np.errstate
+        if self.kind is NonlinearityKind.LINEAR:
+            return -self.a * x
+        if self.kind is NonlinearityKind.CUBIC:
+            return -self.a * x - self.b * x**3
+        return np.asarray(self.fn(x), dtype=float)
 
     def deriv_array(self, x: np.ndarray) -> np.ndarray:
         if self.kind is NonlinearityKind.LINEAR:
@@ -295,7 +294,8 @@ class NonlinearitySpec:
 
 def eval_nonlinearity(spec: NonlinearitySpec, x: LatticeVector) -> LatticeVector:
     """Apply the componentwise drift; raises on non-finite output."""
-    out = spec.eval_array(x.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = spec.eval_array(x.values)
     if not np.all(np.isfinite(out)):
         raise NonlinearityOverflowError(
             f"{spec.label or spec.kind.value} overflowed on |x|={x.norm():.3e}"

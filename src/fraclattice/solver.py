@@ -23,6 +23,7 @@ is available as an independent accuracy oracle.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +35,6 @@ from .lattice import (
     LatticeParams,
     LatticeVector,
     NonlinearitySpec,
-    laplacian_array,
     laplacian_modes,
 )
 from .noise import NoiseField, decayed_exp_sweep, shift_noise
@@ -154,24 +154,54 @@ def rode_rhs(
 
     The plain drift -kappa A u - lam u + f(u) + g evaluated at u = v + W(t).
     """
-    return LatticeVector(_rhs_array(v.values, w_t.values, params, spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, fx = _drift(v.values.shape, params, spec)(v.values, w_t.values)
+    if not np.isfinite(fx).all():
+        raise _overflow(spec)
+    return LatticeVector(out)
 
 
-def _rhs_array(
-    v: np.ndarray, w: np.ndarray, params: LatticeParams, spec: NonlinearitySpec
-) -> np.ndarray:
-    u = v + w
-    fx = spec.eval_array(u)
-    if not np.all(np.isfinite(fx)):
-        raise NonlinearityOverflowError(
-            f"{spec.label or spec.kind.value} overflowed during stepping"
-        )
-    return (
-        -params.coupling * laplacian_array(u, params.boundary)
-        - params.damping * u
-        + fx
-        + params.forcing.values
+def _overflow(spec: NonlinearitySpec) -> NonlinearityOverflowError:
+    return NonlinearityOverflowError(
+        f"{spec.label or spec.kind.value} overflowed during stepping"
     )
+
+
+def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):
+    """``drift(v, w) -> (F, f(u))``: the drift at u = v + w, ``shape`` states.
+
+    F = -kappa A u - lam u + f(u) + g is written into one buffer, through
+    work buffers and views allocated here, once; f(u) is returned for the
+    caller's overflow check, inside the caller's ``np.errstate``.
+    A u = -u_{i-1} + 2 u_i - u_{i+1} is a slice stencil that subtracts
+    the neighbours in that order: zero padding leaves out the terms past
+    either edge, and the periodic wrap subtracts them by slicing.
+    """
+    u, lam_u, out = np.empty(shape), np.empty(shape), np.empty(shape)
+    periodic = params.boundary is Boundary.PERIODIC
+    neg_kappa, lam, g = -params.coupling, params.damping, params.forcing.values
+    u_prev, u_next, u_first, u_last = u[..., :-1], u[..., 1:], u[..., :1], u[..., -1:]
+    out_tail, out_head = out[..., 1:], out[..., :-1]
+    out_first, out_last = out[..., :1], out[..., -1:]
+
+    def drift(v, w):
+        np.add(v, w, out=u)
+        fx = spec.eval_array(u)
+        np.multiply(u, 2.0, out=out)
+        np.subtract(out_tail, u_prev, out=out_tail)
+        if periodic:
+            np.subtract(out_first, u_last, out=out_first)
+        np.subtract(out_head, u_next, out=out_head)
+        if periodic:
+            np.subtract(out_last, u_first, out=out_last)
+        np.multiply(out, neg_kappa, out=out)
+        np.multiply(u, lam, out=lam_u)
+        np.subtract(out, lam_u, out=out)
+        np.add(out, fx, out=out)
+        np.add(out, g, out=out)
+        return out, fx
+
+    return drift
 
 
 def _noise_rows(field: NoiseField, config: SolverConfig, n_steps: int) -> np.ndarray:
@@ -197,30 +227,50 @@ def _step_loop(
     config: SolverConfig,
     collect: bool,
 ) -> np.ndarray:
-    """Advance v over all solver nodes; v0 is (..., d), w is (nodes, d)."""
-    dt = config.dt
+    """Advance v over all solver nodes; v0 is (..., d), w is (nodes, d).
+
+    Every stage writes into buffers allocated once per run.  The state
+    norm is checked once per step; only when that check fails does the
+    run decide between a non-finite f (``NonlinearityOverflowError``)
+    and a blow-up.
+    """
+    dt, half_dt = config.dt, 0.5 * config.dt
     heun = config.scheme is Scheme.HEUN
-    v = np.array(v0, dtype=float)
     n_steps = w.shape[0] - 1
+    shape = np.shape(v0)
+    stage0, stage1 = _drift(shape, params, spec), _drift(shape, params, spec)
+    work = np.empty(shape)
     if collect:
-        out = np.empty((n_steps + 1,) + v.shape)
-        out[0] = v
-    for k in range(n_steps):
-        f0 = _rhs_array(v, w[k], params, spec)
-        if heun:
-            pred = v + dt * f0
-            f1 = _rhs_array(pred, w[k + 1], params, spec)
-            v = v + 0.5 * dt * (f0 + f1)
-        else:
-            v = v + dt * f0
-        if not np.all(np.isfinite(v)) or np.linalg.norm(v, axis=-1).max() > BLOWUP_NORM:
-            raise BlowUpError(
-                f"|v| exceeded {BLOWUP_NORM:.0e} at t={(k + 1) * dt:.6g}; "
-                "check dissipativity or reduce dt"
-            )
-        if collect:
-            out[k + 1] = v
-    return out if collect else v
+        states = np.empty((n_steps + 1,) + shape)
+        states[0] = v0
+        v = states[0]
+    else:
+        v = np.array(v0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            nxt = states[k + 1] if collect else v
+            f0, fx0 = stage0(v, w[k])
+            fx1 = fx0
+            if heun:
+                np.multiply(f0, dt, out=work)
+                np.add(v, work, out=work)  # the predictor v + dt f0
+                f1, fx1 = stage1(work, w[k + 1])
+                np.add(f0, f1, out=f1)
+                np.multiply(f1, half_dt, out=f1)
+                np.add(v, f1, out=nxt)  # v + dt/2 (f0 + f1)
+            else:
+                np.multiply(f0, dt, out=f0)
+                np.add(v, f0, out=nxt)
+            v = nxt
+            np.multiply(v, v, out=work)
+            if not math.sqrt(work.sum(axis=-1).max()) <= BLOWUP_NORM:
+                if not (np.isfinite(fx0).all() and np.isfinite(fx1).all()):
+                    raise _overflow(spec)
+                raise BlowUpError(
+                    f"|v| exceeded {BLOWUP_NORM:.0e} at t={(k + 1) * dt:.6g}; "
+                    "check dissipativity or reduce dt"
+                )
+    return states if collect else v
 
 
 def _start_values(u0, field: NoiseField, params: LatticeParams) -> np.ndarray:
@@ -248,20 +298,28 @@ def integrate(
     """
     if not isinstance(u0, LatticeVector):
         raise TypeError("integrate takes one LatticeVector; batch through cocycle_map")
-    x0 = _start_values(u0, field, params)
-    n_steps = config.n_steps()
-    if n_steps < 1:
-        raise ValueError("t_end must be at least one step (phi(0) is the identity)")
-    w = _noise_rows(field, config, n_steps)
-    v_states = _step_loop(x0 - w[0], w, params, spec, config, collect=True)
+    states = _solve(u0, field, params, spec, config)
     return Trajectory(
-        grid=TimeGrid(dt=config.dt, n_steps=n_steps),
-        states=v_states + w,
+        grid=TimeGrid(dt=config.dt, n_steps=states.shape[0] - 1),
+        states=states,
         representation="u",
         params=params,
         spec=spec,
         config=config,
     )
+
+
+def _solve(u0, field: NoiseField, params: LatticeParams, spec: NonlinearitySpec,
+           config: SolverConfig) -> np.ndarray:
+    """u at every solver node, (nodes, ..., d), for a start or (n_starts, d) batch."""
+    x0 = _start_values(u0, field, params)
+    n_steps = config.n_steps()
+    if n_steps < 1:
+        raise ValueError("t_end must be at least one step (phi(0) is the identity)")
+    w = _noise_rows(field, config, n_steps)
+    states = _step_loop(x0 - w[0], w, params, spec, config, collect=True)
+    states += w.reshape(w.shape[:1] + (1,) * (x0.ndim - 1) + w.shape[1:])
+    return states
 
 
 def cocycle_map(
@@ -284,7 +342,8 @@ def cocycle_map(
         return u0
     cfg = replace(config, t_end=t)  # raises for t < 0
     w = _noise_rows(field, cfg, cfg.n_steps())
-    end = _step_loop(x0 - w[0], w, params, spec, cfg, collect=False) + w[-1]
+    end = _step_loop(x0 - w[0], w, params, spec, cfg, collect=False)
+    end += w[-1]
     return LatticeVector(end) if isinstance(u0, LatticeVector) else end
 
 
