@@ -281,7 +281,7 @@ class NonlinearitySpec:
         if self.kind is NonlinearityKind.LINEAR:
             return -self.a * x
         if self.kind is NonlinearityKind.CUBIC:
-            return -self.a * x - self.b * x**3
+            return -self.a * x - self.b * (x * x * x)
         return np.asarray(self.fn(x), dtype=float)
 
     def deriv_array(self, x: np.ndarray) -> np.ndarray:
