@@ -150,6 +150,11 @@ class RunManifest:
         return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _experiment_defaults(name) -> dict | None:
+    """Option defaults of experiment ``name``; None for any other value, unhashable too."""
+    return _EXPERIMENT_DEFAULTS.get(name) if isinstance(name, str) else None
+
+
 def _merge_defaults(raw: dict) -> dict:
     eff = json.loads(json.dumps(_DEFAULTS))  # deep copy
     for key, val in raw.items():
@@ -157,9 +162,9 @@ def _merge_defaults(raw: dict) -> dict:
             eff[key].update(val)
         else:
             eff[key] = val
-    name = eff.get("experiment", {}).get("name")
-    if name in _EXPERIMENT_DEFAULTS:
-        merged = dict(_EXPERIMENT_DEFAULTS[name])
+    defaults = _experiment_defaults(eff.get("experiment", {}).get("name"))
+    if defaults is not None:
+        merged = dict(defaults)
         merged.update(eff["experiment"])
         eff["experiment"] = merged
     return eff
@@ -191,12 +196,12 @@ def _parse_support(raw, half_width: int, label: str, violations: list[str]):
 def _key_violations(eff: dict) -> list[str]:
     """Keys of a defaults-filled config that no part of the run reads."""
     found = [f"{key}: unknown key" for key in eff if key not in _TOP_LEVEL_KEYS]
-    name = eff["experiment"].get("name")
+    defaults = _experiment_defaults(eff["experiment"].get("name"))
     for section in _SECTIONS:
         if section != "experiment":
             known = set(_DEFAULTS[section])
-        elif name in _EXPERIMENT_DEFAULTS:
-            known = {"name", *_EXPERIMENT_DEFAULTS[name]}
+        elif defaults is not None:
+            known = {"name", *defaults}
         else:
             continue  # a bad experiment.name is reported on its own
         found += [f"{section}.{key}: unknown key (known: {', '.join(sorted(known))})"
@@ -299,7 +304,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         violations.append(f"experiment.name: {experiment!r} not in {list(EXPERIMENTS)}")
     starts = {key: _parse_support(eff["experiment"][key], half_width, f"experiment.{key}",
                                   violations)
-              for key in ("u0", "w0") if key in _EXPERIMENT_DEFAULTS.get(experiment, {})}
+              for key in ("u0", "w0") if key in (_experiment_defaults(experiment) or {})}
 
     master_seed = 0
     try:
@@ -708,6 +713,10 @@ def main(argv=None) -> int:
     if args.command == "report":
         try:
             data = _read_json(args.manifest)
+            bad = [k for k in ("experiment", "config_hash") if not isinstance(data.get(k), str)]
+            bad += [k for k in ("checks", "numbers") if not isinstance(data.get(k, {}), dict)]
+            if bad:
+                raise ConfigError([f"not a run manifest: {', '.join(bad)} missing or malformed"])
         except ConfigError as exc:
             print(f"report error: {exc.violations[0]}", file=sys.stderr)
             return 2

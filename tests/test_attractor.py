@@ -20,7 +20,7 @@ from fraclattice.lattice import (
     laplacian_modes,
 )
 from fraclattice.noise import build_noise_field
-from fraclattice.solver import SolverConfig
+from fraclattice.solver import SolverConfig, integrate
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)
@@ -65,6 +65,19 @@ class TestContraction:
         assert rep.fitted_slope <= -2.0  # observed rate reaches damping + a
         d = rep.distances
         assert ((np.diff(d) <= 1e-9) | (d[1:] < 1e-12)).all()
+
+    def test_distances_equal_separate_integrations(self, field):
+        # the pair steps as one batch; each row must be its single run
+        u0 = LatticeVector.from_support(N, {0: 2.0, N: -1.0})
+        w0 = LatticeVector.from_support(N, {-N: -1.5, 3: 0.4})
+        for boundary in Boundary:
+            params = make_params(boundary=boundary)
+            rep = contraction_experiment(u0, w0, field, params, CUBIC, CFG)
+            tr_u = integrate(u0, field, params, CUBIC, CFG)
+            tr_w = integrate(w0, field, params, CUBIC, CFG)
+            np.testing.assert_array_equal(
+                rep.distances, np.linalg.norm(tr_u.states - tr_w.states, axis=1))
+            np.testing.assert_array_equal(rep.times, tr_u.grid.times())
 
     def test_identical_starts_flagged_degenerate(self, field):
         u0 = LatticeVector.from_support(N, {0: 2.0})

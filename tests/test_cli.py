@@ -66,6 +66,16 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, name="levitate"))
         assert any("experiment.name" in v for v in err.value.violations)
 
+    def test_unhashable_experiment_name_listed_with_other_violations(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": {"name": ["simulate"]},
+                                    "lattice": {"half_width": 0}}))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert any(v.startswith("experiment.name: ['simulate']")
+                   for v in err.value.violations)
+        assert any(v.startswith("lattice.half_width") for v in err.value.violations)
+
     def test_misaligned_window_rejected(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, extra={"grid": {"t_past": 8.013}}))
@@ -281,10 +291,15 @@ class TestMain:
         bad, listed = tmp_path / "bad.json", tmp_path / "list.json"
         bad.write_text("{not json")
         listed.write_text("[1]")
+        keyless, typed = tmp_path / "keyless.json", tmp_path / "typed.json"
+        keyless.write_text('{"checks": {}}')
+        typed.write_text('{"experiment": "ou", "config_hash": 7, "checks": []}')
         for path, reason in ((tmp_path / "nope.json", f"cannot read {tmp_path / 'nope.json'}"),
                              (tmp_path, f"cannot read {tmp_path}"),
                              (bad, "JSON parse error at line 1"),
-                             (listed, "top-level JSON value must be an object")):
+                             (listed, "top-level JSON value must be an object"),
+                             (keyless, "not a run manifest: experiment, config_hash"),
+                             (typed, "not a run manifest: config_hash, checks")):
             assert main(["report", "--manifest", str(path)]) == 2
             out = capsys.readouterr()
             assert out.out == ""

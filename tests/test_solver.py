@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fraclattice.errors import BlowUpError
+from fraclattice.errors import BlowUpError, NonlinearityOverflowError
 from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import (
     Boundary,
     LatticeParams,
     LatticeVector,
     NonlinearitySpec,
+    apply_laplacian,
     laplacian_array,
     laplacian_modes,
 )
@@ -26,6 +27,9 @@ from fraclattice.solver import (
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)
+SINE = NonlinearitySpec.custom(lambda x: -x - 0.5 * np.sin(x),
+                               lambda x: -1.0 - 0.5 * np.cos(x),
+                               diss_const=0.5, growth_coef=2.0, growth_power=1.0)
 
 
 def make_params(half_width=8, boundary=Boundary.ZERO_PADDING, sigma=None, forcing=None):
@@ -189,6 +193,110 @@ class TestIntegrate:
         batch = np.arange(18.0).reshape(2, 9)
         assert cocycle_map(0.0, field, batch, params, CUBIC,
                            SolverConfig(dt=0.01, t_end=0.1)) is batch
+
+
+def written_out_drift(u, params, spec):
+    """-kappa A u - lam u + f(u) + g from apply_laplacian, row by row."""
+    lap = np.array([apply_laplacian(LatticeVector(row), params.boundary).values
+                    for row in u.reshape(-1, u.shape[-1])]).reshape(u.shape)
+    return (-params.coupling * lap - params.damping * u + spec.eval_array(u)
+            + params.forcing.values)
+
+
+def written_out_step(u0, field, params, spec, dt, scheme):
+    """One solver step of the written-out drift."""
+    w0, w1 = field.at(0.0).values, field.at(dt).values
+    drift = lambda u: written_out_drift(u, params, spec)  # noqa: E731
+    v0 = u0 - w0
+    f0 = drift(v0 + w0)
+    if scheme is Scheme.EULER:
+        return v0 + dt * f0 + w1
+    f1 = drift(v0 + dt * f0 + w1)
+    return v0 + 0.5 * dt * (f0 + f1) + w1
+
+
+class TestKernel:
+    """The fused in-place stepping kernel against the drift written out.
+
+    Noise and forcing sit on both edge sites, so the periodic wrap
+    matters; the step is long, so the drift's rounding shows in the state.
+    """
+
+    @staticmethod
+    def setup(boundary):
+        params = make_params(4, boundary=boundary, sigma={-4: 0.7, 0: 0.8, 4: 0.5},
+                             forcing={-4: 0.2, 1: 0.4})
+        field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=2), 3)
+        return params, field, 2.0 * np.random.default_rng(4).standard_normal((3, 9))
+
+    @pytest.mark.parametrize("spec", [LINEAR, CUBIC, SINE], ids=["linear", "cubic", "custom"])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_rhs_equals_written_out_drift(self, boundary, spec):
+        params, field, _ = self.setup(boundary)
+        w = field.at(0.5)
+        for v in 2.0 * np.random.default_rng(5).standard_normal((50, 9)):
+            np.testing.assert_array_equal(
+                rode_rhs(LatticeVector(v), w, params, spec).values,
+                written_out_drift(v + w.values, params, spec))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("spec", [LINEAR, CUBIC, SINE], ids=["linear", "cubic", "custom"])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_one_step_equals_written_out_drift(self, boundary, spec, scheme):
+        params, field, batch = self.setup(boundary)
+        cfg = SolverConfig(dt=0.5, t_end=0.5, scheme=scheme)
+        ends = cocycle_map(0.5, field, batch, params, spec, cfg)
+        np.testing.assert_array_equal(
+            ends, written_out_step(batch, field, params, spec, 0.5, scheme))
+        one = cocycle_map(0.5, field, LatticeVector(batch[0]), params, spec, cfg)
+        np.testing.assert_array_equal(
+            one.values, written_out_step(batch[0], field, params, spec, 0.5, scheme))
+
+
+class TestStepErrors:
+    """Overflow and blow-up keep their error types through the kernel."""
+
+    params = make_params(4, sigma={0: 0.8})
+    field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=100), 5)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_cubic_overflow(self, scheme):
+        cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme)
+        u0 = LatticeVector.from_support(4, {0: 1e110})
+        with pytest.raises(NonlinearityOverflowError):
+            integrate(u0, self.field, self.params, CUBIC, cfg)
+        with pytest.raises(NonlinearityOverflowError):
+            cocycle_map(1.0, self.field, u0, self.params, CUBIC, cfg)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_custom_fn_returning_inf_mid_run(self, scheme):
+        # f is finite until site 0 climbs past 0.5 under the forcing
+        spike = NonlinearitySpec.custom(lambda x: np.where(x > 0.5, np.inf, -x),
+                                        lambda x: -np.ones_like(x), 1.0, 1.0, 1.0)
+        params = make_params(4, sigma={}, forcing={0: 3.0})
+        cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme)
+        cocycle_map(0.05, self.field, LatticeVector.zeros(4), params, spike, cfg)
+        with pytest.raises(NonlinearityOverflowError):
+            integrate(LatticeVector.zeros(4), self.field, params, spike, cfg)
+        with pytest.raises(NonlinearityOverflowError):
+            cocycle_map(1.0, self.field, np.zeros((2, 9)), params, spike, cfg)
+
+    def test_batch_with_one_overflowing_row(self):
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
+        starts = np.zeros((2, 9))
+        cocycle_map(1.0, self.field, starts, self.params, CUBIC, cfg)
+        starts[1, 4] = 1e110
+        with pytest.raises(NonlinearityOverflowError):
+            cocycle_map(1.0, self.field, starts, self.params, CUBIC, cfg)
+
+    def test_finite_blow_up_in_a_batch(self):
+        # the run of test_blow_up_guard: f stays finite while |v| passes the guard
+        params = make_params(4, sigma={})
+        field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=20), 1)
+        starts = np.zeros((2, 9))
+        starts[1, 4] = 1e4
+        with pytest.raises(BlowUpError):
+            cocycle_map(10.0, field, starts, params, CUBIC, SolverConfig(dt=0.5, t_end=10.0))
 
 
 class TestSubStepCocycle:
