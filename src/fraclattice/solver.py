@@ -7,9 +7,10 @@ continuous (Hoelder) time dependence,
     dv/dt = F(v + W(t)),   F(u) = -kappa A u - lam u + f(u) + g,
 
 stepped here by explicit Euler or Heun, each stage evaluating the plain
-drift F once.  W is used only at its sampled nodes and never
-interpolated; refining the solver step below the noise step evaluates W
-at the nearest node, ties rounding up.  The solution map
+drift F once, in place, into buffers allocated once per run.  W is used
+only at its sampled nodes and never interpolated; refining the solver
+step below the noise step evaluates W at the nearest node, ties rounding
+up.  The solution map
 
     phi(t, field, u0) = endpoint of the integration over [0, t]
 
@@ -173,27 +174,24 @@ def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):
     F = -kappa A u - lam u + f(u) + g is written into one buffer, through
     work buffers and views allocated here, once; f(u) is returned for the
     caller's overflow check, inside the caller's ``np.errstate``.
-    A u = -u_{i-1} + 2 u_i - u_{i+1} is a slice stencil that subtracts
-    the neighbours in that order: zero padding leaves out the terms past
-    either edge, and the periodic wrap subtracts them by slicing.
     """
     u, lam_u, out = np.empty(shape), np.empty(shape), np.empty(shape)
-    periodic = params.boundary is Boundary.PERIODIC
     neg_kappa, lam, g = -params.coupling, params.damping, params.forcing.values
-    u_prev, u_next, u_first, u_last = u[..., :-1], u[..., 1:], u[..., :1], u[..., -1:]
-    out_tail, out_head = out[..., 1:], out[..., :-1]
-    out_first, out_last = out[..., :1], out[..., -1:]
+    # A u = -u_{i-1} + 2 u_i - u_{i+1}: subtract every left neighbour, then
+    # every right one, as (target, neighbour) slices; zero padding has no
+    # neighbour past an edge, the periodic wrap slices one in
+    left, right = [(out[..., 1:], u[..., :-1])], [(out[..., :-1], u[..., 1:])]
+    if params.boundary is Boundary.PERIODIC:
+        left.append((out[..., :1], u[..., -1:]))
+        right.append((out[..., -1:], u[..., :1]))
+    stencil = left + right
 
     def drift(v, w):
         np.add(v, w, out=u)
         fx = spec.eval_array(u)
         np.multiply(u, 2.0, out=out)
-        np.subtract(out_tail, u_prev, out=out_tail)
-        if periodic:
-            np.subtract(out_first, u_last, out=out_first)
-        np.subtract(out_head, u_next, out=out_head)
-        if periodic:
-            np.subtract(out_last, u_first, out=out_last)
+        for target, neighbour in stencil:
+            np.subtract(target, neighbour, out=target)
         np.multiply(out, neg_kappa, out=out)
         np.multiply(u, lam, out=lam_u)
         np.subtract(out, lam_u, out=out)
@@ -318,7 +316,7 @@ def _solve(u0, field: NoiseField, params: LatticeParams, spec: NonlinearitySpec,
         raise ValueError("t_end must be at least one step (phi(0) is the identity)")
     w = _noise_rows(field, config, n_steps)
     states = _step_loop(x0 - w[0], w, params, spec, config, collect=True)
-    states += w.reshape(w.shape[:1] + (1,) * (x0.ndim - 1) + w.shape[1:])
+    states += w if x0.ndim == 1 else w[:, None]
     return states
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -65,18 +67,19 @@ class TestRhs:
 
     def test_equals_drift_of_sum(self):
         # the transformed right side is the plain drift evaluated at v + W
-        params = make_params(6, forcing={1: 0.4})
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            v = rng.standard_normal(13)
-            w = rng.standard_normal(13)
-            lhs = rode_rhs(LatticeVector(v), LatticeVector(w), params, CUBIC).values
-            u = v + w
-            drift = (
-                -laplacian_array(u, params.boundary) - u + CUBIC.eval_array(u)
-                + params.forcing.values
-            )
-            np.testing.assert_array_equal(lhs, drift)
+        for boundary, spec in itertools.product(Boundary, (LINEAR, CUBIC, SINE)):
+            params = make_params(6, boundary=boundary, forcing={1: 0.4})
+            rng = np.random.default_rng(1)
+            for _ in range(50):
+                v = rng.standard_normal(13)
+                w = rng.standard_normal(13)
+                lhs = rode_rhs(LatticeVector(v), LatticeVector(w), params, spec).values
+                u = v + w
+                drift = (
+                    -laplacian_array(u, params.boundary) - u + spec.eval_array(u)
+                    + params.forcing.values
+                )
+                np.testing.assert_array_equal(lhs, drift)
 
 
 class TestIntegrate:
@@ -108,11 +111,15 @@ class TestIntegrate:
         assert np.abs(traj.states - exact).max() <= 1e-6
 
     def test_blow_up_guard(self):
+        # f stays finite while |v| passes the guard, in a run and in a batch
         params = make_params(4, sigma={})
         field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=20), 1)
+        cfg = SolverConfig(dt=0.5, t_end=10.0)
+        u0 = LatticeVector.from_support(4, {0: 1e4})
         with pytest.raises(BlowUpError):
-            integrate(LatticeVector.from_support(4, {0: 1e4}), field, params, CUBIC,
-                      SolverConfig(dt=0.5, t_end=10.0))
+            integrate(u0, field, params, CUBIC, cfg)
+        with pytest.raises(BlowUpError):
+            cocycle_map(10.0, field, np.stack([np.zeros(9), u0.values]), params, CUBIC, cfg)
 
     def test_representation_roundtrip(self):
         params = make_params()
@@ -195,18 +202,16 @@ class TestIntegrate:
                            SolverConfig(dt=0.01, t_end=0.1)) is batch
 
 
-def written_out_drift(u, params, spec):
-    """-kappa A u - lam u + f(u) + g from apply_laplacian, row by row."""
-    lap = np.array([apply_laplacian(LatticeVector(row), params.boundary).values
-                    for row in u.reshape(-1, u.shape[-1])]).reshape(u.shape)
-    return (-params.coupling * lap - params.damping * u + spec.eval_array(u)
-            + params.forcing.values)
-
-
 def written_out_step(u0, field, params, spec, dt, scheme):
-    """One solver step of the written-out drift."""
+    """One solver step from apply_laplacian and spec.eval_array, row by row."""
     w0, w1 = field.at(0.0).values, field.at(dt).values
-    drift = lambda u: written_out_drift(u, params, spec)  # noqa: E731
+
+    def drift(u):
+        lap = np.array([apply_laplacian(LatticeVector(row), params.boundary).values
+                        for row in u.reshape(-1, u.shape[-1])]).reshape(u.shape)
+        return (-params.coupling * lap - params.damping * u + spec.eval_array(u)
+                + params.forcing.values)
+
     v0 = u0 - w0
     f0 = drift(v0 + w0)
     if scheme is Scheme.EULER:
@@ -216,35 +221,17 @@ def written_out_step(u0, field, params, spec, dt, scheme):
 
 
 class TestKernel:
-    """The fused in-place stepping kernel against the drift written out.
-
-    Noise and forcing sit on both edge sites, so the periodic wrap
-    matters; the step is long, so the drift's rounding shows in the state.
-    """
-
-    @staticmethod
-    def setup(boundary):
-        params = make_params(4, boundary=boundary, sigma={-4: 0.7, 0: 0.8, 4: 0.5},
-                             forcing={-4: 0.2, 1: 0.4})
-        field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=2), 3)
-        return params, field, 2.0 * np.random.default_rng(4).standard_normal((3, 9))
-
-    @pytest.mark.parametrize("spec", [LINEAR, CUBIC, SINE], ids=["linear", "cubic", "custom"])
-    @pytest.mark.parametrize("boundary", list(Boundary))
-    def test_rhs_equals_written_out_drift(self, boundary, spec):
-        params, field, _ = self.setup(boundary)
-        w = field.at(0.5)
-        for v in 2.0 * np.random.default_rng(5).standard_normal((50, 9)):
-            np.testing.assert_array_equal(
-                rode_rhs(LatticeVector(v), w, params, spec).values,
-                written_out_drift(v + w.values, params, spec))
-
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("spec", [LINEAR, CUBIC, SINE], ids=["linear", "cubic", "custom"])
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_one_step_equals_written_out_drift(self, boundary, spec, scheme):
-        params, field, batch = self.setup(boundary)
+        # noise and forcing sit on both edge sites, so the periodic wrap
+        # matters; the step is long, so the drift's rounding shows in the state
+        params = make_params(4, boundary=boundary, sigma={-4: 0.7, 0: 0.8, 4: 0.5},
+                             forcing={-4: 0.2, 1: 0.4})
+        field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=2), 3)
         cfg = SolverConfig(dt=0.5, t_end=0.5, scheme=scheme)
+        batch = 2.0 * np.random.default_rng(4).standard_normal((3, 9))
         ends = cocycle_map(0.5, field, batch, params, spec, cfg)
         np.testing.assert_array_equal(
             ends, written_out_step(batch, field, params, spec, 0.5, scheme))
@@ -254,7 +241,7 @@ class TestKernel:
 
 
 class TestStepErrors:
-    """Overflow and blow-up keep their error types through the kernel."""
+    """A non-finite f is NonlinearityOverflowError, not a blow-up."""
 
     params = make_params(4, sigma={0: 0.8})
     field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=100), 5)
@@ -288,15 +275,6 @@ class TestStepErrors:
         starts[1, 4] = 1e110
         with pytest.raises(NonlinearityOverflowError):
             cocycle_map(1.0, self.field, starts, self.params, CUBIC, cfg)
-
-    def test_finite_blow_up_in_a_batch(self):
-        # the run of test_blow_up_guard: f stays finite while |v| passes the guard
-        params = make_params(4, sigma={})
-        field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=20), 1)
-        starts = np.zeros((2, 9))
-        starts[1, 4] = 1e4
-        with pytest.raises(BlowUpError):
-            cocycle_map(10.0, field, starts, params, CUBIC, SolverConfig(dt=0.5, t_end=10.0))
 
 
 class TestSubStepCocycle:
