@@ -90,10 +90,6 @@ _TOP_LEVEL_KEYS = frozenset(_DEFAULTS) | {"hurst_reference_mode"}
 _SECTIONS = ("lattice", "nonlinearity", "solver", "grid", "experiment")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated bundle of everything a run needs."""
@@ -371,56 +367,71 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # CSV output
+#
+# Every table goes through one writer.  It streams blocks of rows, each
+# block one ``template % values`` call: ``%.17g`` (an exact float64
+# round-trip) for float columns and ``%d`` for integer columns.
 
 
-def _write_csv(path: Path, header: list[str], rows) -> str:
+def _write_csv(path: Path, header: list[str], blocks) -> str:
+    """Write the header line, then each ``(template, values)`` block."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+        for template, values in blocks:
+            fh.write(template % values)
     return str(path)
+
+
+def _columns(*columns) -> list[tuple[str, tuple]]:
+    """Equal-length integer or float columns as one block of rows."""
+    arrays = [np.asarray(c) for c in columns]
+    cells = []
+    for a in arrays:
+        if a.dtype.kind not in "iuf":
+            raise TypeError(f"CSV column of dtype {a.dtype}: expected integers or floats")
+        cells.append("%.17g" if a.dtype.kind == "f" else "%d")
+    rows = list(zip(*(a.tolist() for a in arrays), strict=True))
+    return [((",".join(cells) + "\n") * len(rows), tuple(v for row in rows for v in row))]
+
+
+def _node_blocks(times: np.ndarray, states: np.ndarray, half_width: int):
+    """Long-format ``t,i,value`` rows, one block per node, sites in order.
+
+    Each node's ``t`` is formatted once and the site indices once per
+    table, so only the values are formatted per row.
+    """
+    cells = [",%d,%%.17g\n" % i for i in range(-half_width, half_width + 1)]
+    for t, row in zip(times.tolist(), states, strict=True):
+        head = "%.17g" % t
+        yield head + head.join(cells), tuple(row.tolist())
 
 
 def emit_plot_series(report, out_dir: str | Path, stem: str) -> list[str]:
     """Write the (x, y) series a report type supports; returns file paths."""
     out = Path(out_dir)
     if isinstance(report, at.ContractionReport):
-        rows = [
-            (float(t), float(d), float(np.log(d)))
-            for t, d in zip(report.times, report.distances)
-            if d > 0.0
-        ]
+        keep = report.distances > 0.0
+        d = report.distances[keep]
         return [_write_csv(out / f"{stem}_log_distance.csv",
-                           ["t", "distance", "log_distance"], rows)]
+                           ["t", "distance", "log_distance"],
+                           _columns(report.times[keep], d, np.log(d)))]
     if isinstance(report, at.PullbackReport):
         header = ["horizon", "diameter", "bound"]
-        rows = [
-            [float(h), float(d), float(b)]
-            for h, d, b in zip(report.horizons, report.diameters, report.bounds)
-        ]
+        columns = [report.horizons, report.diameters, report.bounds]
         if report.hausdorff is not None:
             header.append("hausdorff_to_equilibrium")
-            for row, hd in zip(rows, report.hausdorff):
-                row.append(float(hd))
-        return [_write_csv(out / f"{stem}_diameters.csv", header, rows)]
+            columns.append(report.hausdorff)
+        return [_write_csv(out / f"{stem}_diameters.csv", header, _columns(*columns))]
     if isinstance(report, at.StationarityReport):
-        rows = list(zip(map(float, report.times), map(float, report.residuals)))
-        return [_write_csv(out / f"{stem}_residuals.csv", ["t", "residual"], rows)]
+        return [_write_csv(out / f"{stem}_residuals.csv", ["t", "residual"],
+                           _columns(report.times, report.residuals))]
     if isinstance(report, at.AbsorptionReport):
-        rows = [
-            (float(h), float(m), float(report.bound), float(g))
-            for h, m, g in zip(report.horizons, report.max_norms, report.margins)
-        ]
+        bound = np.full(report.horizons.shape, float(report.bound))
         return [_write_csv(out / f"{stem}_entry.csv",
-                           ["horizon", "max_norm", "bound", "margin"], rows)]
+                           ["horizon", "max_norm", "bound", "margin"],
+                           _columns(report.horizons, report.max_norms, bound, report.margins))]
     raise TypeError(f"no plot series defined for {type(report).__name__}")
-
-
-def _trajectory_rows(states: np.ndarray, times: np.ndarray, half_width: int):
-    for k, t in enumerate(times):
-        for col in range(states.shape[1]):
-            yield (float(t), col - half_width, float(states[k, col]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +448,9 @@ def _build_field(cfg: ExperimentConfig, manifest: RunManifest) -> nz.NoiseField:
 def _run_sample_fbm(cfg, out: Path, manifest: RunManifest):
     n_steps = int(cfg.options.get("n_steps", 1000))
     path = sample_fbm(n_steps, cfg.hurst, cfg.grid.dt, cfg.master_seed)
-    rows = zip(map(float, path.grid.times()), map(float, path.values))
-    manifest.artifacts.append(
-        _write_csv(out / "fbm_path.csv", ["t", "value"], rows)
-    )
+    manifest.artifacts.append(_write_csv(
+        out / "fbm_path.csv", ["t", "value"], _columns(path.grid.times(), path.values)
+    ))
     manifest.checks["anchored"] = path.value_at(0.0) == 0.0
     manifest.numbers["n_steps"] = n_steps
 
@@ -483,7 +493,7 @@ def _run_simulate(cfg, out: Path, manifest: RunManifest):
     traj = sv.integrate(cfg.starts["u0"], field, cfg.params, cfg.spec, cfg.solver)
     manifest.artifacts.append(_write_csv(
         out / "trajectory.csv", ["t", "i", "u_i"],
-        _trajectory_rows(traj.states, traj.grid.times(), cfg.params.half_width),
+        _node_blocks(traj.grid.times(), traj.states, cfg.params.half_width),
     ))
     manifest.checks["finite"] = bool(np.isfinite(traj.states).all())
     manifest.numbers["final_norm"] = float(traj.endpoint().norm())
@@ -496,11 +506,11 @@ def _run_ou(cfg, out: Path, manifest: RunManifest):
     bound = 4.0 * ou.rho * (1.0 + np.abs(times)) ** 2
     manifest.artifacts.append(_write_csv(
         out / "noise_field.csv", ["t", "i", "value"],
-        _trajectory_rows(field.w_matrix, field.grid.times(), cfg.params.half_width),
+        _node_blocks(field.grid.times(), field.w_matrix, cfg.params.half_width),
     ))
     manifest.artifacts.append(_write_csv(
         out / "ou_field.csv", ["t", "i", "value"],
-        _trajectory_rows(ou.values, times, cfg.params.half_width),
+        _node_blocks(times, ou.values, cfg.params.half_width),
     ))
     manifest.checks["growth_bound"] = bool((ou.norms() <= bound + 1e-12).all())
     manifest.numbers["rho"] = ou.rho
@@ -559,7 +569,7 @@ def _run_equilibrium(cfg, out: Path, manifest: RunManifest):
     sites = np.arange(-cfg.params.half_width, cfg.params.half_width + 1)
     manifest.artifacts.append(_write_csv(
         out / "equilibrium.csv", ["i", "value"],
-        zip(map(int, sites), map(float, eq.u0.values)),
+        _columns(sites, eq.u0.values),
     ))
     times = [float(t) for t in opts.get("check_times", [])]
     if times:
@@ -597,7 +607,8 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
                                 tp, float(opts["ou_tail_tol"]))
         rows.append((float(tp), float(r.value), float(r.tail_bound)))
     manifest.artifacts.append(_write_csv(
-        out / "absorbing_radius.csv", ["t_past", "radius", "tail_bound"], rows
+        out / "absorbing_radius.csv", ["t_past", "radius", "tail_bound"],
+        _columns(*zip(*rows)),
     ))
 
 

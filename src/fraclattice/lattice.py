@@ -298,7 +298,8 @@ def eval_nonlinearity(spec: NonlinearitySpec, x: LatticeVector) -> LatticeVector
         out = spec.eval_array(x.values)
     if not np.all(np.isfinite(out)):
         raise NonlinearityOverflowError(
-            f"{spec.label or spec.kind.value} overflowed on |x|={x.norm():.3e}"
+            f"{spec.label or spec.kind.value} overflowed on "
+            f"max|x_i|={float(np.abs(x.values).max()):.3e}"
         )
     return LatticeVector(out)
 

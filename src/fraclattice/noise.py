@@ -287,6 +287,10 @@ def ou_solution(
         u(t) = u0 e^(-lam t) + e^(-lam t) int_0^t e^(lam s) dW(s),
 
     evaluated on the grid nodes of [0, t_end] (field end by default).
+
+    Only the tests call it.  It is the oracle that ``tests/test_noise.py``
+    checks ``stationary_ou``'s sweep against on t >= 0, started from the
+    stationary value at 0.
     """
     if u0.values.size != field.n_sites:
         raise ValueError("u0 width does not match the noise field")

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 
 from fraclattice.attractor import ContractionReport
-from fraclattice.cli import emit_plot_series, load_config, main, run, validate_config
+from fraclattice.cli import (
+    _columns,
+    _write_csv,
+    emit_plot_series,
+    load_config,
+    main,
+    run,
+    validate_config,
+)
 from fraclattice.errors import ConfigError
+from fraclattice.noise import build_noise_field, stationary_ou
+from fraclattice.solver import integrate
 
 MINIMAL = {
     "lattice": {"half_width": 6, "noise_amp": {"0": 0.8, "1": 0.5}},
@@ -339,6 +349,64 @@ class TestPlotSeries:
     def test_unknown_report_type_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             emit_plot_series(object(), tmp_path, "x")
+
+
+def long_format_lines(header, times, states, half_width):
+    """The CSV layout written out: one ``t,i,value`` row per node and site."""
+    return [header] + [
+        f"{format(t, '.17g')},{i},{format(u, '.17g')}"
+        for t, row in zip(times.tolist(), states.tolist())
+        for i, u in zip(range(-half_width, half_width + 1), row)
+    ]
+
+
+class TestCsvFormat:
+    def test_simulate_trajectory_matches_oracle(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, name="simulate"))
+        assert run(cfg).all_passed
+        field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
+        traj = integrate(cfg.starts["u0"], field, cfg.params, cfg.spec, cfg.solver)
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert lines == long_format_lines("t,i,u_i", traj.grid.times(), traj.states, 6)
+
+    def test_ou_fields_match_oracle(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, name="ou",
+                                       extra={"grid": {"t_past": 24.0, "t_future": 1.0}}))
+        assert run(cfg).all_passed
+        field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
+        ou = stationary_ou(cfg.params.damping, field)
+        for name, times, states in (("noise_field", field.grid.times(), field.w_matrix),
+                                    ("ou_field", ou.grid.times(), ou.values)):
+            lines = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
+            assert lines == long_format_lines("t,i,value", times, states, 6)
+
+    def test_float_edge_values(self, tmp_path):
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3,
+                  float("nan"), float("inf"), float("-inf")]
+        path = _write_csv(tmp_path / "f.csv", ["x"], _columns(values))
+        lines = Path(path).read_text().splitlines()
+        assert lines == ["x", "-0", "4.9406564584124654e-324", "1.7976931348623157e+308",
+                         "0.10000000000000001", "0.33333333333333331", "nan", "inf", "-inf"]
+        assert lines[1:] == [format(x, ".17g") for x in values]
+
+    def test_integer_column(self, tmp_path):
+        path = _write_csv(tmp_path / "i.csv", ["i", "n", "value"],
+                          _columns(np.arange(-2, 1), [7, 8, 2**40], np.array([0.5, 2.0, -1e-7])))
+        assert Path(path).read_text().splitlines() == [
+            "i,n,value", "-2,7,0.5", "-1,8,2", "0,1099511627776,-9.9999999999999995e-08"]
+
+    def test_zero_rows_stay_header_only(self, tmp_path):
+        path = _write_csv(tmp_path / "z.csv", ["t", "i"], _columns(np.empty(0), np.empty(0, int)))
+        assert Path(path).read_bytes() == b"t,i\n"
+
+    def test_bool_column_rejected(self):
+        # '%d' % True is '1' but str(True) is 'True': neither is an integer column
+        with pytest.raises(TypeError, match="dtype bool"):
+            _columns(np.array([True, False]))
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            _columns(np.zeros(3), np.zeros(2))
 
 
 class TestValidateConfigDirect:

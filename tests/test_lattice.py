@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ class TestNonlinearity:
         x = LatticeVector.from_support(3, {0: 1e200})
         with pytest.raises(NonlinearityOverflowError):
             eval_nonlinearity(NonlinearitySpec.cubic(1.0, 1.0), x)
+
+    def test_overflow_message_names_largest_entry_without_warning(self):
+        x = LatticeVector.from_support(3, {0: 1e200})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonlinearityOverflowError, match=r"max\|x_i\|=1\.000e\+200"):
+                eval_nonlinearity(NonlinearitySpec.cubic(1.0, 1.0), x)
 
     def test_commutes_with_site_permutation(self):
         spec = NonlinearitySpec.cubic(0.5, 2.0)

@@ -237,6 +237,13 @@ class TestStationaryOU:
         self.grid = TimeGrid(dt=0.02, n_steps=1100, i_start=-1000)  # [-20, 2]
         self.field = build_noise_field(self.params, self.grid, 77)
 
+    def test_continues_as_ou_solution_from_its_value_at_zero(self):
+        # on t >= 0 the sweep from the far past is the damped solution
+        # started at its own value at 0, for which ou_solution is the oracle
+        ou = stationary_ou(1.0, self.field)
+        tr = ou_solution(ou.at(0.0), 1.0, self.field, 2.0)
+        np.testing.assert_allclose(tr.values, ou.values, rtol=0.0, atol=1e-12)
+
     def test_zero_field_is_zero(self):
         params = make_params(half_width=2, sigma={})
         f = build_noise_field(params, self.grid, 1)
