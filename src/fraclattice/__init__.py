@@ -24,15 +24,10 @@ from .errors import (
 )
 from .fbm import (
     HurstParameter,
-    ScalarPath,
     TimeGrid,
     fgn_autocovariance,
-    reanchor,
-    sample_fbm,
     sample_fbm_array,
     sample_fbm_cholesky,
-    sample_fbm_paths,
-    two_sided_sample,
 )
 from .lattice import (
     Boundary,
@@ -50,6 +45,7 @@ from .lattice import (
 from .noise import (
     NoiseField,
     OUProcess,
+    VectorSeries,
     build_noise_field,
     coarsen_noise,
     derive_seed,
@@ -63,7 +59,6 @@ from .solver import (
     CocycleReport,
     Scheme,
     SolverConfig,
-    Trajectory,
     cocycle_check,
     cocycle_map,
     gronwall_envelope,

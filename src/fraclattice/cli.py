@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -26,7 +27,7 @@ from . import attractor as at
 from . import noise as nz
 from . import solver as sv
 from .errors import ConfigError, FracLatticeError
-from .fbm import HurstParameter, TimeGrid, sample_fbm
+from .fbm import HurstParameter, TimeGrid, sample_fbm_array
 from .lattice import (
     Boundary,
     LatticeParams,
@@ -84,6 +85,36 @@ _EXPERIMENT_DEFAULTS = {
                "t_past": 4.0, "ou_tail_tol": 1e-6},
 }
 
+
+def _is_int(x) -> bool:
+    """A JSON integer; JSON ``true`` and ``false`` are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_nonnegative(x) -> bool:
+    """A finite JSON number >= 0; NaN fails the comparison."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0 <= x < math.inf
+
+
+def _is_times(x) -> bool:
+    return isinstance(x, list) and all(_is_nonnegative(t) for t in x)
+
+
+_COUNT = (lambda x: _is_int(x) and x >= 1, "an integer >= 1")
+_POSITIVE = (lambda x: _is_nonnegative(x) and x > 0, "a finite number > 0")
+_NONNEGATIVE = (_is_nonnegative, "a finite number >= 0")
+
+#: (test, requirement) of each experiment option but the start vectors,
+#: which ``_parse_support`` reads.
+_OPTION_RULES = {
+    "n_steps": _COUNT, "n_vectors": _COUNT, "n_starts": _COUNT,
+    "tol": _POSITIVE, "ou_tail_tol": _POSITIVE, "initial_horizon": _POSITIVE,
+    "t_past": _POSITIVE, "radius": _NONNEGATIVE, "d_radius": _NONNEGATIVE,
+    "equilibrium_tol": (lambda x: x is None or _POSITIVE[0](x), "null or a finite number > 0"),
+    "horizons": (lambda x: _is_times(x) and len(x) > 0,
+                 "a non-empty list of finite numbers >= 0"),
+    "check_times": (_is_times, "a list of finite numbers >= 0"),
+}
 
 #: Top-level keys; the object-valued ones are the sections.
 _TOP_LEVEL_KEYS = frozenset(_DEFAULTS) | {"hurst_reference_mode"}
@@ -158,7 +189,7 @@ def _merge_defaults(raw: dict) -> dict:
             eff[key].update(val)
         else:
             eff[key] = val
-    defaults = _experiment_defaults(eff.get("experiment", {}).get("name"))
+    defaults = _experiment_defaults(eff["experiment"]["name"])
     if defaults is not None:
         merged = dict(defaults)
         merged.update(eff["experiment"])
@@ -192,7 +223,7 @@ def _parse_support(raw, half_width: int, label: str, violations: list[str]):
 def _key_violations(eff: dict) -> list[str]:
     """Keys of a defaults-filled config that no part of the run reads."""
     found = [f"{key}: unknown key" for key in eff if key not in _TOP_LEVEL_KEYS]
-    defaults = _experiment_defaults(eff["experiment"].get("name"))
+    defaults = _experiment_defaults(eff["experiment"]["name"])
     for section in _SECTIONS:
         if section != "experiment":
             known = set(_DEFAULTS[section])
@@ -217,46 +248,43 @@ def validate_config(raw: dict) -> ExperimentConfig:
     violations += _key_violations(eff)
 
     hurst = None
+    reference_mode = eff.get("hurst_reference_mode", False)
+    if not isinstance(reference_mode, bool):
+        violations.append(f"hurst_reference_mode: must be true or false, got {reference_mode!r}")
     try:
-        h = float(eff["hurst"])
-        hurst = HurstParameter(h, reference_mode=bool(eff.get("hurst_reference_mode")))
+        hurst = HurstParameter(float(eff["hurst"]), reference_mode=reference_mode is True)
     except (TypeError, ValueError) as exc:
         violations.append(f"hurst: {exc}")
 
     lat = eff["lattice"]
-    half_width = 1
-    try:
-        half_width = int(lat["half_width"])
-        if half_width < 1:
-            violations.append("lattice.half_width: must be >= 1")
-            half_width = 1
-    except (TypeError, ValueError, KeyError):
-        violations.append("lattice.half_width: must be an integer >= 1")
+    half_width = lat["half_width"]
+    if not (_is_int(half_width) and half_width >= 1):
+        violations.append(f"lattice.half_width: must be an integer >= 1, got {half_width!r}")
+        half_width = 1
     for name in ("coupling", "damping"):
         try:
             if not float(lat[name]) > 0:
                 violations.append(f"lattice.{name}: must be a positive constant")
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError):
             violations.append(f"lattice.{name}: must be a positive number")
     boundary = None
     try:
-        boundary = Boundary(lat.get("boundary", "zero-padding"))
+        boundary = Boundary(lat["boundary"])
     except ValueError:
         violations.append(
-            f"lattice.boundary: {lat.get('boundary')!r} not in "
-            f"{[b.value for b in Boundary]}"
+            f"lattice.boundary: {lat['boundary']!r} not in {[b.value for b in Boundary]}"
         )
-    forcing = _parse_support(lat.get("forcing", {}), half_width, "lattice.forcing", violations)
-    noise_amp = _parse_support(lat.get("noise_amp", {}), half_width, "lattice.noise_amp", violations)
+    forcing = _parse_support(lat["forcing"], half_width, "lattice.forcing", violations)
+    noise_amp = _parse_support(lat["noise_amp"], half_width, "lattice.noise_amp", violations)
 
     spec = None
     nl = eff["nonlinearity"]
-    kind = nl.get("kind")
+    kind = nl["kind"]
     try:
         if kind == "linear":
-            spec = NonlinearitySpec.linear(float(nl.get("a", 1.0)))
+            spec = NonlinearitySpec.linear(float(nl["a"]))
         elif kind == "cubic":
-            spec = NonlinearitySpec.cubic(float(nl.get("a", 1.0)), float(nl.get("b", 1.0)))
+            spec = NonlinearitySpec.cubic(float(nl["a"]), float(nl["b"]))
         else:
             violations.append(
                 f"nonlinearity.kind: {kind!r} not in ['linear', 'cubic'] "
@@ -270,9 +298,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     try:
         solver_cfg = sv.SolverConfig(
             dt=float(sol["dt"]), t_end=float(sol["t_end"]),
-            scheme=sv.Scheme(sol.get("scheme", "heun")),
+            scheme=sv.Scheme(sol["scheme"]),
         )
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:
         violations.append(f"solver: {exc}")
 
     grid = None
@@ -281,8 +309,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         dt = float(gr["dt"])
         if not dt > 0:
             raise ValueError("grid.dt must be positive")
-        t_past = float(gr.get("t_past", 0.0))
-        t_future = float(gr.get("t_future", 0.0))
+        t_past = float(gr["t_past"])
+        t_future = float(gr["t_future"])
         if t_past < 0 or t_future < 0:
             raise ValueError("grid.t_past and grid.t_future must be >= 0")
         n_past = round(t_past / dt)
@@ -292,21 +320,24 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if n_past + n_future < 1:
             raise ValueError("grid window must contain at least one step")
         grid = TimeGrid(dt=dt, n_steps=n_past + n_future, i_start=-n_past)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError) as exc:
         violations.append(f"grid: {exc}")
 
-    experiment = eff["experiment"].get("name")
+    options = eff["experiment"]
+    experiment = options["name"]
     if experiment not in EXPERIMENTS:
         violations.append(f"experiment.name: {experiment!r} not in {list(EXPERIMENTS)}")
-    starts = {key: _parse_support(eff["experiment"][key], half_width, f"experiment.{key}",
-                                  violations)
-              for key in ("u0", "w0") if key in (_experiment_defaults(experiment) or {})}
+    known = _experiment_defaults(experiment) or {}
+    starts = {key: _parse_support(options[key], half_width, f"experiment.{key}", violations)
+              for key in ("u0", "w0") if key in known}
+    for key in known:
+        test, requirement = _OPTION_RULES.get(key, (None, None))
+        if test is not None and not test(options[key]):
+            violations.append(f"experiment.{key}: must be {requirement}, got {options[key]!r}")
 
-    master_seed = 0
-    try:
-        master_seed = int(eff["master_seed"])
-    except (TypeError, ValueError):
-        violations.append("master_seed: must be an integer")
+    master_seed = eff["master_seed"]
+    if not (_is_int(master_seed) and master_seed >= 0):
+        violations.append(f"master_seed: must be an integer >= 0, got {master_seed!r}")
 
     if solver_cfg is not None and grid is not None:
         try:
@@ -332,7 +363,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         solver=solver_cfg,
         grid=grid,
         experiment=experiment,
-        options=dict(eff["experiment"]),
+        options=dict(options),
         starts={key: LatticeVector.from_support(half_width, entries)
                 for key, entries in starts.items()},
         master_seed=master_seed,
@@ -445,19 +476,20 @@ def _build_field(cfg: ExperimentConfig, manifest: RunManifest) -> nz.NoiseField:
     return field
 
 
-def _run_sample_fbm(cfg, out: Path, manifest: RunManifest):
-    n_steps = int(cfg.options.get("n_steps", 1000))
-    path = sample_fbm(n_steps, cfg.hurst, cfg.grid.dt, cfg.master_seed)
+def _run_fbm_sample(cfg, out: Path, manifest: RunManifest):
+    n_steps = cfg.options["n_steps"]
+    path = sample_fbm_array(1, n_steps, cfg.hurst, cfg.grid.dt, cfg.master_seed)[0]
     manifest.artifacts.append(_write_csv(
-        out / "fbm_path.csv", ["t", "value"], _columns(path.grid.times(), path.values)
+        out / "fbm_path.csv", ["t", "value"],
+        _columns(TimeGrid(cfg.grid.dt, n_steps).times(), path),
     ))
-    manifest.checks["anchored"] = path.value_at(0.0) == 0.0
+    manifest.checks["anchored"] = bool(path[0] == 0.0)
     manifest.numbers["n_steps"] = n_steps
 
 
 def _run_verify_operators(cfg, out: Path, manifest: RunManifest):
-    n_vec = int(cfg.options.get("n_vectors", 1000))
-    tol = float(cfg.options.get("tol", 1e-12))
+    n_vec = cfg.options["n_vectors"]
+    tol = float(cfg.options["tol"])
     n = cfg.params.half_width
     rng = np.random.default_rng(cfg.master_seed)
     worst = {"factor_periodic": 0.0, "factor_zero_interior": 0.0,
@@ -493,10 +525,10 @@ def _run_simulate(cfg, out: Path, manifest: RunManifest):
     traj = sv.integrate(cfg.starts["u0"], field, cfg.params, cfg.spec, cfg.solver)
     manifest.artifacts.append(_write_csv(
         out / "trajectory.csv", ["t", "i", "u_i"],
-        _node_blocks(traj.grid.times(), traj.states, cfg.params.half_width),
+        _node_blocks(traj.grid.times(), traj.values, cfg.params.half_width),
     ))
-    manifest.checks["finite"] = bool(np.isfinite(traj.states).all())
-    manifest.numbers["final_norm"] = float(traj.endpoint().norm())
+    manifest.checks["finite"] = bool(np.isfinite(traj.values).all())
+    manifest.numbers["final_norm"] = float(np.linalg.norm(traj.values[-1]))
 
 
 def _run_ou(cfg, out: Path, manifest: RunManifest):
@@ -534,7 +566,7 @@ def _run_pullback(cfg, out: Path, manifest: RunManifest):
     field = _build_field(cfg, manifest)
     opts = cfg.options
     equilibrium = None
-    tol = opts.get("equilibrium_tol")
+    tol = opts["equilibrium_tol"]
     if tol is not None:
         eq = at.random_equilibrium(field, cfg.params, cfg.spec, cfg.solver, tol=float(tol))
         equilibrium = eq.u0
@@ -542,7 +574,7 @@ def _run_pullback(cfg, out: Path, manifest: RunManifest):
         manifest.numbers["equilibrium_cauchy_gap"] = eq.cauchy_gap
         manifest.checks["equilibrium_start_independent"] = eq.start_gap <= 2 * float(tol)
     rep = at.pullback_experiment(
-        float(opts["radius"]), int(opts["n_starts"]), field, cfg.params, cfg.spec,
+        float(opts["radius"]), opts["n_starts"], field, cfg.params, cfg.spec,
         cfg.solver, opts["horizons"], seed=nz.derive_seed(cfg.master_seed, 7, 0),
         equilibrium=equilibrium,
     )
@@ -571,7 +603,7 @@ def _run_equilibrium(cfg, out: Path, manifest: RunManifest):
         out / "equilibrium.csv", ["i", "value"],
         _columns(sites, eq.u0.values),
     ))
-    times = [float(t) for t in opts.get("check_times", [])]
+    times = [float(t) for t in opts["check_times"]]
     if times:
         rep = at.forward_stationarity_check(
             eq, field, cfg.params, cfg.spec, cfg.solver, times
@@ -587,7 +619,7 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
     t_past = float(opts["t_past"])
     rep = at.absorption_check(
         float(opts["d_radius"]), field, cfg.params, cfg.spec, cfg.solver,
-        opts["horizons"], n_starts=int(opts["n_starts"]),
+        opts["horizons"], n_starts=opts["n_starts"],
         seed=nz.derive_seed(cfg.master_seed, 7, 1), t_past=t_past,
         ou_tail_tol=float(opts["ou_tail_tol"]),
     )
@@ -613,7 +645,7 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
 
 
 _RUNNERS = {
-    "sample-fbm": _run_sample_fbm,
+    "sample-fbm": _run_fbm_sample,
     "verify-operators": _run_verify_operators,
     "simulate": _run_simulate,
     "ou": _run_ou,

@@ -4,14 +4,12 @@ Sampling is done by circulant embedding of the fractional Gaussian noise
 (fGn) covariance (Davies-Harte), which is exact in law and O(n log n).
 A dense Cholesky sampler is kept as an O(n^3) cross-validation oracle.
 
-Paths are grid functions anchored at t = 0 (value exactly zero there).
-The time-shift flow on paths,
-
-    (shift by s)(t) = path(t + s) - path(s),
-
-is implemented by :func:`reanchor` and is also how two-sided paths are
-built: stationarity of the increments makes a one-sided path re-anchored
-at an interior node an exact two-sided sample.
+A path is a plain array: row k of :func:`sample_fbm_array` samples
+one fBm path on the nodes 0, dt, ..., exactly zero at t = 0.  Two-sided
+paths are built from these rows by the noise field
+(:func:`fraclattice.noise.build_noise_field`), which subtracts a row's
+value at the interior node of t = 0: stationarity of the increments
+makes that re-anchored row an exact two-sided sample.
 """
 
 from __future__ import annotations
@@ -25,14 +23,9 @@ from .errors import EmbeddingError, OffGridError, SizeLimitError, WindowError
 __all__ = [
     "HurstParameter",
     "TimeGrid",
-    "ScalarPath",
     "fgn_autocovariance",
-    "sample_fbm",
     "sample_fbm_array",
-    "sample_fbm_paths",
     "sample_fbm_cholesky",
-    "reanchor",
-    "two_sided_sample",
 ]
 
 #: Relative tolerance for negative circulant eigenvalues.  fGn with
@@ -131,39 +124,6 @@ class TimeGrid:
         return TimeGrid(self.dt, self.n_steps, self.i_start - k_steps)
 
 
-@dataclass(frozen=True)
-class ScalarPath:
-    """One grid-sampled scalar noise trajectory.
-
-    ``anchored`` records that the node at t = 0 carries the value 0
-    exactly, which every freshly sampled or re-anchored path does.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    anchored: bool = True
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_nodes,):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid "
-                f"({self.grid.n_nodes} nodes)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("path values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        if self.anchored:
-            k0 = self.grid.index_of(0.0)
-            if values[k0] != 0.0:
-                raise ValueError("anchored path must be exactly 0 at t = 0")
-
-    def value_at(self, t: float) -> float:
-        return float(self.values[self.grid.index_of(t)])
-
-
 def fgn_autocovariance(k: int, h: "HurstParameter | float", dt: float = 1.0) -> float:
     """Autocovariance of step-``dt`` fBm increments at integer lag ``k``.
 
@@ -205,41 +165,17 @@ def _sample_fgn_batch(
     """(n_paths, n_steps) unit-step fGn samples via circulant embedding."""
     m = 2 * n_steps
     eig = _fgn_eigenvalues(n_steps, h)
-    out = np.empty((n_paths, n_steps))
-    # Chunk so the complex work array stays below ~128 MiB.
-    chunk = max(1, (1 << 23) // m)
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        z = rng.standard_normal((hi - lo, m))
-        spec = np.empty((hi - lo, m), dtype=complex)
-        spec[:, 0] = z[:, 0]
-        spec[:, n_steps] = z[:, n_steps]
-        re = z[:, 1:n_steps]
-        im = z[:, n_steps + 1 :]
-        half = (re + 1j * im) / np.sqrt(2.0)
-        spec[:, 1:n_steps] = half
-        spec[:, n_steps + 1 :] = np.conj(half[:, ::-1])
-        spec *= np.sqrt(eig / m)
-        out[lo:hi] = np.fft.fft(spec, axis=1).real[:, :n_steps]
-    return out
-
-
-def sample_fbm(
-    n_steps: int,
-    h: "HurstParameter | float",
-    dt: float,
-    seed,
-) -> ScalarPath:
-    """Sample one fBm path on [0, n_steps * dt], anchored at t = 0.
-
-    The increment process is drawn with exact covariance by circulant
-    embedding; the path is its cumulative sum.  Identical
-    ``(n_steps, h, dt, seed)`` give bit-identical output.
-
-    Raises ``EmbeddingError`` if the covariance embedding fails (callers
-    may fall back to :func:`sample_fbm_cholesky`).
-    """
-    return sample_fbm_paths(1, n_steps, h, dt, seed)[0]
+    z = rng.standard_normal((n_paths, m))
+    spec = np.empty((n_paths, m), dtype=complex)
+    spec[:, 0] = z[:, 0]
+    spec[:, n_steps] = z[:, n_steps]
+    re = z[:, 1:n_steps]
+    im = z[:, n_steps + 1 :]
+    half = (re + 1j * im) / np.sqrt(2.0)
+    spec[:, 1:n_steps] = half
+    spec[:, n_steps + 1 :] = np.conj(half[:, ::-1])
+    spec *= np.sqrt(eig / m)
+    return np.fft.fft(spec, axis=1).real[:, :n_steps]
 
 
 def sample_fbm_array(
@@ -249,8 +185,15 @@ def sample_fbm_array(
     dt: float,
     seed,
 ) -> np.ndarray:
-    """(n_paths, n_steps + 1) independent fBm paths from one generator
-    stream; row k samples path k on the nodes 0, dt, ..., exactly 0 at t = 0."""
+    """(n_paths, n_steps + 1) independent fBm paths from one generator stream.
+
+    Row k samples path k on the nodes 0, dt, ..., n_steps * dt and is
+    exactly 0 at t = 0.  The increments are drawn with exact covariance
+    by circulant embedding and the path is their cumulative sum.
+    Identical arguments give bit-identical output.  Raises
+    ``EmbeddingError`` if the covariance embedding fails (callers may
+    fall back to :func:`sample_fbm_cholesky`).
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     hurst = as_hurst(h)
@@ -259,19 +202,6 @@ def sample_fbm_array(
     out = np.zeros((n_paths, n_steps + 1))
     np.cumsum(fgn, axis=1, out=out[:, 1:])
     return out
-
-
-def sample_fbm_paths(
-    n_paths: int,
-    n_steps: int,
-    h: "HurstParameter | float",
-    dt: float,
-    seed,
-) -> list[ScalarPath]:
-    """Sample ``n_paths`` independent fBm paths from one generator stream."""
-    grid = TimeGrid(dt=dt, n_steps=n_steps, i_start=0)
-    return [ScalarPath(grid=grid, values=row)
-            for row in sample_fbm_array(n_paths, n_steps, h, dt, seed)]
 
 
 def _fbm_covariance_matrix(n_steps: int, h: float, dt: float) -> np.ndarray:
@@ -288,12 +218,14 @@ def sample_fbm_cholesky(
     dt: float,
     seed=None,
     normals: np.ndarray | None = None,
-) -> ScalarPath:
+) -> np.ndarray:
     """Exact fBm path via dense Cholesky of the path covariance.
 
     O(n^3); intended as a cross-validation oracle, hence the
     ``CHOLESKY_MAX_STEPS`` guard.  ``normals`` injects the driving unit
     normals directly (tests), otherwise they are drawn from ``seed``.
+    Returns the ``(n_steps + 1,)`` path on the nodes 0, dt, ..., exactly
+    0 at t = 0.
     """
     if n_steps > CHOLESKY_MAX_STEPS:
         raise SizeLimitError(
@@ -310,48 +242,4 @@ def sample_fbm_cholesky(
         normals = np.asarray(normals, dtype=float)
         if normals.shape != (n_steps,):
             raise ValueError(f"normals must have shape ({n_steps},)")
-    values = np.concatenate([[0.0], chol @ normals])
-    return ScalarPath(grid=TimeGrid(dt=dt, n_steps=n_steps), values=values)
-
-
-def reanchor(path: ScalarPath, s: float) -> ScalarPath:
-    """Time-shift a sampled path: output(t) = path(t + s) - path(s).
-
-    ``s`` must land on a grid node.  The output grid is the input grid
-    translated by -s, so no samples are lost, and the output is anchored
-    (its value at t = 0 is path(s) - path(s) = 0 exactly).  Repeated
-    re-anchoring composes like a flow: shifting by s then by t equals
-    shifting by s + t, up to one rounding of the value subtraction.
-    """
-    k = path.grid.steps_of(s)
-    j = path.grid.index_of(s)  # raises WindowError if s is outside
-    values = path.values - path.values[j]
-    return ScalarPath(grid=path.grid.shifted(k), values=values, anchored=True)
-
-
-def two_sided_sample(
-    t_past: float,
-    t_future: float,
-    h: "HurstParameter | float",
-    dt: float,
-    seed,
-) -> ScalarPath:
-    """Sample an fBm path on [-t_past, t_future], anchored at t = 0.
-
-    A one-sided path of total length t_past + t_future is re-anchored at
-    the interior node t_past.  Because fBm has stationary increments the
-    result carries the exact two-sided covariance
-    (|t|^(2H) + |s|^(2H) - |t-s|^(2H)) / 2, including correlations across
-    zero; no separate two-sided construction is needed.
-    """
-    if t_past < 0 or t_future < 0:
-        raise ValueError("t_past and t_future must be >= 0")
-    probe = TimeGrid(dt=dt, n_steps=1)
-    n_past = probe.steps_of(t_past)
-    n_future = probe.steps_of(t_future)
-    if n_past < 0 or n_future < 0 or n_past + n_future < 1:
-        raise ValueError("window must contain at least one step")
-    path = sample_fbm(n_past + n_future, h, dt, seed)
-    if n_past == 0:
-        return path
-    return reanchor(path, n_past * dt)
+    return np.concatenate([[0.0], chol @ normals])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHorizonError, WindowError
-from .fbm import HurstParameter, ScalarPath, TimeGrid, as_hurst, sample_fbm_array
+from .fbm import HurstParameter, TimeGrid, as_hurst, sample_fbm_array
 from .lattice import LatticeParams, LatticeVector
 
 __all__ = [
@@ -126,10 +126,14 @@ def build_noise_field(
 ) -> NoiseField:
     """Sample independent per-site paths for every site with sigma_i != 0.
 
-    The grid must contain t = 0 so every path can be anchored there.
-    Site i draws from the seed tuple ``(master_seed, site_stream, i)``,
-    which depends on neither the truncation width nor the other sites, so
-    widening the truncation leaves every existing path untouched.
+    This is the one two-sided construction.  Site i draws one row of
+    :func:`sample_fbm_array` over the whole window from the seed tuple
+    ``(master_seed, site_stream, i)`` and subtracts the row's value at
+    the node of t = 0, so the grid must contain t = 0.  Stationary
+    increments make the re-anchored row an exact two-sided fBm sample,
+    with the covariance (|t|^(2H) + |s|^(2H) - |t-s|^(2H)) / 2 across
+    zero too.  The seed depends on neither the truncation width nor the
+    other sites, so widening the truncation leaves every path untouched.
     """
     k0 = grid.index_of(0.0)  # anchoring requires zero on the grid
     hurst = as_hurst(h)
@@ -178,25 +182,29 @@ def coarsen_noise(field: NoiseField, factor: int) -> NoiseField:
 # pathwise integrals
 
 
-def stieltjes_exp_integral(path: ScalarPath, lam: float, a: float, t: float) -> float:
-    """int_a^t e^(lam s) dW(s) for a sampled scalar path W.
+def stieltjes_exp_integral(grid: TimeGrid, values: np.ndarray, lam: float, a: float,
+                           t: float) -> float:
+    """int_a^t e^(lam s) dW(s) for a scalar path W sampled as ``values`` on ``grid``.
 
     Uses integration by parts; the remaining ordinary integral is
     composite trapezoid on the grid, so smooth injected paths converge
-    at O(dt^2).  ``a`` and ``t`` must be grid nodes with a <= t.
+    at O(dt^2).  ``a`` and ``t`` must be grid nodes with a <= t.  The
+    oracle of :func:`decayed_exp_sweep`.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     if a > t:
         raise ValueError("need a <= t")
-    ia = path.grid.index_of(a)
-    it = path.grid.index_of(t)
-    w = path.values
-    times = path.grid.times()
+    ia = grid.index_of(a)
+    it = grid.index_of(t)
+    w = np.asarray(values, dtype=float)
+    if w.shape != (grid.n_nodes,):
+        raise ValueError(f"values shape {w.shape} does not match grid "
+                         f"({grid.n_nodes} nodes)")
     if ia == it:
         return 0.0
-    kernel = np.exp(lam * times[ia : it + 1]) * w[ia : it + 1]
-    ordinary = np.trapezoid(kernel, dx=path.grid.dt)
+    kernel = np.exp(lam * grid.times()[ia : it + 1]) * w[ia : it + 1]
+    ordinary = np.trapezoid(kernel, dx=grid.dt)
     return float(
         np.exp(lam * t) * w[it] - np.exp(lam * a) * w[ia] - lam * ordinary
     )

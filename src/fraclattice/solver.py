@@ -38,12 +38,11 @@ from .lattice import (
     NonlinearitySpec,
     laplacian_modes,
 )
-from .noise import NoiseField, decayed_exp_sweep, shift_noise
+from .noise import NoiseField, VectorSeries, decayed_exp_sweep, shift_noise
 
 __all__ = [
     "Scheme",
     "SolverConfig",
-    "Trajectory",
     "rode_rhs",
     "integrate",
     "cocycle_map",
@@ -101,48 +100,6 @@ class SolverConfig:
         if abs(self.t_end - n * self.dt) > 1e-9 * self.dt:
             raise ValueError("t_end must be a multiple of dt")
         return n
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-indexed states on [0, t_end] plus the run's provenance.
-
-    ``representation`` says whether rows hold u (state) or v = u - W
-    (transformed state); the two interconvert by adding or subtracting
-    the noise samples at the nodes.
-    """
-
-    grid: TimeGrid
-    states: np.ndarray
-    representation: str
-    params: LatticeParams
-    spec: NonlinearitySpec | None
-    config: SolverConfig
-
-    def at(self, t: float) -> LatticeVector:
-        return LatticeVector(self.states[self.grid.index_of(t)])
-
-    def endpoint(self) -> LatticeVector:
-        return LatticeVector(self.states[-1])
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.states, axis=1)
-
-    def to_representation(self, representation: str, field: NoiseField) -> "Trajectory":
-        if representation == self.representation:
-            return self
-        if representation not in ("u", "v"):
-            raise ValueError("representation must be 'u' or 'v'")
-        w = _noise_rows(field, self.config, self.grid.n_steps)
-        sign = 1.0 if representation == "u" else -1.0
-        return Trajectory(
-            grid=self.grid,
-            states=self.states + sign * w,
-            representation=representation,
-            params=self.params,
-            spec=self.spec,
-            config=self.config,
-        )
 
 
 def rode_rhs(
@@ -288,8 +245,8 @@ def integrate(
     params: LatticeParams,
     spec: NonlinearitySpec,
     config: SolverConfig,
-) -> Trajectory:
-    """Pathwise solution on [0, t_end], returned in the u representation.
+) -> VectorSeries:
+    """Pathwise solution u on the solver nodes of [0, t_end].
 
     Deterministic given its inputs; the whole run happens in the
     transformed variable and u = v + W is reconstructed on the nodes.
@@ -297,14 +254,7 @@ def integrate(
     if not isinstance(u0, LatticeVector):
         raise TypeError("integrate takes one LatticeVector; batch through cocycle_map")
     states = _solve(u0, field, params, spec, config)
-    return Trajectory(
-        grid=TimeGrid(dt=config.dt, n_steps=states.shape[0] - 1),
-        states=states,
-        representation="u",
-        params=params,
-        spec=spec,
-        config=config,
-    )
+    return VectorSeries(TimeGrid(dt=config.dt, n_steps=states.shape[0] - 1), states)
 
 
 def _solve(u0, field: NoiseField, params: LatticeParams, spec: NonlinearitySpec,
@@ -387,7 +337,7 @@ def linear_oracle(
     params: LatticeParams,
     a: float,
     grid: TimeGrid,
-) -> Trajectory:
+) -> VectorSeries:
     """Spectral solution for the linear drift f = -a id, periodic boundary.
 
     Each laplacian mode k obeys a scalar damped equation with rate
@@ -417,11 +367,7 @@ def linear_oracle(
     u0_hat = modes.T @ u0.values
     g_hat = modes.T @ params.forcing.values
     coeff = decay * u0_hat[None, :] + (g_hat / rates)[None, :] * (1.0 - decay) + d_hat
-    states = coeff @ modes.T
-    cfg = SolverConfig(dt=grid.dt, t_end=grid.t_end, scheme=Scheme.HEUN)
-    spec = NonlinearitySpec.linear(a) if a > 0 else None
-    return Trajectory(grid=grid, states=states, representation="u",
-                      params=params, spec=spec, config=cfg)
+    return VectorSeries(grid, coeff @ modes.T)
 
 
 def gronwall_envelope(

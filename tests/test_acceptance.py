@@ -18,7 +18,7 @@ from fraclattice.attractor import (
     pullback_experiment,
     random_equilibrium,
 )
-from fraclattice.fbm import TimeGrid, sample_fbm_paths
+from fraclattice.fbm import TimeGrid, sample_fbm_array
 from fraclattice.lattice import (
     Boundary,
     LatticeParams,
@@ -61,8 +61,7 @@ def _report(number, name, ok, watch, detail=""):
 
 def test_criterion_01_fbm_increment_law():
     with _Stopwatch(60.0) as watch:
-        paths = sample_fbm_paths(10_000, 100, 0.75, 0.01, seed=314159)
-        values = np.array([p.values for p in paths])
+        values = sample_fbm_array(10_000, 100, 0.75, 0.01, seed=314159)
         ok = True
         details = []
         for s, t in ((0.0, 0.25), (0.25, 0.75), (0.0, 1.0)):
@@ -252,7 +251,7 @@ def test_criterion_06_linear_oracle_convergence():
             cfg = SolverConfig(dt=dt, t_end=2.0)
             heun = integrate(u0, f, params, LINEAR, cfg)
             oracle = linear_oracle(u0, f, params, 1.0, heun.grid)
-            errs[dt] = float(np.linalg.norm(heun.states - oracle.states, axis=1).max())
+            errs[dt] = float(np.linalg.norm(heun.values - oracle.values, axis=1).max())
         r1 = errs[4e-3] / errs[2e-3]
         r2 = errs[2e-3] / errs[1e-3]
         ok = r1 >= 1.7 and r2 >= 1.7
@@ -311,7 +310,7 @@ def test_criterion_08_truncation_robustness():
             f = build_noise_field(params, grid, 515)
             u0 = LatticeVector.from_support(n, start)
             states[n] = integrate(u0, f, params, CUBIC,
-                                  SolverConfig(dt=dt, t_end=5.0)).states
+                                  SolverConfig(dt=dt, t_end=5.0)).values
         pad = 32
         embedded = np.pad(states[32], ((0, 0), (pad, pad)))
         gap = float(np.abs(embedded - states[64]).max())

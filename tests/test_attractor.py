@@ -76,7 +76,7 @@ class TestContraction:
             tr_u = integrate(u0, field, params, CUBIC, CFG)
             tr_w = integrate(w0, field, params, CUBIC, CFG)
             np.testing.assert_array_equal(
-                rep.distances, np.linalg.norm(tr_u.states - tr_w.states, axis=1))
+                rep.distances, np.linalg.norm(tr_u.values - tr_w.values, axis=1))
             np.testing.assert_array_equal(rep.times, tr_u.grid.times())
 
     def test_identical_starts_flagged_degenerate(self, field):

@@ -151,6 +151,67 @@ class TestLoadConfig:
         assert cfg.starts["u0"].norm() == np.hypot(2.0, 0.5)
         assert cfg.starts["w0"].get(6) == -1.0 and cfg.starts["w0"].norm() == 1.0
 
+    @pytest.mark.parametrize("name, options, message", [
+        ("pullback", {"horizons": []},
+         "experiment.horizons: must be a non-empty list of finite numbers >= 0, got []"),
+        ("pullback", {"horizons": "ab"},
+         "experiment.horizons: must be a non-empty list of finite numbers >= 0, got 'ab'"),
+        ("pullback", {"n_starts": 2.9}, "experiment.n_starts: must be an integer >= 1, got 2.9"),
+        ("pullback", {"n_starts": True},
+         "experiment.n_starts: must be an integer >= 1, got True"),
+        ("pullback", {"radius": -1.0}, "experiment.radius: must be a finite number >= 0, got -1.0"),
+        ("pullback", {"equilibrium_tol": 0},
+         "experiment.equilibrium_tol: must be null or a finite number > 0, got 0"),
+        ("absorb", {"horizons": [1.0, -0.5]},
+         "experiment.horizons: must be a non-empty list of finite numbers >= 0, got [1.0, -0.5]"),
+        ("absorb", {"t_past": "4"}, "experiment.t_past: must be a finite number > 0, got '4'"),
+        ("equilibrium", {"check_times": [1.0, None]},
+         "experiment.check_times: must be a list of finite numbers >= 0, got [1.0, None]"),
+        ("equilibrium", {"tol": float("nan")}, "experiment.tol: must be a finite number > 0, got nan"),
+        ("sample-fbm", {"n_steps": 64.0}, "experiment.n_steps: must be an integer >= 1, got 64.0"),
+        ("verify-operators", {"n_vectors": 0},
+         "experiment.n_vectors: must be an integer >= 1, got 0"),
+    ], ids=["empty-horizons", "string-horizons", "fractional-n-starts", "boolean-n-starts",
+            "negative-radius", "zero-equilibrium-tol", "negative-horizon", "string-t-past",
+            "null-check-time", "nan-tol", "float-n-steps", "zero-n-vectors"])
+    def test_bad_experiment_option_reported(self, tmp_path, name, options, message):
+        path = write_config(tmp_path, name=name, extra={"experiment": options})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.violations == [message]
+
+    def test_bad_options_listed_with_other_violations(self, tmp_path):
+        path = write_config(tmp_path, name="pullback", extra={
+            "hurst": 2.0, "experiment": {"horizons": [], "n_starts": 2.9, "radius": "x"}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        found = sorted(v.split(":")[0] for v in err.value.violations)
+        assert found == ["experiment.horizons", "experiment.n_starts", "experiment.radius",
+                         "hurst"]
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"master_seed": 1.7}, "master_seed: must be an integer >= 0, got 1.7"),
+        ({"master_seed": True}, "master_seed: must be an integer >= 0, got True"),
+        ({"master_seed": -1}, "master_seed: must be an integer >= 0, got -1"),
+        ({"lattice": {"half_width": 2.6}},
+         "lattice.half_width: must be an integer >= 1, got 2.6"),
+        ({"lattice": {"half_width": True}},
+         "lattice.half_width: must be an integer >= 1, got True"),
+        ({"hurst_reference_mode": 1}, "hurst_reference_mode: must be true or false, got 1"),
+    ], ids=["fractional-seed", "boolean-seed", "negative-seed", "fractional-half-width",
+            "boolean-half-width", "integer-reference-mode"])
+    def test_integer_and_boolean_fields_typed(self, tmp_path, extra, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, extra=extra))
+        assert err.value.violations == [message]
+
+    def test_reference_mode_string_does_not_admit_half(self, tmp_path):
+        path = write_config(tmp_path, extra={"hurst": 0.5, "hurst_reference_mode": "false"})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        found = [v.split(":")[0] for v in err.value.violations]
+        assert found == ["hurst_reference_mode", "hurst"]
+
     def test_unreadable_config_file_reported(self, tmp_path):
         for path in (tmp_path / "missing.json", tmp_path):
             with pytest.raises(ConfigError) as err:
@@ -260,6 +321,22 @@ class TestMain:
         assert "config error: experiment.u0: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("options, key", [
+        ({"horizons": []}, "horizons"),
+        ({"n_starts": 2.9}, "n_starts"),
+        ({"horizons": "ab"}, "horizons"),
+    ], ids=["empty-horizons", "fractional-n-starts", "string-horizons"])
+    def test_exit_two_on_bad_experiment_option(self, tmp_path, capsys, options, key):
+        path = write_config(tmp_path, name="pullback", extra={"experiment": options})
+        assert main(["pullback", "--config", str(path)]) == 2
+        assert f"config error: experiment.{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_exit_two_on_reference_mode_string(self, tmp_path, capsys):
+        path = write_config(tmp_path, extra={"hurst": 0.5, "hurst_reference_mode": "false"})
+        assert main(["contraction", "--config", str(path)]) == 2
+        assert "config error: hurst_reference_mode: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_exit_two_on_unreadable_config(self, tmp_path, capsys, name):
         path = tmp_path / name
@@ -367,7 +444,7 @@ class TestCsvFormat:
         field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
         traj = integrate(cfg.starts["u0"], field, cfg.params, cfg.spec, cfg.solver)
         lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-        assert lines == long_format_lines("t,i,u_i", traj.grid.times(), traj.states, 6)
+        assert lines == long_format_lines("t,i,u_i", traj.grid.times(), traj.values, 6)
 
     def test_ou_fields_match_oracle(self, tmp_path):
         cfg = load_config(write_config(tmp_path, name="ou",

@@ -5,15 +5,13 @@ from fraclattice import fbm
 from fraclattice.errors import EmbeddingError, OffGridError, SizeLimitError, WindowError
 from fraclattice.fbm import (
     HurstParameter,
-    ScalarPath,
     TimeGrid,
     fgn_autocovariance,
-    reanchor,
-    sample_fbm,
+    sample_fbm_array,
     sample_fbm_cholesky,
-    sample_fbm_paths,
-    two_sided_sample,
 )
+from fraclattice.lattice import LatticeParams, LatticeVector
+from fraclattice.noise import NoiseField, build_noise_field, shift_noise
 
 H_REF = HurstParameter(0.5, reference_mode=True)
 
@@ -75,21 +73,19 @@ class TestAutocovariance:
 
 class TestSampling:
     def test_deterministic(self):
-        a = sample_fbm(1024, 0.75, 0.01, seed=7)
-        b = sample_fbm(1024, 0.75, 0.01, seed=7)
-        assert np.array_equal(a.values, b.values)
+        a = sample_fbm_array(1, 1024, 0.75, 0.01, seed=7)
+        b = sample_fbm_array(1, 1024, 0.75, 0.01, seed=7)
+        assert np.array_equal(a, b)
 
     def test_anchored_at_zero(self):
-        p = sample_fbm(64, 0.8, 0.1, seed=1)
-        assert p.value_at(0.0) == 0.0
-        assert p.anchored
+        assert sample_fbm_array(1, 64, 0.8, 0.1, seed=1)[0, 0] == 0.0
 
     def test_embedding_guard_fires(self, monkeypatch):
         # no admissible (h, n) produces a bad embedding, so force the
         # tolerance negative to exercise the guard
         monkeypatch.setattr(fbm, "EIGENVALUE_TOL", -1.0)
         with pytest.raises(EmbeddingError):
-            sample_fbm(64, 0.75, 0.01, seed=3)
+            sample_fbm_array(1, 64, 0.75, 0.01, seed=3)
 
     def test_embedding_eigenvalues_nonnegative_across_h(self):
         for h in (0.55, 0.65, 0.75, 0.85, 0.95):
@@ -98,8 +94,7 @@ class TestSampling:
 
     def test_variance_follows_power_law(self):
         # Var beta(t) = t^(2H) within 3 SE across 1e4 paths
-        paths = sample_fbm_paths(10_000, 100, 0.75, 0.01, seed=2024)
-        values = np.array([p.values for p in paths])
+        values = sample_fbm_array(10_000, 100, 0.75, 0.01, seed=2024)
         for t in (0.25, 0.5, 1.0):
             sq = values[:, round(t / 0.01)] ** 2
             se = sq.std(ddof=1) / np.sqrt(sq.size)
@@ -108,8 +103,7 @@ class TestSampling:
     def test_reference_mode_increments_pass_whiteness(self):
         # lag-1..10 autocovariances of the increments against the
         # Gaussian-walk oracle value 0, within 3 SE across 1e4 paths
-        paths = sample_fbm_paths(10_000, 64, H_REF, 1.0, seed=12)
-        inc = np.diff(np.array([p.values for p in paths]), axis=1)
+        inc = np.diff(sample_fbm_array(10_000, 64, H_REF, 1.0, seed=12), axis=1)
         for lag in range(1, 11):
             per_path = (inc[:, :-lag] * inc[:, lag:]).mean(axis=1)
             se = per_path.std(ddof=1) / np.sqrt(per_path.size)
@@ -120,14 +114,14 @@ class TestCholeskyOracle:
     def test_injected_normals_first_step(self):
         # with unit normals z = (1, 0) the first value is sqrt(var step)
         p = sample_fbm_cholesky(2, 0.75, 1.0, normals=np.array([1.0, 0.0]))
-        assert p.value_at(1.0) == pytest.approx(1.0, abs=1e-14)
+        assert p[1] == pytest.approx(1.0, abs=1e-14)
         # second value is then cov(t1, t2)/sqrt(var t1) = 2^1.5 / 2
-        assert p.value_at(2.0) == pytest.approx(0.5 * 2**1.5, abs=1e-14)
+        assert p[2] == pytest.approx(0.5 * 2**1.5, abs=1e-14)
 
     def test_deterministic(self):
         a = sample_fbm_cholesky(32, 0.7, 0.1, seed=5)
         b = sample_fbm_cholesky(32, 0.7, 0.1, seed=5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
@@ -138,9 +132,9 @@ class TestCholeskyOracle:
         # circulant and Cholesky samplers must give the same covariance;
         # entrywise 3 SE with the analytic SE of a Gaussian covariance
         npaths = 20_000
-        a = np.array([p.values[1:] for p in sample_fbm_paths(npaths, n, 0.75, 0.05, seed_a)])
+        a = sample_fbm_array(npaths, n, 0.75, 0.05, seed_a)[:, 1:]
         b = np.array([
-            sample_fbm_cholesky(n, 0.75, 0.05, (seed_b, k)).values[1:]
+            sample_fbm_cholesky(n, 0.75, 0.05, (seed_b, k))[1:]
             for k in range(npaths)
         ])
         cov_a = (a.T @ a) / npaths
@@ -151,70 +145,103 @@ class TestCholeskyOracle:
         assert (gap <= 3.0 * np.sqrt(2.0) * se_one).all()
 
 
+def all_sites_params(half_width):
+    return LatticeParams(
+        coupling=1.0, damping=1.0, forcing=LatticeVector.zeros(half_width),
+        noise_amp=LatticeVector(np.ones(2 * half_width + 1)), half_width=half_width,
+    )
+
+
 class TestReanchor:
+    """The time-shift flow of one sampled path, (shift by s)(t) = path(t + s) - path(s),
+    as the field shift applies it to a field whose only noisy site holds the path."""
+
     def setup_method(self):
-        self.path = sample_fbm(100, 0.75, 0.1, seed=3)
+        self.path = sample_fbm_array(1, 100, 0.75, 0.1, seed=3)[0]
+        paths = np.zeros((101, 3))
+        paths[:, 1] = self.path
+        self.field = NoiseField(grid=TimeGrid(dt=0.1, n_steps=100),
+                                sigma=LatticeVector.from_support(1, {0: 1.0}),
+                                master_seed=3, paths=paths)
+
+    def value(self, field, t):
+        return field.paths[field.grid.index_of(t), 1]
 
     def test_zero_shift_is_identity(self):
-        q = reanchor(self.path, 0.0)
-        assert np.array_equal(q.values, self.path.values)
-        assert q.grid == self.path.grid
+        q = shift_noise(self.field, 0.0)
+        assert np.array_equal(q.paths[:, 1], self.path)
+        assert q.grid == self.field.grid
 
     def test_output_anchored_exactly(self):
         for s in (0.5, 3.1, 10.0):
-            q = reanchor(self.path, s)
-            assert q.value_at(0.0) == 0.0
+            assert self.value(shift_noise(self.field, s), 0.0) == 0.0
 
     def test_flow_composition(self):
-        q = reanchor(reanchor(self.path, 2.0), 3.0)
-        r = reanchor(self.path, 5.0)
+        q = shift_noise(shift_noise(self.field, 2.0), 3.0)
+        r = shift_noise(self.field, 5.0)
         assert q.grid == r.grid
-        np.testing.assert_allclose(q.values, r.values, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(q.paths, r.paths, rtol=0.0, atol=1e-13)
 
     def test_shift_values(self):
         s = 1.5
-        q = reanchor(self.path, s)
+        q = shift_noise(self.field, s)
         for t in (-1.0, 0.3, 2.0):
-            assert q.value_at(t) == pytest.approx(
-                self.path.value_at(t + s) - self.path.value_at(s), abs=1e-15
+            assert self.value(q, t) == pytest.approx(
+                self.value(self.field, t + s) - self.value(self.field, s), abs=1e-15
             )
 
     def test_out_of_window(self):
         with pytest.raises(WindowError):
-            reanchor(self.path, 11.0)
+            shift_noise(self.field, 11.0)
         with pytest.raises(OffGridError):
-            reanchor(self.path, 0.55 / 2)
+            shift_noise(self.field, 0.55 / 2)
+
+
+#: Each site of the wide field is one two-sided sample on [-1, 1].
+WIDE_GRID = TimeGrid(dt=0.25, n_steps=8, i_start=-4)
+
+
+@pytest.fixture(scope="module")
+def wide_field():
+    """One production field with 20 001 unit-intensity sites, master seed 50."""
+    return build_noise_field(all_sites_params(10_000), WIDE_GRID, 50)
 
 
 class TestTwoSided:
+    """The two-sided law of the noise field, whose per-site columns are
+    sample_fbm_array rows re-anchored at the node of t = 0."""
+
     def test_no_past_reduces_to_one_sided(self):
-        a = two_sided_sample(0.0, 3.2, 0.75, 0.1, seed=8)
-        b = sample_fbm(32, 0.75, 0.1, seed=8)
-        assert np.array_equal(a.values, b.values)
+        field = build_noise_field(all_sites_params(1), TimeGrid(dt=0.1, n_steps=32), 8)
+        for i, seed in field.seed_scheme.items():
+            row = sample_fbm_array(1, 32, 0.75, 0.1, np.random.SeedSequence(seed))[0]
+            assert np.array_equal(field.paths[:, i + 1], row)
 
     def test_anchored(self):
-        p = two_sided_sample(2.0, 2.0, 0.75, 0.25, seed=4)
-        assert p.value_at(0.0) == 0.0
-        assert p.grid.t_start == pytest.approx(-2.0)
+        field = build_noise_field(all_sites_params(1), TimeGrid(0.25, 16, -8), 4)
+        assert np.all(field.paths[field.grid.index_of(0.0)] == 0.0)
+        assert field.grid.t_start == pytest.approx(-2.0)
 
-    def test_cross_zero_covariance(self):
-        # E[beta(-1) beta(1)] = (2 - 2^1.5) / 2, within 3 SE
+    def test_field_column_is_the_row_minus_its_value_at_zero(self, wide_field):
+        k0 = WIDE_GRID.index_of(0.0)
+        for i in (-10_000, -3, 0, 7, 10_000):
+            row = sample_fbm_array(1, 8, 0.75, 0.25,
+                                   np.random.SeedSequence(wide_field.seed_scheme[i]))[0]
+            assert np.array_equal(wide_field.paths[:, i + 10_000], row - row[k0])
+
+    def test_cross_zero_covariance(self, wide_field):
+        # E[beta(-1) beta(1)] = (2 - 2^1.5) / 2, within 3 SE across the sites
         target = 0.5 * (2.0 - 2.0**1.5)
-        prods = []
-        for i in range(20_000):
-            p = two_sided_sample(1.0, 1.0, 0.75, 0.25, seed=(50, i))
-            prods.append(p.value_at(-1.0) * p.value_at(1.0))
-        prods = np.asarray(prods)
+        prods = wide_field.paths[0] * wide_field.paths[-1]
         se = prods.std(ddof=1) / np.sqrt(prods.size)
         assert abs(prods.mean() - target) <= 3.0 * se
 
-    def test_full_two_sided_covariance(self):
+    def test_full_two_sided_covariance(self, wide_field):
         # whole-window law against the analytic kernel; the threshold is
         # Bonferroni-widened for the 72 simultaneous entries
-        npaths = 20_000
-        paths = sample_fbm_paths(npaths, 8, 0.75, 0.25, seed=50)
-        arr = np.array([reanchor(p, 1.0).values for p in paths])
-        t = np.arange(-4, 5) * 0.25
+        arr = wide_field.paths.T
+        npaths = arr.shape[0]
+        t = WIDE_GRID.times()
         cov = 0.5 * (
             np.abs(t[:, None]) ** 1.5 + np.abs(t[None, :]) ** 1.5
             - np.abs(t[:, None] - t[None, :]) ** 1.5
@@ -223,20 +250,3 @@ class TestTwoSided:
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / npaths)
         se[se == 0.0] = np.inf
         assert (np.abs(emp - cov) <= 4.0 * se).all()
-
-
-class TestScalarPath:
-    def test_rejects_shape_mismatch(self):
-        g = TimeGrid(dt=0.1, n_steps=4)
-        with pytest.raises(ValueError):
-            ScalarPath(grid=g, values=np.zeros(3))
-
-    def test_rejects_unanchored(self):
-        g = TimeGrid(dt=0.1, n_steps=4)
-        with pytest.raises(ValueError):
-            ScalarPath(grid=g, values=np.ones(5))
-
-    def test_values_read_only(self):
-        p = sample_fbm(8, 0.75, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            p.values[0] = 1.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fraclattice.errors import InsufficientHorizonError, WindowError
-from fraclattice.fbm import ScalarPath, TimeGrid
+from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import LatticeParams, LatticeVector
 from fraclattice.noise import (
     NoiseField,
@@ -29,8 +29,8 @@ def make_params(half_width=4, sigma=None, forcing=None, damping=1.0):
 
 
 def site_path(field, i):
-    """The unscaled path of site i as a scalar path on the field's grid."""
-    return ScalarPath(grid=field.grid, values=field.paths[:, i + field.half_width])
+    """The unscaled path of site i: its column of the field."""
+    return field.paths[:, i + field.half_width]
 
 
 def noisy_sites(field):
@@ -70,7 +70,7 @@ class TestBuildField:
         grid = TimeGrid(dt=0.1, n_steps=20, i_start=-10)
         f = build_noise_field(params, grid, 5)
         w1 = f.at(1.0)
-        assert w1.get(2) == 0.7 * site_path(f, 2).value_at(1.0)
+        assert w1.get(2) == 0.7 * site_path(f, 2)[grid.index_of(1.0)]
         assert np.count_nonzero(w1.values) <= 1
 
     def test_anchored_at_zero(self, field):
@@ -81,7 +81,7 @@ class TestBuildField:
         small = build_noise_field(make_params(4), grid, 11)
         wide = build_noise_field(make_params(9), grid, 11)
         for i in noisy_sites(small):
-            assert np.array_equal(site_path(small, i).values, site_path(wide, i).values)
+            assert np.array_equal(site_path(small, i), site_path(wide, i))
 
 
 class TestNoiseFieldChecks:
@@ -168,8 +168,7 @@ class TestCoarsen:
 class TestStieltjesIntegral:
     def test_zero_path(self):
         g = TimeGrid(dt=0.1, n_steps=10)
-        z = ScalarPath(grid=g, values=np.zeros(11))
-        assert stieltjes_exp_integral(z, 1.0, 0.0, 1.0) == 0.0
+        assert stieltjes_exp_integral(g, np.zeros(11), 1.0, 0.0, 1.0) == 0.0
 
     def test_smooth_path_second_order(self):
         # W(s) = s makes the integral int_0^1 e^s ds = e - 1; trapezoid
@@ -177,18 +176,16 @@ class TestStieltjesIntegral:
         errs = {}
         for dt in (1e-2, 5e-3):
             g = TimeGrid(dt=dt, n_steps=round(1 / dt))
-            p = ScalarPath(grid=g, values=g.times())
-            val = stieltjes_exp_integral(p, 1.0, 0.0, 1.0)
+            val = stieltjes_exp_integral(g, g.times(), 1.0, 0.0, 1.0)
             errs[dt] = abs(val - (np.e - 1.0))
         assert errs[1e-2] <= 1e-4
         assert 3.5 <= errs[1e-2] / errs[5e-3] <= 4.5
 
     def test_linearity(self, field):
-        p0, p1 = site_path(field, 0), site_path(field, 1)
-        both = ScalarPath(grid=p0.grid, values=p0.values + p1.values)
-        lhs = stieltjes_exp_integral(both, 1.3, -1.0, 2.0)
-        rhs = stieltjes_exp_integral(p0, 1.3, -1.0, 2.0) + stieltjes_exp_integral(
-            p1, 1.3, -1.0, 2.0
+        g, p0, p1 = field.grid, site_path(field, 0), site_path(field, 1)
+        lhs = stieltjes_exp_integral(g, p0 + p1, 1.3, -1.0, 2.0)
+        rhs = stieltjes_exp_integral(g, p0, 1.3, -1.0, 2.0) + stieltjes_exp_integral(
+            g, p1, 1.3, -1.0, 2.0
         )
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
@@ -200,15 +197,15 @@ class TestStieltjesIntegral:
         vals = {}
         for fac in (4, 2, 1):
             f = coarsen_noise(fine, fac)
-            vals[fac] = stieltjes_exp_integral(site_path(f, 0), 1.0, 0.0, 1.0)
+            vals[fac] = stieltjes_exp_integral(f.grid, site_path(f, 0), 1.0, 0.0, 1.0)
         assert abs(vals[2] - vals[4]) > abs(vals[1] - vals[2])
 
     def test_sweep_matches_direct_formula(self, field):
         p = site_path(field, 0)
-        sweep = decayed_exp_sweep(p.values, 1.3, field.grid.dt)
+        sweep = decayed_exp_sweep(p, 1.3, field.grid.dt)
         for t in (-1.0, 0.5, 2.0):
             direct = np.exp(-1.3 * t) * stieltjes_exp_integral(
-                p, 1.3, field.grid.t_start, t
+                field.grid, p, 1.3, field.grid.t_start, t
             )
             assert sweep[field.grid.index_of(t)] == pytest.approx(direct, abs=1e-12)
 
