@@ -12,6 +12,7 @@ pullback, equilibrium, absorb, report.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,83 +44,6 @@ __all__ = ["ExperimentConfig", "RunManifest", "load_config", "run",
            "emit_plot_series", "main"]
 
 ENV_OUTDIR = "FRACLATTICE_OUTDIR"
-
-EXPERIMENTS = (
-    "sample-fbm",
-    "verify-operators",
-    "simulate",
-    "ou",
-    "contraction",
-    "pullback",
-    "equilibrium",
-    "absorb",
-)
-
-_DEFAULTS = {
-    "hurst": 0.75,
-    "lattice": {
-        "coupling": 1.0,
-        "damping": 1.0,
-        "half_width": 16,
-        "boundary": "zero-padding",
-        "forcing": {},
-        "noise_amp": {"0": 1.0},
-    },
-    "nonlinearity": {"kind": "cubic", "a": 1.0, "b": 1.0},
-    "solver": {"scheme": "heun", "dt": 0.01, "t_end": 5.0},
-    "grid": {"dt": 0.01, "t_past": 30.0, "t_future": 5.0},
-    "experiment": {"name": "contraction"},
-    "master_seed": 0,
-    "output_dir": "out",
-}
-
-_EXPERIMENT_DEFAULTS = {
-    "sample-fbm": {"n_steps": 1000},
-    "verify-operators": {"n_vectors": 1000, "tol": 1e-12},
-    "simulate": {"u0": {"0": 1.0}},
-    "ou": {},
-    "contraction": {"u0": {"0": 1.0}, "w0": {"0": -1.0}},
-    "pullback": {"radius": 10.0, "n_starts": 16, "horizons": [1.0, 2.0, 4.0, 8.0],
-                 "equilibrium_tol": None},
-    "equilibrium": {"tol": 1e-6, "initial_horizon": 1.0, "check_times": []},
-    "absorb": {"d_radius": 10.0, "horizons": [0.5, 1.0, 2.0, 4.0], "n_starts": 8,
-               "t_past": 4.0, "ou_tail_tol": 1e-6},
-}
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; JSON ``true`` and ``false`` are not integers."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_nonnegative(x) -> bool:
-    """A finite JSON number >= 0; NaN fails the comparison."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0 <= x < math.inf
-
-
-def _is_times(x) -> bool:
-    return isinstance(x, list) and all(_is_nonnegative(t) for t in x)
-
-
-_COUNT = (lambda x: _is_int(x) and x >= 1, "an integer >= 1")
-_POSITIVE = (lambda x: _is_nonnegative(x) and x > 0, "a finite number > 0")
-_NONNEGATIVE = (_is_nonnegative, "a finite number >= 0")
-
-#: (test, requirement) of each experiment option but the start vectors,
-#: which ``_parse_support`` reads.
-_OPTION_RULES = {
-    "n_steps": _COUNT, "n_vectors": _COUNT, "n_starts": _COUNT,
-    "tol": _POSITIVE, "ou_tail_tol": _POSITIVE, "initial_horizon": _POSITIVE,
-    "t_past": _POSITIVE, "radius": _NONNEGATIVE, "d_radius": _NONNEGATIVE,
-    "equilibrium_tol": (lambda x: x is None or _POSITIVE[0](x), "null or a finite number > 0"),
-    "horizons": (lambda x: _is_times(x) and len(x) > 0,
-                 "a non-empty list of finite numbers >= 0"),
-    "check_times": (_is_times, "a list of finite numbers >= 0"),
-}
-
-#: Top-level keys; the object-valued ones are the sections.
-_TOP_LEVEL_KEYS = frozenset(_DEFAULTS) | {"hurst_reference_mode"}
-_SECTIONS = ("lattice", "nonlinearity", "solver", "grid", "experiment")
 
 
 @dataclass(frozen=True)
@@ -175,225 +100,6 @@ class RunManifest:
         }
         finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # NaN, inf -> null
         return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False)
-
-
-def _experiment_defaults(name) -> dict | None:
-    """Option defaults of experiment ``name``; None for any other value, unhashable too."""
-    return _EXPERIMENT_DEFAULTS.get(name) if isinstance(name, str) else None
-
-
-def _merge_defaults(raw: dict) -> dict:
-    eff = json.loads(json.dumps(_DEFAULTS))  # deep copy
-    for key, val in raw.items():
-        if isinstance(val, dict) and isinstance(eff.get(key), dict):
-            eff[key].update(val)
-        else:
-            eff[key] = val
-    defaults = _experiment_defaults(eff["experiment"]["name"])
-    if defaults is not None:
-        merged = dict(defaults)
-        merged.update(eff["experiment"])
-        eff["experiment"] = merged
-    return eff
-
-
-def _parse_support(raw, half_width: int, label: str, violations: list[str]):
-    entries = {}
-    if not isinstance(raw, dict):
-        violations.append(f"{label}: expected an object of site -> value")
-        return None
-    for key, val in raw.items():
-        try:
-            i = int(key)
-        except ValueError:
-            violations.append(f"{label}: site key {key!r} is not an integer")
-            continue
-        if abs(i) > half_width:
-            violations.append(f"{label}: site {i} outside [-{half_width}, {half_width}]")
-            continue
-        try:
-            entries[i] = float(val)
-            if not np.isfinite(entries[i]):
-                raise ValueError
-        except (TypeError, ValueError):
-            violations.append(f"{label}: value at site {i} is not a finite number")
-    return entries
-
-
-def _key_violations(eff: dict) -> list[str]:
-    """Keys of a defaults-filled config that no part of the run reads."""
-    found = [f"{key}: unknown key" for key in eff if key not in _TOP_LEVEL_KEYS]
-    defaults = _experiment_defaults(eff["experiment"]["name"])
-    for section in _SECTIONS:
-        if section != "experiment":
-            known = set(_DEFAULTS[section])
-        elif defaults is not None:
-            known = {"name", *defaults}
-        else:
-            continue  # a bad experiment.name is reported on its own
-        found += [f"{section}.{key}: unknown key (known: {', '.join(sorted(known))})"
-                  for key in eff[section] if key not in known]
-    return found
-
-
-def validate_config(raw: dict) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig`, reporting every violation at once.
-
-    Unknown keys are violations too, so a typo never falls back to a default.
-    """
-    violations = [f"{key}: expected an object" for key in _SECTIONS
-                  if key in raw and not isinstance(raw[key], dict)]
-    eff = _merge_defaults({k: v for k, v in raw.items()
-                           if k not in _SECTIONS or isinstance(v, dict)})
-    violations += _key_violations(eff)
-
-    hurst = None
-    reference_mode = eff.get("hurst_reference_mode", False)
-    if not isinstance(reference_mode, bool):
-        violations.append(f"hurst_reference_mode: must be true or false, got {reference_mode!r}")
-    try:
-        hurst = HurstParameter(float(eff["hurst"]), reference_mode=reference_mode is True)
-    except (TypeError, ValueError) as exc:
-        violations.append(f"hurst: {exc}")
-
-    lat = eff["lattice"]
-    half_width = lat["half_width"]
-    if not (_is_int(half_width) and half_width >= 1):
-        violations.append(f"lattice.half_width: must be an integer >= 1, got {half_width!r}")
-        half_width = 1
-    for name in ("coupling", "damping"):
-        try:
-            if not float(lat[name]) > 0:
-                violations.append(f"lattice.{name}: must be a positive constant")
-        except (TypeError, ValueError):
-            violations.append(f"lattice.{name}: must be a positive number")
-    boundary = None
-    try:
-        boundary = Boundary(lat["boundary"])
-    except ValueError:
-        violations.append(
-            f"lattice.boundary: {lat['boundary']!r} not in {[b.value for b in Boundary]}"
-        )
-    forcing = _parse_support(lat["forcing"], half_width, "lattice.forcing", violations)
-    noise_amp = _parse_support(lat["noise_amp"], half_width, "lattice.noise_amp", violations)
-
-    spec = None
-    nl = eff["nonlinearity"]
-    kind = nl["kind"]
-    try:
-        if kind == "linear":
-            spec = NonlinearitySpec.linear(float(nl["a"]))
-        elif kind == "cubic":
-            spec = NonlinearitySpec.cubic(float(nl["a"]), float(nl["b"]))
-        else:
-            violations.append(
-                f"nonlinearity.kind: {kind!r} not in ['linear', 'cubic'] "
-                "(custom drifts are API-only)"
-            )
-    except ValueError as exc:
-        violations.append(f"nonlinearity: {exc}")
-
-    solver_cfg = None
-    sol = eff["solver"]
-    try:
-        solver_cfg = sv.SolverConfig(
-            dt=float(sol["dt"]), t_end=float(sol["t_end"]),
-            scheme=sv.Scheme(sol["scheme"]),
-        )
-    except (TypeError, ValueError) as exc:
-        violations.append(f"solver: {exc}")
-
-    grid = None
-    gr = eff["grid"]
-    try:
-        dt = float(gr["dt"])
-        if not dt > 0:
-            raise ValueError("grid.dt must be positive")
-        t_past = float(gr["t_past"])
-        t_future = float(gr["t_future"])
-        if t_past < 0 or t_future < 0:
-            raise ValueError("grid.t_past and grid.t_future must be >= 0")
-        n_past = round(t_past / dt)
-        n_future = round(t_future / dt)
-        if abs(t_past - n_past * dt) > 1e-9 * dt or abs(t_future - n_future * dt) > 1e-9 * dt:
-            raise ValueError("grid window must be a whole number of steps")
-        if n_past + n_future < 1:
-            raise ValueError("grid window must contain at least one step")
-        grid = TimeGrid(dt=dt, n_steps=n_past + n_future, i_start=-n_past)
-    except (TypeError, ValueError) as exc:
-        violations.append(f"grid: {exc}")
-
-    options = eff["experiment"]
-    experiment = options["name"]
-    if experiment not in EXPERIMENTS:
-        violations.append(f"experiment.name: {experiment!r} not in {list(EXPERIMENTS)}")
-    known = _experiment_defaults(experiment) or {}
-    starts = {key: _parse_support(options[key], half_width, f"experiment.{key}", violations)
-              for key in ("u0", "w0") if key in known}
-    for key in known:
-        test, requirement = _OPTION_RULES.get(key, (None, None))
-        if test is not None and not test(options[key]):
-            violations.append(f"experiment.{key}: must be {requirement}, got {options[key]!r}")
-
-    master_seed = eff["master_seed"]
-    if not (_is_int(master_seed) and master_seed >= 0):
-        violations.append(f"master_seed: must be an integer >= 0, got {master_seed!r}")
-
-    if solver_cfg is not None and grid is not None:
-        try:
-            solver_cfg.refinement(grid.dt)
-        except ValueError as exc:
-            violations.append(f"solver.dt: {exc}")
-
-    if violations:
-        raise ConfigError(violations)
-
-    params = LatticeParams(
-        coupling=float(lat["coupling"]),
-        damping=float(lat["damping"]),
-        forcing=LatticeVector.from_support(half_width, forcing),
-        noise_amp=LatticeVector.from_support(half_width, noise_amp),
-        half_width=half_width,
-        boundary=boundary,
-    )
-    return ExperimentConfig(
-        hurst=hurst,
-        params=params,
-        spec=spec,
-        solver=solver_cfg,
-        grid=grid,
-        experiment=experiment,
-        options=dict(options),
-        starts={key: LatticeVector.from_support(half_width, entries)
-                for key, entries in starts.items()},
-        master_seed=master_seed,
-        output_dir=str(eff["output_dir"]),
-        effective=eff,
-    )
-
-
-def _read_json(path: str | Path) -> dict:
-    """The top-level JSON object of a config or manifest file."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError([f"cannot read {path}: {exc.strerror or exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-        ) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(["top-level JSON value must be an object"])
-    return raw
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a JSON config file.
-
-    Parse errors carry line/column; validation reports the full list of
-    violations, not just the first.
-    """
-    return validate_config(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +350,273 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
     ))
 
 
-_RUNNERS = {
-    "sample-fbm": _run_fbm_sample,
-    "verify-operators": _run_verify_operators,
-    "simulate": _run_simulate,
-    "ou": _run_ou,
-    "contraction": _run_contraction,
-    "pullback": _run_pullback,
-    "equilibrium": _run_equilibrium,
-    "absorb": _run_absorb,
+class _Experiment(NamedTuple):
+    """One subcommand; its name is the key it is registered under."""
+
+    run: Callable  # (cfg, out, manifest) -> None
+    options: dict  # option defaults; each option's rule is its _FIELDS row
+    help: str
+    flags: tuple = ()  # _OVERRIDES dests beyond --out and --seed
+
+
+_REGISTRY = {
+    "sample-fbm": _Experiment(_run_fbm_sample, {"n_steps": 1000},
+                              "write one fractional path as CSV", ("h", "dt", "steps")),
+    "verify-operators": _Experiment(_run_verify_operators, {"n_vectors": 1000, "tol": 1e-12},
+                                    "difference-operator identity checks"),
+    "simulate": _Experiment(_run_simulate, {"u0": {"0": 1.0}},
+                            "integrate one trajectory and dump it"),
+    "ou": _Experiment(_run_ou, {}, "stationary damped field and its growth check",
+                      ("lambda", "h", "t_past", "dt")),
+    "contraction": _Experiment(_run_contraction, {"u0": {"0": 1.0}, "w0": {"0": -1.0}},
+                               "matched-noise pairwise contraction"),
+    "pullback": _Experiment(_run_pullback, {"radius": 10.0, "n_starts": 16,
+                                            "horizons": [1.0, 2.0, 4.0, 8.0],
+                                            "equilibrium_tol": None},
+                            "ensemble pullback shrinkage"),
+    "equilibrium": _Experiment(_run_equilibrium, {"tol": 1e-6, "initial_horizon": 1.0,
+                                                  "check_times": []},
+                               "random equilibrium via horizon doubling"),
+    "absorb": _Experiment(_run_absorb, {"d_radius": 10.0, "horizons": [0.5, 1.0, 2.0, 4.0],
+                                        "n_starts": 8, "t_past": 4.0, "ou_tail_tol": 1e-6},
+                          "absorbing radius and pullback absorption"),
 }
+
+
+# ---------------------------------------------------------------------------
+# config validation: one rule per value, then the checks that join values
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; JSON ``true`` and ``false`` are not integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number: no boolean, NaN, infinity or integer beyond float range."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _is_site(key) -> bool:
+    """A site index in canonical decimal, so that no two keys name one site."""
+    try:
+        return str(int(key)) == key
+    except (TypeError, ValueError):
+        return False
+
+
+def _is_times(x) -> bool:
+    return isinstance(x, list) and all(_is_number(t) and t >= 0 for t in x)
+
+
+def _one_of(*choices: str):
+    return (lambda x: isinstance(x, str) and x in choices,
+            "one of " + ", ".join(map(repr, choices)))
+
+
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda x: _is_number(x) and x > 0, "a finite number > 0")
+_NONNEGATIVE = (lambda x: _is_number(x) and x >= 0, "a finite number >= 0")
+_COUNT = (lambda x: _is_int(x) and x >= 1, "an integer >= 1")
+#: An object of site -> value; each key and each value is then checked on its own.
+_SITES = (lambda x: isinstance(x, dict), "an object of site -> finite number")
+
+#: Every config value: dotted path -> (default, (test, requirement)).  A
+#: ``None`` default is filled from elsewhere: each experiment's option
+#: defaults from ``_REGISTRY``, and ``hurst_reference_mode`` (false when
+#: absent) not at all, so configs that leave it out keep their hash.
+_FIELDS = {
+    "hurst": (0.75, _NUMBER),  # the range depends on the reference mode
+    "hurst_reference_mode": (None, (lambda x: isinstance(x, bool), "true or false")),
+    "lattice.coupling": (1.0, _POSITIVE),
+    "lattice.damping": (1.0, _POSITIVE),
+    "lattice.half_width": (16, _COUNT),
+    "lattice.boundary": ("zero-padding", _one_of(*(b.value for b in Boundary))),
+    "lattice.forcing": ({}, _SITES),
+    "lattice.noise_amp": ({"0": 1.0}, _SITES),
+    "nonlinearity.kind": ("cubic", _one_of("linear", "cubic")),
+    "nonlinearity.a": (1.0, _POSITIVE),
+    "nonlinearity.b": (1.0, _POSITIVE),
+    "solver.scheme": ("heun", _one_of(*(s.value for s in sv.Scheme))),
+    "solver.dt": (0.01, _POSITIVE),
+    "solver.t_end": (5.0, _NONNEGATIVE),
+    "grid.dt": (0.01, _POSITIVE),
+    "grid.t_past": (30.0, _NONNEGATIVE),
+    "grid.t_future": (5.0, _NONNEGATIVE),
+    "experiment.name": ("contraction", _one_of(*_REGISTRY)),
+    "experiment.n_steps": (None, _COUNT),
+    "experiment.n_vectors": (None, _COUNT),
+    "experiment.n_starts": (None, _COUNT),
+    "experiment.tol": (None, _POSITIVE),
+    "experiment.ou_tail_tol": (None, _POSITIVE),
+    "experiment.initial_horizon": (None, _POSITIVE),
+    "experiment.t_past": (None, _POSITIVE),
+    "experiment.radius": (None, _NONNEGATIVE),
+    "experiment.d_radius": (None, _NONNEGATIVE),
+    "experiment.equilibrium_tol": (None, (lambda x: x is None or _POSITIVE[0](x),
+                                          "null or a finite number > 0")),
+    "experiment.horizons": (None, (lambda x: _is_times(x) and len(x) > 0,
+                                   "a non-empty list of finite numbers >= 0")),
+    "experiment.check_times": (None, (_is_times, "a list of finite numbers >= 0")),
+    "experiment.u0": (None, _SITES),
+    "experiment.w0": (None, _SITES),
+    "master_seed": (0, (lambda x: _is_int(x) and x >= 0, "an integer >= 0")),
+    "output_dir": ("out", (lambda x: isinstance(x, str) and x != "", "a non-empty string")),
+}
+
+_SECTIONS = {path.partition(".")[0] for path in _FIELDS if "." in path}
+
+
+def _flatten(raw: dict, violations: list[str]) -> dict:
+    """The config as ``{dotted path: value}``; lists unknown top-level keys
+    and sections that are not objects."""
+    flat = {}
+    for key, value in raw.items():
+        if key in _SECTIONS:
+            if isinstance(value, dict):
+                flat.update((f"{key}.{sub}", val) for sub, val in value.items())
+            else:
+                violations.append(f"{key}: expected an object")
+        elif key in _FIELDS and "." not in key:  # "lattice.coupling" is no top-level key
+            flat[key] = value
+        else:
+            violations.append(f"{key}: unknown key")
+    return flat
+
+
+def _rule_violations(path: str, value) -> list[str]:
+    """One ``<path>: must be <requirement>, got <value>`` line per broken rule."""
+    rule = _FIELDS[path][1]
+    test, requirement = rule
+    if not test(value):
+        return [f"{path}: must be {requirement}, got {value!r}"]
+    if rule is not _SITES:
+        return []
+    return [f"{path}: must be keyed by canonical decimal integers, got {key!r}" if not _is_site(key)
+            else f"{path}.{key}: must be a finite number, got {val!r}"
+            for key, val in value.items() if not (_is_site(key) and _is_number(val))]
+
+
+def _checked(violations: list[str], label: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, or None with its error listed under ``label``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        violations.append(f"{label}: {exc}")
+        return None
+
+
+def validate_config(raw: dict) -> ExperimentConfig:
+    """Build an :class:`ExperimentConfig`, reporting every violation at once.
+
+    Each value must pass its ``_FIELDS`` rule, and unknown keys are
+    violations too, so a typo never falls back to a default.  The checks
+    that join several values (the Hurst range, each site vector against
+    ``half_width``, the grid window, the solver refinement) run for every
+    group whose values passed their rules.
+    """
+    violations: list[str] = []
+    given = _flatten(raw, violations)
+    name = given.get("experiment.name", _FIELDS["experiment.name"][0])
+    entry = _REGISTRY.get(name) if isinstance(name, str) else None
+    options = {f"experiment.{key}": val for key, val in entry.options.items()} if entry else {}
+    defaults = {path: default for path, (default, _) in _FIELDS.items() if default is not None}
+    values = copy.deepcopy(defaults | options) | given
+    known = {path for path in _FIELDS if not path.startswith("experiment.")}
+    known |= {"experiment.name", *options}
+    for path in given:
+        section = path.partition(".")[0]
+        if path not in known and (entry is not None or section != "experiment"):
+            keys = sorted(p.partition(".")[2] for p in known if p.startswith(f"{section}."))
+            violations.append(f"{path}: unknown key (known: {', '.join(keys)})")
+
+    found = {path: _rule_violations(path, values[path])
+             for path in _FIELDS if path in known and path in values}
+    failed = {path for path, lines in found.items() if lines}
+    violations += [line for lines in found.values() for line in lines]
+
+    def passed(*paths):
+        return failed.isdisjoint(paths)
+
+    hurst = grid = solver_cfg = None
+    if passed("hurst"):
+        hurst = _checked(violations, "hurst", HurstParameter, float(values["hurst"]),
+                         reference_mode=values.get("hurst_reference_mode") is True)
+    half_width = values["lattice.half_width"]
+    vectors = {path: _checked(violations, path, LatticeVector.from_support, half_width,
+                              {int(k): v for k, v in values[path].items()})
+               for path in _FIELDS if path in known and _FIELDS[path][1] is _SITES
+               and passed(path, "lattice.half_width")}
+    if passed("grid.dt", "grid.t_past", "grid.t_future"):
+        grid = _checked(violations, "grid", TimeGrid.window, float(values["grid.dt"]),
+                        float(values["grid.t_past"]), float(values["grid.t_future"]))
+    if passed("solver.dt", "solver.t_end", "solver.scheme"):
+        solver_cfg = sv.SolverConfig(dt=float(values["solver.dt"]),
+                                     t_end=float(values["solver.t_end"]),
+                                     scheme=sv.Scheme(values["solver.scheme"]))
+        if grid is not None:
+            _checked(violations, "solver.dt", solver_cfg.refinement, grid.dt)
+
+    if violations:
+        raise ConfigError(violations)
+
+    effective: dict = {}
+    for path, value in values.items():
+        section, _, key = path.partition(".")
+        if key:
+            effective.setdefault(section, {})[key] = value
+        else:
+            effective[path] = value
+    a, b = float(values["nonlinearity.a"]), float(values["nonlinearity.b"])
+    return ExperimentConfig(
+        hurst=hurst,
+        params=LatticeParams(
+            coupling=float(values["lattice.coupling"]),
+            damping=float(values["lattice.damping"]),
+            forcing=vectors["lattice.forcing"],
+            noise_amp=vectors["lattice.noise_amp"],
+            half_width=half_width,
+            boundary=Boundary(values["lattice.boundary"]),
+        ),
+        spec=(NonlinearitySpec.linear(a) if values["nonlinearity.kind"] == "linear"
+              else NonlinearitySpec.cubic(a, b)),
+        solver=solver_cfg,
+        grid=grid,
+        experiment=name,
+        options=dict(effective["experiment"]),
+        starts={key: vectors[f"experiment.{key}"] for key in ("u0", "w0")
+                if key in entry.options},
+        master_seed=values["master_seed"],
+        output_dir=values["output_dir"],
+        effective=effective,
+    )
+
+
+def _read_json(path: str | Path) -> dict:
+    """The top-level JSON object of a config or manifest file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError([f"cannot read {path}: {exc.strerror or exc}"]) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
+        ) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(["top-level JSON value must be an object"])
+    return raw
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse and validate a JSON config file.
+
+    Parse errors carry line/column; validation reports the full list of
+    violations, not just the first.
+    """
+    return validate_config(_read_json(path))
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
@@ -671,7 +634,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     )
     t0 = time.perf_counter()
     try:
-        _RUNNERS[cfg.experiment](cfg, out, manifest)
+        _REGISTRY[cfg.experiment].run(cfg, out, manifest)
     except (FracLatticeError, ValueError) as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"
     manifest.timings["total"] = time.perf_counter() - t0
@@ -684,34 +647,32 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 # ---------------------------------------------------------------------------
 # argparse front end
 
+#: Command-line overrides: argparse dest -> (type, help, config paths it sets).
+_OVERRIDES = {
+    "h": (float, "Hurst exponent in (1/2, 1)", ("hurst",)),
+    "dt": (float, "noise grid and solver step", ("grid.dt", "solver.dt")),
+    "steps": (int, "number of steps", ("experiment.n_steps",)),
+    "lambda": (float, "damping rate", ("lattice.damping",)),
+    "t_past": (float, "sampled noise history before t = 0", ("grid.t_past",)),
+    "out": (str, "output directory (overrides env and config)", ("output_dir",)),
+    "seed": (int, "master seed override", ("master_seed",)),
+}
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output directory (overrides env and config)")
-    p.add_argument("--seed", type=int, help="master seed override")
 
-
-def _cfg_from_args(args, experiment: str) -> ExperimentConfig:
+def _cfg_from_args(args) -> ExperimentConfig:
+    """The config file, with the subcommand's name and each given flag written over it."""
     raw = _read_json(args.config) if args.config else {}
-    options = raw.setdefault("experiment", {})
-    if isinstance(options, dict):  # otherwise validation reports it
-        options["name"] = experiment
-        if getattr(args, "steps", None) is not None:
-            options["n_steps"] = args.steps
-    if getattr(args, "h", None) is not None:
-        raw["hurst"] = args.h
-    if getattr(args, "dt", None) is not None:
-        raw.setdefault("grid", {})["dt"] = args.dt
-        raw.setdefault("solver", {})["dt"] = args.dt
-    if getattr(args, "t_past", None) is not None:
-        raw.setdefault("grid", {})["t_past"] = args.t_past
-    if getattr(args, "lam", None) is not None:
-        raw.setdefault("lattice", {})["damping"] = args.lam
-    if args.seed is not None:
-        raw["master_seed"] = args.seed
-    outdir = args.out or os.environ.get(ENV_OUTDIR)
-    if outdir:
-        raw["output_dir"] = outdir
+    flags = {**vars(args), "out": args.out or os.environ.get(ENV_OUTDIR) or None}
+    overrides = [("experiment.name", args.command)] + [
+        (path, flags[dest]) for dest, (_, _, paths) in _OVERRIDES.items()
+        if flags.get(dest) is not None for path in paths
+    ]
+    for path, value in overrides:
+        section, _, key = path.partition(".")
+        if not key:
+            raw[section] = value
+        elif isinstance(raw.setdefault(section, {}), dict):  # otherwise validation reports it
+            raw[section][key] = value
     return validate_config(raw)
 
 
@@ -723,31 +684,12 @@ def main(argv=None) -> int:
                     "and absorption behavior.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("sample-fbm", help="write one fractional path as CSV")
-    p.add_argument("--h", type=float, help="Hurst exponent in (1/2, 1)")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--steps", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("ou", help="stationary damped field and its growth check")
-    p.add_argument("--lambda", dest="lam", type=float, help="damping rate")
-    p.add_argument("--h", type=float)
-    p.add_argument("--t-past", dest="t_past", type=float)
-    p.add_argument("--dt", type=float)
-    _add_common(p)
-
-    for name, descr in (
-        ("verify-operators", "difference-operator identity checks"),
-        ("simulate", "integrate one trajectory and dump it"),
-        ("contraction", "matched-noise pairwise contraction"),
-        ("pullback", "ensemble pullback shrinkage"),
-        ("equilibrium", "random equilibrium via horizon doubling"),
-        ("absorb", "absorbing radius and pullback absorption"),
-    ):
-        p = subs.add_parser(name, help=descr)
-        _add_common(p)
-
+    for name, entry in _REGISTRY.items():
+        p = subs.add_parser(name, help=entry.help)
+        p.add_argument("--config", help="JSON config file")
+        for dest in (*entry.flags, "out", "seed"):
+            kind, text, _ = _OVERRIDES[dest]
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind, help=text)
     p = subs.add_parser("report", help="summarize a run manifest")
     p.add_argument("--manifest", required=True)
 
@@ -774,7 +716,7 @@ def main(argv=None) -> int:
         return 0 if data.get("all_passed") else 1
 
     try:
-        cfg = _cfg_from_args(args, args.command)
+        cfg = _cfg_from_args(args)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)

@@ -86,6 +86,18 @@ class TimeGrid:
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
+    @classmethod
+    def window(cls, dt: float, t_past: float, t_future: float) -> "TimeGrid":
+        """The grid on ``[-t_past, t_future]``; each side a whole number of steps."""
+        if not (t_past >= 0 and t_future >= 0):
+            raise ValueError("t_past and t_future must be >= 0")
+        n_past, n_future = round(t_past / dt), round(t_future / dt)
+        if abs(t_past - n_past * dt) > 1e-9 * dt or abs(t_future - n_future * dt) > 1e-9 * dt:
+            raise ValueError("grid window must be a whole number of steps")
+        if n_past + n_future < 1:
+            raise ValueError("grid window must contain at least one step")
+        return cls(dt=dt, n_steps=n_past + n_future, i_start=-n_past)
+
     @property
     def n_nodes(self) -> int:
         return self.n_steps + 1

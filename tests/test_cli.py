@@ -3,9 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraclattice.attractor import ContractionReport
 from fraclattice.cli import (
+    _FIELDS,
+    _REGISTRY,
     _columns,
     _write_csv,
     emit_plot_series,
@@ -60,7 +63,7 @@ class TestLoadConfig:
             load_config(path)
         text = " ".join(err.value.violations)
         assert "hurst" in text
-        assert "coupling" in text and "positive" in text
+        assert "lattice.coupling: must be a finite number > 0, got -1.0" in err.value.violations
         assert "nonlinearity.kind" in text
         assert len(err.value.violations) == 3
 
@@ -82,8 +85,9 @@ class TestLoadConfig:
                                     "lattice": {"half_width": 0}}))
         with pytest.raises(ConfigError) as err:
             load_config(path)
-        assert any(v.startswith("experiment.name: ['simulate']")
-                   for v in err.value.violations)
+        assert ("experiment.name: must be one of 'sample-fbm', 'verify-operators', 'simulate', "
+                "'ou', 'contraction', 'pullback', 'equilibrium', 'absorb', got ['simulate']"
+                in err.value.violations)
         assert any(v.startswith("lattice.half_width") for v in err.value.violations)
 
     def test_misaligned_window_rejected(self, tmp_path):
@@ -125,8 +129,8 @@ class TestLoadConfig:
     @pytest.mark.parametrize("u0, message", [
         ({"-6": 1.0}, "experiment.u0: site -6 outside [-4, 4]"),
         ({"6": 1.0}, "experiment.u0: site 6 outside [-4, 4]"),
-        ({"x": 1.0}, "experiment.u0: site key 'x' is not an integer"),
-        ({"0": float("nan")}, "experiment.u0: value at site 0 is not a finite number"),
+        ({"x": 1.0}, "experiment.u0: must be keyed by canonical decimal integers, got 'x'"),
+        ({"0": float("nan")}, "experiment.u0.0: must be a finite number, got nan"),
     ])
     def test_bad_start_vector_reported(self, tmp_path, u0, message):
         path = write_config(tmp_path, name="simulate", extra={
@@ -134,6 +138,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.violations == [message]
+
+    @pytest.mark.parametrize("lattice, messages", [
+        ({"noise_amp": {"0": True, "1": "0.5"}},
+         ["lattice.noise_amp.0: must be a finite number, got True",
+          "lattice.noise_amp.1: must be a finite number, got '0.5'"]),
+        ({"forcing": {"+1": 1.0, "01": 2.0}},
+         ["lattice.forcing: must be keyed by canonical decimal integers, got '+1'",
+          "lattice.forcing: must be keyed by canonical decimal integers, got '01'"]),
+        ({"forcing": {" 1": 1.0, "1_0": 2.0, "-0": 3.0}},
+         ["lattice.forcing: must be keyed by canonical decimal integers, got ' 1'",
+          "lattice.forcing: must be keyed by canonical decimal integers, got '1_0'",
+          "lattice.forcing: must be keyed by canonical decimal integers, got '-0'"]),
+    ], ids=["non-number-values", "signed-and-padded-keys", "spaced-underscored-negzero-keys"])
+    def test_bad_site_vector_listed_with_other_violations(self, lattice, messages):
+        # "+1" and "01" would both land on site 1 if keys were read through int()
+        with pytest.raises(ConfigError) as err:
+            validate_config({"lattice": lattice, "master_seed": -1})
+        assert err.value.violations == messages + ["master_seed: must be an integer >= 0, got -1"]
 
     def test_bad_start_vectors_listed_with_other_violations(self, tmp_path):
         path = write_config(tmp_path, extra={
@@ -344,6 +366,41 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot read {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("raw, messages", [
+        ({"lattice": {"coupling": True, "damping": "2"}, "hurst": "0.75",
+          "solver": {"dt": "0.01", "t_end": "5"}},
+         ["hurst: must be a finite number, got '0.75'",
+          "lattice.coupling: must be a finite number > 0, got True",
+          "lattice.damping: must be a finite number > 0, got '2'",
+          "solver.dt: must be a finite number > 0, got '0.01'",
+          "solver.t_end: must be a finite number >= 0, got '5'"]),
+        ({"nonlinearity": {"a": "1", "b": True}},
+         ["nonlinearity.a: must be a finite number > 0, got '1'",
+          "nonlinearity.b: must be a finite number > 0, got True"]),
+        ({"grid": {"dt": "0.01", "t_future": True}},
+         ["grid.dt: must be a finite number > 0, got '0.01'",
+          "grid.t_future: must be a finite number >= 0, got True"]),
+        ({"output_dir": None}, ["output_dir: must be a non-empty string, got None"]),
+        ({"output_dir": 5}, ["output_dir: must be a non-empty string, got 5"]),
+    ], ids=["typed-numbers", "typed-nonlinearity", "typed-grid", "null-output-dir",
+            "integer-output-dir"])
+    def test_exit_two_on_mistyped_value(self, tmp_path, capsys, monkeypatch, raw, messages):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["ou", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {m}" for m in messages]
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_exit_two_on_flag_over_non_object_section(self, tmp_path, capsys):
+        # --dt writes grid.dt and solver.dt; a non-object grid is left for validation
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": 5}))
+        assert main(["ou", "--config", str(path), "--dt", "0.01",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: grid: expected an object\n"
+        assert not (tmp_path / "o").exists()
+
     def test_sample_fbm_flags(self, tmp_path):
         out = tmp_path / "fbm"
         code = main(["sample-fbm", "--h", "0.75", "--dt", "0.01", "--steps", "64",
@@ -492,7 +549,64 @@ class TestValidateConfigDirect:
         assert cfg.experiment == "contraction"
         assert cfg.config_hash() == validate_config({}).config_hash()
 
+    def test_default_config_hashes_pinned(self):
+        # hashes of the defaults-filled configs; a change to a default or to
+        # what the effective dict holds changes them
+        pinned = {
+            None: "94b2179f2215e5bfadd749c06e91f70f08397d0891894adbb3fcae787d6cee99",
+            "sample-fbm": "86579a7ca1ce1370268295860c46b3090e91b0c260f6b47ba571b46bc42e3be1",
+            "verify-operators": "84eddcd50a1a7e9cc5afe2c13f4e23ed6a314759a7403874766d288ab00475e7",
+            "simulate": "4a53d6d95a06b1b7fd61d78ac0111935c36e932cb36f59ba43f8f47534abe005",
+            "ou": "9eafb5a8ea84c651bbe657c5ead854be4ab3a09eaa2e8dbbab47a2a71af74976",
+            "contraction": "94b2179f2215e5bfadd749c06e91f70f08397d0891894adbb3fcae787d6cee99",
+            "pullback": "c4c55ef141a14b47b955ff7787ca1e1f08aa3faceedb615e46708f0d03c7812a",
+            "equilibrium": "9fd076f32f7d74bcd49e3d91a1150090d574b901b859d66bbd9a077b4dccacde",
+            "absorb": "3feaa80bee202db852cd63e433efff3ab2f3e4a69270a45deb4d6a72aaf5e8e0",
+        }
+        assert set(pinned) == {None, *_REGISTRY}
+        for name, digest in pinned.items():
+            raw = {} if name is None else {"experiment": {"name": name}}
+            assert validate_config(raw).config_hash() == digest, name
+
     def test_hash_changes_with_content(self):
         assert validate_config({}).config_hash() != validate_config(
             {"master_seed": 1}
         ).config_hash()
+
+
+#: Values of the wrong type or range for most rules: a numeric string, a
+#: boolean, null, a list, an object, NaN and a negative number.
+CANDIDATES = ["1", True, None, [1], {}, float("nan"), -1]
+
+
+def config_setting(path, value):
+    """A config that sets ``path`` to ``value``, naming an experiment that reads it."""
+    section, _, key = path.partition(".")
+    if not key:
+        return {path: value}
+    raw = {section: {key: value}}
+    if section == "experiment" and key != "name":
+        raw[section]["name"] = next(n for n, e in _REGISTRY.items() if key in e.options)
+    return raw
+
+
+class TestFieldTable:
+    def test_every_experiment_option_has_a_row(self):
+        options = {f"experiment.{key}" for e in _REGISTRY.values() for key in e.options}
+        assert options == {p for p in _FIELDS if p.startswith("experiment.")} - {"experiment.name"}
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=2 * len(_FIELDS) * len(CANDIDATES))
+    @given(path=st.sampled_from(sorted(_FIELDS)), value=st.sampled_from(CANDIDATES))
+    def test_rejected_value_reported_under_its_path(self, path, value):
+        raw = config_setting(path, value)
+        test, _ = _FIELDS[path][1]
+        if test(value):
+            try:  # accepted by the rule: a joint check may still object
+                validate_config(raw)
+            except ConfigError:
+                pass
+            return
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert any(v.startswith((f"{path}:", f"{path}.")) for v in err.value.violations)
