@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
+from decimal import Decimal
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -44,6 +45,11 @@ __all__ = ["ExperimentConfig", "RunManifest", "load_config", "run",
            "emit_plot_series", "main"]
 
 ENV_OUTDIR = "FRACLATTICE_OUTDIR"
+
+#: Hard size guard on a config: the most values one (nodes x sites) array
+#: of a run may hold (512 MiB of doubles).  It bounds the noise field on
+#: the noise grid and the noise rows the solver reads on its refined grid.
+MAX_GRID_VALUES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -509,14 +515,22 @@ def _checked(violations: list[str], label: str, make, *args, **kwargs):
         return None
 
 
+def _size_check(what: str, nodes: int, sites: int) -> None:
+    """Raise ValueError if a (nodes x sites) array exceeds ``MAX_GRID_VALUES``."""
+    if nodes * sites > MAX_GRID_VALUES:
+        raise ValueError(f"a {what} of {Decimal(nodes):.3g} nodes x {sites} sites exceeds "
+                         f"the limit of {MAX_GRID_VALUES} values")
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig`, reporting every violation at once.
 
     Each value must pass its ``_FIELDS`` rule, and unknown keys are
     violations too, so a typo never falls back to a default.  The checks
     that join several values (the Hurst range, each site vector against
-    ``half_width``, the grid window, the solver refinement) run for every
-    group whose values passed their rules.
+    ``half_width``, the grid window, the solver refinement, the
+    ``MAX_GRID_VALUES`` size guard) run for every group whose values
+    passed their rules.
     """
     violations: list[str] = []
     given = _flatten(raw, violations)
@@ -541,7 +555,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     def passed(*paths):
         return failed.isdisjoint(paths)
 
-    hurst = grid = solver_cfg = None
+    hurst = grid = solver_cfg = refinement = None
     if passed("hurst"):
         hurst = _checked(violations, "hurst", HurstParameter, float(values["hurst"]),
                          reference_mode=values.get("hurst_reference_mode") is True)
@@ -558,7 +572,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
                                      t_end=float(values["solver.t_end"]),
                                      scheme=sv.Scheme(values["solver.scheme"]))
         if grid is not None:
-            _checked(violations, "solver.dt", solver_cfg.refinement, grid.dt)
+            refinement = _checked(violations, "solver.dt", solver_cfg.refinement, grid.dt)
+    if grid is not None and passed("lattice.half_width"):
+        sites = 2 * half_width + 1
+        _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, sites)
+        if refinement is not None and refinement > 1:
+            _checked(violations, "solver.dt", _size_check, "sub-stepped noise array",
+                     refinement * grid.n_steps + 1, sites)
 
     if violations:
         raise ConfigError(violations)

@@ -2,18 +2,23 @@
 
 Sampling is done by circulant embedding of the fractional Gaussian noise
 (fGn) covariance (Davies-Harte), which is exact in law and O(n log n).
-A dense Cholesky sampler is kept as an O(n^3) cross-validation oracle.
+The circulant eigenvalues are computed once per ``(n_steps, h)`` and
+cached read-only; :func:`_fgn_from_normals` turns a block of unit
+normals into fGn with one FFT along its rows.  A dense Cholesky sampler
+is kept as an O(n^3) cross-validation oracle.
 
 A path is a plain array: row k of :func:`sample_fbm_array` samples
 one fBm path on the nodes 0, dt, ..., exactly zero at t = 0.  Two-sided
-paths are built from these rows by the noise field
-(:func:`fraclattice.noise.build_noise_field`), which subtracts a row's
-value at the interior node of t = 0: stationarity of the increments
-makes that re-anchored row an exact two-sided sample.
+paths are built by the noise field
+(:func:`fraclattice.noise.build_noise_field`) through the same
+:func:`_fgn_from_normals`: each site's row is drawn from the site's own
+seed and re-anchored at the interior node of t = 0, and stationarity of
+the increments makes that row an exact two-sided sample.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +158,14 @@ def fgn_autocovariance(k: int, h: "HurstParameter | float", dt: float = 1.0) -> 
     return 0.5 * dt**h2 * ((lag + 1.0) ** h2 - 2.0 * lag**h2 + abs(lag - 1.0) ** h2)
 
 
+@functools.lru_cache(maxsize=32)
 def _fgn_eigenvalues(n_steps: int, h: float) -> np.ndarray:
-    """Eigenvalues of the 2n-circulant embedding of the unit-step fGn covariance."""
+    """Eigenvalues of the 2n-circulant embedding of the unit-step fGn covariance.
+
+    Cached for the 32 latest ``(n_steps, h)`` pairs; the result is
+    read-only because every caller shares it.  A failed embedding raises
+    on every call, since the cache keeps only returned values.
+    """
     lags = np.arange(n_steps + 1, dtype=float)
     h2 = 2.0 * h
     gamma = 0.5 * (
@@ -168,26 +179,27 @@ def _fgn_eigenvalues(n_steps: int, h: float) -> np.ndarray:
             f"circulant eigenvalue {eig.min():.3e} below tolerance for "
             f"h={h}, n={n_steps}; use the Cholesky sampler"
         )
-    return np.clip(eig, 0.0, None)
+    eig = np.clip(eig, 0.0, None)
+    eig.setflags(write=False)
+    return eig
 
 
-def _sample_fgn_batch(
-    n_paths: int, n_steps: int, h: float, rng: np.random.Generator
-) -> np.ndarray:
-    """(n_paths, n_steps) unit-step fGn samples via circulant embedding."""
-    m = 2 * n_steps
-    eig = _fgn_eigenvalues(n_steps, h)
-    z = rng.standard_normal((n_paths, m))
-    spec = np.empty((n_paths, m), dtype=complex)
+def _fgn_from_normals(z: np.ndarray, eig: np.ndarray) -> np.ndarray:
+    """(rows, n) unit-step fGn from (rows, 2n) unit normals, one FFT along the rows.
+
+    Row r depends on ``z[r]`` alone, and bit for bit so: a row comes out
+    the same whatever block of rows it is transformed in.
+    """
+    m = z.shape[1]
+    n_steps = m // 2
+    spec = np.empty(z.shape, dtype=complex)
     spec[:, 0] = z[:, 0]
     spec[:, n_steps] = z[:, n_steps]
-    re = z[:, 1:n_steps]
-    im = z[:, n_steps + 1 :]
-    half = (re + 1j * im) / np.sqrt(2.0)
+    half = (z[:, 1:n_steps] + 1j * z[:, n_steps + 1 :]) / np.sqrt(2.0)
     spec[:, 1:n_steps] = half
     spec[:, n_steps + 1 :] = np.conj(half[:, ::-1])
     spec *= np.sqrt(eig / m)
-    return np.fft.fft(spec, axis=1).real[:, :n_steps]
+    return np.fft.fft(spec, axis=1, out=spec).real[:, :n_steps]
 
 
 def sample_fbm_array(
@@ -209,8 +221,9 @@ def sample_fbm_array(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     hurst = as_hurst(h)
-    rng = np.random.default_rng(seed)
-    fgn = _sample_fgn_batch(n_paths, n_steps, hurst.h, rng) * dt**hurst.h
+    eig = _fgn_eigenvalues(n_steps, hurst.h)
+    z = np.random.default_rng(seed).standard_normal((n_paths, 2 * n_steps))
+    fgn = _fgn_from_normals(z, eig) * dt**hurst.h
     out = np.zeros((n_paths, n_steps + 1))
     np.cumsum(fgn, axis=1, out=out[:, 1:])
     return out

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHorizonError, WindowError
-from .fbm import HurstParameter, TimeGrid, as_hurst, sample_fbm_array
+from .fbm import HurstParameter, TimeGrid, _fgn_eigenvalues, _fgn_from_normals, as_hurst
 from .lattice import LatticeParams, LatticeVector
 
 __all__ = [
@@ -50,6 +50,9 @@ TAIL_TOL = 1e-6
 
 _SITE_STREAM = 101
 _SITE_OFFSET = 1 << 20  # keeps site indices nonnegative in seed tuples
+#: Normals per block of sites in :func:`build_noise_field`; bounds its
+#: scratch memory at a few hundred kB whatever the number of sites.
+_BLOCK_VALUES = 1 << 15
 
 
 def derive_seed(master_seed: int, stream: int, index: int) -> np.random.SeedSequence:
@@ -126,22 +129,37 @@ def build_noise_field(
 ) -> NoiseField:
     """Sample independent per-site paths for every site with sigma_i != 0.
 
-    This is the one two-sided construction.  Site i draws one row of
-    :func:`sample_fbm_array` over the whole window from the seed tuple
-    ``(master_seed, site_stream, i)`` and subtracts the row's value at
+    This is the one two-sided construction.  Site i's column is the row
+    that ``sample_fbm_array(1, ...)`` draws over the whole window from the
+    seed tuple ``(master_seed, site_stream, i)``, minus the row's value at
     the node of t = 0, so the grid must contain t = 0.  Stationary
     increments make the re-anchored row an exact two-sided fBm sample,
     with the covariance (|t|^(2H) + |s|^(2H) - |t-s|^(2H)) / 2 across
     zero too.  The seed depends on neither the truncation width nor the
     other sites, so widening the truncation leaves every path untouched.
+
+    The rows are built in blocks of ``_BLOCK_VALUES // (2 * n_steps)``
+    sites: each site's normals go into one row of the block, and the
+    block becomes fGn through one FFT with the circulant eigenvalues
+    computed once per ``(n_steps, h)``.  A row does not depend on its
+    block, so every column is bit-identical to that one-row sample.
     """
     k0 = grid.index_of(0.0)  # anchoring requires zero on the grid
     hurst = as_hurst(h)
+    n_steps = grid.n_steps
+    eig = _fgn_eigenvalues(n_steps, hurst.h)
+    scale = grid.dt**hurst.h
     paths = np.zeros((grid.n_nodes, params.n_sites))
-    n = params.half_width
-    for i, seed in _site_seeds(master_seed, params.noise_amp).items():
-        paths[:, i + n] = sample_fbm_array(1, grid.n_steps, hurst, grid.dt,
-                                           np.random.SeedSequence(seed))[0]
+    sites = list(_site_seeds(master_seed, params.noise_amp).items())
+    rows = max(1, _BLOCK_VALUES // (2 * n_steps))
+    z = np.empty((min(rows, len(sites)), 2 * n_steps))
+    for first in range(0, len(sites), rows):
+        block = sites[first : first + rows]
+        for r, (_, seed) in enumerate(block):
+            np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(out=z[r])
+        fgn = _fgn_from_normals(z[: len(block)], eig) * scale
+        columns = [i + params.half_width for i, _ in block]
+        paths[1:, columns] = np.cumsum(fgn, axis=1).T
     paths -= paths[k0]
     return NoiseField(grid=grid, sigma=params.noise_amp, master_seed=int(master_seed),
                       paths=paths)

@@ -401,6 +401,21 @@ class TestMain:
         assert capsys.readouterr().err == "config error: grid: expected an object\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"solver": {"dt": 1e-300}},
+         "solver.dt: a sub-stepped noise array of 3.50e+301 nodes x 33 sites exceeds "
+         "the limit of 67108864 values"),
+        ({"grid": {"dt": 1e-7}, "solver": {"dt": 1e-7}},
+         "grid: a noise field of 3.50e+8 nodes x 33 sites exceeds the limit of 67108864 values"),
+    ], ids=["solver-refinement", "noise-field"])
+    def test_exit_two_on_oversized_run(self, tmp_path, capsys, monkeypatch, raw, message):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["contraction", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_sample_fbm_flags(self, tmp_path):
         out = tmp_path / "fbm"
         code = main(["sample-fbm", "--h", "0.75", "--dt", "0.01", "--steps", "64",
@@ -567,6 +582,20 @@ class TestValidateConfigDirect:
         for name, digest in pinned.items():
             raw = {} if name is None else {"experiment": {"name": name}}
             assert validate_config(raw).config_hash() == digest, name
+
+    def test_size_limit_inclusive_and_listed_with_other_violations(self, monkeypatch):
+        # the default grid has 3501 nodes and 33 sites; solver.dt 0.005 refines it to 7001
+        raw = {"solver": {"dt": 0.005}}
+        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 7001 * 33)
+        validate_config(raw)
+        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 7001 * 33 - 1)
+        with pytest.raises(ConfigError) as err:
+            validate_config({**raw, "lattice": {"coupling": -1.0}})
+        assert err.value.violations == [
+            "lattice.coupling: must be a finite number > 0, got -1.0",
+            "solver.dt: a sub-stepped noise array of 7.00e+3 nodes x 33 sites exceeds "
+            "the limit of 231032 values",
+        ]
 
     def test_hash_changes_with_content(self):
         assert validate_config({}).config_hash() != validate_config(

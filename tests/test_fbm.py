@@ -16,6 +16,18 @@ from fraclattice.noise import NoiseField, build_noise_field, shift_noise
 H_REF = HurstParameter(0.5, reference_mode=True)
 
 
+@pytest.fixture
+def forced_bad_embedding(monkeypatch):
+    """A negative tolerance, so every embedding fails the guard.
+
+    No admissible (h, n) produces a bad embedding.  The eigenvalue cache
+    is keyed on (n, h) alone, so it is cleared to make every call meet
+    the forced tolerance.
+    """
+    monkeypatch.setattr(fbm, "EIGENVALUE_TOL", -1.0)
+    fbm._fgn_eigenvalues.cache_clear()
+
+
 class TestHurstParameter:
     def test_standard_range(self):
         HurstParameter(0.75)
@@ -80,12 +92,39 @@ class TestSampling:
     def test_anchored_at_zero(self):
         assert sample_fbm_array(1, 64, 0.8, 0.1, seed=1)[0, 0] == 0.0
 
-    def test_embedding_guard_fires(self, monkeypatch):
-        # no admissible (h, n) produces a bad embedding, so force the
-        # tolerance negative to exercise the guard
-        monkeypatch.setattr(fbm, "EIGENVALUE_TOL", -1.0)
+    def test_embedding_guard_fires(self, forced_bad_embedding):
         with pytest.raises(EmbeddingError):
             sample_fbm_array(1, 64, 0.75, 0.01, seed=3)
+
+    def test_embedding_error_raised_on_every_call(self, forced_bad_embedding):
+        # the eigenvalue cache keeps returned values only, never a raised error
+        grid = TimeGrid(dt=0.01, n_steps=64, i_start=-32)
+        for _ in range(3):
+            with pytest.raises(EmbeddingError):
+                fbm._fgn_eigenvalues(64, 0.75)
+            with pytest.raises(EmbeddingError):
+                build_noise_field(all_sites_params(2), grid, 3)
+        assert fbm._fgn_eigenvalues.cache_info().currsize == 0
+
+    def test_cached_eigenvalues_read_only_and_equal_to_fresh(self):
+        fbm._fgn_eigenvalues.cache_clear()
+        first = fbm._fgn_eigenvalues(300, 0.7)
+        cached = fbm._fgn_eigenvalues(300, 0.7)
+        assert cached is first
+        assert fbm._fgn_eigenvalues.cache_info().hits == 1
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+        assert np.array_equal(cached, fbm._fgn_eigenvalues.__wrapped__(300, 0.7))
+
+    def test_one_eigenvalue_computation_per_field(self):
+        # d = 41 at 2000 steps spans six blocks of sites
+        fbm._fgn_eigenvalues.cache_clear()
+        grid = TimeGrid(dt=0.01, n_steps=2000, i_start=-1000)
+        build_noise_field(all_sites_params(20), grid, 5)
+        build_noise_field(all_sites_params(20), grid, 6)
+        info = fbm._fgn_eigenvalues.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_embedding_eigenvalues_nonnegative_across_h(self):
         for h in (0.55, 0.65, 0.75, 0.85, 0.95):

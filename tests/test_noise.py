@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fraclattice import noise
 from fraclattice.errors import InsufficientHorizonError, WindowError
-from fraclattice.fbm import TimeGrid
+from fraclattice.fbm import TimeGrid, sample_fbm_array
 from fraclattice.lattice import LatticeParams, LatticeVector
 from fraclattice.noise import (
     NoiseField,
@@ -26,6 +27,10 @@ def make_params(half_width=4, sigma=None, forcing=None, damping=1.0):
         noise_amp=LatticeVector.from_support(half_width, sigma),
         half_width=half_width,
     )
+
+
+def all_sites(half_width):
+    return {i: 1.0 for i in range(-half_width, half_width + 1)}
 
 
 def site_path(field, i):
@@ -77,11 +82,34 @@ class TestBuildField:
         assert field.at(0.0).norm() == 0.0
 
     def test_widening_truncation_preserves_paths(self):
-        grid = TimeGrid(dt=0.1, n_steps=30, i_start=-10)
-        small = build_noise_field(make_params(4), grid, 11)
-        wide = build_noise_field(make_params(9), grid, 11)
-        for i in noisy_sites(small):
-            assert np.array_equal(site_path(small, i), site_path(wide, i))
+        # in the second case the narrow field fits in one block of sites, the wide one spans four
+        cases = [(TimeGrid(dt=0.1, n_steps=30, i_start=-10), {0: 1.0, 1: 0.5}, 4, 9),
+                 (TimeGrid(dt=0.01, n_steps=2048, i_start=-1024), None, 3, 15)]
+        for grid, sigma, narrow, wider in cases:
+            small = build_noise_field(make_params(narrow, sigma=sigma or all_sites(narrow)),
+                                      grid, 11)
+            wide = build_noise_field(make_params(wider, sigma=sigma or all_sites(wider)),
+                                     grid, 11)
+            assert noisy_sites(small)
+            for i in noisy_sites(small):
+                assert np.array_equal(site_path(small, i), site_path(wide, i))
+        rows = noise._BLOCK_VALUES // (2 * 2048)  # sites per block
+        assert 7 <= rows and 31 > 3 * rows
+
+    def test_blocked_columns_are_one_row_samples(self):
+        # zero-intensity gaps and a negative intensity, over at least three blocks
+        sigma = {i: (-0.4 if i == 6 else 0.3 + 0.01 * i) for i in range(-16, 17) if i % 5}
+        grid = TimeGrid(dt=0.02, n_steps=1500, i_start=-500)
+        f = build_noise_field(make_params(16, sigma=sigma), grid, 123, h=0.7)
+        assert len(sigma) > 2 * (noise._BLOCK_VALUES // (2 * grid.n_steps))
+        k0 = grid.index_of(0.0)
+        for i in range(-16, 17):
+            if i not in sigma:
+                assert not site_path(f, i).any()
+                continue
+            row = sample_fbm_array(1, grid.n_steps, 0.7, grid.dt,
+                                   np.random.SeedSequence(f.seed_scheme[i]))[0]
+            assert np.array_equal(site_path(f, i), row - row[k0])
 
 
 class TestNoiseFieldChecks:
