@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InsufficientHorizonError
 from .fbm import TimeGrid
 from .lattice import LatticeParams, LatticeVector, NonlinearitySpec
-from .noise import NoiseField, shift_noise, stationary_ou
+from .noise import NoiseField, OUProcess, shift_noise, stationary_ou
 from .solver import SolverConfig, _solve, cocycle_map
 
 __all__ = [
@@ -50,6 +50,12 @@ SLOPE_FIT_FLOOR = 1e-12
 #: Discretization cushion factor in pointwise contraction certificates.
 CERT_CUSHION = 5.0
 
+#: Relative slack on the guaranteed rate in the contraction slope test.
+SLOPE_TOL_FACTOR = 0.05
+
+#: Forward-stationarity residuals must stay below this many equilibrium tols.
+STATIONARITY_TOL_FACTOR = 5.0
+
 
 @dataclass(frozen=True)
 class ContractionReport:
@@ -72,12 +78,11 @@ def contraction_experiment(
     params: LatticeParams,
     spec: NonlinearitySpec,
     config: SolverConfig,
-    slope_tol_factor: float = 0.05,
 ) -> ContractionReport:
     """Integrate two starts under one noise path and fit the decay.
 
     Passes when the fitted slope of log distance is at most
-    -damping * (1 - slope_tol_factor) and the pointwise certificate
+    -damping * (1 - SLOPE_TOL_FACTOR) and the pointwise certificate
     |u(t) - w(t)| <= |u0 - w0| e^(-damping t) (1 + 5 dt) holds on every
     node.  Identical starts produce an identically zero distance; the
     report is then flagged degenerate (no slope can be fitted) and does
@@ -101,7 +106,7 @@ def contraction_experiment(
         slope = float(np.polyfit(times[window], np.log(distances[window]), 1)[0])
     else:
         slope = float("nan")
-    slope_ok = bool(slope <= -lam * (1.0 - slope_tol_factor))
+    slope_ok = bool(slope <= -lam * (1.0 - SLOPE_TOL_FACTOR))
     envelope = d0 * np.exp(-lam * times) * (1.0 + CERT_CUSHION * config.dt)
     pointwise_ok = bool((distances <= envelope).all())
     return ContractionReport(
@@ -226,6 +231,8 @@ def random_equilibrium(
     a much smaller explicit step).  Raises ``InsufficientHorizonError``
     when the sampled past cannot support the next doubling.
     """
+    if not initial_horizon > 0:
+        raise ValueError(f"initial_horizon must be > 0, got {initial_horizon!r}")
     if start is None:
         start = LatticeVector.zeros(params.half_width)
     if verify_start is None:
@@ -273,13 +280,12 @@ def forward_stationarity_check(
     spec: NonlinearitySpec,
     config: SolverConfig,
     times,
-    tol_factor: float = 5.0,
 ) -> StationarityReport:
     """Check phi(t, field, eq) against the equilibrium of the shifted noise.
 
     Equilibria on the shifted fields are recomputed at the estimate's own
     horizon, so the residual mixes pullback truncation with solver error;
-    it must stay below tol_factor * tol.
+    it must stay below STATIONARITY_TOL_FACTOR * tol.
     """
     times = np.asarray(sorted(times), dtype=float)
     horizon = equilibrium.horizon
@@ -291,7 +297,7 @@ def forward_stationarity_check(
             LatticeVector.zeros(params.half_width), params, spec, config,
         )
         residuals[j] = float(np.linalg.norm(forward.values - shifted_eq.values))
-    threshold = tol_factor * equilibrium.tol
+    threshold = STATIONARITY_TOL_FACTOR * equilibrium.tol
     return StationarityReport(
         times=times, residuals=residuals, threshold=threshold,
         passed=bool((residuals <= threshold).all()),
@@ -303,56 +309,41 @@ class AbsorbingRadius:
     """1 + int_(-t_past)^0 e^(lam s) |f(ou(s))| ds with its truncation bound."""
 
     value: float
-    t_past: float
     tail_bound: float
-    ou_tail_bound: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
-def absorbing_radius(
-    field: NoiseField,
-    params: LatticeParams,
-    spec: NonlinearitySpec,
-    lam: float | None = None,
-    t_past: float = 10.0,
-    ou_tail_tol: float = 1e-6,
-) -> AbsorbingRadius:
-    """Random absorbing-ball radius around the damped stationary field.
-
-    The integrand |f(ou(s))| uses the stationary damped field computed
-    from the full sampled past; ``t_past`` only truncates the radius
-    quadrature, so deepening it can never shrink the value.  The
-    neglected tail is bounded through the growth claim
-    |f(x)| <= K (1 + |x|^p) and the quadratic noise growth constant, and
-    recorded alongside.
-    """
-    if lam is None:
-        lam = params.damping
-    g = field.grid
-    steps_back = g.steps_of(t_past)
+def _past_window(grid: TimeGrid, t_past: float) -> TimeGrid:
+    """The grid of [-t_past, 0]; raises unless it starts on ``grid``."""
+    steps_back = grid.steps_of(t_past)
     if steps_back < 1:
         raise ValueError("t_past must be at least one grid step")
-    if -steps_back < g.i_start:
+    if -steps_back < grid.i_start:
         raise InsufficientHorizonError(
-            f"t_past {t_past:.3g} exceeds the sampled past {-g.t_start:.3g}"
+            f"t_past {t_past:.3g} exceeds the sampled past {-grid.t_start:.3g}"
         )
-    eval_grid = TimeGrid(dt=g.dt, n_steps=steps_back, i_start=-steps_back)
-    ou = stationary_ou(lam, field, eval_grid=eval_grid, tail_tol=ou_tail_tol)
-    s = eval_grid.times()
-    f_norms = np.linalg.norm(spec.eval_array(ou.values), axis=1)
-    value = 1.0 + float(np.trapezoid(np.exp(lam * s) * f_norms, dx=g.dt))
+    return TimeGrid(dt=grid.dt, n_steps=steps_back, i_start=-steps_back)
+
+
+def absorbing_radius(ou: OUProcess, spec: NonlinearitySpec, t_past: float) -> AbsorbingRadius:
+    """Absorbing-ball radius 1 + int_(-t_past)^0 e^(lam s) |f(ou(s))| ds.
+
+    Reads the rows of the stationary damped field ``ou`` on [-t_past, 0],
+    which its grid must cover, with lam = ``ou.lam``.  Each row comes from
+    the full sampled past, so ``t_past`` only truncates the quadrature and
+    deepening it can never shrink the value.  The neglected tail is bounded
+    through the growth claim |f(x)| <= K (1 + |x|^p) and ``ou.rho``.
+    """
+    window = _past_window(ou.grid, t_past)
+    k0 = ou.grid.index_of(0.0)  # a grid that stops before 0 does not cover the window
+    lam = ou.lam
+    f_norms = np.linalg.norm(spec.eval_array(ou.values[k0 - window.n_steps : k0 + 1]), axis=1)
+    value = 1.0 + float(np.trapezoid(np.exp(lam * window.times()) * f_norms, dx=window.dt))
     # tail of the radius integral, bounded via the growth claim
-    rho = ou.rho
     r = np.linspace(t_past, t_past + 80.0 / lam, 4001)
     tail_integrand = np.exp(-lam * r) * spec.growth_coef * (
-        1.0 + (4.0 * rho * (1.0 + r) ** 2) ** spec.growth_power
+        1.0 + (4.0 * ou.rho * (1.0 + r) ** 2) ** spec.growth_power
     )
-    tail = float(np.trapezoid(tail_integrand, r))
-    return AbsorbingRadius(
-        value=value, t_past=t_past, tail_bound=tail, ou_tail_bound=ou.tail_bound
-    )
+    return AbsorbingRadius(value=value, tail_bound=float(np.trapezoid(tail_integrand, r)))
 
 
 @dataclass(frozen=True)
@@ -365,6 +356,7 @@ class AbsorptionReport:
     margins: np.ndarray
     entry_horizon: float | None
     radius: AbsorbingRadius
+    ou: OUProcess
     passed: bool
 
 
@@ -382,15 +374,18 @@ def absorption_check(
 ) -> AbsorptionReport:
     """Scan horizons for |pullback endpoint| <= |ou(0)| + absorbing radius.
 
+    The ball's centre ou(0) and radius both read one stationary damped
+    field, swept once on [-t_past, 0] and returned as the report's ``ou``.
     Starts live on the radius-``d_radius`` sphere.  The entry horizon is
     the smallest tested T from which the bound holds at T and at every
     larger tested horizon; the report fails when no tested horizon works
     (window too short, or a genuine violation).
     """
     horizons = np.asarray(sorted(horizons), dtype=float)
-    radius = absorbing_radius(field, params, spec, params.damping, t_past, ou_tail_tol)
-    ou0 = stationary_ou(params.damping, field, tail_tol=ou_tail_tol).at(0.0)
-    bound = float(np.linalg.norm(ou0.values)) + radius.value
+    window = _past_window(field.grid, t_past)
+    ou = stationary_ou(params.damping, field, eval_grid=window, tail_tol=ou_tail_tol)
+    radius = absorbing_radius(ou, spec, t_past)
+    bound = float(np.linalg.norm(ou.at(0.0).values)) + radius.value
     starts = sphere_starts(d_radius, n_starts, params.half_width, seed)
     max_norms = np.empty(horizons.size)
     for j, t in enumerate(horizons):
@@ -404,6 +399,6 @@ def absorption_check(
             break
     return AbsorptionReport(
         horizons=horizons, max_norms=max_norms, bound=bound,
-        margins=bound - max_norms, entry_horizon=entry, radius=radius,
+        margins=bound - max_norms, entry_horizon=entry, radius=radius, ou=ou,
         passed=entry is not None,
     )

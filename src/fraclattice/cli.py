@@ -46,9 +46,10 @@ __all__ = ["ExperimentConfig", "RunManifest", "load_config", "run",
 
 ENV_OUTDIR = "FRACLATTICE_OUTDIR"
 
-#: Hard size guard on a config: the most values one (nodes x sites) array
-#: of a run may hold (512 MiB of doubles).  It bounds the noise field on
-#: the noise grid and the noise rows the solver reads on its refined grid.
+#: Hard size guard on a config: the most values one array of a run may
+#: hold (512 MiB of doubles): the noise field, the sub-stepped noise rows,
+#: the circulant of ``sample-fbm``, the pairwise distances of ``pullback``
+#: or the start batch of ``absorb``.
 MAX_GRID_VALUES = 1 << 26
 
 
@@ -344,15 +345,12 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
     if rep.entry_horizon is not None:
         manifest.numbers["entry_horizon"] = rep.entry_horizon
     # radius growth with quadrature depth, for plotting
-    rows = []
-    for frac in (0.25, 0.5, 1.0):
-        tp = max(field.grid.dt, round(frac * t_past / field.grid.dt) * field.grid.dt)
-        r = at.absorbing_radius(field, cfg.params, cfg.spec, cfg.params.damping,
-                                tp, float(opts["ou_tail_tol"]))
-        rows.append((float(tp), float(r.value), float(r.tail_bound)))
+    dt = field.grid.dt
+    depths = [max(dt, round(frac * t_past / dt) * dt) for frac in (0.25, 0.5, 1.0)]
+    radii = [at.absorbing_radius(rep.ou, cfg.spec, tp) for tp in depths]
     manifest.artifacts.append(_write_csv(
         out / "absorbing_radius.csv", ["t_past", "radius", "tail_bound"],
-        _columns(*zip(*rows)),
+        _columns(depths, [r.value for r in radii], [r.tail_bound for r in radii]),
     ))
 
 
@@ -515,11 +513,11 @@ def _checked(violations: list[str], label: str, make, *args, **kwargs):
         return None
 
 
-def _size_check(what: str, nodes: int, sites: int) -> None:
-    """Raise ValueError if a (nodes x sites) array exceeds ``MAX_GRID_VALUES``."""
-    if nodes * sites > MAX_GRID_VALUES:
-        raise ValueError(f"a {what} of {Decimal(nodes):.3g} nodes x {sites} sites exceeds "
-                         f"the limit of {MAX_GRID_VALUES} values")
+def _size_check(what: str, rows: int, unit: str, sites: int | None = None) -> None:
+    """Raise ValueError if ``rows`` (times ``sites``) values exceed ``MAX_GRID_VALUES``."""
+    if rows * (sites or 1) > MAX_GRID_VALUES:
+        shape = f"{Decimal(rows):.3g} {unit}" + (f" x {sites} sites" if sites else "")
+        raise ValueError(f"a {what} of {shape} exceeds the limit of {MAX_GRID_VALUES} values")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -573,12 +571,21 @@ def validate_config(raw: dict) -> ExperimentConfig:
                                      scheme=sv.Scheme(values["solver.scheme"]))
         if grid is not None:
             refinement = _checked(violations, "solver.dt", solver_cfg.refinement, grid.dt)
-    if grid is not None and passed("lattice.half_width"):
-        sites = 2 * half_width + 1
-        _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, sites)
+    sites = 2 * half_width + 1 if passed("lattice.half_width") else None
+    if grid is not None and sites is not None:
+        _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, "nodes", sites)
         if refinement is not None and refinement > 1:
             _checked(violations, "solver.dt", _size_check, "sub-stepped noise array",
-                     refinement * grid.n_steps + 1, sites)
+                     refinement * grid.n_steps + 1, "nodes", sites)
+    if name == "sample-fbm" and passed("experiment.n_steps"):
+        _checked(violations, "experiment.n_steps", _size_check, "circulant",
+                 2 * values["experiment.n_steps"], "values")
+    if name == "pullback" and sites is not None and passed("experiment.n_starts"):
+        _checked(violations, "experiment.n_starts", _size_check, "pairwise-distance array",
+                 values["experiment.n_starts"] ** 2, "start pairs", sites)
+    if name == "absorb" and sites is not None and passed("experiment.n_starts"):
+        _checked(violations, "experiment.n_starts", _size_check, "start batch",
+                 values["experiment.n_starts"], "starts", sites)
 
     if violations:
         raise ConfigError(violations)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraclattice.attractor import (
     absorbing_radius,
@@ -10,7 +13,8 @@ from fraclattice.attractor import (
     random_equilibrium,
     sphere_starts,
 )
-from fraclattice.errors import InsufficientHorizonError
+from fraclattice.cli import validate_config
+from fraclattice.errors import InsufficientHorizonError, WindowError
 from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import (
     Boundary,
@@ -19,7 +23,7 @@ from fraclattice.lattice import (
     NonlinearitySpec,
     laplacian_modes,
 )
-from fraclattice.noise import build_noise_field
+from fraclattice.noise import build_noise_field, stationary_ou
 from fraclattice.solver import SolverConfig, integrate
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
@@ -54,6 +58,13 @@ def zero_field():
 
 
 CFG = SolverConfig(dt=DT, t_end=5.0)
+
+
+def ou_on(field, t_from, t_to, tail_tol):
+    """The stationary damped field (damping 1) on the nodes of [t_from, t_to]."""
+    i_start = round(t_from / DT)
+    grid = TimeGrid(dt=DT, n_steps=round(t_to / DT) - i_start, i_start=i_start)
+    return stationary_ou(1.0, field, eval_grid=grid, tail_tol=tail_tol)
 
 
 class TestContraction:
@@ -161,6 +172,12 @@ class TestRandomEquilibrium:
         assert gap <= 2e-6
         assert eq1.cauchy_gap <= 1e-6 and eq1.start_gap <= 2e-6
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_nonpositive_initial_horizon_raises(self, field, horizon):
+        # at 0 every pullback returns the start and t never doubles away from 0
+        with pytest.raises(ValueError, match="initial_horizon must be > 0"):
+            random_equilibrium(field, make_params(), CUBIC, CFG, initial_horizon=horizon)
+
     def test_horizon_exhaustion_raises(self):
         grid = TimeGrid(dt=DT, n_steps=round(3 / DT), i_start=-round(2 / DT))
         f = build_noise_field(make_params(), grid, 3)
@@ -199,24 +216,46 @@ class TestForwardStationarity:
 
 class TestAbsorbingRadius:
     def test_zero_field_zero_forcing_is_exactly_one(self, zero_field):
-        params = make_params(sigma={}, forcing={})
-        rad = absorbing_radius(zero_field, params, CUBIC, t_past=2.0, ou_tail_tol=1.0)
+        rad = absorbing_radius(ou_on(zero_field, -2.0, 0.0, 1.0), CUBIC, t_past=2.0)
         assert rad.value == 1.0
 
     def test_at_least_one_and_monotone_in_depth(self, field):
-        params = make_params()
-        shallow = absorbing_radius(field, params, CUBIC, t_past=2.0, ou_tail_tol=1e-2)
-        deep = absorbing_radius(field, params, CUBIC, t_past=4.0, ou_tail_tol=1e-2)
+        shallow = absorbing_radius(ou_on(field, -2.0, 0.0, 1e-2), CUBIC, t_past=2.0)
+        deep_ou = ou_on(field, -4.0, 0.0, 1e-2)
+        deep = absorbing_radius(deep_ou, CUBIC, t_past=4.0)
         assert shallow.value >= 1.0
         assert deep.value + 1e-12 >= shallow.value
         assert abs(deep.value - shallow.value) <= shallow.tail_bound
+        # the shallow window read off the deeper field is the same rows
+        assert absorbing_radius(deep_ou, CUBIC, t_past=2.0) == shallow
 
     def test_demands_enough_past(self, field):
-        with pytest.raises(InsufficientHorizonError):
-            absorbing_radius(field, make_params(), CUBIC, t_past=100.0)
+        with pytest.raises(InsufficientHorizonError, match="exceeds the sampled past 24"):
+            absorption_check(10.0, field, make_params(), CUBIC, CFG, horizons=[1.0],
+                             t_past=100.0)
+
+    def test_rejects_ou_not_covering_window(self, field):
+        with pytest.raises(InsufficientHorizonError, match="exceeds the sampled past 2"):
+            absorbing_radius(ou_on(field, -2.0, 0.0, 1e-2), CUBIC, t_past=4.0)
+        # a grid that stops before 0 must not be read as if it reached it
+        with pytest.raises(WindowError):
+            absorbing_radius(ou_on(field, -10.0, -2.0, 1e-2), CUBIC, t_past=2.0)
+
+    def test_under_one_step_raises(self, field):
+        with pytest.raises(ValueError, match="at least one grid step"):
+            absorbing_radius(ou_on(field, -2.0, 0.0, 1e-2), CUBIC, t_past=0.0)
 
 
 class TestAbsorption:
+    def test_one_sweep_reads_centre_and_radius(self, field, sweep_calls):
+        rep = absorption_check(10.0, field, make_params(), CUBIC, CFG, horizons=[1.0],
+                               t_past=4.0, ou_tail_tol=1e-2)
+        assert len(sweep_calls) == 1
+        assert rep.ou.grid == TimeGrid(dt=DT, n_steps=400, i_start=-400)
+        assert rep.radius == absorbing_radius(rep.ou, CUBIC, t_past=4.0)
+        assert rep.bound == float(np.linalg.norm(rep.ou.at(0.0).values)) + rep.radius.value
+        assert len(sweep_calls) == 1
+
     def test_bound_holds_from_entry_horizon(self, field):
         params = make_params()
         rep = absorption_check(10.0, field, params, CUBIC, CFG,
@@ -240,3 +279,47 @@ class TestAbsorption:
             entries.append(rep.entry_horizon)
         assert entries == sorted(entries)
         assert entries[0] < entries[-1]
+
+
+class TestAbsorptionOverConfigs:
+    DT = 0.02
+    TAIL_TOL = 1e-6
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
+           boundary=st.sampled_from([b.value for b in Boundary]),
+           kind=st.sampled_from(["cubic", "linear"]),
+           a=st.floats(0.0, 2.0, exclude_min=True), b=st.floats(0.0, 2.0, exclude_min=True),
+           hurst=st.floats(0.5, 0.95, exclude_min=True, exclude_max=True),
+           half_width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           shallow_steps=st.integers(1, 100), extra_steps=st.integers(0, 100))
+    def test_radius_and_bound_read_off_one_field(self, coupling, damping, boundary, kind,
+                                                 a, b, hurst, half_width, seed,
+                                                 shallow_steps, extra_steps):
+        dt = self.DT
+        t_past = (shallow_steps + extra_steps) * dt
+        # the shortest whole past that passes the OU tail check at this damping
+        ou_past = 1.0
+        while math.exp(-damping * ou_past) * (1.0 + ou_past) ** 2 > self.TAIL_TOL:
+            ou_past += 1.0
+        cfg = validate_config({
+            "hurst": hurst,
+            "lattice": {"coupling": coupling, "damping": damping, "half_width": half_width,
+                        "boundary": boundary},
+            "nonlinearity": {"kind": kind, "a": a, "b": b},
+            "solver": {"dt": dt, "t_end": 0.5},
+            "grid": {"dt": dt, "t_past": ou_past + t_past, "t_future": 0.5},
+            "experiment": {"name": "absorb", "d_radius": 1.0, "horizons": [0.5],
+                           "n_starts": 2, "t_past": t_past, "ou_tail_tol": self.TAIL_TOL},
+            "master_seed": seed,
+        })
+        field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
+        opts = cfg.options
+        rep = absorption_check(opts["d_radius"], field, cfg.params, cfg.spec, cfg.solver,
+                               opts["horizons"], n_starts=opts["n_starts"], seed=seed,
+                               t_past=t_past, ou_tail_tol=opts["ou_tail_tol"])
+        shallow = absorbing_radius(rep.ou, cfg.spec, shallow_steps * dt)
+        assert rep.radius.value >= 1.0
+        assert rep.radius.value + 1e-12 >= shallow.value
+        assert rep.radius == absorbing_radius(rep.ou, cfg.spec, t_past)
+        assert rep.bound == float(np.linalg.norm(rep.ou.at(0.0).values)) + rep.radius.value

@@ -307,6 +307,13 @@ class TestRun:
         assert manifest.all_passed
         assert manifest.numbers["absorbing_radius"] >= 1.0
 
+    def test_absorb_run_sweeps_the_field_once(self, tmp_path, sweep_calls):
+        # the centre, the radius and the radius table all read one stationary field
+        manifest = run(validate_config({"experiment": {"name": "absorb"},
+                                        "output_dir": str(tmp_path / "out")}))
+        assert manifest.error is None
+        assert len(sweep_calls) == 1
+
 
 class TestMain:
     def test_exit_zero_on_pass(self, tmp_path, capsys):
@@ -401,18 +408,29 @@ class TestMain:
         assert capsys.readouterr().err == "config error: grid: expected an object\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("raw, message", [
-        ({"solver": {"dt": 1e-300}},
+    @pytest.mark.parametrize("command, raw, message", [
+        ("contraction", {"solver": {"dt": 1e-300}},
          "solver.dt: a sub-stepped noise array of 3.50e+301 nodes x 33 sites exceeds "
          "the limit of 67108864 values"),
-        ({"grid": {"dt": 1e-7}, "solver": {"dt": 1e-7}},
+        ("contraction", {"grid": {"dt": 1e-7}, "solver": {"dt": 1e-7}},
          "grid: a noise field of 3.50e+8 nodes x 33 sites exceeds the limit of 67108864 values"),
-    ], ids=["solver-refinement", "noise-field"])
-    def test_exit_two_on_oversized_run(self, tmp_path, capsys, monkeypatch, raw, message):
+        ("sample-fbm", {"experiment": {"name": "sample-fbm", "n_steps": 10**12}},
+         "experiment.n_steps: a circulant of 2.00e+12 values exceeds the limit of "
+         "67108864 values"),
+        ("pullback", {"experiment": {"name": "pullback", "n_starts": 10**7}},
+         "experiment.n_starts: a pairwise-distance array of 1.00e+14 start pairs x 33 sites "
+         "exceeds the limit of 67108864 values"),
+        ("absorb", {"experiment": {"name": "absorb", "n_starts": 10**7}},
+         "experiment.n_starts: a start batch of 1.00e+7 starts x 33 sites exceeds the limit "
+         "of 67108864 values"),
+    ], ids=["solver-refinement", "noise-field", "fbm-circulant", "pullback-distances",
+            "absorb-starts"])
+    def test_exit_two_on_oversized_run(self, tmp_path, capsys, monkeypatch, command, raw,
+                                       message):
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        assert main(["contraction", "--config", str(path)]) == 2
+        assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(tmp_path.iterdir()) == [path]
 
@@ -584,18 +602,25 @@ class TestValidateConfigDirect:
             assert validate_config(raw).config_hash() == digest, name
 
     def test_size_limit_inclusive_and_listed_with_other_violations(self, monkeypatch):
-        # the default grid has 3501 nodes and 33 sites; solver.dt 0.005 refines it to 7001
-        raw = {"solver": {"dt": 0.005}}
-        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 7001 * 33)
-        validate_config(raw)
-        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 7001 * 33 - 1)
-        with pytest.raises(ConfigError) as err:
-            validate_config({**raw, "lattice": {"coupling": -1.0}})
-        assert err.value.violations == [
-            "lattice.coupling: must be a finite number > 0, got -1.0",
-            "solver.dt: a sub-stepped noise array of 7.00e+3 nodes x 33 sites exceeds "
-            "the limit of 231032 values",
+        cases = [
+            # the default grid has 3501 nodes and 33 sites; solver.dt 0.005 refines it to 7001
+            ({"solver": {"dt": 0.005}}, 7001 * 33,
+             "solver.dt: a sub-stepped noise array of 7.00e+3 nodes x 33 sites exceeds "
+             "the limit of 231032 values"),
+            # 60 starts make 3600 pairs, more values than the 3501-node noise field
+            ({"experiment": {"name": "pullback", "n_starts": 60}}, 3600 * 33,
+             "experiment.n_starts: a pairwise-distance array of 3.60e+3 start pairs x 33 "
+             "sites exceeds the limit of 118799 values"),
         ]
+        for raw, limit, message in cases:
+            monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", limit)
+            validate_config(raw)
+            monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", limit - 1)
+            with pytest.raises(ConfigError) as err:
+                validate_config({**raw, "lattice": {"coupling": -1.0}})
+            assert err.value.violations == [
+                "lattice.coupling: must be a finite number > 0, got -1.0", message,
+            ]
 
     def test_hash_changes_with_content(self):
         assert validate_config({}).config_hash() != validate_config(
