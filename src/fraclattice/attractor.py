@@ -18,7 +18,7 @@ that desk-scale surrogate is the only notion of "bounded set" used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import InsufficientHorizonError
 from .fbm import TimeGrid
 from .lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from .noise import NoiseField, OUProcess, shift_noise, stationary_ou
-from .solver import SolverConfig, _solve, cocycle_map
+from .solver import SolverConfig, _solve, _start_values, _step_loop
 
 __all__ = [
     "ContractionReport",
@@ -55,6 +55,10 @@ SLOPE_TOL_FACTOR = 0.05
 
 #: Forward-stationarity residuals must stay below this many equilibrium tols.
 STATIONARITY_TOL_FACTOR = 5.0
+
+#: Noise values one ``_step_loop`` call of the pullback ladder reads at most,
+#: so the noise block does not grow with the number of horizons.
+_LADDER_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -131,12 +135,70 @@ def sphere_starts(
     return radius * pts / norms
 
 
+def _pullback_ladder(
+    horizons, field: NoiseField, starts: LatticeVector | np.ndarray,
+    params: LatticeParams, spec: NonlinearitySpec, config: SolverConfig,
+) -> np.ndarray:
+    """phi(T, shift_(-T) field, starts) for every T in ``horizons``, in their order.
+
+    One staggered batch steps from -max T to 0: the rows of horizon T
+    join at -T, and each row reads its own noise (omega(s) - omega(-T)) sigma
+    on the nodes its single run reads, so every row equals
+    ``cocycle_map(T, shift_noise(field, -T), starts, ...)`` bit for bit
+    and T = 0 gives the starts untouched.  Horizons that read the same
+    noise step once.  Every horizon is checked before any step, smallest
+    first, as its single run checks it; a blow-up reports its time from
+    -max T.  Returns shape ``(len(horizons),) + starts' shape``.
+    """
+    x0 = _start_values(starts, field, params)
+    grid = field.grid
+    runs = {}  # horizon -> (noise node of -T, solver steps), None for phi(0)
+    for t in sorted({float(t) for t in horizons}):
+        grid.steps_of(-t)  # raises for a horizon off the noise grid
+        j = grid.index_of(-t)  # raises WindowError beyond the sampled past
+        n = replace(config, t_end=t).n_steps() if t != 0 else 0
+        runs[t] = (j, n) if n else None
+    rows = sorted({r for r in runs.values() if r}, key=lambda r: -r[1])
+    out = np.empty((len(horizons),) + x0.shape)
+    if rows:
+        ends = _ladder_ends(rows, field, x0.reshape(-1, params.n_sites), params, spec, config)
+    for i, t in enumerate(horizons):
+        r = runs[float(t)]
+        out[i] = x0 if r is None else ends[rows.index(r)].reshape(x0.shape)
+    return out
+
+
+def _ladder_ends(rows, field, x, params, spec, config) -> np.ndarray:
+    """Endpoints (rows, n_starts, d) of the (noise node, steps) rows, longest first."""
+    m = config.refinement(field.grid.dt)
+    j = np.array([r[0] for r in rows])
+    n_max = rows[0][1]
+    joins = n_max - np.array([r[1] for r in rows])  # global step at which a row starts
+    bounds = sorted(set(joins.tolist())) + [n_max]
+    v = np.empty((0,) + x.shape)
+    for a, b in zip(bounds, bounds[1:]):
+        r = int(np.searchsorted(joins, a, side="right"))  # rows active from step a
+        block = max(1, _LADDER_BLOCK_VALUES // (r * x.shape[-1]))
+        for c in range(a, b, block):
+            local = np.arange(c, min(b, c + block) + 1)[:, None] - joins[:r]
+            # the single run's noise rows: (omega - omega(-T))[idx] * sigma
+            w = field.paths[j[:r] + (2 * local + m) // (2 * m)] - field.paths[j[:r]]
+            w *= field.sigma.values
+            w = w[:, :, None, :]
+            if c == a:  # the rows joining here start from x - w[0], as v0
+                v = np.concatenate([v, x - w[0, len(v):]])
+            v = _step_loop(v, w, params, spec, config, collect=False, first_step=c)
+    v += w[-1]
+    return v
+
+
 def _pullback(
     t: float, field: NoiseField, starts: LatticeVector | np.ndarray,
     params: LatticeParams, spec: NonlinearitySpec, config: SolverConfig,
 ) -> LatticeVector | np.ndarray:
-    """phi(t, shift_(-t) field, starts): the pullback observation at time 0."""
-    return cocycle_map(t, shift_noise(field, -t), starts, params, spec, config)
+    """phi(t, shift_(-t) field, starts) at time 0: the one-horizon ladder."""
+    end = _pullback_ladder([t], field, starts, params, spec, config)[0]
+    return LatticeVector(end) if isinstance(starts, LatticeVector) else end
 
 
 def _diameter(points: np.ndarray) -> float:
@@ -174,7 +236,8 @@ def pullback_experiment(
 
     For horizon T the ensemble integrates over [0, T] against the noise
     shifted T into the past, so every endpoint is an observation at
-    absolute time zero.  Passes when each ensemble diameter is at most
+    absolute time zero; all horizons step as one staggered batch.  Passes
+    when each ensemble diameter is at most
     diameter(0) * e^(-damping T) * (1 + 5 dt T).  When an equilibrium
     estimate is supplied, the one-sided Hausdorff distance of each
     endpoint cloud to it is reported as well.
@@ -183,15 +246,14 @@ def pullback_experiment(
     starts = sphere_starts(radius, n_starts, params.half_width, seed)
     d0 = _diameter(starts)
     lam = params.damping
-    diameters = np.empty(horizons.size)
-    hausdorff = np.empty(horizons.size) if equilibrium is not None else None
-    for j, t in enumerate(horizons):
-        ends = _pullback(float(t), field, starts, params, spec, config)
-        diameters[j] = _diameter(ends)
-        if hausdorff is not None:
-            hausdorff[j] = float(
-                np.linalg.norm(ends - equilibrium.values[None, :], axis=1).max()
-            )
+    ends = _pullback_ladder(horizons, field, starts, params, spec, config)
+    diameters = np.array([_diameter(e) for e in ends], dtype=float)
+    hausdorff = None
+    if equilibrium is not None:
+        hausdorff = np.array([
+            float(np.linalg.norm(e - equilibrium.values[None, :], axis=1).max())
+            for e in ends
+        ], dtype=float)
     bounds = d0 * np.exp(-lam * horizons) * (1.0 + CERT_CUSHION * config.dt * horizons)
     passed = bool((diameters <= bounds).all())
     return PullbackReport(
@@ -226,9 +288,10 @@ def random_equilibrium(
     The pullback point from horizon T is compared against horizon 2T and
     T keeps doubling until the gap drops below ``tol``; a second start
     must then land within 2 tol, certifying that the limit does not
-    depend on the start.  The default second start is a radius-10 vector
-    spread across all sites (site-concentrated mass that large would need
-    a much smaller explicit step).  Raises ``InsufficientHorizonError``
+    depend on the start.  Both starts are pulled back from every doubled
+    horizon as one (2, d) batch.  The default second start is a radius-10
+    vector spread across all sites (site-concentrated mass that large
+    would need a much smaller explicit step).  Raises ``InsufficientHorizonError``
     when the sampled past cannot support the next doubling.
     """
     if not initial_horizon > 0:
@@ -244,16 +307,17 @@ def random_equilibrium(
         raise InsufficientHorizonError(
             f"field past {available:.3g} cannot support initial horizon {t:.3g}"
         )
-    prev = _pullback(t, field, start, params, spec, config)
+    pair = np.stack([_start_values(start, field, params),
+                     _start_values(verify_start, field, params)])
+    prev = _pullback_ladder([t], field, start, params, spec, config)[0]
     while True:
-        cur = _pullback(2.0 * t, field, start, params, spec, config)
-        gap = float(np.linalg.norm(cur.values - prev.values))
+        cur, check = _pullback_ladder([2.0 * t], field, pair, params, spec, config)[0]
+        gap = float(np.linalg.norm(cur - prev))
         if gap <= tol:
-            check = _pullback(2.0 * t, field, verify_start, params, spec, config)
-            start_gap = float(np.linalg.norm(check.values - cur.values))
+            start_gap = float(np.linalg.norm(check - cur))
             if start_gap <= 2.0 * tol:
                 return EquilibriumEstimate(
-                    u0=cur, horizon=2.0 * t, cauchy_gap=gap,
+                    u0=LatticeVector(cur), horizon=2.0 * t, cauchy_gap=gap,
                     start_gap=start_gap, tol=tol,
                 )
         if 4.0 * t > available:
@@ -285,18 +349,23 @@ def forward_stationarity_check(
 
     Equilibria on the shifted fields are recomputed at the estimate's own
     horizon, so the residual mixes pullback truncation with solver error;
-    it must stay below STATIONARITY_TOL_FACTOR * tol.
+    it must stay below STATIONARITY_TOL_FACTOR * tol.  Every forward leg
+    is read off one run to the last time.
     """
     times = np.asarray(sorted(times), dtype=float)
     horizon = equilibrium.horizon
+    steps = [replace(config, t_end=float(t)).n_steps() for t in times]
+    if steps and steps[-1]:
+        states = _solve(equilibrium.u0, field, params, spec,
+                        replace(config, t_end=float(times[-1])))
     residuals = np.empty(times.size)
-    for j, t in enumerate(times):
-        forward = cocycle_map(float(t), field, equilibrium.u0, params, spec, config)
+    for j, (t, n) in enumerate(zip(times, steps)):
         shifted_eq = _pullback(
             horizon, shift_noise(field, float(t)),
             LatticeVector.zeros(params.half_width), params, spec, config,
         )
-        residuals[j] = float(np.linalg.norm(forward.values - shifted_eq.values))
+        leg = states[n] if n else equilibrium.u0.values  # phi(0) is the identity
+        residuals[j] = float(np.linalg.norm(leg - shifted_eq.values))
     threshold = STATIONARITY_TOL_FACTOR * equilibrium.tol
     return StationarityReport(
         times=times, residuals=residuals, threshold=threshold,
@@ -387,10 +456,8 @@ def absorption_check(
     radius = absorbing_radius(ou, spec, t_past)
     bound = float(np.linalg.norm(ou.at(0.0).values)) + radius.value
     starts = sphere_starts(d_radius, n_starts, params.half_width, seed)
-    max_norms = np.empty(horizons.size)
-    for j, t in enumerate(horizons):
-        ends = _pullback(float(t), field, starts, params, spec, config)
-        max_norms[j] = float(np.linalg.norm(ends, axis=1).max())
+    ends = _pullback_ladder(horizons, field, starts, params, spec, config)
+    max_norms = np.array([float(np.linalg.norm(e, axis=1).max()) for e in ends], dtype=float)
     ok = max_norms <= bound
     entry = None
     for j in range(horizons.size):

@@ -22,6 +22,7 @@ on the same identity, evaluated by one O(n) sweep along the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,12 +295,22 @@ class OUProcess(VectorSeries):
     ``past_horizon`` is the depth of past actually integrated for the
     first evaluation node; ``tail_bound`` the recorded bound
     e^(-lam*horizon) * 4 * rho * (1 + horizon)^2 on the truncation error.
+    ``lam`` must be finite and > 0, the other three finite and >= 0.
     """
 
     lam: float = 0.0
     past_horizon: float = 0.0
     tail_bound: float = 0.0
     rho: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be a finite number > 0, got {self.lam!r}")
+        for name in ("past_horizon", "tail_bound", "rho"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def ou_solution(

@@ -181,13 +181,15 @@ def _step_loop(
     spec: NonlinearitySpec,
     config: SolverConfig,
     collect: bool,
+    first_step: int = 0,
 ) -> np.ndarray:
-    """Advance v over all solver nodes; v0 is (..., d), w is (nodes, d).
+    """Advance v over all solver nodes; v0 is (..., d), w is (nodes, ..., d).
 
     Every stage writes into buffers allocated once per run.  The state
     norm is checked once per step; only when that check fails does the
     run decide between a non-finite f (``NonlinearityOverflowError``)
-    and a blow-up.
+    and a blow-up, whose time counts ``first_step`` steps already taken
+    by the run this call continues.
     """
     dt, half_dt = config.dt, 0.5 * config.dt
     heun = config.scheme is Scheme.HEUN
@@ -222,7 +224,7 @@ def _step_loop(
                 if not (np.isfinite(fx0).all() and np.isfinite(fx1).all()):
                     raise _overflow(spec)
                 raise BlowUpError(
-                    f"|v| exceeded {BLOWUP_NORM:.0e} at t={(k + 1) * dt:.6g}; "
+                    f"|v| exceeded {BLOWUP_NORM:.0e} at t={(first_step + k + 1) * dt:.6g}; "
                     "check dissipativity or reduce dt"
                 )
     return states if collect else v

@@ -32,7 +32,6 @@ from fraclattice.lattice import (
 from fraclattice.noise import (
     build_noise_field,
     coarsen_noise,
-    noise_growth_constant,
     stationary_ou,
 )
 from fraclattice.solver import SolverConfig, cocycle_check, integrate, linear_oracle
@@ -336,7 +335,7 @@ def test_criterion_09_ou_stationarity():
         for r in range(2000):
             f = build_noise_field(params, grid, 90000 + r)
             ou = stationary_ou(1.0, f)
-            rho = noise_growth_constant(f)
+            rho = ou.rho
             times = ou.grid.times()
             growth_ok &= bool(
                 (ou.norms() <= 4.0 * rho * (1.0 + np.abs(times)) ** 2 + 1e-12).all()

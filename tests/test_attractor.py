@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraclattice import attractor
 from fraclattice.attractor import (
+    _pullback_ladder,
     absorbing_radius,
     absorption_check,
     contraction_experiment,
@@ -14,7 +16,7 @@ from fraclattice.attractor import (
     sphere_starts,
 )
 from fraclattice.cli import validate_config
-from fraclattice.errors import InsufficientHorizonError, WindowError
+from fraclattice.errors import BlowUpError, InsufficientHorizonError, WindowError
 from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import (
     Boundary,
@@ -23,8 +25,8 @@ from fraclattice.lattice import (
     NonlinearitySpec,
     laplacian_modes,
 )
-from fraclattice.noise import build_noise_field, stationary_ou
-from fraclattice.solver import SolverConfig, integrate
+from fraclattice.noise import build_noise_field, shift_noise, stationary_ou
+from fraclattice.solver import Scheme, SolverConfig, cocycle_map, integrate
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)
@@ -58,6 +60,35 @@ def zero_field():
 
 
 CFG = SolverConfig(dt=DT, t_end=5.0)
+
+
+def assert_bits_equal(a, b):
+    """Equal arrays down to the sign of zero."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def single_pullback(t, field, starts, params, spec, config):
+    """The per-horizon reference: phi(t, shift_(-t) field, starts)."""
+    end = cocycle_map(t, shift_noise(field, -t), starts, params, spec, config)
+    return end.values if isinstance(end, LatticeVector) else end
+
+
+def sequential_equilibrium(field, params, spec, config, tol, start, verify_start):
+    """random_equilibrium's doubling with one single run per start and horizon."""
+    t = 1.0
+    prev = single_pullback(t, field, start, params, spec, config)
+    while True:
+        cur = single_pullback(2 * t, field, start, params, spec, config)
+        gap = float(np.linalg.norm(cur - prev))
+        if gap <= tol:
+            check = single_pullback(2 * t, field, verify_start, params, spec, config)
+            start_gap = float(np.linalg.norm(check - cur))
+            if start_gap <= 2 * tol:
+                return cur, 2 * t, gap, start_gap
+        t *= 2
+        prev = cur
 
 
 def ou_on(field, t_from, t_to, tail_tol):
@@ -143,6 +174,79 @@ class TestPullback:
         assert rep.hausdorff[-1] <= 1e-5
 
 
+class TestPullbackLadder:
+    # 0 (the identity), 0.37 (37 noise nodes, odd), a duplicate 1.0, unsorted
+    HORIZONS = [1.0, 0.0, 0.37, 2.0, 1.0]
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rows_equal_single_runs(self, field, boundary, scheme, m):
+        params = make_params(boundary=boundary)
+        cfg = SolverConfig(dt=DT / m, t_end=1.0, scheme=scheme)
+        starts = sphere_starts(3.0, 3, N, seed=4)
+        starts[0, :5] = -0.0  # phi(0) must hand back the sign of zero
+        ends = _pullback_ladder(self.HORIZONS, field, starts, params, CUBIC, cfg)
+        assert ends.shape == (len(self.HORIZONS),) + starts.shape
+        for t, end in zip(self.HORIZONS, ends):
+            assert_bits_equal(end, single_pullback(t, field, starts, params, CUBIC, cfg))
+        assert_bits_equal(ends[1], starts)
+        one = LatticeVector(starts[0])
+        rows = _pullback_ladder(self.HORIZONS, field, one, params, CUBIC, cfg)
+        for t, end in zip(self.HORIZONS, rows):
+            assert_bits_equal(end, single_pullback(t, field, one, params, CUBIC, cfg))
+
+    def test_one_step_loop_per_segment(self, field, monkeypatch):
+        # horizons 1, 2, 4, 8 step 400 + 200 + 100 + 100 = 800 times, 16 to 64 rows wide
+        calls, step_loop = [], attractor._step_loop
+
+        def counted(v0, w, *args, **kwargs):
+            calls.append((v0.shape, w.shape[0] - 1))
+            return step_loop(v0, w, *args, **kwargs)
+
+        monkeypatch.setattr(attractor, "_step_loop", counted)
+        pullback_experiment(10.0, 16, field, make_params(), CUBIC, CFG,
+                            horizons=[8, 4, 2, 1], seed=5)
+        d = 2 * N + 1
+        assert calls == [((1, 16, d), 400), ((2, 16, d), 200), ((3, 16, d), 100),
+                         ((4, 16, d), 100)]
+
+    def test_blocks_bound_noise_rows(self, field, monkeypatch):
+        # more blocks change nothing but how many steps one call takes
+        ref = _pullback_ladder([0.5, 1.0], field, sphere_starts(2.0, 2, N, 1),
+                               make_params(), CUBIC, CFG)
+        monkeypatch.setattr(attractor, "_LADDER_BLOCK_VALUES", 7 * (2 * N + 1))
+        ends = _pullback_ladder([0.5, 1.0], field, sphere_starts(2.0, 2, N, 1),
+                                make_params(), CUBIC, CFG)
+        assert_bits_equal(ends, ref)
+
+    def test_smallest_horizon_beyond_past_named(self, field):
+        starts = sphere_starts(1.0, 2, N, seed=1)
+        with pytest.raises(WindowError) as single:
+            shift_noise(field, -26.0)
+        with pytest.raises(WindowError) as ladder:
+            _pullback_ladder([1.0, 30.0, 26.0], field, starts, make_params(), CUBIC, CFG)
+        assert str(ladder.value) == str(single.value)
+        with pytest.raises(WindowError) as pullback:
+            pullback_experiment(1.0, 2, field, make_params(), CUBIC, CFG,
+                                horizons=[1.0, 30.0, 26.0])
+        with pytest.raises(WindowError) as absorption:
+            absorption_check(1.0, field, make_params(), CUBIC, CFG,
+                             horizons=[1.0, 30.0, 26.0], n_starts=2, t_past=2.0,
+                             ou_tail_tol=1.0)
+        assert str(pullback.value) == str(absorption.value) == str(single.value)
+
+    def test_blow_up_time_counts_from_run_start(self, field):
+        # the 1.0 row steps alone for one step, then blows up at its third
+        start = LatticeVector.from_support(N, {0: 15.0})
+        with pytest.raises(BlowUpError) as single:
+            single_pullback(1.0, field, start, make_params(), CUBIC, CFG)
+        assert "t=0.03;" in str(single.value)
+        with pytest.raises(BlowUpError) as ladder:
+            _pullback_ladder([0.99, 1.0], field, start, make_params(), CUBIC, CFG)
+        assert str(ladder.value) == str(single.value)
+
+
 class TestRandomEquilibrium:
     def test_zero_field_zero_forcing_gives_origin(self, zero_field):
         eq = random_equilibrium(zero_field, make_params(sigma={}, forcing={}),
@@ -172,6 +276,28 @@ class TestRandomEquilibrium:
         assert gap <= 2e-6
         assert eq1.cauchy_gap <= 1e-6 and eq1.start_gap <= 2e-6
 
+    @pytest.mark.parametrize("starts", [
+        (None, None), ({2: 10.0}, {-1: -7.0}), ({0: -0.0}, {N: 4.0, -N: -4.0})])
+    def test_matches_sequential_reference(self, field, starts):
+        params = make_params()
+        start, verify = (None if s is None else LatticeVector.from_support(N, s)
+                         for s in starts)
+        eq = random_equilibrium(field, params, CUBIC, CFG, tol=1e-6, start=start,
+                                verify_start=verify)
+        if start is None:
+            signs = np.where(np.arange(2 * N + 1) % 2 == 0, 1.0, -1.0)
+            start = LatticeVector.zeros(N)
+            verify = LatticeVector(10.0 * signs / np.sqrt(2 * N + 1))
+        u0, horizon, gap, start_gap = sequential_equilibrium(
+            field, params, CUBIC, CFG, 1e-6, start, verify)
+        assert_bits_equal(eq.u0.values, u0)
+        assert (eq.horizon, eq.cauchy_gap, eq.start_gap) == (horizon, gap, start_gap)
+
+    def test_verify_start_width_checked(self, field):
+        with pytest.raises(ValueError, match="widths differ"):
+            random_equilibrium(field, make_params(), CUBIC, CFG,
+                               verify_start=LatticeVector.zeros(N + 1))
+
     @pytest.mark.parametrize("horizon", [0.0, -1.0])
     def test_nonpositive_initial_horizon_raises(self, field, horizon):
         # at 0 every pullback returns the start and t never doubles away from 0
@@ -192,6 +318,23 @@ class TestForwardStationarity:
         rep = forward_stationarity_check(eq, field, params, CUBIC, CFG, times=[1.0, 2.0])
         assert rep.passed
         assert (rep.residuals <= 5e-6).all()
+
+    def test_residuals_equal_one_run_per_time(self, field):
+        # the forward legs read off one run equal one cocycle_map per time
+        params = make_params()
+        cfg = SolverConfig(dt=DT / 2, t_end=1.0)
+        eq = random_equilibrium(field, params, CUBIC, cfg, tol=1e-4)
+        times = [0.0, 0.37, 1.0, 2.0]
+        rep = forward_stationarity_check(eq, field, params, CUBIC, cfg, times=times)
+        zero = LatticeVector.zeros(N)
+        expected = [
+            float(np.linalg.norm(
+                cocycle_map(t, field, eq.u0, params, CUBIC, cfg).values
+                - single_pullback(eq.horizon, shift_noise(field, t), zero, params, CUBIC, cfg)
+            ))
+            for t in times
+        ]
+        assert_bits_equal(rep.residuals, np.array(expected))
 
     def test_forward_attraction_envelope(self, field):
         # every start falls onto the moving equilibrium at least as fast
@@ -323,3 +466,39 @@ class TestAbsorptionOverConfigs:
         assert rep.radius.value + 1e-12 >= shallow.value
         assert rep.radius == absorbing_radius(rep.ou, cfg.spec, t_past)
         assert rep.bound == float(np.linalg.norm(rep.ou.at(0.0).values)) + rep.radius.value
+
+
+class TestLadderOverConfigs:
+    DT = 0.02
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
+           boundary=st.sampled_from([b.value for b in Boundary]),
+           scheme=st.sampled_from([s.value for s in Scheme]), m=st.integers(1, 3),
+           kind=st.sampled_from(["cubic", "linear"]),
+           a=st.floats(0.0, 2.0, exclude_min=True), b=st.floats(0.0, 2.0, exclude_min=True),
+           hurst=st.floats(0.5, 0.95, exclude_min=True, exclude_max=True),
+           half_width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.integers(0, 30), min_size=1, max_size=4))
+    def test_ladder_equals_per_horizon_runs(self, coupling, damping, boundary, scheme, m,
+                                            kind, a, b, hurst, half_width, seed, steps):
+        dt = self.DT
+        horizons = [k * dt for k in steps]
+        cfg = validate_config({
+            "hurst": hurst,
+            "lattice": {"coupling": coupling, "damping": damping, "half_width": half_width,
+                        "boundary": boundary, "noise_amp": {"0": 1.0, "1": 0.5}},
+            "nonlinearity": {"kind": kind, "a": a, "b": b},
+            "solver": {"scheme": scheme, "dt": dt / m, "t_end": 0.5},
+            "grid": {"dt": dt, "t_past": 30 * dt, "t_future": dt},
+            "experiment": {"name": "absorb", "d_radius": 1.0, "horizons": horizons,
+                           "n_starts": 2},
+            "master_seed": seed,
+        })
+        field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
+        starts = sphere_starts(1.0, 2, half_width, seed)
+        ends = _pullback_ladder(cfg.options["horizons"], field, starts, cfg.params,
+                                cfg.spec, cfg.solver)
+        for t, end in zip(cfg.options["horizons"], ends):
+            assert_bits_equal(end, single_pullback(t, field, starts, cfg.params, cfg.spec,
+                                                   cfg.solver))

@@ -316,6 +316,21 @@ class TestStationaryOU:
         assert ou.tail_bound == pytest.approx(expected, rel=1e-12)
         assert ou.past_horizon == pytest.approx(20.0)
 
+    def test_built_without_rate_raises(self):
+        # absorbing_radius divided by this default lam = 0 with a bare ZeroDivisionError
+        with pytest.raises(ValueError, match="lam must be a finite number > 0, got 0.0"):
+            noise.OUProcess(grid=TimeGrid(0.1, 10, -10), values=np.zeros((11, 3)))
+
+    @pytest.mark.parametrize("field_name, bad", [
+        ("lam", -1.0), ("lam", np.inf), ("lam", np.nan),
+        ("rho", -1e-9), ("rho", np.inf), ("past_horizon", -1.0), ("past_horizon", np.nan),
+        ("tail_bound", -1.0), ("tail_bound", np.inf),
+    ])
+    def test_invalid_fields_named(self, field_name, bad):
+        kwargs = {"lam": 1.0, field_name: bad}
+        with pytest.raises(ValueError, match=f"^{field_name} must be a finite number"):
+            noise.OUProcess(grid=TimeGrid(0.1, 10, -10), values=np.zeros((11, 3)), **kwargs)
+
 
 class TestGrowthConstant:
     def test_zero_field(self):
