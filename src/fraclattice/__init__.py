@@ -37,7 +37,6 @@ from .lattice import (
     apply_diff,
     apply_diff_adjoint,
     apply_laplacian,
-    eval_nonlinearity,
     laplacian_modes,
     probe_dissipativity,
     probe_growth,
@@ -64,7 +63,6 @@ from .solver import (
     gronwall_envelope,
     integrate,
     linear_oracle,
-    rode_rhs,
 )
 from .attractor import (
     AbsorbingRadius,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InsufficientHorizonError
 from .fbm import TimeGrid
 from .lattice import LatticeParams, LatticeVector, NonlinearitySpec
-from .noise import NoiseField, OUProcess, shift_noise, stationary_ou
+from .noise import NoiseField, OUProcess, stationary_ou
 from .solver import SolverConfig, _solve, _start_values, _step_loop
 
 __all__ = [
@@ -151,27 +151,41 @@ def _pullback_ladder(
     -max T.  Returns shape ``(len(horizons),) + starts' shape``.
     """
     x0 = _start_values(starts, field, params)
-    grid = field.grid
-    runs = {}  # horizon -> (noise node of -T, solver steps), None for phi(0)
-    for t in sorted({float(t) for t in horizons}):
-        grid.steps_of(-t)  # raises for a horizon off the noise grid
-        j = grid.index_of(-t)  # raises WindowError beyond the sampled past
-        n = replace(config, t_end=t).n_steps() if t != 0 else 0
-        runs[t] = (j, n) if n else None
+    runs = {t: _ladder_row(field.grid, t, config) for t in sorted({float(t) for t in horizons})}
     rows = sorted({r for r in runs.values() if r}, key=lambda r: -r[1])
     out = np.empty((len(horizons),) + x0.shape)
     if rows:
-        ends = _ladder_ends(rows, field, x0.reshape(-1, params.n_sites), params, spec, config)
+        ends = _ladder_ends(rows, [r[0] for r in rows], field,
+                            x0.reshape(-1, params.n_sites), params, spec, config)
     for i, t in enumerate(horizons):
         r = runs[float(t)]
         out[i] = x0 if r is None else ends[rows.index(r)].reshape(x0.shape)
     return out
 
 
-def _ladder_ends(rows, field, x, params, spec, config) -> np.ndarray:
-    """Endpoints (rows, n_starts, d) of the (noise node, steps) rows, longest first."""
+def _ladder_row(grid: TimeGrid, t: float, config: SolverConfig) -> tuple[int, int] | None:
+    """(noise node of -t, solver steps) of the pullback from horizon t; None for t = 0.
+
+    Raises as the single run does: for a horizon off the noise grid, and
+    ``WindowError`` for one beyond the sampled past.
+    """
+    grid.steps_of(-t)
+    j = grid.index_of(-t)
+    n = replace(config, t_end=t).n_steps() if t != 0 else 0
+    return (j, n) if n else None
+
+
+def _ladder_ends(rows, origins, field, x, params, spec, config) -> np.ndarray:
+    """Endpoints (rows, n_starts, d) of the (noise node, steps) rows, longest first.
+
+    Row r joins at node j and reads the noise of its single run on a copy
+    of the field re-anchored at node ``origins[r]`` = o and then at j, as
+    ``shift_noise`` makes them: ((omega - omega[o]) - (omega[j] - omega[o])) sigma.
+    With o = j that is exactly (omega - omega[j]) sigma, the noise of
+    ``cocycle_map(T, shift_noise(field, -T), ...)``.
+    """
     m = config.refinement(field.grid.dt)
-    j = np.array([r[0] for r in rows])
+    j, o = np.array([r[0] for r in rows]), np.array(origins)
     n_max = rows[0][1]
     joins = n_max - np.array([r[1] for r in rows])  # global step at which a row starts
     bounds = sorted(set(joins.tolist())) + [n_max]
@@ -181,8 +195,8 @@ def _ladder_ends(rows, field, x, params, spec, config) -> np.ndarray:
         block = max(1, _LADDER_BLOCK_VALUES // (r * x.shape[-1]))
         for c in range(a, b, block):
             local = np.arange(c, min(b, c + block) + 1)[:, None] - joins[:r]
-            # the single run's noise rows: (omega - omega(-T))[idx] * sigma
-            w = field.paths[j[:r] + (2 * local + m) // (2 * m)] - field.paths[j[:r]]
+            w = field.paths[j[:r] + (2 * local + m) // (2 * m)] - field.paths[o[:r]]
+            w -= field.paths[j[:r]] - field.paths[o[:r]]
             w *= field.sigma.values
             w = w[:, :, None, :]
             if c == a:  # the rows joining here start from x - w[0], as v0
@@ -350,7 +364,9 @@ def forward_stationarity_check(
     Equilibria on the shifted fields are recomputed at the estimate's own
     horizon, so the residual mixes pullback truncation with solver error;
     it must stay below STATIONARITY_TOL_FACTOR * tol.  Every forward leg
-    is read off one run to the last time.
+    is read off one run to the last time, and the equilibria of all the
+    shifted fields are pulled back from 0 as one batch, each row equal to
+    ``_pullback(horizon, shift_noise(field, t), 0)`` bit for bit.
     """
     times = np.asarray(sorted(times), dtype=float)
     horizon = equilibrium.horizon
@@ -358,14 +374,20 @@ def forward_stationarity_check(
     if steps and steps[-1]:
         states = _solve(equilibrium.u0, field, params, spec,
                         replace(config, t_end=float(times[-1])))
+    origins, rows = [], []
+    for t in times:  # the checks of shift_noise(field, t), then of its pullback
+        shifted = field.grid.shifted(field.grid.steps_of(float(t)))
+        origins.append(field.grid.index_of(float(t)))
+        rows.append(_ladder_row(shifted, horizon, config))
+    zero = _start_values(LatticeVector.zeros(params.half_width), field, params)
+    shifted_eqs = np.zeros((times.size, params.n_sites))  # phi(0) of the zero start
+    if rows and rows[0]:  # one horizon, so every row steps or none does
+        shifted_eqs = _ladder_ends(rows, origins, field, zero[None], params, spec,
+                                   config)[:, 0]
     residuals = np.empty(times.size)
-    for j, (t, n) in enumerate(zip(times, steps)):
-        shifted_eq = _pullback(
-            horizon, shift_noise(field, float(t)),
-            LatticeVector.zeros(params.half_width), params, spec, config,
-        )
+    for j, n in enumerate(steps):
         leg = states[n] if n else equilibrium.u0.values  # phi(0) is the identity
-        residuals[j] = float(np.linalg.norm(leg - shifted_eq.values))
+        residuals[j] = float(np.linalg.norm(leg - shifted_eqs[j]))
     threshold = STATIONARITY_TOL_FACTOR * equilibrium.tol
     return StationarityReport(
         times=times, residuals=residuals, threshold=threshold,

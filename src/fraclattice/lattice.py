@@ -21,12 +21,10 @@ and growth constants; randomized probes check the claims numerically.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-from .errors import NonlinearityOverflowError
 
 __all__ = [
     "Boundary",
@@ -36,7 +34,6 @@ __all__ = [
     "apply_laplacian",
     "apply_diff",
     "apply_diff_adjoint",
-    "eval_nonlinearity",
     "probe_dissipativity",
     "probe_growth",
     "laplacian_modes",
@@ -49,6 +46,13 @@ PROBE_TOL = 1e-9
 
 #: Pairs closer than this are skipped by the dissipativity probe.
 DEGENERATE_PAIR_TOL = 1e-14
+
+
+def _operand(x: float) -> np.ndarray:
+    """``x`` as a read-only 0-d float64 array, a cheaper ufunc operand than a float."""
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 class Boundary(str, enum.Enum):
@@ -215,6 +219,9 @@ class NonlinearitySpec:
     growth_coef: float = 1.0
     growth_power: float = 1.0
     label: str = ""
+    # -a and b as ufunc operands, for eval_into
+    _neg_a: np.ndarray = field(init=False, repr=False, compare=False)
+    _b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.diss_const > 0:
@@ -225,6 +232,8 @@ class NonlinearitySpec:
             raise ValueError("growth power must be >= 1")
         if self.kind is NonlinearityKind.CUSTOM and (self.fn is None or self.dfn is None):
             raise ValueError("custom nonlinearity needs fn and dfn callables")
+        object.__setattr__(self, "_neg_a", _operand(-self.a))
+        object.__setattr__(self, "_b", _operand(self.b))
 
     @classmethod
     def linear(cls, a: float) -> "NonlinearitySpec":
@@ -275,14 +284,29 @@ class NonlinearitySpec:
             label=label,
         )
 
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        # overflow surfaces as non-finite output, which callers turn into
-        # NonlinearityOverflowError inside their own np.errstate
+    def eval_into(self, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """f(x), written into ``out`` for the linear and cubic kinds; returns it.
+
+        ``out`` and ``work`` are float arrays of x's shape that do not
+        overlap x; ``work`` is scratch.  The cubic runs the operations of
+        -a*x - b*(x*x*x) in their order.  The custom kind returns fn(x)
+        as a float array and leaves both buffers alone.  Overflow surfaces
+        as non-finite output, which callers turn into
+        ``NonlinearityOverflowError`` inside their own ``np.errstate``.
+        """
         if self.kind is NonlinearityKind.LINEAR:
-            return -self.a * x
+            return np.multiply(x, self._neg_a, out=out)
         if self.kind is NonlinearityKind.CUBIC:
-            return -self.a * x - self.b * (x * x * x)
+            np.multiply(x, self._neg_a, out=out)
+            np.multiply(x, x, out=work)
+            np.multiply(work, x, out=work)
+            np.multiply(work, self._b, out=work)
+            return np.subtract(out, work, out=out)
         return np.asarray(self.fn(x), dtype=float)
+
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
+        """f(x) as a new array, through :meth:`eval_into`."""
+        return self.eval_into(x, np.empty(np.shape(x)), np.empty(np.shape(x)))
 
     def deriv_array(self, x: np.ndarray) -> np.ndarray:
         if self.kind is NonlinearityKind.LINEAR:
@@ -290,18 +314,6 @@ class NonlinearitySpec:
         if self.kind is NonlinearityKind.CUBIC:
             return -self.a - 3.0 * self.b * x**2
         return np.asarray(self.dfn(x), dtype=float)
-
-
-def eval_nonlinearity(spec: NonlinearitySpec, x: LatticeVector) -> LatticeVector:
-    """Apply the componentwise drift; raises on non-finite output."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = spec.eval_array(x.values)
-    if not np.all(np.isfinite(out)):
-        raise NonlinearityOverflowError(
-            f"{spec.label or spec.kind.value} overflowed on "
-            f"max|x_i|={float(np.abs(x.values).max()):.3e}"
-        )
-    return LatticeVector(out)
 
 
 # ---------------------------------------------------------------------------

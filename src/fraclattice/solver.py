@@ -36,6 +36,7 @@ from .lattice import (
     LatticeParams,
     LatticeVector,
     NonlinearitySpec,
+    _operand,
     laplacian_modes,
 )
 from .noise import NoiseField, VectorSeries, decayed_exp_sweep, shift_noise
@@ -43,7 +44,6 @@ from .noise import NoiseField, VectorSeries, decayed_exp_sweep, shift_noise
 __all__ = [
     "Scheme",
     "SolverConfig",
-    "rode_rhs",
     "integrate",
     "cocycle_map",
     "cocycle_check",
@@ -55,6 +55,11 @@ __all__ = [
 #: State-norm guard: beyond this the step loop raises ``BlowUpError``
 #: (a dissipativity violation or a too-large step, not a silent inf).
 BLOWUP_NORM = 1e12
+
+#: While the squares of the whole state sum to at most this, no row's norm
+#: can pass ``BLOWUP_NORM``, whatever the order of the summation; the
+#: factor 4 of room covers the rounding of either sum.
+_GUARD_TOTAL = (BLOWUP_NORM / 2) ** 2
 
 #: Cocycle-residual coefficient of both schemes, calibrated on pilot runs of
 #: the cubic benchmark; a generous envelope, as the residual is rounding.
@@ -102,23 +107,6 @@ class SolverConfig:
         return n
 
 
-def rode_rhs(
-    v: LatticeVector,
-    w_t: LatticeVector,
-    params: LatticeParams,
-    spec: NonlinearitySpec,
-) -> LatticeVector:
-    """Right-hand side of the transformed equation at one instant.
-
-    The plain drift -kappa A u - lam u + f(u) + g evaluated at u = v + W(t).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, fx = _drift(v.values.shape, params, spec)(v.values, w_t.values)
-    if not np.isfinite(fx).all():
-        raise _overflow(spec)
-    return LatticeVector(out)
-
-
 def _overflow(spec: NonlinearitySpec) -> NonlinearityOverflowError:
     return NonlinearityOverflowError(
         f"{spec.label or spec.kind.value} overflowed during stepping"
@@ -129,11 +117,14 @@ def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):
     """``drift(v, w) -> (F, f(u))``: the drift at u = v + w, ``shape`` states.
 
     F = -kappa A u - lam u + f(u) + g is written into one buffer, through
-    work buffers and views allocated here, once; f(u) is returned for the
+    work buffers, views and constants made here, once: -kappa and lam as
+    0-d arrays and g broadcast to ``shape``.  f(u) is returned for the
     caller's overflow check, inside the caller's ``np.errstate``.
     """
-    u, lam_u, out = np.empty(shape), np.empty(shape), np.empty(shape)
-    neg_kappa, lam, g = -params.coupling, params.damping, params.forcing.values
+    u, fx, out, work = (np.empty(shape) for _ in range(4))
+    neg_kappa, lam = _operand(-params.coupling), _operand(params.damping)
+    g = np.empty(shape)
+    g[...] = params.forcing.values
     # A u = -u_{i-1} + 2 u_i - u_{i+1}: subtract every left neighbour, then
     # every right one, as (target, neighbour) slices; zero padding has no
     # neighbour past an edge, the periodic wrap slices one in
@@ -145,16 +136,16 @@ def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):
 
     def drift(v, w):
         np.add(v, w, out=u)
-        fx = spec.eval_array(u)
-        np.multiply(u, 2.0, out=out)
+        f = spec.eval_into(u, fx, work)
+        np.add(u, u, out=out)  # 2u, exactly
         for target, neighbour in stencil:
             np.subtract(target, neighbour, out=target)
         np.multiply(out, neg_kappa, out=out)
-        np.multiply(u, lam, out=lam_u)
-        np.subtract(out, lam_u, out=out)
-        np.add(out, fx, out=out)
+        np.multiply(u, lam, out=work)
+        np.subtract(out, work, out=out)
+        np.add(out, f, out=out)
         np.add(out, g, out=out)
-        return out, fx
+        return out, f
 
     return drift
 
@@ -185,18 +176,21 @@ def _step_loop(
 ) -> np.ndarray:
     """Advance v over all solver nodes; v0 is (..., d), w is (nodes, ..., d).
 
-    Every stage writes into buffers allocated once per run.  The state
-    norm is checked once per step; only when that check fails does the
-    run decide between a non-finite f (``NonlinearityOverflowError``)
-    and a blow-up, whose time counts ``first_step`` steps already taken
-    by the run this call continues.
+    Every stage writes into buffers allocated once per run, with dt and
+    dt/2 as 0-d arrays.  Each step sums the squares of the whole state
+    in one reduction; only when that total passes ``_GUARD_TOTAL`` are
+    the row norms checked against ``BLOWUP_NORM``, and only when one
+    passes does the run decide between a non-finite f
+    (``NonlinearityOverflowError``) and a blow-up, whose time counts
+    ``first_step`` steps already taken by the run this call continues.
     """
-    dt, half_dt = config.dt, 0.5 * config.dt
+    dt, half_dt = _operand(config.dt), _operand(0.5 * config.dt)
     heun = config.scheme is Scheme.HEUN
     n_steps = w.shape[0] - 1
     shape = np.shape(v0)
     stage0, stage1 = _drift(shape, params, spec), _drift(shape, params, spec)
     work = np.empty(shape)
+    squares = work.reshape(-1)  # a view: one reduction over the whole state
     if collect:
         states = np.empty((n_steps + 1,) + shape)
         states[0] = v0
@@ -220,11 +214,12 @@ def _step_loop(
                 np.add(v, f0, out=nxt)
             v = nxt
             np.multiply(v, v, out=work)
-            if not math.sqrt(work.sum(axis=-1).max()) <= BLOWUP_NORM:
+            if (not np.add.reduce(squares) <= _GUARD_TOTAL
+                    and not math.sqrt(work.sum(axis=-1).max()) <= BLOWUP_NORM):
                 if not (np.isfinite(fx0).all() and np.isfinite(fx1).all()):
                     raise _overflow(spec)
                 raise BlowUpError(
-                    f"|v| exceeded {BLOWUP_NORM:.0e} at t={(first_step + k + 1) * dt:.6g}; "
+                    f"|v| exceeded {BLOWUP_NORM:.0e} at t={(first_step + k + 1) * config.dt:.6g}; "
                     "check dissipativity or reduce dt"
                 )
     return states if collect else v

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -335,6 +336,33 @@ class TestForwardStationarity:
             for t in times
         ]
         assert_bits_equal(rep.residuals, np.array(expected))
+
+    def test_equilibria_step_as_one_batch(self, field, monkeypatch):
+        # every check time is one row of one pullback from the estimate's horizon
+        params = make_params()
+        eq = random_equilibrium(field, params, CUBIC, CFG, tol=1e-6)
+        calls, step_loop = [], attractor._step_loop
+
+        def counted(v0, w, *args, **kwargs):
+            calls.append((v0.shape, w.shape[0] - 1))
+            return step_loop(v0, w, *args, **kwargs)
+
+        monkeypatch.setattr(attractor, "_step_loop", counted)
+        forward_stationarity_check(eq, field, params, CUBIC, CFG, times=[0.5, 1.0, 2.0])
+        assert calls == [((3, 1, 2 * N + 1), round(eq.horizon / DT))]
+
+    def test_window_errors_of_single_runs(self, field):
+        params = make_params()
+        eq = random_equilibrium(field, params, CUBIC, CFG, tol=1e-6)
+        with pytest.raises(WindowError):  # the forward run passes the sampled future
+            forward_stationarity_check(eq, field, params, CUBIC, CFG, times=[1.0, 7.0])
+        deep = dataclasses.replace(eq, horizon=24.5)  # reaches past -24 from t = 0.25
+        with pytest.raises(WindowError) as single:
+            attractor._pullback(24.5, shift_noise(field, 0.25), LatticeVector.zeros(N),
+                                params, CUBIC, CFG)
+        with pytest.raises(WindowError) as batch:
+            forward_stationarity_check(deep, field, params, CUBIC, CFG, times=[1.0, 0.25])
+        assert str(batch.value) == str(single.value)
 
     def test_forward_attraction_envelope(self, field):
         # every start falls onto the moving equilibrium at least as fast

@@ -10,6 +10,7 @@ from fraclattice.lattice import (
     Boundary,
     LatticeParams,
     LatticeVector,
+    NonlinearityKind,
     NonlinearitySpec,
     apply_laplacian,
     laplacian_array,
@@ -17,14 +18,16 @@ from fraclattice.lattice import (
 )
 from fraclattice.noise import build_noise_field, decayed_exp_sweep
 from fraclattice.solver import (
+    _GUARD_TOTAL,
     Scheme,
     SolverConfig,
+    _drift,
+    _step_loop,
     cocycle_check,
     cocycle_map,
     gronwall_envelope,
     integrate,
     linear_oracle,
-    rode_rhs,
 )
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
@@ -47,18 +50,25 @@ def make_params(half_width=8, boundary=Boundary.ZERO_PADDING, sigma=None, forcin
     )
 
 
+def rhs(v, w, params, spec):
+    """The kernel's drift F(v + w) at one instant, with f checked finite."""
+    out, fx = _drift(np.shape(v), params, spec)(v, w)
+    assert np.isfinite(fx).all()
+    return out
+
+
 class TestRhs:
     def test_unforced_equilibrium(self):
         params = make_params(4, sigma={})
         zero = LatticeVector.zeros(4)
-        out = rode_rhs(zero, zero, params, LINEAR)
+        out = LatticeVector(rhs(zero.values, zero.values, params, LINEAR))
         assert out.norm() == 0.0
 
     def test_no_noise_reduces_to_drift(self):
         params = make_params(4, forcing={0: 0.3}, sigma={})
         rng = np.random.default_rng(0)
         v = rng.standard_normal(9)
-        lhs = rode_rhs(LatticeVector(v), LatticeVector.zeros(4), params, CUBIC).values
+        lhs = rhs(v, np.zeros(9), params, CUBIC)
         drift = (
             -laplacian_array(v, params.boundary) - v + CUBIC.eval_array(v)
             + params.forcing.values
@@ -73,7 +83,7 @@ class TestRhs:
             for _ in range(50):
                 v = rng.standard_normal(13)
                 w = rng.standard_normal(13)
-                lhs = rode_rhs(LatticeVector(v), LatticeVector(w), params, spec).values
+                lhs = rhs(v, w, params, spec)
                 u = v + w
                 drift = (
                     -laplacian_array(u, params.boundary) - u + spec.eval_array(u)
@@ -189,22 +199,45 @@ class TestIntegrate:
                            SolverConfig(dt=0.01, t_end=0.1)) is batch
 
 
-def written_out_step(u0, field, params, spec, dt, scheme):
-    """One solver step from apply_laplacian and spec.eval_array, row by row."""
-    w0, w1 = field.at(0.0).values, field.at(dt).values
+def reference_f(spec, u):
+    """f(u) from the literal formula of each kind."""
+    if spec.kind is NonlinearityKind.LINEAR:
+        return -spec.a * u
+    if spec.kind is NonlinearityKind.CUBIC:
+        return -spec.a * u - spec.b * (u * u * u)
+    return spec.fn(u)
+
+
+def written_out_steps(v, ws, params, spec, dt, scheme):
+    """Solver steps of v over the noise rows ws, from apply_laplacian row by row."""
 
     def drift(u):
         lap = np.array([apply_laplacian(LatticeVector(row), params.boundary).values
                         for row in u.reshape(-1, u.shape[-1])]).reshape(u.shape)
-        return (-params.coupling * lap - params.damping * u + spec.eval_array(u)
+        return (-params.coupling * lap - params.damping * u + reference_f(spec, u)
                 + params.forcing.values)
 
-    v0 = u0 - w0
-    f0 = drift(v0 + w0)
-    if scheme is Scheme.EULER:
-        return v0 + dt * f0 + w1
-    f1 = drift(v0 + dt * f0 + w1)
-    return v0 + 0.5 * dt * (f0 + f1) + w1
+    for w0, w1 in zip(ws, ws[1:]):
+        f0 = drift(v + w0)
+        if scheme is Scheme.EULER:
+            v = v + dt * f0
+        else:
+            f1 = drift(v + dt * f0 + w1)
+            v = v + 0.5 * dt * (f0 + f1)
+    return v
+
+
+def written_out_step(u0, field, params, spec, dt, scheme):
+    """One solver step from apply_laplacian and the literal f, row by row."""
+    w0, w1 = field.at(0.0).values, field.at(dt).values
+    return written_out_steps(u0 - w0, [w0, w1], params, spec, dt, scheme) + w1
+
+
+def assert_bits_equal(a, b):
+    """Equal arrays down to the sign of zero."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 class TestKernel:
@@ -262,6 +295,112 @@ class TestStepErrors:
         starts[1, 4] = 1e110
         with pytest.raises(NonlinearityOverflowError):
             cocycle_map(1.0, self.field, starts, self.params, CUBIC, cfg)
+
+
+def kernel_params(half_width, coupling=1.0, damping=1.0, forcing=None,
+                  boundary=Boundary.ZERO_PADDING):
+    """Noise-free params: _step_loop takes its noise rows as an argument."""
+    return LatticeParams(
+        coupling=coupling, damping=damping,
+        forcing=LatticeVector(np.zeros(2 * half_width + 1) if forcing is None else forcing),
+        noise_amp=LatticeVector.zeros(half_width), half_width=half_width, boundary=boundary,
+    )
+
+
+def layout(name, d, n_steps, rng):
+    """Start and noise rows of one batch layout: a start, starts, or the ladder's rows."""
+    if name == "single":
+        return rng.standard_normal(d), rng.standard_normal((n_steps + 1, d))
+    if name == "batch":
+        return rng.standard_normal((3, d)), rng.standard_normal((n_steps + 1, d))
+    return rng.standard_normal((2, 3, d)), rng.standard_normal((n_steps + 1, 2, 1, d))
+
+
+LAYOUTS = ["single", "batch", "ladder"]
+
+
+class TestKernelOverConfigs:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(boundary=st.sampled_from(list(Boundary)), scheme=st.sampled_from(list(Scheme)),
+           spec=st.sampled_from([LINEAR, CUBIC, SINE, NonlinearitySpec.cubic(0.3, 1.7)]),
+           coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
+           forced=st.booleans(), name=st.sampled_from(LAYOUTS),
+           half_width=st.integers(1, 4), n_steps=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_steps_equal_written_out_reference(self, boundary, scheme, spec, coupling,
+                                               damping, forced, name, half_width, n_steps,
+                                               seed):
+        d = 2 * half_width + 1
+        rng = np.random.default_rng(seed)
+        params = kernel_params(half_width, coupling, damping,
+                               rng.standard_normal(d) if forced else None, boundary)
+        v0, w = layout(name, d, n_steps, rng)
+        v0[..., 0] = -0.0  # the sign of zero must come out as the reference's
+        cfg = SolverConfig(dt=0.05, t_end=0.05 * n_steps, scheme=scheme)
+        states = _step_loop(v0, w, params, spec, cfg, collect=True)
+        for k in range(n_steps + 1):
+            assert_bits_equal(states[k],
+                              written_out_steps(v0, w[: k + 1], params, spec, 0.05, scheme))
+        assert_bits_equal(_step_loop(v0, w, params, spec, cfg, collect=False), states[-1])
+
+
+class TestGuard:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rows_just_under_the_bound_step_on(self, scheme):
+        # four rows of norm 0.9e12 sum past the one-reduction bound, so
+        # every step falls back to the row norms, and none passes 1e12
+        params = kernel_params(2)
+        v0 = 0.9e12 * np.eye(5)[:4]
+        w = np.zeros((4, 5))
+        assert np.add.reduce((v0 * v0).reshape(-1)) > _GUARD_TOTAL
+        cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
+        ends = _step_loop(v0, w, params, LINEAR, cfg, collect=False)
+        assert np.add.reduce((ends * ends).reshape(-1)) > _GUARD_TOTAL
+        assert_bits_equal(ends, written_out_steps(v0, w, params, LINEAR, 0.01, scheme))
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("first_step", [0, 7])
+    def test_blow_up_time_is_the_first_row_past_the_bound(self, scheme, first_step):
+        # dt = 1 is unstable for the linear drift: each step multiplies |v|
+        params = kernel_params(2)
+        v0 = np.array([[1e6, -2e6, 0.5e6, 0.0, 1e6], [1.0, 0.0, 0.0, 0.0, 0.0]])
+        w = np.zeros((40, 5))
+        v, k = v0, 0
+        while np.linalg.norm(v, axis=1).max() <= 1e12:
+            v, k = written_out_steps(v, w[:2], params, LINEAR, 1.0, scheme), k + 1
+        cfg = SolverConfig(dt=1.0, t_end=39.0, scheme=scheme)
+        with pytest.raises(BlowUpError, match=f"at t={first_step + k:.6g};"):
+            _step_loop(v0, w, params, LINEAR, cfg, collect=False, first_step=first_step)
+        assert 2 < k < 39
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_cubic_overflow_in_every_layout(self, scheme, name):
+        params = kernel_params(2)
+        v0, w = layout(name, 5, 3, np.random.default_rng(2))
+        v0[..., 2] = 1e110
+        cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
+        with pytest.raises(NonlinearityOverflowError):
+            _step_loop(v0, w, params, CUBIC, cfg, collect=False)
+
+
+class TestEvalInto:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(spec=st.sampled_from([LINEAR, CUBIC, NonlinearitySpec.cubic(0.3, 1.7),
+                                 NonlinearitySpec.linear(2.5)]),
+           shape=st.sampled_from([(7,), (3, 5), (2, 3, 4)]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_formula_into_the_buffer(self, spec, shape, seed):
+        x = 3.0 * np.random.default_rng(seed).standard_normal(shape)
+        out, work = np.empty(shape), np.empty(shape)
+        assert spec.eval_into(x, out, work) is out
+        assert_bits_equal(out, reference_f(spec, x))
+        assert_bits_equal(spec.eval_array(x), reference_f(spec, x))
+
+    def test_custom_returns_fn_of_x(self):
+        x = np.linspace(-2.0, 2.0, 9)
+        out = np.zeros(9)
+        assert_bits_equal(SINE.eval_into(x, out, np.zeros(9)), SINE.fn(x))
+        assert not out.any()
 
 
 class TestSubStepCocycle:
