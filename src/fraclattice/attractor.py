@@ -302,11 +302,18 @@ def random_equilibrium(
     The pullback point from horizon T is compared against horizon 2T and
     T keeps doubling until the gap drops below ``tol``; a second start
     must then land within 2 tol, certifying that the limit does not
-    depend on the start.  Both starts are pulled back from every doubled
-    horizon as one (2, d) batch.  The default second start is a radius-10
-    vector spread across all sites (site-concentrated mass that large
-    would need a much smaller explicit step).  Raises ``InsufficientHorizonError``
-    when the sampled past cannot support the next doubling.
+    depend on the start.  The start and the second start are pulled back
+    from every doubling horizon the sampled past supports,
+    ``initial_horizon * 2^k <= -field.grid.t_start``, as one staggered
+    ladder, and the stop then reads the endpoints in order.  So the search
+    costs one step per node of the deepest supported horizon, wherever it
+    stops, and a blow-up at any supported horizon raises.  Each endpoint
+    equals its single run bit for bit, so the result is that of pulling
+    back one horizon after another.  The default second start is a
+    radius-10 vector spread across all sites (site-concentrated mass that
+    large would need a much smaller explicit step).  Raises
+    ``InsufficientHorizonError`` when no supported horizon passes both
+    checks; the message names the check that failed at the deepest one.
     """
     if not initial_horizon > 0:
         raise ValueError(f"initial_horizon must be > 0, got {initial_horizon!r}")
@@ -321,26 +328,28 @@ def random_equilibrium(
         raise InsufficientHorizonError(
             f"field past {available:.3g} cannot support initial horizon {t:.3g}"
         )
+    horizons = [t]
+    while 2.0 * horizons[-1] <= available:
+        horizons.append(2.0 * horizons[-1])
     pair = np.stack([_start_values(start, field, params),
                      _start_values(verify_start, field, params)])
-    prev = _pullback_ladder([t], field, start, params, spec, config)[0]
-    while True:
-        cur, check = _pullback_ladder([2.0 * t], field, pair, params, spec, config)[0]
-        gap = float(np.linalg.norm(cur - prev))
+    ends = _pullback_ladder(horizons, field, pair, params, spec, config)
+    for k in range(1, len(horizons)):
+        cur, check = ends[k]
+        gap = float(np.linalg.norm(cur - ends[k - 1, 0]))
         if gap <= tol:
             start_gap = float(np.linalg.norm(check - cur))
             if start_gap <= 2.0 * tol:
                 return EquilibriumEstimate(
-                    u0=LatticeVector(cur), horizon=2.0 * t, cauchy_gap=gap,
+                    u0=LatticeVector(cur), horizon=horizons[k], cauchy_gap=gap,
                     start_gap=start_gap, tol=tol,
                 )
-        if 4.0 * t > available:
-            raise InsufficientHorizonError(
-                f"gap {gap:.3e} > tol {tol:.1e} at horizon {2 * t:.3g} and the "
-                f"sampled past {available:.3g} cannot support doubling"
-            )
-        t *= 2.0
-        prev = cur
+    failed = (f"start gap {start_gap:.3e} > 2 tol {2 * tol:.1e}" if gap <= tol
+              else f"gap {gap:.3e} > tol {tol:.1e}")
+    raise InsufficientHorizonError(
+        f"{failed} at horizon {horizons[-1]:.3g} and the sampled past "
+        f"{available:.3g} cannot support doubling"
+    )
 
 
 @dataclass(frozen=True)

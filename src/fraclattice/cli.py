@@ -49,7 +49,7 @@ ENV_OUTDIR = "FRACLATTICE_OUTDIR"
 #: Hard size guard on a config: the most values one array of a run may
 #: hold (512 MiB of doubles): the noise field, the sub-stepped noise rows,
 #: the circulant of ``sample-fbm``, the pairwise distances of ``pullback``
-#: or the start batch of ``absorb``.
+#: or the pullback ladder (horizons x starts rows) of ``pullback`` and ``absorb``.
 MAX_GRID_VALUES = 1 << 26
 
 
@@ -580,12 +580,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if name == "sample-fbm" and passed("experiment.n_steps"):
         _checked(violations, "experiment.n_steps", _size_check, "circulant",
                  2 * values["experiment.n_steps"], "values")
-    if name == "pullback" and sites is not None and passed("experiment.n_starts"):
-        _checked(violations, "experiment.n_starts", _size_check, "pairwise-distance array",
-                 values["experiment.n_starts"] ** 2, "start pairs", sites)
-    if name == "absorb" and sites is not None and passed("experiment.n_starts"):
-        _checked(violations, "experiment.n_starts", _size_check, "start batch",
-                 values["experiment.n_starts"], "starts", sites)
+    if name in ("pullback", "absorb") and sites is not None and passed("experiment.n_starts"):
+        # the ladder's endpoints hold a row per listed horizon and start
+        n = values["experiment.n_starts"]
+        h = len(values["experiment.horizons"]) if passed("experiment.horizons") else 1
+        if name == "pullback" and n >= h:  # the larger of pullback's two arrays
+            _checked(violations, "experiment.n_starts", _size_check,
+                     "pairwise-distance array", n ** 2, "start pairs", sites)
+        else:
+            _checked(violations, "experiment.n_starts", _size_check, "pullback ladder",
+                     h * n, "horizon x start rows", sites)
 
     if violations:
         raise ConfigError(violations)

@@ -1,6 +1,6 @@
 import pytest
 
-from fraclattice import noise
+from fraclattice import attractor, noise
 
 
 @pytest.fixture
@@ -13,4 +13,17 @@ def sweep_calls(monkeypatch) -> list:
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(noise, "decayed_exp_sweep", counted)
+    return calls
+
+
+@pytest.fixture
+def ladder_calls(monkeypatch) -> list:
+    """``(start batch shape, steps)`` per ``attractor._step_loop`` call made during the test."""
+    calls, step_loop = [], attractor._step_loop
+
+    def counted(v0, w, *args, **kwargs):
+        calls.append((v0.shape, w.shape[0] - 1))
+        return step_loop(v0, w, *args, **kwargs)
+
+    monkeypatch.setattr(attractor, "_step_loop", counted)
     return calls

@@ -76,9 +76,17 @@ def single_pullback(t, field, starts, params, spec, config):
     return end.values if isinstance(end, LatticeVector) else end
 
 
-def sequential_equilibrium(field, params, spec, config, tol, start, verify_start):
-    """random_equilibrium's doubling with one single run per start and horizon."""
-    t = 1.0
+def sequential_equilibrium(field, params, spec, config, tol, start=None, verify_start=None,
+                           initial_horizon=1.0):
+    """random_equilibrium's doubling with one single run per start and horizon,
+    stopping at the first horizon that passes and raising as it raises."""
+    if start is None:
+        start = LatticeVector.zeros(params.half_width)
+    if verify_start is None:
+        signs = np.where(np.arange(params.n_sites) % 2 == 0, 1.0, -1.0)
+        verify_start = LatticeVector(10.0 * signs / np.sqrt(params.n_sites))
+    available = -field.grid.t_start
+    t = initial_horizon
     prev = single_pullback(t, field, start, params, spec, config)
     while True:
         cur = single_pullback(2 * t, field, start, params, spec, config)
@@ -88,8 +96,24 @@ def sequential_equilibrium(field, params, spec, config, tol, start, verify_start
             start_gap = float(np.linalg.norm(check - cur))
             if start_gap <= 2 * tol:
                 return cur, 2 * t, gap, start_gap
+        if 4 * t > available:
+            failed = (f"start gap {start_gap:.3e} > 2 tol {2 * tol:.1e}" if gap <= tol
+                      else f"gap {gap:.3e} > tol {tol:.1e}")
+            raise InsufficientHorizonError(
+                f"{failed} at horizon {2 * t:.3g} and the sampled past {available:.3g} "
+                f"cannot support doubling")
         t *= 2
         prev = cur
+
+
+def assert_matches_sequential(field, params, spec, config, tol, **kwargs):
+    """random_equilibrium equals the sequential doubling bit for bit."""
+    eq = random_equilibrium(field, params, spec, config, tol=tol, **kwargs)
+    u0, horizon, gap, start_gap = sequential_equilibrium(field, params, spec, config, tol,
+                                                         **kwargs)
+    assert_bits_equal(eq.u0.values, u0)
+    assert (eq.horizon, eq.cauchy_gap, eq.start_gap) == (horizon, gap, start_gap)
+    return eq
 
 
 def ou_on(field, t_from, t_to, tail_tol):
@@ -197,20 +221,13 @@ class TestPullbackLadder:
         for t, end in zip(self.HORIZONS, rows):
             assert_bits_equal(end, single_pullback(t, field, one, params, CUBIC, cfg))
 
-    def test_one_step_loop_per_segment(self, field, monkeypatch):
+    def test_one_step_loop_per_segment(self, field, ladder_calls):
         # horizons 1, 2, 4, 8 step 400 + 200 + 100 + 100 = 800 times, 16 to 64 rows wide
-        calls, step_loop = [], attractor._step_loop
-
-        def counted(v0, w, *args, **kwargs):
-            calls.append((v0.shape, w.shape[0] - 1))
-            return step_loop(v0, w, *args, **kwargs)
-
-        monkeypatch.setattr(attractor, "_step_loop", counted)
         pullback_experiment(10.0, 16, field, make_params(), CUBIC, CFG,
                             horizons=[8, 4, 2, 1], seed=5)
         d = 2 * N + 1
-        assert calls == [((1, 16, d), 400), ((2, 16, d), 200), ((3, 16, d), 100),
-                         ((4, 16, d), 100)]
+        assert ladder_calls == [((1, 16, d), 400), ((2, 16, d), 200), ((3, 16, d), 100),
+                                ((4, 16, d), 100)]
 
     def test_blocks_bound_noise_rows(self, field, monkeypatch):
         # more blocks change nothing but how many steps one call takes
@@ -280,19 +297,37 @@ class TestRandomEquilibrium:
     @pytest.mark.parametrize("starts", [
         (None, None), ({2: 10.0}, {-1: -7.0}), ({0: -0.0}, {N: 4.0, -N: -4.0})])
     def test_matches_sequential_reference(self, field, starts):
-        params = make_params()
         start, verify = (None if s is None else LatticeVector.from_support(N, s)
                          for s in starts)
-        eq = random_equilibrium(field, params, CUBIC, CFG, tol=1e-6, start=start,
-                                verify_start=verify)
-        if start is None:
-            signs = np.where(np.arange(2 * N + 1) % 2 == 0, 1.0, -1.0)
-            start = LatticeVector.zeros(N)
-            verify = LatticeVector(10.0 * signs / np.sqrt(2 * N + 1))
-        u0, horizon, gap, start_gap = sequential_equilibrium(
-            field, params, CUBIC, CFG, 1e-6, start, verify)
-        assert_bits_equal(eq.u0.values, u0)
-        assert (eq.horizon, eq.cauchy_gap, eq.start_gap) == (horizon, gap, start_gap)
+        assert_matches_sequential(field, make_params(), CUBIC, CFG, 1e-6, start=start,
+                                  verify_start=verify)
+
+    def test_early_stop_matches_sequential(self, field):
+        # a loose tol stops below the deepest supported horizon, 16
+        eq = assert_matches_sequential(field, make_params(), CUBIC, CFG, 1e-2)
+        assert eq.horizon < 16.0
+
+    def test_initial_horizon_three_matches_sequential(self, field):
+        # the ladder of 3, 6, 12 and 24 reaches the start of the sampled past
+        eq = assert_matches_sequential(field, make_params(), CUBIC, CFG, 1e-8,
+                                       initial_horizon=3.0)
+        assert eq.horizon == 24.0
+
+    def test_zero_field_matches_sequential(self, zero_field):
+        assert_matches_sequential(zero_field, make_params(sigma={}, forcing={}), CUBIC, CFG,
+                                  1e-6)
+
+    def test_periodic_linear_matches_sequential(self, field):
+        assert_matches_sequential(field, make_params(boundary=Boundary.PERIODIC), LINEAR,
+                                  CFG, 1e-6)
+
+    def test_one_ladder_to_deepest_supported_horizon(self, field, ladder_calls):
+        # [-24, 6] supports 1, 2, 4, 8 and 16: one step per node of [-16, 0],
+        # wherever the stop lands
+        for tol in (1e-2, 1e-8):
+            ladder_calls.clear()
+            random_equilibrium(field, make_params(), CUBIC, CFG, tol=tol)
+            assert sum(n for _, n in ladder_calls) == round(16.0 / DT)
 
     def test_verify_start_width_checked(self, field):
         with pytest.raises(ValueError, match="widths differ"):
@@ -308,8 +343,29 @@ class TestRandomEquilibrium:
     def test_horizon_exhaustion_raises(self):
         grid = TimeGrid(dt=DT, n_steps=round(3 / DT), i_start=-round(2 / DT))
         f = build_noise_field(make_params(), grid, 3)
-        with pytest.raises(InsufficientHorizonError):
+        with pytest.raises(InsufficientHorizonError) as err:
             random_equilibrium(f, make_params(), CUBIC, CFG, tol=1e-12)
+        with pytest.raises(InsufficientHorizonError) as reference:
+            sequential_equilibrium(f, make_params(), CUBIC, CFG, 1e-12)
+        assert str(err.value) == str(reference.value)
+        assert str(err.value).startswith("gap ")
+
+    def test_start_gap_failure_named(self):
+        # no noise and no forcing: the zero start stays at 0, so the Cauchy
+        # gap is 0 and only the start-independence check can fail
+        n = 4
+        params = LatticeParams(coupling=1.0, damping=1.0, forcing=LatticeVector.zeros(n),
+                               noise_amp=LatticeVector.zeros(n), half_width=n)
+        grid = TimeGrid(dt=DT, n_steps=round(3 / DT), i_start=-round(2 / DT))  # [-2, 1]
+        f = build_noise_field(params, grid, 0)
+        verify = LatticeVector.from_support(n, {0: 10.0})
+        with pytest.raises(InsufficientHorizonError) as err:
+            random_equilibrium(f, params, LINEAR, CFG, verify_start=verify)
+        with pytest.raises(InsufficientHorizonError) as reference:
+            sequential_equilibrium(f, params, LINEAR, CFG, 1e-6, verify_start=verify)
+        assert str(err.value) == str(reference.value)
+        assert str(err.value).startswith("start gap ")
+        assert "> 2 tol 2.0e-06 at horizon 2 and the sampled past 2 " in str(err.value)
 
 
 class TestForwardStationarity:
@@ -337,19 +393,13 @@ class TestForwardStationarity:
         ]
         assert_bits_equal(rep.residuals, np.array(expected))
 
-    def test_equilibria_step_as_one_batch(self, field, monkeypatch):
+    def test_equilibria_step_as_one_batch(self, field, ladder_calls):
         # every check time is one row of one pullback from the estimate's horizon
         params = make_params()
         eq = random_equilibrium(field, params, CUBIC, CFG, tol=1e-6)
-        calls, step_loop = [], attractor._step_loop
-
-        def counted(v0, w, *args, **kwargs):
-            calls.append((v0.shape, w.shape[0] - 1))
-            return step_loop(v0, w, *args, **kwargs)
-
-        monkeypatch.setattr(attractor, "_step_loop", counted)
+        ladder_calls.clear()
         forward_stationarity_check(eq, field, params, CUBIC, CFG, times=[0.5, 1.0, 2.0])
-        assert calls == [((3, 1, 2 * N + 1), round(eq.horizon / DT))]
+        assert ladder_calls == [((3, 1, 2 * N + 1), round(eq.horizon / DT))]
 
     def test_window_errors_of_single_runs(self, field):
         params = make_params()

@@ -282,6 +282,27 @@ class TestRun:
         assert manifest.error is not None
         assert not manifest.all_passed
 
+    def test_pullback_benchmark_config_step_count(self, tmp_path, ladder_calls):
+        # the pullback-cli benchmark op: the equilibrium search steps [-16, 0]
+        # once (1600 steps) and the experiment [-8, 0] once (800 steps)
+        raw = {
+            "hurst": 0.75,
+            "lattice": {"coupling": 1.0, "damping": 1.0, "half_width": 16,
+                        "boundary": "zero-padding", "forcing": {"0": 0.3},
+                        "noise_amp": {"0": 0.8, "1": 0.5, "-2": 0.4}},
+            "nonlinearity": {"kind": "cubic", "a": 1.0, "b": 1.0},
+            "solver": {"scheme": "heun", "dt": 0.01, "t_end": 1.0},
+            "grid": {"dt": 0.01, "t_past": 25.0, "t_future": 1.0},
+            "experiment": {"name": "pullback", "radius": 10.0, "n_starts": 16,
+                           "horizons": [1.0, 2.0, 4.0, 8.0], "equilibrium_tol": 1e-6},
+            "master_seed": 0,
+            "output_dir": str(tmp_path / "out"),
+        }
+        manifest = run(validate_config(raw))
+        assert manifest.all_passed
+        assert manifest.numbers["equilibrium_horizon"] == 16.0
+        assert sum(n for _, n in ladder_calls) == 2400
+
     def test_equilibrium_run(self, tmp_path):
         path = write_config(tmp_path, name="equilibrium",
                             extra={"experiment": {"tol": 1e-4, "check_times": [1.0]}})
@@ -421,8 +442,8 @@ class TestMain:
          "experiment.n_starts: a pairwise-distance array of 1.00e+14 start pairs x 33 sites "
          "exceeds the limit of 67108864 values"),
         ("absorb", {"experiment": {"name": "absorb", "n_starts": 10**7}},
-         "experiment.n_starts: a start batch of 1.00e+7 starts x 33 sites exceeds the limit "
-         "of 67108864 values"),
+         "experiment.n_starts: a pullback ladder of 4.00e+7 horizon x start rows x 33 sites "
+         "exceeds the limit of 67108864 values"),
     ], ids=["solver-refinement", "noise-field", "fbm-circulant", "pullback-distances",
             "absorb-starts"])
     def test_exit_two_on_oversized_run(self, tmp_path, capsys, monkeypatch, command, raw,
@@ -621,6 +642,29 @@ class TestValidateConfigDirect:
             assert err.value.violations == [
                 "lattice.coupling: must be a finite number > 0, got -1.0", message,
             ]
+
+    def test_size_limit_counts_ladder_horizons(self):
+        # the ladder holds a row per horizon and start: 6 x 2033601 x 33 = 4.0e8 values
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": {"name": "absorb", "n_starts": 2033601,
+                                            "horizons": [0.5, 1, 2, 4, 8, 16]}})
+        assert err.value.violations == [
+            "experiment.n_starts: a pullback ladder of 1.22e+7 horizon x start rows x 33 "
+            "sites exceeds the limit of 67108864 values"]
+
+    @pytest.mark.parametrize("name", ["absorb", "pullback"])
+    def test_ladder_size_limit_inclusive(self, monkeypatch, name):
+        # more horizons than starts: for pullback too the ladder is the larger array
+        raw = {"grid": {"dt": 0.5, "t_past": 2.0, "t_future": 0.0}, "solver": {"dt": 0.5},
+               "experiment": {"name": name, "n_starts": 3, "horizons": [1.0, 2.0] * 5}}
+        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 10 * 3 * 33)
+        validate_config(raw)
+        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 10 * 3 * 33 - 1)
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert err.value.violations == [
+            "experiment.n_starts: a pullback ladder of 30 horizon x start rows x 33 sites "
+            "exceeds the limit of 989 values"]
 
     def test_hash_changes_with_content(self):
         assert validate_config({}).config_hash() != validate_config(
