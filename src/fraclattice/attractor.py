@@ -26,7 +26,7 @@ from .errors import InsufficientHorizonError
 from .fbm import TimeGrid
 from .lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from .noise import NoiseField, OUProcess, stationary_ou
-from .solver import SolverConfig, _solve, _start_values, _step_loop
+from .solver import SolverConfig, _run_row, _solve, _start_values, _step_rows
 
 __all__ = [
     "ContractionReport",
@@ -55,10 +55,6 @@ SLOPE_TOL_FACTOR = 0.05
 
 #: Forward-stationarity residuals must stay below this many equilibrium tols.
 STATIONARITY_TOL_FACTOR = 5.0
-
-#: Noise values one ``_step_loop`` call of the pullback ladder reads at most,
-#: so the noise block does not grow with the number of horizons.
-_LADDER_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -148,71 +144,22 @@ def _pullback_ladder(
     and T = 0 gives the starts untouched.  Horizons that read the same
     noise step once.  Every horizon is checked before any step, smallest
     first, as its single run checks it; a blow-up reports its time from
-    -max T.  Returns shape ``(len(horizons),) + starts' shape``.
+    -max T, and no horizons raise ValueError.  Returns shape
+    ``(len(horizons),) + starts' shape``.
     """
+    if not len(horizons):
+        raise ValueError("horizons must not be empty")
     x0 = _start_values(starts, field, params)
-    runs = {t: _ladder_row(field.grid, t, config) for t in sorted({float(t) for t in horizons})}
+    runs = {t: _run_row(field.grid, -t, t, config) for t in sorted({float(t) for t in horizons})}
     rows = sorted({r for r in runs.values() if r}, key=lambda r: -r[1])
     out = np.empty((len(horizons),) + x0.shape)
     if rows:
-        ends = _ladder_ends(rows, [r[0] for r in rows], field,
-                            x0.reshape(-1, params.n_sites), params, spec, config)
+        ends = _step_rows(rows, [r[0] for r in rows], field, x0.reshape(-1, params.n_sites),
+                          params, spec, config)
     for i, t in enumerate(horizons):
         r = runs[float(t)]
         out[i] = x0 if r is None else ends[rows.index(r)].reshape(x0.shape)
     return out
-
-
-def _ladder_row(grid: TimeGrid, t: float, config: SolverConfig) -> tuple[int, int] | None:
-    """(noise node of -t, solver steps) of the pullback from horizon t; None for t = 0.
-
-    Raises as the single run does: for a horizon off the noise grid, and
-    ``WindowError`` for one beyond the sampled past.
-    """
-    grid.steps_of(-t)
-    j = grid.index_of(-t)
-    n = replace(config, t_end=t).n_steps() if t != 0 else 0
-    return (j, n) if n else None
-
-
-def _ladder_ends(rows, origins, field, x, params, spec, config) -> np.ndarray:
-    """Endpoints (rows, n_starts, d) of the (noise node, steps) rows, longest first.
-
-    Row r joins at node j and reads the noise of its single run on a copy
-    of the field re-anchored at node ``origins[r]`` = o and then at j, as
-    ``shift_noise`` makes them: ((omega - omega[o]) - (omega[j] - omega[o])) sigma.
-    With o = j that is exactly (omega - omega[j]) sigma, the noise of
-    ``cocycle_map(T, shift_noise(field, -T), ...)``.
-    """
-    m = config.refinement(field.grid.dt)
-    j, o = np.array([r[0] for r in rows]), np.array(origins)
-    n_max = rows[0][1]
-    joins = n_max - np.array([r[1] for r in rows])  # global step at which a row starts
-    bounds = sorted(set(joins.tolist())) + [n_max]
-    v = np.empty((0,) + x.shape)
-    for a, b in zip(bounds, bounds[1:]):
-        r = int(np.searchsorted(joins, a, side="right"))  # rows active from step a
-        block = max(1, _LADDER_BLOCK_VALUES // (r * x.shape[-1]))
-        for c in range(a, b, block):
-            local = np.arange(c, min(b, c + block) + 1)[:, None] - joins[:r]
-            w = field.paths[j[:r] + (2 * local + m) // (2 * m)] - field.paths[o[:r]]
-            w -= field.paths[j[:r]] - field.paths[o[:r]]
-            w *= field.sigma.values
-            w = w[:, :, None, :]
-            if c == a:  # the rows joining here start from x - w[0], as v0
-                v = np.concatenate([v, x - w[0, len(v):]])
-            v = _step_loop(v, w, params, spec, config, collect=False, first_step=c)
-    v += w[-1]
-    return v
-
-
-def _pullback(
-    t: float, field: NoiseField, starts: LatticeVector | np.ndarray,
-    params: LatticeParams, spec: NonlinearitySpec, config: SolverConfig,
-) -> LatticeVector | np.ndarray:
-    """phi(t, shift_(-t) field, starts) at time 0: the one-horizon ladder."""
-    end = _pullback_ladder([t], field, starts, params, spec, config)[0]
-    return LatticeVector(end) if isinstance(starts, LatticeVector) else end
 
 
 def _diameter(points: np.ndarray) -> float:
@@ -254,7 +201,7 @@ def pullback_experiment(
     when each ensemble diameter is at most
     diameter(0) * e^(-damping T) * (1 + 5 dt T).  When an equilibrium
     estimate is supplied, the one-sided Hausdorff distance of each
-    endpoint cloud to it is reported as well.
+    endpoint cloud to it is reported as well.  No ``horizons`` raise ValueError.
     """
     horizons = np.asarray(sorted(horizons), dtype=float)
     starts = sphere_starts(radius, n_starts, params.half_width, seed)
@@ -375,24 +322,25 @@ def forward_stationarity_check(
     it must stay below STATIONARITY_TOL_FACTOR * tol.  Every forward leg
     is read off one run to the last time, and the equilibria of all the
     shifted fields are pulled back from 0 as one batch, each row equal to
-    ``_pullback(horizon, shift_noise(field, t), 0)`` bit for bit.
+    its single pullback bit for bit.  No ``times`` raise ValueError.
     """
+    if not len(times):
+        raise ValueError("times must not be empty")
     times = np.asarray(sorted(times), dtype=float)
     horizon = equilibrium.horizon
     steps = [replace(config, t_end=float(t)).n_steps() for t in times]
-    if steps and steps[-1]:
+    if steps[-1]:
         states = _solve(equilibrium.u0, field, params, spec,
                         replace(config, t_end=float(times[-1])))
     origins, rows = [], []
     for t in times:  # the checks of shift_noise(field, t), then of its pullback
         shifted = field.grid.shifted(field.grid.steps_of(float(t)))
         origins.append(field.grid.index_of(float(t)))
-        rows.append(_ladder_row(shifted, horizon, config))
+        rows.append(_run_row(shifted, -horizon, horizon, config))
     zero = _start_values(LatticeVector.zeros(params.half_width), field, params)
     shifted_eqs = np.zeros((times.size, params.n_sites))  # phi(0) of the zero start
-    if rows and rows[0]:  # one horizon, so every row steps or none does
-        shifted_eqs = _ladder_ends(rows, origins, field, zero[None], params, spec,
-                                   config)[:, 0]
+    if rows[0]:  # one horizon, so every row steps or none does
+        shifted_eqs = _step_rows(rows, origins, field, zero[None], params, spec, config)[:, 0]
     residuals = np.empty(times.size)
     for j, n in enumerate(steps):
         leg = states[n] if n else equilibrium.u0.values  # phi(0) is the identity
@@ -479,7 +427,7 @@ def absorption_check(
     Starts live on the radius-``d_radius`` sphere.  The entry horizon is
     the smallest tested T from which the bound holds at T and at every
     larger tested horizon; the report fails when no tested horizon works
-    (window too short, or a genuine violation).
+    (window too short, or a genuine violation).  No ``horizons`` raise ValueError.
     """
     horizons = np.asarray(sorted(horizons), dtype=float)
     window = _past_window(field.grid, t_past)

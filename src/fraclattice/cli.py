@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from decimal import Decimal
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -29,7 +29,7 @@ import numpy as np
 from . import attractor as at
 from . import noise as nz
 from . import solver as sv
-from .errors import ConfigError, FracLatticeError
+from .errors import ConfigError, FracLatticeError, OffGridError
 from .fbm import HurstParameter, TimeGrid, sample_fbm_array
 from .lattice import (
     Boundary,
@@ -48,8 +48,9 @@ ENV_OUTDIR = "FRACLATTICE_OUTDIR"
 
 #: Hard size guard on a config: the most values one array of a run may
 #: hold (512 MiB of doubles): the noise field, the sub-stepped noise rows,
-#: the circulant of ``sample-fbm``, the pairwise distances of ``pullback``
-#: or the pullback ladder (horizons x starts rows) of ``pullback`` and ``absorb``.
+#: the circulant of ``sample-fbm``, the pairwise distances of ``pullback``,
+#: the pullback ladder (horizons x starts rows) of ``pullback`` and ``absorb``, or
+#: the stationarity batch (a row per check time) of ``equilibrium``.
 MAX_GRID_VALUES = 1 << 26
 
 
@@ -520,15 +521,28 @@ def _size_check(what: str, rows: int, unit: str, sites: int | None = None) -> No
         raise ValueError(f"a {what} of {shape} exceeds the limit of {MAX_GRID_VALUES} values")
 
 
+def _whole_steps(times, solver: sv.SolverConfig, grid: TimeGrid | None = None) -> None:
+    """Raise ValueError for a time that is not a whole number of solver steps,
+    nor of ``grid`` steps when given, by the checks the run makes."""
+    for t in dict.fromkeys(times):
+        try:
+            replace(solver, t_end=float(t)).n_steps()
+            if grid is not None:
+                grid.steps_of(float(t))
+        except (ValueError, OffGridError):
+            step = "solver.dt" if grid is None else "grid.dt"
+            raise ValueError(f"{t!r} is not a whole number of {step} steps") from None
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig`, reporting every violation at once.
 
     Each value must pass its ``_FIELDS`` rule, and unknown keys are
     violations too, so a typo never falls back to a default.  The checks
     that join several values (the Hurst range, each site vector against
-    ``half_width``, the grid window, the solver refinement, the
-    ``MAX_GRID_VALUES`` size guard) run for every group whose values
-    passed their rules.
+    ``half_width``, the grid window, the solver refinement, times that
+    are whole numbers of steps, the ``MAX_GRID_VALUES`` size guard) run
+    for every group whose values passed their rules.
     """
     violations: list[str] = []
     given = _flatten(raw, violations)
@@ -571,6 +585,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
                                      scheme=sv.Scheme(values["solver.scheme"]))
         if grid is not None:
             refinement = _checked(violations, "solver.dt", solver_cfg.refinement, grid.dt)
+    if solver_cfg is not None and name in ("simulate", "contraction"):  # they run to t_end
+        _checked(violations, "solver.t_end", _whole_steps, [solver_cfg.t_end], solver_cfg)
+    for path in ("experiment.horizons", "experiment.check_times"):  # shifts of the noise
+        if path in known and passed(path) and refinement is not None:
+            _checked(violations, path, _whole_steps, values[path], solver_cfg, grid)
     sites = 2 * half_width + 1 if passed("lattice.half_width") else None
     if grid is not None and sites is not None:
         _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, "nodes", sites)
@@ -590,6 +609,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         else:
             _checked(violations, "experiment.n_starts", _size_check, "pullback ladder",
                      h * n, "horizon x start rows", sites)
+    if name == "equilibrium" and sites is not None and passed("experiment.check_times"):
+        _checked(violations, "experiment.check_times", _size_check, "stationarity batch",
+                 len(values["experiment.check_times"]), "check time rows", sites)
 
     if violations:
         raise ConfigError(violations)

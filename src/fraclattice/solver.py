@@ -65,6 +65,10 @@ _GUARD_TOTAL = (BLOWUP_NORM / 2) ** 2
 #: the cubic benchmark; a generous envelope, as the residual is rounding.
 COCYCLE_RESIDUAL_COEF = 0.05
 
+#: Noise values one ``_step_loop`` call of a blocked run reads at most, so
+#: the noise block grows neither with the run's length nor with its rows.
+_BLOCK_VALUES = 1 << 20
+
 
 class Scheme(str, enum.Enum):
     EULER = "euler"
@@ -150,21 +154,6 @@ def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):
     return drift
 
 
-def _noise_rows(field: NoiseField, config: SolverConfig, n_steps: int) -> np.ndarray:
-    """W samples aligned with the solver nodes 0..n_steps (see SolverConfig)."""
-    m = config.refinement(field.grid.dt)
-    k0 = field.grid.index_of(0.0)
-    idx = k0 + (2 * np.arange(n_steps + 1) + m) // (2 * m)
-    if idx[-1] > field.grid.n_steps:
-        raise WindowError(
-            f"noise window ends at {field.grid.t_end} but integration "
-            f"needs {config.t_end}"
-        )
-    w = field.paths[idx]  # a fresh copy, scaled in place
-    w *= field.sigma.values
-    return w
-
-
 def _step_loop(
     v0: np.ndarray,
     w: np.ndarray,
@@ -225,6 +214,66 @@ def _step_loop(
     return states if collect else v
 
 
+def _noise_node(j, local, m):
+    """Noise node that solver step ``local`` of a run from node j reads (see ``SolverConfig``)."""
+    return j + (2 * local + m) // (2 * m)
+
+
+def _read_noise(field: NoiseField, j, o, local, m: int) -> np.ndarray:
+    """W at solver steps ``local`` of runs from noise nodes j (broadcast), refinement m.
+
+    Re-anchored at node o and then at j, as ``shift_noise`` makes it, in place
+    on one gathered copy: ((omega - omega[o]) - (omega[j] - omega[o])) sigma.
+    At o = j it is the shifted field's noise bit for bit; at t = 0's node, W.
+    """
+    w = field.paths[_noise_node(j, local, m)]
+    w -= field.paths[o]
+    w -= field.paths[j] - field.paths[o]
+    w *= field.sigma.values
+    return w
+
+
+def _run_row(grid: TimeGrid, t0: float, t: float, config: SolverConfig) -> tuple[int, int] | None:
+    """(noise node of t0, solver steps) of the run over [t0, t0 + t]; None if it takes no step.
+
+    Raises before any step: for a t0 off or outside the noise grid, a ``t``
+    off the solver grid, and ``WindowError`` for noise read past the grid.
+    """
+    grid.steps_of(t0)
+    j = grid.index_of(t0)
+    n = replace(config, t_end=t).n_steps() if t != 0 else 0
+    if n and _noise_node(j, n, config.refinement(grid.dt)) > grid.n_steps:
+        raise WindowError(f"noise window ends at {grid.t_end} but integration needs {t}")
+    return (j, n) if n else None
+
+
+def _step_rows(rows, origins, field: NoiseField, x: np.ndarray, params: LatticeParams,
+               spec: NonlinearitySpec, config: SolverConfig) -> np.ndarray:
+    """Endpoints (rows, n_starts, d) of the (noise node, steps) rows, longest first.
+
+    One staggered run from the starts x, (n_starts, d): the rows end together,
+    each reading its noise re-anchored at ``origins[r]`` (see ``_read_noise``)
+    in ``_step_loop`` calls of at most ``_BLOCK_VALUES`` noise values.  A
+    blow-up's time counts from the first row's start.
+    """
+    m = config.refinement(field.grid.dt)
+    (j, n), o = np.array(rows).T, np.array(origins)
+    joins = n[0] - n  # global step at which a row starts
+    bounds = sorted(set(joins.tolist())) + [int(n[0])]
+    v = np.empty((0,) + x.shape)
+    for a, b in zip(bounds, bounds[1:]):
+        r = int(np.searchsorted(joins, a, side="right"))  # rows active from step a
+        block = max(1, _BLOCK_VALUES // (r * x.shape[-1]))
+        for c in range(a, b, block):
+            local = np.arange(c, min(b, c + block) + 1)[:, None] - joins[:r]
+            w = _read_noise(field, j[:r], o[:r], local, m)[:, :, None, :]
+            if c == a:  # the rows joining here start from x - w[0], as v0
+                v = np.concatenate([v, x - w[0, len(v):]])
+            v = _step_loop(v, w, params, spec, config, collect=False, first_step=c)
+    v += w[-1]
+    return v
+
+
 def _start_values(u0, field: NoiseField, params: LatticeParams) -> np.ndarray:
     """Values of a LatticeVector or (n_starts, d) batch; all widths must agree."""
     single = isinstance(u0, LatticeVector)
@@ -256,15 +305,17 @@ def integrate(
 
 def _solve(u0, field: NoiseField, params: LatticeParams, spec: NonlinearitySpec,
            config: SolverConfig) -> np.ndarray:
-    """u at every solver node, (nodes, ..., d), for a start or (n_starts, d) batch."""
+    """u at every solver node, (nodes,) + the start's shape, for a start or (n_starts, d) batch."""
     x0 = _start_values(u0, field, params)
-    n_steps = config.n_steps()
-    if n_steps < 1:
+    row = _run_row(field.grid, 0.0, config.t_end, config)
+    if row is None:
         raise ValueError("t_end must be at least one step (phi(0) is the identity)")
-    w = _noise_rows(field, config, n_steps)
-    states = _step_loop(x0 - w[0], w, params, spec, config, collect=True)
-    states += w if x0.ndim == 1 else w[:, None]
-    return states
+    j, n = row
+    w = _read_noise(field, j, j, np.arange(n + 1), config.refinement(field.grid.dt))
+    x = x0.reshape(-1, params.n_sites)
+    states = _step_loop(x - w[0], w, params, spec, config, collect=True)
+    states += w[:, None]
+    return states.reshape((n + 1,) + x0.shape)
 
 
 def cocycle_map(
@@ -280,15 +331,15 @@ def cocycle_map(
     ``u0`` is one ``LatticeVector``, giving one, or an (n_starts, d)
     array of starts, giving the array of their endpoints.  A batch shares
     the one noise realization and steps vectorized; each row equals the
-    single run from that start bit for bit.
+    single run from that start bit for bit.  It is the one-row staggered
+    run from the node of t = 0, so it reads its noise in blocks.
     """
     x0 = _start_values(u0, field, params)
-    if t == 0:
+    row = _run_row(field.grid, 0.0, t, config)
+    if row is None:
         return u0
-    cfg = replace(config, t_end=t)  # raises for t < 0
-    w = _noise_rows(field, cfg, cfg.n_steps())
-    end = _step_loop(x0 - w[0], w, params, spec, cfg, collect=False)
-    end += w[-1]
+    end = _step_rows([row], [row[0]], field, x0.reshape(-1, params.n_sites), params, spec,
+                     config)[0].reshape(x0.shape)
     return LatticeVector(end) if isinstance(u0, LatticeVector) else end
 
 

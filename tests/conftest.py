@@ -1,6 +1,6 @@
 import pytest
 
-from fraclattice import attractor, noise
+from fraclattice import noise, solver
 
 
 @pytest.fixture
@@ -18,12 +18,12 @@ def sweep_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def ladder_calls(monkeypatch) -> list:
-    """``(start batch shape, steps)`` per ``attractor._step_loop`` call made during the test."""
-    calls, step_loop = [], attractor._step_loop
+    """``(start batch shape, steps)`` per ``solver._step_loop`` call made during the test."""
+    calls, step_loop = [], solver._step_loop
 
     def counted(v0, w, *args, **kwargs):
         calls.append((v0.shape, w.shape[0] - 1))
         return step_loop(v0, w, *args, **kwargs)
 
-    monkeypatch.setattr(attractor, "_step_loop", counted)
+    monkeypatch.setattr(solver, "_step_loop", counted)
     return calls

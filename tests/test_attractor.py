@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclattice import attractor
+from fraclattice import solver
 from fraclattice.attractor import (
     _pullback_ladder,
     absorbing_radius,
@@ -198,6 +198,11 @@ class TestPullback:
         assert rep.hausdorff is not None
         assert rep.hausdorff[-1] <= 1e-5
 
+    def test_no_horizons_raise(self, field):
+        # no diameter to bound is no pass
+        with pytest.raises(ValueError, match="^horizons must not be empty$"):
+            pullback_experiment(10.0, 8, field, make_params(), CUBIC, CFG, horizons=[])
+
 
 class TestPullbackLadder:
     # 0 (the identity), 0.37 (37 noise nodes, odd), a duplicate 1.0, unsorted
@@ -233,7 +238,7 @@ class TestPullbackLadder:
         # more blocks change nothing but how many steps one call takes
         ref = _pullback_ladder([0.5, 1.0], field, sphere_starts(2.0, 2, N, 1),
                                make_params(), CUBIC, CFG)
-        monkeypatch.setattr(attractor, "_LADDER_BLOCK_VALUES", 7 * (2 * N + 1))
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", 7 * (2 * N + 1))
         ends = _pullback_ladder([0.5, 1.0], field, sphere_starts(2.0, 2, N, 1),
                                 make_params(), CUBIC, CFG)
         assert_bits_equal(ends, ref)
@@ -399,7 +404,14 @@ class TestForwardStationarity:
         eq = random_equilibrium(field, params, CUBIC, CFG, tol=1e-6)
         ladder_calls.clear()
         forward_stationarity_check(eq, field, params, CUBIC, CFG, times=[0.5, 1.0, 2.0])
-        assert ladder_calls == [((3, 1, 2 * N + 1), round(eq.horizon / DT))]
+        d = 2 * N + 1
+        assert ladder_calls == [((1, d), 200), ((3, 1, d), round(eq.horizon / DT))]
+
+    def test_no_times_raise(self, field):
+        # no residual to bound is no pass
+        eq = random_equilibrium(field, make_params(), CUBIC, CFG, tol=1e-6)
+        with pytest.raises(ValueError, match="^times must not be empty$"):
+            forward_stationarity_check(eq, field, make_params(), CUBIC, CFG, times=[])
 
     def test_window_errors_of_single_runs(self, field):
         params = make_params()
@@ -408,8 +420,8 @@ class TestForwardStationarity:
             forward_stationarity_check(eq, field, params, CUBIC, CFG, times=[1.0, 7.0])
         deep = dataclasses.replace(eq, horizon=24.5)  # reaches past -24 from t = 0.25
         with pytest.raises(WindowError) as single:
-            attractor._pullback(24.5, shift_noise(field, 0.25), LatticeVector.zeros(N),
-                                params, CUBIC, CFG)
+            single_pullback(24.5, shift_noise(field, 0.25), LatticeVector.zeros(N), params,
+                            CUBIC, CFG)
         with pytest.raises(WindowError) as batch:
             forward_stationarity_check(deep, field, params, CUBIC, CFG, times=[1.0, 0.25])
         assert str(batch.value) == str(single.value)
@@ -417,21 +429,15 @@ class TestForwardStationarity:
     def test_forward_attraction_envelope(self, field):
         # every start falls onto the moving equilibrium at least as fast
         # as e^(-damping t), with the discretization cushion
-        from fraclattice.attractor import _pullback
-        from fraclattice.noise import shift_noise
-        from fraclattice.solver import cocycle_map
-
         params = make_params()
         eq = random_equilibrium(field, params, CUBIC, CFG, tol=1e-8)
         u0 = LatticeVector.from_support(N, {0: 3.0, -2: 1.0})
         d0 = float(np.linalg.norm(u0.values - eq.u0.values))
         for t in (1.0, 2.0, 4.0):
             forward = cocycle_map(t, field, u0, params, CUBIC, CFG)
-            eq_shifted = _pullback(
-                eq.horizon, shift_noise(field, t), LatticeVector.zeros(N),
-                params, CUBIC, CFG,
-            )
-            gap = float(np.linalg.norm(forward.values - eq_shifted.values))
+            eq_shifted = single_pullback(eq.horizon, shift_noise(field, t),
+                                         LatticeVector.zeros(N), params, CUBIC, CFG)
+            gap = float(np.linalg.norm(forward.values - eq_shifted))
             assert gap <= d0 * np.exp(-params.damping * t) * (1.0 + 5.0 * DT) + 1e-7
 
 
@@ -468,6 +474,11 @@ class TestAbsorbingRadius:
 
 
 class TestAbsorption:
+    def test_no_horizons_raise(self, field):
+        with pytest.raises(ValueError, match="^horizons must not be empty$"):
+            absorption_check(10.0, field, make_params(), CUBIC, CFG, horizons=[],
+                             t_past=2.0, ou_tail_tol=1.0)
+
     def test_one_sweep_reads_centre_and_radius(self, field, sweep_calls):
         rep = absorption_check(10.0, field, make_params(), CUBIC, CFG, horizons=[1.0],
                                t_past=4.0, ou_tail_tol=1e-2)

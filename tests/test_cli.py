@@ -382,6 +382,46 @@ class TestMain:
         assert f"config error: experiment.{key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, extra, line", [
+        ("simulate", {"solver": {"t_end": 1.01}},
+         "solver.t_end: 1.01 is not a whole number of solver.dt steps"),
+        ("pullback", {"experiment": {"horizons": [1.0, 1.01]}},
+         "experiment.horizons: 1.01 is not a whole number of grid.dt steps"),
+        ("absorb", {"experiment": {"horizons": [1.01], "ou_tail_tol": 1.0}},
+         "experiment.horizons: 1.01 is not a whole number of grid.dt steps"),
+        ("equilibrium", {"experiment": {"tol": 1e-4, "check_times": [1.01]}},
+         "experiment.check_times: 1.01 is not a whole number of grid.dt steps"),
+        # a whole number of sub-steps, but the check time shifts the noise grid
+        ("equilibrium", {"solver": {"dt": 0.01},
+                         "experiment": {"tol": 1e-4, "check_times": [0.01]}},
+         "experiment.check_times: 0.01 is not a whole number of grid.dt steps"),
+    ], ids=["t-end", "pullback-horizon", "absorb-horizon", "check-time", "sub-step-check-time"])
+    def test_exit_two_on_time_off_the_steps(self, tmp_path, capsys, name, extra, line):
+        # with an on-grid time in its place, each config runs and passes
+        path = write_config(tmp_path, name=name, extra=extra)
+        assert main([name, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unused_t_end_need_not_be_whole_steps(self, tmp_path):
+        # pullback runs to its horizons, never to solver.t_end
+        load_config(write_config(tmp_path, name="pullback", extra={"solver": {"t_end": 1.01}}))
+
+    def test_exit_two_on_too_many_check_times(self, tmp_path, capsys, monkeypatch):
+        # the stationarity batch holds a row per check time: 10 x 13 values, more
+        # than the 9-node noise field's 9 x 13
+        path = write_config(tmp_path, name="equilibrium", extra={
+            "grid": {"dt": 0.5, "t_past": 2.0, "t_future": 2.0}, "solver": {"dt": 0.5},
+            "experiment": {"check_times": [1.0] * 10}})
+        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 10 * 13)
+        load_config(path)
+        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 10 * 13 - 1)
+        assert main(["equilibrium", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: experiment.check_times: a stationarity batch of 10 check time "
+            "rows x 13 sites exceeds the limit of 129 values\n")
+        assert not (tmp_path / "out").exists()
+
     def test_exit_two_on_reference_mode_string(self, tmp_path, capsys):
         path = write_config(tmp_path, extra={"hurst": 0.5, "hurst_reference_mode": "false"})
         assert main(["contraction", "--config", str(path)]) == 2

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fraclattice.errors import BlowUpError, NonlinearityOverflowError
+from fraclattice import solver
+from fraclattice.attractor import _pullback_ladder
+from fraclattice.errors import BlowUpError, NonlinearityOverflowError, WindowError
 from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import (
     Boundary,
@@ -423,6 +425,57 @@ class TestSubStepCocycle:
         rep = cocycle_check(shift * 0.02, tau_steps * cfg.dt, self.FIELD, self.U0,
                             self.PARAMS, CUBIC, cfg)
         assert rep.residual <= 1e-12
+
+
+class TestNoiseNodes:
+    # noise dt 0.01 on [-1, 1]; the pullback from 0.37 joins 37 nodes back, an odd shift
+    PARAMS = make_params(2, sigma={0: 0.8, 1: -0.5, -2: 0.6}, forcing={0: 0.2})
+    FIELD = build_noise_field(PARAMS, TimeGrid(dt=0.01, n_steps=200, i_start=-100), 1414)
+    K0 = 100  # the node of t = 0
+    STARTS = np.array([[1.0, -0.5, -0.0, 0.3, 0.0], [0.2, 0.1, -1.0, 0.0, 0.5]])
+
+    def by_hand(self, j, n, m, cfg):
+        """Endpoints of the n-step run from node j, its noise written out from the
+        rule: solver step k reads the nearer of the nodes around k / m, ties up."""
+        nodes = [j + k // m + (2 * (k % m) >= m) for k in range(n + 1)]
+        w = (self.FIELD.paths[nodes] - self.FIELD.paths[j]) * self.FIELD.sigma.values
+        return _step_loop(self.STARTS - w[0], w, self.PARAMS, CUBIC, cfg, collect=False) + w[-1]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_runs_read_the_documented_nodes(self, m, scheme):
+        cfg = SolverConfig(dt=0.01 / m, t_end=1.0, scheme=scheme)
+        n = 37 * m + 1  # one sub-step past a node: the last step reads a rounded node
+        forward = cocycle_map(n * cfg.dt, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
+        assert_bits_equal(forward, self.by_hand(self.K0, n, m, cfg))
+        pulled = _pullback_ladder([0.37], self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
+        assert_bits_equal(pulled[0], self.by_hand(self.K0 - 37, 37 * m, m, cfg))
+
+    def test_blocks_keep_a_long_run(self, monkeypatch, ladder_calls):
+        cfg = SolverConfig(dt=0.01 / 3, t_end=1.0)
+        ref = cocycle_map(1.0, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
+        assert ladder_calls == [((1, 2, 5), 300)]
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", 7 * 5)  # 7 steps per call
+        assert_bits_equal(cocycle_map(1.0, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg),
+                          ref)
+        assert len(ladder_calls) == 1 + 43
+        assert_bits_equal(ref, self.by_hand(self.K0, 300, 3, cfg))
+
+    @pytest.mark.parametrize("m, n", [(2, 201), (3, 302)])
+    def test_window_end_checked_before_any_step(self, m, n):
+        # 201 sub-steps at m = 2 and 302 at m = 3 read node 101 past t = 0, one past the end
+        cfg = SolverConfig(dt=0.01 / m, t_end=n * 0.01 / m)
+        blow_up = LatticeVector.from_support(2, {0: 1e6})
+        message = f"noise window ends at 1.0 but integration needs {cfg.t_end}"
+        with pytest.raises(WindowError) as forward:
+            cocycle_map(cfg.t_end, self.FIELD, blow_up, self.PARAMS, CUBIC, cfg)
+        with pytest.raises(WindowError) as run:
+            integrate(blow_up, self.FIELD, self.PARAMS, CUBIC, cfg)
+        assert str(forward.value) == str(run.value) == message
+        # one sub-step less reads node 100, the last: at m = 3, 301 / 3 rounds down
+        short = SolverConfig(dt=0.01 / m, t_end=(n - 1) * 0.01 / m)
+        assert integrate(LatticeVector(self.STARTS[0]), self.FIELD, self.PARAMS, CUBIC,
+                         short).values.shape == (n, 5)
 
 
 class TestCocycle:
