@@ -19,15 +19,12 @@ from .errors import (
     InsufficientHorizonError,
     NonlinearityOverflowError,
     OffGridError,
-    SizeLimitError,
     WindowError,
 )
 from .fbm import (
     HurstParameter,
     TimeGrid,
-    fgn_autocovariance,
     sample_fbm_array,
-    sample_fbm_cholesky,
 )
 from .lattice import (
     Boundary,
@@ -37,32 +34,21 @@ from .lattice import (
     apply_diff,
     apply_diff_adjoint,
     apply_laplacian,
-    laplacian_modes,
-    probe_dissipativity,
-    probe_growth,
 )
 from .noise import (
     NoiseField,
     OUProcess,
     VectorSeries,
     build_noise_field,
-    coarsen_noise,
     derive_seed,
     noise_growth_constant,
-    ou_solution,
-    shift_noise,
     stationary_ou,
-    stieltjes_exp_integral,
 )
 from .solver import (
-    CocycleReport,
     Scheme,
     SolverConfig,
-    cocycle_check,
     cocycle_map,
-    gronwall_envelope,
     integrate,
-    linear_oracle,
 )
 from .attractor import (
     AbsorbingRadius,

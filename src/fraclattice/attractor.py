@@ -141,7 +141,8 @@ def _pullback_ladder(
     join at -T, and each row reads its own noise (omega(s) - omega(-T)) sigma
     on the nodes its single run reads, so every row equals
     ``cocycle_map(T, shift_noise(field, -T), starts, ...)`` bit for bit
-    and T = 0 gives the starts untouched.  Horizons that read the same
+    (``shift_noise`` is the field shift of ``tests/oracles.py``) and
+    T = 0 gives the starts untouched.  Horizons that read the same
     noise step once.  Every horizon is checked before any step, smallest
     first, as its single run checks it; a blow-up reports its time from
     -max T, and no horizons raise ValueError.  Returns shape
@@ -234,6 +235,23 @@ class EquilibriumEstimate:
     tol: float
 
 
+def _doubling_horizons(grid: TimeGrid, initial_horizon: float) -> list[float]:
+    """The horizons initial_horizon * 2^k, k >= 0, that the sampled past of ``grid`` holds.
+
+    Raises ``InsufficientHorizonError`` unless it holds the first two.
+    """
+    available = -grid.t_start
+    t = float(initial_horizon)
+    if 2.0 * t > available:
+        raise InsufficientHorizonError(
+            f"field past {available:.3g} cannot support initial horizon {t:.3g}"
+        )
+    horizons = [t]
+    while 2.0 * horizons[-1] <= available:
+        horizons.append(2.0 * horizons[-1])
+    return horizons
+
+
 def random_equilibrium(
     field: NoiseField,
     params: LatticeParams,
@@ -270,14 +288,7 @@ def random_equilibrium(
         signs = np.where(np.arange(params.n_sites) % 2 == 0, 1.0, -1.0)
         verify_start = LatticeVector(10.0 * signs / np.sqrt(params.n_sites))
     available = -field.grid.t_start
-    t = float(initial_horizon)
-    if 2.0 * t > available:
-        raise InsufficientHorizonError(
-            f"field past {available:.3g} cannot support initial horizon {t:.3g}"
-        )
-    horizons = [t]
-    while 2.0 * horizons[-1] <= available:
-        horizons.append(2.0 * horizons[-1])
+    horizons = _doubling_horizons(field.grid, initial_horizon)
     pair = np.stack([_start_values(start, field, params),
                      _start_values(verify_start, field, params)])
     ends = _pullback_ladder(horizons, field, pair, params, spec, config)
@@ -322,7 +333,9 @@ def forward_stationarity_check(
     it must stay below STATIONARITY_TOL_FACTOR * tol.  Every forward leg
     is read off one run to the last time, and the equilibria of all the
     shifted fields are pulled back from 0 as one batch, each row equal to
-    its single pullback bit for bit.  No ``times`` raise ValueError.
+    its single pullback bit for bit.  Each shifted field is read off
+    ``field`` as the field shift ``shift_noise`` of ``tests/oracles.py``
+    makes it.  No ``times`` raise ValueError.
     """
     if not len(times):
         raise ValueError("times must not be empty")

@@ -509,7 +509,7 @@ def _checked(violations: list[str], label: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, or None with its error listed under ``label``."""
     try:
         return make(*args, **kwargs)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, FracLatticeError) as exc:
         violations.append(f"{label}: {exc}")
         return None
 
@@ -521,8 +521,8 @@ def _size_check(what: str, rows: int, unit: str, sites: int | None = None) -> No
         raise ValueError(f"a {what} of {shape} exceeds the limit of {MAX_GRID_VALUES} values")
 
 
-def _whole_steps(times, solver: sv.SolverConfig, grid: TimeGrid | None = None) -> None:
-    """Raise ValueError for a time that is not a whole number of solver steps,
+def _whole_steps(times, solver: sv.SolverConfig, grid: TimeGrid | None = None) -> bool:
+    """True, or ValueError for a time that is not a whole number of solver steps,
     nor of ``grid`` steps when given, by the checks the run makes."""
     for t in dict.fromkeys(times):
         try:
@@ -532,6 +532,14 @@ def _whole_steps(times, solver: sv.SolverConfig, grid: TimeGrid | None = None) -
         except (ValueError, OffGridError):
             step = "solver.dt" if grid is None else "grid.dt"
             raise ValueError(f"{t!r} is not a whole number of {step} steps") from None
+    return True
+
+
+def _in_window(grid: TimeGrid, solver: sv.SolverConfig, times, back: bool) -> None:
+    """Raise the run's own error for a time t whose run, a pullback over [-t, 0]
+    (``back``) or a forward leg over [0, t], cannot step on the noise of ``grid``."""
+    for t in dict.fromkeys(float(t) for t in times):
+        sv._run_row(grid, -t if back else 0.0, t, solver)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -541,8 +549,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     violations too, so a typo never falls back to a default.  The checks
     that join several values (the Hurst range, each site vector against
     ``half_width``, the grid window, the solver refinement, times that
-    are whole numbers of steps, the ``MAX_GRID_VALUES`` size guard) run
-    for every group whose values passed their rules.
+    are whole numbers of steps, runs that the noise window holds, the
+    ``MAX_GRID_VALUES`` size guard) run for every group whose values
+    passed their rules.  A run's reach is checked by the checks the run
+    itself makes, so a config that validates does not fail on them.
     """
     violations: list[str] = []
     given = _flatten(raw, violations)
@@ -586,10 +596,21 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if grid is not None:
             refinement = _checked(violations, "solver.dt", solver_cfg.refinement, grid.dt)
     if solver_cfg is not None and name in ("simulate", "contraction"):  # they run to t_end
-        _checked(violations, "solver.t_end", _whole_steps, [solver_cfg.t_end], solver_cfg)
-    for path in ("experiment.horizons", "experiment.check_times"):  # shifts of the noise
-        if path in known and passed(path) and refinement is not None:
-            _checked(violations, path, _whole_steps, values[path], solver_cfg, grid)
+        if (_checked(violations, "solver.t_end", _whole_steps, [solver_cfg.t_end], solver_cfg)
+                and refinement is not None):
+            _checked(violations, "solver.t_end", sv._forward_row, grid, solver_cfg)
+    # shifts of the noise: pullbacks from the horizons, forward legs to the check times
+    for path, back in (("experiment.horizons", True), ("experiment.check_times", False)):
+        if (path in known and passed(path) and refinement is not None
+                and _checked(violations, path, _whole_steps, values[path], solver_cfg, grid)):
+            _checked(violations, path, _in_window, grid, solver_cfg, values[path], back)
+    if name == "equilibrium" and refinement is not None and passed("experiment.initial_horizon"):
+        _checked(violations, "experiment.initial_horizon", lambda: _in_window(
+            grid, solver_cfg, at._doubling_horizons(grid, values["experiment.initial_horizon"]),
+            back=True))
+    if name == "absorb" and grid is not None and passed("experiment.t_past"):
+        _checked(violations, "experiment.t_past", at._past_window, grid,
+                 float(values["experiment.t_past"]))
     sites = 2 * half_width + 1 if passed("lattice.half_width") else None
     if grid is not None and sites is not None:
         _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, "nodes", sites)

@@ -17,10 +17,6 @@ class EmbeddingError(FracLatticeError):
     """Circulant embedding produced a significantly negative eigenvalue."""
 
 
-class SizeLimitError(FracLatticeError):
-    """Input exceeds a hard cost guard (O(n^3) oracle paths)."""
-
-
 class NonlinearityOverflowError(FracLatticeError):
     """Componentwise nonlinearity produced a non-finite value."""
 

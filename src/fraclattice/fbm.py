@@ -4,8 +4,9 @@ Sampling is done by circulant embedding of the fractional Gaussian noise
 (fGn) covariance (Davies-Harte), which is exact in law and O(n log n).
 The circulant eigenvalues are computed once per ``(n_steps, h)`` and
 cached read-only; :func:`_fgn_from_normals` turns a block of unit
-normals into fGn with one FFT along its rows.  A dense Cholesky sampler
-is kept as an O(n^3) cross-validation oracle.
+normals into fGn with one FFT along its rows.  The dense O(n^3)
+Cholesky sampler it is cross-validated against lives with the tests,
+in ``tests/oracles.py``.
 
 A path is a plain array: row k of :func:`sample_fbm_array` samples
 one fBm path on the nodes 0, dt, ..., exactly zero at t = 0.  Two-sided
@@ -23,23 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmbeddingError, OffGridError, SizeLimitError, WindowError
+from .errors import EmbeddingError, OffGridError, WindowError
 
 __all__ = [
     "HurstParameter",
     "TimeGrid",
-    "fgn_autocovariance",
     "sample_fbm_array",
-    "sample_fbm_cholesky",
 ]
 
 #: Relative tolerance for negative circulant eigenvalues.  fGn with
 #: H in (1/2, 1) embeds cleanly in practice; this only absorbs
 #: floating-point dust and anything larger raises ``EmbeddingError``.
 EIGENVALUE_TOL = 1e-10
-
-#: Hard size guard for the dense Cholesky oracle.
-CHOLESKY_MAX_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,8 @@ class TimeGrid:
         return (self.i_start + np.arange(self.n_nodes)) * self.dt
 
     def index_of(self, t: float) -> int:
-        """Node index of time ``t``, or ``OffGridError`` if t is off-grid."""
+        """Node index of time ``t``; ``WindowError`` if t is outside the window,
+        ``OffGridError`` if t is off-grid."""
         k = round(t / self.dt) - self.i_start
         if not 0 <= k <= self.n_steps:
             raise WindowError(
@@ -141,23 +138,6 @@ class TimeGrid:
         return TimeGrid(self.dt, self.n_steps, self.i_start - k_steps)
 
 
-def fgn_autocovariance(k: int, h: "HurstParameter | float", dt: float = 1.0) -> float:
-    """Autocovariance of step-``dt`` fBm increments at integer lag ``k``.
-
-    gamma(k) = dt^(2H) / 2 * (|k+1|^(2H) - 2|k|^(2H) + |k-1|^(2H)).
-
-    Positive for every lag when h > 1/2 (long-range positive correlation)
-    and zero for k >= 1 at h = 1/2.
-    """
-    if k < 0:
-        raise ValueError("lag must be >= 0")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    h2 = 2.0 * as_hurst(h).h
-    lag = float(k)
-    return 0.5 * dt**h2 * ((lag + 1.0) ** h2 - 2.0 * lag**h2 + abs(lag - 1.0) ** h2)
-
-
 @functools.lru_cache(maxsize=32)
 def _fgn_eigenvalues(n_steps: int, h: float) -> np.ndarray:
     """Eigenvalues of the 2n-circulant embedding of the unit-step fGn covariance.
@@ -177,7 +157,7 @@ def _fgn_eigenvalues(n_steps: int, h: float) -> np.ndarray:
     if eig.min() < floor:
         raise EmbeddingError(
             f"circulant eigenvalue {eig.min():.3e} below tolerance for "
-            f"h={h}, n={n_steps}; use the Cholesky sampler"
+            f"h={h}, n={n_steps}; tests/oracles.py has the dense Cholesky sampler"
         )
     eig = np.clip(eig, 0.0, None)
     eig.setflags(write=False)
@@ -215,8 +195,9 @@ def sample_fbm_array(
     exactly 0 at t = 0.  The increments are drawn with exact covariance
     by circulant embedding and the path is their cumulative sum.
     Identical arguments give bit-identical output.  Raises
-    ``EmbeddingError`` if the covariance embedding fails (callers may
-    fall back to :func:`sample_fbm_cholesky`).
+    ``EmbeddingError`` if the covariance embedding fails (the dense
+    Cholesky sampler ``sample_fbm_cholesky`` of ``tests/oracles.py`` is
+    the reference this sampler is checked against).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -227,44 +208,3 @@ def sample_fbm_array(
     out = np.zeros((n_paths, n_steps + 1))
     np.cumsum(fgn, axis=1, out=out[:, 1:])
     return out
-
-
-def _fbm_covariance_matrix(n_steps: int, h: float, dt: float) -> np.ndarray:
-    t = dt * np.arange(1, n_steps + 1, dtype=float)
-    h2 = 2.0 * h
-    return 0.5 * (
-        t[:, None] ** h2 + t[None, :] ** h2 - np.abs(t[:, None] - t[None, :]) ** h2
-    )
-
-
-def sample_fbm_cholesky(
-    n_steps: int,
-    h: "HurstParameter | float",
-    dt: float,
-    seed=None,
-    normals: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact fBm path via dense Cholesky of the path covariance.
-
-    O(n^3); intended as a cross-validation oracle, hence the
-    ``CHOLESKY_MAX_STEPS`` guard.  ``normals`` injects the driving unit
-    normals directly (tests), otherwise they are drawn from ``seed``.
-    Returns the ``(n_steps + 1,)`` path on the nodes 0, dt, ..., exactly
-    0 at t = 0.
-    """
-    if n_steps > CHOLESKY_MAX_STEPS:
-        raise SizeLimitError(
-            f"n_steps={n_steps} exceeds Cholesky oracle guard {CHOLESKY_MAX_STEPS}"
-        )
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    hurst = as_hurst(h)
-    cov = _fbm_covariance_matrix(n_steps, hurst.h, dt)
-    chol = np.linalg.cholesky(cov)
-    if normals is None:
-        normals = np.random.default_rng(seed).standard_normal(n_steps)
-    else:
-        normals = np.asarray(normals, dtype=float)
-        if normals.shape != (n_steps,):
-            raise ValueError(f"normals must have shape ({n_steps},)")
-    return np.concatenate([[0.0], chol @ normals])

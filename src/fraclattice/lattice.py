@@ -15,7 +15,8 @@ outermost sites (the adjointness identity survives unconditionally).
 
 The drift nonlinearity acts componentwise and is described by a
 :class:`NonlinearitySpec` carrying its claimed one-sided dissipativity
-and growth constants; randomized probes check the claims numerically.
+and growth constants; the randomized probes of the test suite
+(``tests/oracles.py``) check the claims numerically.
 """
 
 from __future__ import annotations
@@ -34,18 +35,7 @@ __all__ = [
     "apply_laplacian",
     "apply_diff",
     "apply_diff_adjoint",
-    "probe_dissipativity",
-    "probe_growth",
-    "laplacian_modes",
-    "DissipativityReport",
-    "GrowthReport",
 ]
-
-#: Slack added to the claimed dissipativity constant before failing a probe.
-PROBE_TOL = 1e-9
-
-#: Pairs closer than this are skipped by the dissipativity probe.
-DEGENERATE_PAIR_TOL = 1e-14
 
 
 def _operand(x: float) -> np.ndarray:
@@ -207,7 +197,8 @@ class NonlinearitySpec:
     <x - y, f(x) - f(y)> <= -L |x - y|^2, and ``growth_coef`` /
     ``growth_power`` the claimed K, p in |f(x)| + |Df(x)| <= K(1 + |x|^p)
     with |Df| the max-abs diagonal derivative.  The claims are metadata;
-    :func:`probe_dissipativity` and :func:`probe_growth` test them.
+    the probes ``probe_dissipativity`` and ``probe_growth`` of
+    ``tests/oracles.py`` test them.
     """
 
     kind: NonlinearityKind
@@ -314,126 +305,3 @@ class NonlinearitySpec:
         if self.kind is NonlinearityKind.CUBIC:
             return -self.a - 3.0 * self.b * x**2
         return np.asarray(self.dfn(x), dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# randomized condition probes
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    worst_quotient: float
-    claimed_const: float
-    n_pairs: int
-    n_skipped: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    worst_ratio: float
-    claimed_coef: float
-    claimed_power: float
-    n_samples: int
-    passed: bool
-
-
-def probe_dissipativity(
-    spec: NonlinearitySpec,
-    n_samples: int = 10_000,
-    radius: float = 10.0,
-    seed=0,
-    half_width: int = 16,
-) -> DissipativityReport:
-    """Estimate the worst one-sided quotient <x-y, f(x)-f(y)> / |x-y|^2.
-
-    Pairs are drawn with componentwise-uniform entries in
-    [-radius, radius].  The probe passes when the worst quotient stays
-    below -diss_const (plus a tiny slack); for f(s) = -a s the quotient
-    is -a on every pair.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    d = 2 * half_width + 1
-    worst = -np.inf
-    n_skipped = 0
-    x = rng.uniform(-radius, radius, size=(n_samples, d))
-    y = rng.uniform(-radius, radius, size=(n_samples, d))
-    diff = x - y
-    norms2 = np.einsum("ij,ij->i", diff, diff)
-    fdiff = spec.eval_array(x) - spec.eval_array(y)
-    inner = np.einsum("ij,ij->i", diff, fdiff)
-    ok = np.sqrt(norms2) >= DEGENERATE_PAIR_TOL
-    n_skipped = int((~ok).sum())
-    if ok.any():
-        worst = float((inner[ok] / norms2[ok]).max())
-    return DissipativityReport(
-        worst_quotient=worst,
-        claimed_const=spec.diss_const,
-        n_pairs=int(ok.sum()),
-        n_skipped=n_skipped,
-        passed=bool(worst <= -spec.diss_const + PROBE_TOL),
-    )
-
-
-def probe_growth(
-    spec: NonlinearitySpec,
-    n_samples: int = 10_000,
-    radius: float = 10.0,
-    seed=0,
-    half_width: int = 16,
-) -> GrowthReport:
-    """Check |f(x)| + max|f'(x_i)| <= growth_coef * (1 + |x|^growth_power).
-
-    Samples componentwise-uniform vectors in [-radius, radius] and
-    reports the worst ratio of left to right side divided by the bound
-    with coefficient 1.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    d = 2 * half_width + 1
-    x = rng.uniform(-radius, radius, size=(n_samples, d))
-    fx = spec.eval_array(x)
-    dfx = spec.deriv_array(x)
-    lhs = np.linalg.norm(fx, axis=1) + np.abs(dfx).max(axis=1)
-    rhs = 1.0 + np.linalg.norm(x, axis=1) ** spec.growth_power
-    worst = float((lhs / rhs).max())
-    return GrowthReport(
-        worst_ratio=worst,
-        claimed_coef=spec.growth_coef,
-        claimed_power=spec.growth_power,
-        n_samples=n_samples,
-        passed=bool(worst <= spec.growth_coef * (1.0 + 1e-12)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# spectral oracle (periodic boundary)
-
-
-def laplacian_modes(half_width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal eigenbasis of the periodic lattice laplacian.
-
-    Returns ``(eigenvalues, modes)`` where ``modes[:, k]`` is the k-th
-    eigenvector.  With M = 2N + 1 sites the eigenvalues are
-    4 sin^2(pi k / M), k = 0..N, each nonzero one carried by a
-    cosine/sine pair; all lie in [0, 4].
-    """
-    m = 2 * half_width + 1
-    j = np.arange(m)
-    modes = np.empty((m, m))
-    eigs = np.empty(m)
-    modes[:, 0] = 1.0 / np.sqrt(m)
-    eigs[0] = 0.0
-    col = 1
-    for k in range(1, half_width + 1):
-        mu = 4.0 * np.sin(np.pi * k / m) ** 2
-        phase = 2.0 * np.pi * k * j / m
-        modes[:, col] = np.sqrt(2.0 / m) * np.cos(phase)
-        eigs[col] = mu
-        modes[:, col + 1] = np.sqrt(2.0 / m) * np.sin(phase)
-        eigs[col + 1] = mu
-        col += 2
-    return eigs, modes

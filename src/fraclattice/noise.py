@@ -15,9 +15,13 @@ the sampled path against a smooth exponential kernel:
     int_a^t e^(l s) dW(s)
         = e^(l t) W(t) - e^(l a) W(a) - l * int_a^t e^(l s) W(s) ds.
 
-The damped linear field driven by W (the fractional
-Ornstein-Uhlenbeck field) and its stationary pullback version are built
-on the same identity, evaluated by one O(n) sweep along the grid.
+The stationary pullback version of the damped linear field driven by W
+(the fractional Ornstein-Uhlenbeck field) is built on the same identity,
+evaluated by one O(n) sweep along the grid.  The references the tests
+check these against (the field shift ``shift_noise`` and restriction
+``coarsen_noise``, the one-integral quadrature ``stieltjes_exp_integral``
+and the damped field from an initial state ``ou_solution``) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,11 +41,7 @@ __all__ = [
     "OUProcess",
     "derive_seed",
     "build_noise_field",
-    "shift_noise",
-    "coarsen_noise",
-    "stieltjes_exp_integral",
     "decayed_exp_sweep",
-    "ou_solution",
     "stationary_ou",
     "noise_growth_constant",
 ]
@@ -166,67 +166,8 @@ def build_noise_field(
                       paths=paths)
 
 
-def shift_noise(field: NoiseField, t: float) -> NoiseField:
-    """Advance the noise origin: output W'(s) = W(s + t) - W(t).
-
-    Every path is re-anchored at t by one row subtraction, so
-    W(tau + t) = W'(tau) + W(t) holds on shared nodes up to one floating
-    subtraction per value.  The grid window translates by -t.
-    """
-    k = field.grid.steps_of(t)
-    j = field.grid.index_of(t)  # raises WindowError if t is outside
-    return NoiseField(grid=field.grid.shifted(k), sigma=field.sigma,
-                      master_seed=field.master_seed, paths=field.paths - field.paths[j])
-
-
-def coarsen_noise(field: NoiseField, factor: int) -> NoiseField:
-    """Restrict the field to every ``factor``-th node.
-
-    Grid restriction of fBm is again fBm with step ``factor * dt`` (the
-    law is exact, no interpolation happens), which makes solver
-    convergence studies run on one realization across several dt.
-    """
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    g = field.grid
-    if g.i_start % factor or g.n_steps % factor:
-        raise WindowError("grid start and length must be divisible by factor")
-    grid = TimeGrid(dt=g.dt * factor, n_steps=g.n_steps // factor,
-                    i_start=g.i_start // factor)
-    return NoiseField(grid=grid, sigma=field.sigma, master_seed=field.master_seed,
-                      paths=field.paths[::factor])
-
-
 # ---------------------------------------------------------------------------
 # pathwise integrals
-
-
-def stieltjes_exp_integral(grid: TimeGrid, values: np.ndarray, lam: float, a: float,
-                           t: float) -> float:
-    """int_a^t e^(lam s) dW(s) for a scalar path W sampled as ``values`` on ``grid``.
-
-    Uses integration by parts; the remaining ordinary integral is
-    composite trapezoid on the grid, so smooth injected paths converge
-    at O(dt^2).  ``a`` and ``t`` must be grid nodes with a <= t.  The
-    oracle of :func:`decayed_exp_sweep`.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    if a > t:
-        raise ValueError("need a <= t")
-    ia = grid.index_of(a)
-    it = grid.index_of(t)
-    w = np.asarray(values, dtype=float)
-    if w.shape != (grid.n_nodes,):
-        raise ValueError(f"values shape {w.shape} does not match grid "
-                         f"({grid.n_nodes} nodes)")
-    if ia == it:
-        return 0.0
-    kernel = np.exp(lam * grid.times()[ia : it + 1]) * w[ia : it + 1]
-    ordinary = np.trapezoid(kernel, dx=grid.dt)
-    return float(
-        np.exp(lam * t) * w[it] - np.exp(lam * a) * w[ia] - lam * ordinary
-    )
 
 
 def decayed_exp_sweep(values: np.ndarray, lam, dt: float) -> np.ndarray:
@@ -311,35 +252,6 @@ class OUProcess(VectorSeries):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-
-
-def ou_solution(
-    u0: LatticeVector,
-    lam: float,
-    field: NoiseField,
-    t_end: float | None = None,
-) -> VectorSeries:
-    """Damped linear field from an initial state:
-
-        u(t) = u0 e^(-lam t) + e^(-lam t) int_0^t e^(lam s) dW(s),
-
-    evaluated on the grid nodes of [0, t_end] (field end by default).
-
-    Only the tests call it.  It is the oracle that ``tests/test_noise.py``
-    checks ``stationary_ou``'s sweep against on t >= 0, started from the
-    stationary value at 0.
-    """
-    if u0.values.size != field.n_sites:
-        raise ValueError("u0 width does not match the noise field")
-    k0 = field.grid.index_of(0.0)
-    k1 = field.grid.n_steps if t_end is None else field.grid.index_of(t_end)
-    if k1 <= k0:
-        raise WindowError("t_end must lie at least one step after 0")
-    w = field.w_matrix[k0 : k1 + 1]
-    sweep = decayed_exp_sweep(w, lam, field.grid.dt)
-    times = np.arange(k1 - k0 + 1) * field.grid.dt
-    values = np.exp(-lam * times)[:, None] * u0.values[None, :] + sweep
-    return VectorSeries(grid=TimeGrid(dt=field.grid.dt, n_steps=k1 - k0), values=values)
 
 
 def noise_growth_constant(field: NoiseField) -> float:

@@ -16,9 +16,10 @@ up.  The solution map
 
 is :func:`cocycle_map`, for one start or a batch; it satisfies
 phi(0) = id exactly and composes with the noise shift (the cocycle
-property); :func:`cocycle_check` measures that composition residual
-directly.  For linear drifts on the periodic lattice a spectral solution
-is available as an independent accuracy oracle.
+property).  The references the tests check it against live in
+``tests/oracles.py``: ``cocycle_check`` measures that composition
+residual directly, and ``linear_oracle`` is the spectral solution for
+linear drifts on the periodic lattice, an independent accuracy oracle.
 """
 
 from __future__ import annotations
@@ -31,25 +32,14 @@ import numpy as np
 
 from .errors import BlowUpError, NonlinearityOverflowError, WindowError
 from .fbm import TimeGrid
-from .lattice import (
-    Boundary,
-    LatticeParams,
-    LatticeVector,
-    NonlinearitySpec,
-    _operand,
-    laplacian_modes,
-)
-from .noise import NoiseField, VectorSeries, decayed_exp_sweep, shift_noise
+from .lattice import Boundary, LatticeParams, LatticeVector, NonlinearitySpec, _operand
+from .noise import NoiseField, VectorSeries
 
 __all__ = [
     "Scheme",
     "SolverConfig",
     "integrate",
     "cocycle_map",
-    "cocycle_check",
-    "CocycleReport",
-    "linear_oracle",
-    "gronwall_envelope",
 ]
 
 #: State-norm guard: beyond this the step loop raises ``BlowUpError``
@@ -60,10 +50,6 @@ BLOWUP_NORM = 1e12
 #: can pass ``BLOWUP_NORM``, whatever the order of the summation; the
 #: factor 4 of room covers the rounding of either sum.
 _GUARD_TOTAL = (BLOWUP_NORM / 2) ** 2
-
-#: Cocycle-residual coefficient of both schemes, calibrated on pilot runs of
-#: the cubic benchmark; a generous envelope, as the residual is rounding.
-COCYCLE_RESIDUAL_COEF = 0.05
 
 #: Noise values one ``_step_loop`` call of a blocked run reads at most, so
 #: the noise block grows neither with the run's length nor with its rows.
@@ -222,8 +208,9 @@ def _noise_node(j, local, m):
 def _read_noise(field: NoiseField, j, o, local, m: int) -> np.ndarray:
     """W at solver steps ``local`` of runs from noise nodes j (broadcast), refinement m.
 
-    Re-anchored at node o and then at j, as ``shift_noise`` makes it, in place
-    on one gathered copy: ((omega - omega[o]) - (omega[j] - omega[o])) sigma.
+    Re-anchored at node o and then at j, as the field shift ``shift_noise`` of
+    ``tests/oracles.py`` makes it, in place on one gathered copy:
+    ((omega - omega[o]) - (omega[j] - omega[o])) sigma.
     At o = j it is the shifted field's noise bit for bit; at t = 0's node, W.
     """
     w = field.paths[_noise_node(j, local, m)]
@@ -245,6 +232,14 @@ def _run_row(grid: TimeGrid, t0: float, t: float, config: SolverConfig) -> tuple
     if n and _noise_node(j, n, config.refinement(grid.dt)) > grid.n_steps:
         raise WindowError(f"noise window ends at {grid.t_end} but integration needs {t}")
     return (j, n) if n else None
+
+
+def _forward_row(grid: TimeGrid, config: SolverConfig) -> tuple[int, int]:
+    """The ``_run_row`` of the run over [0, config.t_end], which must take a step."""
+    row = _run_row(grid, 0.0, config.t_end, config)
+    if row is None:
+        raise ValueError("t_end must be at least one step (phi(0) is the identity)")
+    return row
 
 
 def _step_rows(rows, origins, field: NoiseField, x: np.ndarray, params: LatticeParams,
@@ -307,10 +302,7 @@ def _solve(u0, field: NoiseField, params: LatticeParams, spec: NonlinearitySpec,
            config: SolverConfig) -> np.ndarray:
     """u at every solver node, (nodes,) + the start's shape, for a start or (n_starts, d) batch."""
     x0 = _start_values(u0, field, params)
-    row = _run_row(field.grid, 0.0, config.t_end, config)
-    if row is None:
-        raise ValueError("t_end must be at least one step (phi(0) is the identity)")
-    j, n = row
+    j, n = _forward_row(field.grid, config)
     w = _read_noise(field, j, j, np.arange(n + 1), config.refinement(field.grid.dt))
     x = x0.reshape(-1, params.n_sites)
     states = _step_loop(x - w[0], w, params, spec, config, collect=True)
@@ -341,100 +333,3 @@ def cocycle_map(
     end = _step_rows([row], [row[0]], field, x0.reshape(-1, params.n_sites), params, spec,
                      config)[0].reshape(x0.shape)
     return LatticeVector(end) if isinstance(u0, LatticeVector) else end
-
-
-@dataclass(frozen=True)
-class CocycleReport:
-    residual: float
-    bound: float
-    t: float
-    tau: float
-    passed: bool
-
-
-def cocycle_check(
-    t: float,
-    tau: float,
-    field: NoiseField,
-    u0: LatticeVector,
-    params: LatticeParams,
-    spec: NonlinearitySpec,
-    config: SolverConfig,
-) -> CocycleReport:
-    """Composition residual |phi(t+tau, w, u0) - phi(tau, shift_t w, phi(t, w, u0))|.
-
-    Both legs run at the same step; the shift reuses the sampled noise.
-    Passes when the residual stays under coef * dt * (1 + |u0|) with the
-    calibrated ``COCYCLE_RESIDUAL_COEF``.
-    """
-    if t < 0 or tau < 0:
-        raise ValueError("t and tau must be >= 0")
-    one_pass = cocycle_map(t + tau, field, u0, params, spec, config)
-    # a zero leg is exact: phi(0) is the identity and a zero shift copies the paths
-    mid = cocycle_map(t, field, u0, params, spec, config)
-    two_pass = cocycle_map(tau, shift_noise(field, t), mid, params, spec, config)
-    residual = float(np.linalg.norm(one_pass.values - two_pass.values))
-    bound = COCYCLE_RESIDUAL_COEF * config.dt * (1.0 + u0.norm())
-    return CocycleReport(residual=residual, bound=bound, t=t, tau=tau,
-                         passed=bool(residual <= bound))
-
-
-def linear_oracle(
-    u0: LatticeVector,
-    field: NoiseField,
-    params: LatticeParams,
-    a: float,
-    grid: TimeGrid,
-) -> VectorSeries:
-    """Spectral solution for the linear drift f = -a id, periodic boundary.
-
-    Each laplacian mode k obeys a scalar damped equation with rate
-    r_k = lam + a + kappa mu_k whose solution is explicit up to the
-    exponential-kernel Stieltjes integral of the projected noise, so the
-    only error is O(dt^2) quadrature in the smooth factors.  Raises on a
-    non-periodic boundary (no closed modes) by design.
-    """
-    if params.boundary is not Boundary.PERIODIC:
-        raise ValueError("linear oracle needs the periodic boundary")
-    if grid.i_start != 0:
-        raise ValueError("oracle grid must start at t = 0")
-    if grid.dt != field.grid.dt:
-        raise ValueError("oracle grid must use the noise dt")
-    mu, modes = laplacian_modes(params.half_width)
-    rates = params.damping + a + params.coupling * mu
-    if rates.min() <= 0:
-        raise ValueError("oracle needs lam + a + kappa*mu_k > 0 for every mode")
-    k0 = field.grid.index_of(0.0)
-    k1 = k0 + grid.n_steps
-    if k1 > field.grid.n_steps:
-        raise WindowError("noise window too short for the oracle grid")
-    w_hat = field.w_matrix[k0 : k1 + 1] @ modes
-    d_hat = decayed_exp_sweep(w_hat, rates, grid.dt)
-    times = grid.times()
-    decay = np.exp(-np.outer(times, rates))
-    u0_hat = modes.T @ u0.values
-    g_hat = modes.T @ params.forcing.values
-    coeff = decay * u0_hat[None, :] + (g_hat / rates)[None, :] * (1.0 - decay) + d_hat
-    return VectorSeries(grid, coeff @ modes.T)
-
-
-def gronwall_envelope(
-    u0_norm: float,
-    damping: float,
-    c0: float,
-    forcing_norm: float,
-    w_sup: float,
-    growth_power: float,
-    times: np.ndarray,
-) -> np.ndarray:
-    """Decay-plus-forcing envelope for |v(t)|:
-
-        |u0| e^(-lam t) + (c0/lam)(1 - e^(-lam t)) (|g| + S + S^p),
-
-    with S the sup of |W| over the run.  ``c0`` is a calibration
-    constant, fitted once on a pilot ensemble and then held fixed.
-    """
-    times = np.asarray(times, dtype=float)
-    load = forcing_norm + w_sup + w_sup**growth_power
-    decay = np.exp(-damping * times)
-    return u0_norm * decay + (c0 / damping) * (1.0 - decay) * load

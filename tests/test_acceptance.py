@@ -27,14 +27,13 @@ from fraclattice.lattice import (
     apply_diff,
     apply_diff_adjoint,
     apply_laplacian,
-    probe_dissipativity,
 )
 from fraclattice.noise import (
     build_noise_field,
-    coarsen_noise,
     stationary_ou,
 )
-from fraclattice.solver import SolverConfig, cocycle_check, integrate, linear_oracle
+from fraclattice.solver import SolverConfig, integrate
+from oracles import cocycle_check, coarsen_noise, linear_oracle, probe_dissipativity
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)

@@ -1,14 +1,17 @@
-"""The public API: every exported name resolves, and the package re-exports
-only names its modules export."""
+"""The public API: every exported name resolves, the package re-exports
+only names its modules export, and the test-only oracles stay out of it."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
 import fraclattice
+import oracles
 
 MODULES = sorted(f"fraclattice.{m.name}" for m in pkgutil.iter_modules(fraclattice.__path__))
 
@@ -37,3 +40,19 @@ def test_package_reexports_only_exported_names():
         home = sys.modules[obj.__module__]
         assert name in exported(home), f"{name} is not exported by {home.__name__}"
         assert getattr(home, name) is obj
+
+
+def test_oracles_stay_out_of_the_package():
+    modules = [fraclattice] + [importlib.import_module(name) for name in MODULES]
+    assert [(module.__name__, name) for module in modules for name in oracles.__all__
+            if hasattr(module, name)] == []
+    test_modules = {"tests"} | {path.stem for path in Path(oracles.__file__).parent.glob("*.py")}
+    for path in Path(fraclattice.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.partition(".")[0]]
+            else:
+                continue
+            assert test_modules.isdisjoint(roots), f"{path.name} imports {roots}"

@@ -24,10 +24,10 @@ from fraclattice.lattice import (
     LatticeParams,
     LatticeVector,
     NonlinearitySpec,
-    laplacian_modes,
 )
-from fraclattice.noise import build_noise_field, shift_noise, stationary_ou
+from fraclattice.noise import build_noise_field, stationary_ou
 from fraclattice.solver import Scheme, SolverConfig, cocycle_map, integrate
+from oracles import laplacian_modes, shift_noise
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)
@@ -581,7 +581,7 @@ class TestLadderOverConfigs:
             "solver": {"scheme": scheme, "dt": dt / m, "t_end": 0.5},
             "grid": {"dt": dt, "t_past": 30 * dt, "t_future": dt},
             "experiment": {"name": "absorb", "d_radius": 1.0, "horizons": horizons,
-                           "n_starts": 2},
+                           "n_starts": 2, "t_past": dt},
             "master_seed": seed,
         })
         field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)

@@ -275,11 +275,11 @@ class TestRun:
         assert data["checks"]["nondegenerate"] is False
 
     def test_insufficient_horizon_becomes_manifest_error(self, tmp_path):
-        path = write_config(tmp_path, name="pullback",
-                            extra={"grid": {"t_past": 2.0},
-                                   "experiment": {"horizons": [1.0, 8.0]}})
+        # no doubling that the 8-unit past holds meets a tol this tight
+        path = write_config(tmp_path, name="equilibrium", extra={"experiment": {"tol": 1e-12}})
         manifest = run(load_config(path))
         assert manifest.error is not None
+        assert manifest.error.startswith("InsufficientHorizonError: ")
         assert not manifest.all_passed
 
     def test_pullback_benchmark_config_step_count(self, tmp_path, ladder_calls):
@@ -402,6 +402,48 @@ class TestMain:
         assert main([name, "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {line}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, raw, line", [
+        ("simulate", {"solver": {"t_end": 0.0}},
+         "solver.t_end: t_end must be at least one step (phi(0) is the identity)"),
+        ("simulate", {"solver": {"t_end": 6.0}},
+         "solver.t_end: noise window ends at 5.0 but integration needs 6.0"),
+        ("contraction", {"solver": {"t_end": 0.0}},
+         "solver.t_end: t_end must be at least one step (phi(0) is the identity)"),
+        ("contraction", {"solver": {"t_end": 6.0}},
+         "solver.t_end: noise window ends at 5.0 but integration needs 6.0"),
+        ("pullback", {"experiment": {"horizons": [1.0, 40.0]}},
+         "experiment.horizons: time -40.0 outside grid window [-30.0, 5.0]"),
+        ("absorb", {"experiment": {"horizons": [40.0]}},
+         "experiment.horizons: time -40.0 outside grid window [-30.0, 5.0]"),
+        ("equilibrium", {"experiment": {"check_times": [6.0]}},
+         "experiment.check_times: noise window ends at 5.0 but integration needs 6.0"),
+        ("absorb", {"experiment": {"t_past": 40.0}},
+         "experiment.t_past: t_past 40 exceeds the sampled past 30"),
+        ("absorb", {"experiment": {"t_past": 3.005}},
+         "experiment.t_past: shift 3.005 is not a multiple of dt=0.01"),
+        ("equilibrium", {"experiment": {"initial_horizon": 20.0}},
+         "experiment.initial_horizon: field past 30 cannot support initial horizon 20"),
+    ], ids=["simulate-zero-t-end", "simulate-t-end-past-window", "contraction-zero-t-end",
+            "contraction-t-end-past-window", "pullback-deep-horizon", "absorb-deep-horizon",
+            "check-time-past-window", "absorb-deep-t-past", "absorb-off-grid-t-past",
+            "equilibrium-deep-initial-horizon"])
+    def test_exit_two_on_run_outside_the_window(self, tmp_path, capsys, name, raw, line):
+        # the default noise window is [-30, 5]; each run would fail once its noise is built
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "out")}))
+        assert main([name, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, raw", [
+        ("simulate", {"solver": {"t_end": 5.0}}),
+        ("pullback", {"experiment": {"horizons": [0.0, 30.0], "equilibrium_tol": 1e-6}}),
+        ("absorb", {"experiment": {"horizons": [30.0], "t_past": 30.0}}),
+        ("equilibrium", {"experiment": {"check_times": [0.0, 5.0], "initial_horizon": 15.0}}),
+    ], ids=["simulate", "pullback", "absorb", "equilibrium"])
+    def test_runs_to_the_window_edges_validate(self, name, raw):
+        validate_config({**raw, "experiment": {**raw.get("experiment", {}), "name": name}})
 
     def test_unused_t_end_need_not_be_whole_steps(self, tmp_path):
         # pullback runs to its horizons, never to solver.t_end
@@ -545,12 +587,11 @@ class TestMain:
             assert out.err.count("\n") == 1
 
     def test_exit_one_on_failed_check(self, tmp_path):
-        # horizons deeper than the sampled past surface as a manifest
-        # error and a nonzero exit
-        path = write_config(tmp_path, name="pullback",
-                            extra={"grid": {"t_past": 2.0},
-                                   "experiment": {"horizons": [8.0]}})
-        assert main(["pullback", "--config", str(path)]) == 1
+        # identical starts validate, but their contraction is degenerate, a
+        # failed check and a nonzero exit
+        path = write_config(tmp_path, extra={"experiment": {"u0": {"0": 1.0},
+                                                            "w0": {"0": 1.0}}})
+        assert main(["contraction", "--config", str(path)]) == 1
 
 
 class TestPlotSeries:
@@ -695,7 +736,7 @@ class TestValidateConfigDirect:
     @pytest.mark.parametrize("name", ["absorb", "pullback"])
     def test_ladder_size_limit_inclusive(self, monkeypatch, name):
         # more horizons than starts: for pullback too the ladder is the larger array
-        raw = {"grid": {"dt": 0.5, "t_past": 2.0, "t_future": 0.0}, "solver": {"dt": 0.5},
+        raw = {"grid": {"dt": 0.5, "t_past": 4.0, "t_future": 0.0}, "solver": {"dt": 0.5},
                "experiment": {"name": name, "n_starts": 3, "horizons": [1.0, 2.0] * 5}}
         monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 10 * 3 * 33)
         validate_config(raw)

@@ -15,11 +15,9 @@ from fraclattice.lattice import (
     apply_diff_adjoint,
     apply_laplacian,
     laplacian_array,
-    laplacian_modes,
-    probe_dissipativity,
-    probe_growth,
 )
 from fraclattice.solver import SolverConfig, _step_loop
+from oracles import laplacian_modes, probe_dissipativity, probe_growth
 
 
 def rand_vec(rng, n, interior=False):

@@ -8,14 +8,11 @@ from fraclattice.lattice import LatticeParams, LatticeVector
 from fraclattice.noise import (
     NoiseField,
     build_noise_field,
-    coarsen_noise,
     decayed_exp_sweep,
     noise_growth_constant,
-    ou_solution,
-    shift_noise,
     stationary_ou,
-    stieltjes_exp_integral,
 )
+from oracles import coarsen_noise, ou_solution, shift_noise, stieltjes_exp_integral
 
 
 def make_params(half_width=4, sigma=None, forcing=None, damping=1.0):

@@ -16,7 +16,6 @@ from fraclattice.lattice import (
     NonlinearitySpec,
     apply_laplacian,
     laplacian_array,
-    laplacian_modes,
 )
 from fraclattice.noise import build_noise_field, decayed_exp_sweep
 from fraclattice.solver import (
@@ -25,12 +24,10 @@ from fraclattice.solver import (
     SolverConfig,
     _drift,
     _step_loop,
-    cocycle_check,
     cocycle_map,
-    gronwall_envelope,
     integrate,
-    linear_oracle,
 )
+from oracles import cocycle_check, gronwall_envelope, laplacian_modes, linear_oracle
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)
@@ -511,7 +508,7 @@ class TestCocycle:
         # noise realization
         params = make_params()
         fine = build_noise_field(params, TimeGrid(dt=2.5e-4, n_steps=4000), 31)
-        from fraclattice.noise import coarsen_noise
+        from oracles import coarsen_noise
 
         ends = {}
         for fac, dt in ((4, 1e-3), (2, 5e-4), (1, 2.5e-4)):
@@ -552,7 +549,7 @@ class TestLinearOracle:
         np.testing.assert_allclose(traj.values[-1], target, rtol=0.0, atol=1e-10)
 
     def test_agreement_with_heun_improves_with_dt(self):
-        from fraclattice.noise import coarsen_noise
+        from oracles import coarsen_noise
 
         fine = build_noise_field(self.params, TimeGrid(dt=1e-3, n_steps=2000), 41)
         errs = {}
