@@ -56,6 +56,9 @@ SLOPE_TOL_FACTOR = 0.05
 #: Forward-stationarity residuals must stay below this many equilibrium tols.
 STATIONARITY_TOL_FACTOR = 5.0
 
+#: First horizon of the doubling search of :func:`random_equilibrium` by default.
+INITIAL_HORIZON = 1.0
+
 
 @dataclass(frozen=True)
 class ContractionReport:
@@ -131,6 +134,11 @@ def sphere_starts(
     return radius * pts / norms
 
 
+def _ladder_rows(grid: TimeGrid, horizons, config: SolverConfig) -> dict:
+    """The ``_run_row`` of each horizon T's pullback over [-T, 0], checked smallest first."""
+    return {t: _run_row(grid, -t, t, config) for t in sorted({float(t) for t in horizons})}
+
+
 def _pullback_ladder(
     horizons, field: NoiseField, starts: LatticeVector | np.ndarray,
     params: LatticeParams, spec: NonlinearitySpec, config: SolverConfig,
@@ -151,7 +159,7 @@ def _pullback_ladder(
     if not len(horizons):
         raise ValueError("horizons must not be empty")
     x0 = _start_values(starts, field, params)
-    runs = {t: _run_row(field.grid, -t, t, config) for t in sorted({float(t) for t in horizons})}
+    runs = _ladder_rows(field.grid, horizons, config)
     rows = sorted({r for r in runs.values() if r}, key=lambda r: -r[1])
     out = np.empty((len(horizons),) + x0.shape)
     if rows:
@@ -260,7 +268,7 @@ def random_equilibrium(
     tol: float = 1e-6,
     start: LatticeVector | None = None,
     verify_start: LatticeVector | None = None,
-    initial_horizon: float = 1.0,
+    initial_horizon: float = INITIAL_HORIZON,
 ) -> EquilibriumEstimate:
     """Estimate the unique random equilibrium by horizon doubling.
 
@@ -318,6 +326,19 @@ class StationarityReport:
     passed: bool
 
 
+def _stationarity_rows(grid: TimeGrid, config: SolverConfig, times, horizon: float):
+    """Every check of :func:`forward_stationarity_check` before its first step: the
+    solver steps to each sorted time, and the origin node and ``_run_row`` of the
+    pullback from ``horizon`` on each time's shifted field."""
+    steps = [replace(config, t_end=float(t)).n_steps() for t in times]
+    origins, rows = [], []
+    for t in times:  # the checks of shift_noise(field, t), then of its pullback
+        shifted = grid.shifted(grid.steps_of(float(t)))
+        origins.append(grid.index_of(float(t)))
+        rows.append(_run_row(shifted, -horizon, horizon, config))
+    return steps, origins, rows
+
+
 def forward_stationarity_check(
     equilibrium: EquilibriumEstimate,
     field: NoiseField,
@@ -340,16 +361,10 @@ def forward_stationarity_check(
     if not len(times):
         raise ValueError("times must not be empty")
     times = np.asarray(sorted(times), dtype=float)
-    horizon = equilibrium.horizon
-    steps = [replace(config, t_end=float(t)).n_steps() for t in times]
+    steps, origins, rows = _stationarity_rows(field.grid, config, times, equilibrium.horizon)
     if steps[-1]:
         states = _solve(equilibrium.u0, field, params, spec,
                         replace(config, t_end=float(times[-1])))
-    origins, rows = [], []
-    for t in times:  # the checks of shift_noise(field, t), then of its pullback
-        shifted = field.grid.shifted(field.grid.steps_of(float(t)))
-        origins.append(field.grid.index_of(float(t)))
-        rows.append(_run_row(shifted, -horizon, horizon, config))
     zero = _start_values(LatticeVector.zeros(params.half_width), field, params)
     shifted_eqs = np.zeros((times.size, params.n_sites))  # phi(0) of the zero start
     if rows[0]:  # one horizon, so every row steps or none does

@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from . import attractor as at
 from . import noise as nz
 from . import solver as sv
-from .errors import ConfigError, FracLatticeError, OffGridError
+from .errors import ConfigError, FracLatticeError
 from .fbm import HurstParameter, TimeGrid, sample_fbm_array
 from .lattice import (
     Boundary,
@@ -47,10 +49,8 @@ __all__ = ["ExperimentConfig", "RunManifest", "load_config", "run",
 ENV_OUTDIR = "FRACLATTICE_OUTDIR"
 
 #: Hard size guard on a config: the most values one array of a run may
-#: hold (512 MiB of doubles): the noise field, the sub-stepped noise rows,
-#: the circulant of ``sample-fbm``, the pairwise distances of ``pullback``,
-#: the pullback ladder (horizons x starts rows) of ``pullback`` and ``absorb``, or
-#: the stationarity batch (a row per check time) of ``equilibrium``.
+#: hold (512 MiB of doubles).  ``validate_config`` checks the noise field
+#: of every config, and each experiment's plan the arrays its run allocates.
 MAX_GRID_VALUES = 1 << 26
 
 
@@ -282,7 +282,8 @@ def _run_pullback(cfg, out: Path, manifest: RunManifest):
     equilibrium = None
     tol = opts["equilibrium_tol"]
     if tol is not None:
-        eq = at.random_equilibrium(field, cfg.params, cfg.spec, cfg.solver, tol=float(tol))
+        eq = at.random_equilibrium(field, cfg.params, cfg.spec, cfg.solver, tol=float(tol),
+                                   initial_horizon=at.INITIAL_HORIZON)  # as _plan_pullback
         equilibrium = eq.u0
         manifest.numbers["equilibrium_horizon"] = eq.horizon
         manifest.numbers["equilibrium_cauchy_gap"] = eq.cauchy_gap
@@ -355,35 +356,110 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
     ))
 
 
+# ---------------------------------------------------------------------------
+# run plans: ``plan(c, check)`` makes every check its run makes before its first
+# step, through the run's own functions, and size-checks each array the run
+# allocates.  ``c`` holds the validated values; ``check(path, make, *args)``
+# returns ``make(*args)``, or None with its error listed under ``path``.
+
+
+def _plan_fbm_sample(c, check):
+    check("experiment.n_steps", _size_check, "circulant", 2 * c.n_steps, "values")
+
+
+def _plan_forward(c, check, starts=1):
+    row = check("solver.t_end", sv._forward_row, c.grid, c.solver)
+    if row:  # _solve keeps every state of its starts
+        check("solver.t_end", _size_check, "trajectory", (row[1] + 1) * starts,
+              "node x start rows", c.sites)
+
+
+def _plan_ou(c, check):
+    window = check("grid.t_future", nz._forward_window, c.grid)
+    if window:
+        check("grid.t_past", nz._ou_window, c.damping, c.grid, window)
+
+
+def _plan_ladder(c, check, pairs=False):
+    """A pullback ladder of ``n_starts`` starts from each of ``horizons``, and with
+    ``pairs`` the pairwise distances of its endpoints, whose size is checked first."""
+    check("experiment.horizons", at._ladder_rows, c.grid, c.horizons, c.solver)
+    if not pairs or check("experiment.n_starts", _size_check, "pairwise-distance array",
+                          c.n_starts**2, "start pairs", c.sites):
+        check("experiment.n_starts", _size_check, "pullback ladder",
+              len(c.horizons) * c.n_starts, "horizon x start rows", c.sites)
+
+
+def _search(c, initial_horizon: float) -> list[float]:
+    """The checks of ``random_equilibrium``'s two-start ladder; returns its horizons."""
+    horizons = at._doubling_horizons(c.grid, initial_horizon)
+    at._ladder_rows(c.grid, horizons, c.solver)
+    _size_check("pullback ladder", 2 * len(horizons), "horizon x start rows", c.sites)
+    return horizons
+
+
+def _plan_pullback(c, check):
+    _plan_ladder(c, check, pairs=True)
+    if c.equilibrium_tol is not None:
+        check("experiment.equilibrium_tol", _search, c, at.INITIAL_HORIZON)
+
+
+def _plan_absorb(c, check):
+    _plan_ladder(c, check)
+    window = check("experiment.t_past", at._past_window, c.grid, float(c.t_past))
+    if window:
+        check("experiment.t_past", nz._ou_window, c.damping, c.grid, window, c.ou_tail_tol)
+
+
+def _stationarity(c, horizons, times) -> None:
+    """The checks of ``forward_stationarity_check`` at each horizon the search may stop
+    at, and the sizes of its batch and of its forward leg's states."""
+    _size_check("stationarity batch", len(times), "check time rows", c.sites)
+    for horizon in horizons[1:]:
+        steps = at._stationarity_rows(c.grid, c.solver, times, horizon)[0]
+    _size_check("trajectory", steps[-1] + 1, "node x start rows", c.sites)
+
+
+def _plan_equilibrium(c, check):
+    horizons = check("experiment.initial_horizon", _search, c, float(c.initial_horizon))
+    times = sorted(float(t) for t in c.check_times)
+    if horizons and times:
+        check("experiment.check_times", _stationarity, c, horizons, times)
+
+
 class _Experiment(NamedTuple):
     """One subcommand; its name is the key it is registered under."""
 
     run: Callable  # (cfg, out, manifest) -> None
+    plan: Callable | None  # (c, check) -> None, see "run plans"
     options: dict  # option defaults; each option's rule is its _FIELDS row
     help: str
     flags: tuple = ()  # _OVERRIDES dests beyond --out and --seed
 
 
 _REGISTRY = {
-    "sample-fbm": _Experiment(_run_fbm_sample, {"n_steps": 1000},
+    "sample-fbm": _Experiment(_run_fbm_sample, _plan_fbm_sample, {"n_steps": 1000},
                               "write one fractional path as CSV", ("h", "dt", "steps")),
-    "verify-operators": _Experiment(_run_verify_operators, {"n_vectors": 1000, "tol": 1e-12},
+    "verify-operators": _Experiment(_run_verify_operators, None, {"n_vectors": 1000, "tol": 1e-12},
                                     "difference-operator identity checks"),
-    "simulate": _Experiment(_run_simulate, {"u0": {"0": 1.0}},
+    "simulate": _Experiment(_run_simulate, _plan_forward, {"u0": {"0": 1.0}},
                             "integrate one trajectory and dump it"),
-    "ou": _Experiment(_run_ou, {}, "stationary damped field and its growth check",
+    "ou": _Experiment(_run_ou, _plan_ou, {}, "stationary damped field and its growth check",
                       ("lambda", "h", "t_past", "dt")),
-    "contraction": _Experiment(_run_contraction, {"u0": {"0": 1.0}, "w0": {"0": -1.0}},
+    "contraction": _Experiment(_run_contraction, functools.partial(_plan_forward, starts=2),
+                               {"u0": {"0": 1.0}, "w0": {"0": -1.0}},
                                "matched-noise pairwise contraction"),
-    "pullback": _Experiment(_run_pullback, {"radius": 10.0, "n_starts": 16,
-                                            "horizons": [1.0, 2.0, 4.0, 8.0],
-                                            "equilibrium_tol": None},
+    "pullback": _Experiment(_run_pullback, _plan_pullback,
+                            {"radius": 10.0, "n_starts": 16, "horizons": [1.0, 2.0, 4.0, 8.0],
+                             "equilibrium_tol": None},
                             "ensemble pullback shrinkage"),
-    "equilibrium": _Experiment(_run_equilibrium, {"tol": 1e-6, "initial_horizon": 1.0,
-                                                  "check_times": []},
+    "equilibrium": _Experiment(_run_equilibrium, _plan_equilibrium,
+                               {"tol": 1e-6, "initial_horizon": at.INITIAL_HORIZON,
+                                "check_times": []},
                                "random equilibrium via horizon doubling"),
-    "absorb": _Experiment(_run_absorb, {"d_radius": 10.0, "horizons": [0.5, 1.0, 2.0, 4.0],
-                                        "n_starts": 8, "t_past": 4.0, "ou_tail_tol": 1e-6},
+    "absorb": _Experiment(_run_absorb, _plan_absorb,
+                          {"d_radius": 10.0, "horizons": [0.5, 1.0, 2.0, 4.0], "n_starts": 8,
+                           "t_past": 4.0, "ou_tail_tol": 1e-6},
                           "absorbing radius and pullback absorption"),
 }
 
@@ -514,32 +590,12 @@ def _checked(violations: list[str], label: str, make, *args, **kwargs):
         return None
 
 
-def _size_check(what: str, rows: int, unit: str, sites: int | None = None) -> None:
-    """Raise ValueError if ``rows`` (times ``sites``) values exceed ``MAX_GRID_VALUES``."""
+def _size_check(what: str, rows: int, unit: str, sites: int | None = None) -> bool:
+    """True, or ValueError if ``rows`` (times ``sites``) values exceed ``MAX_GRID_VALUES``."""
     if rows * (sites or 1) > MAX_GRID_VALUES:
         shape = f"{Decimal(rows):.3g} {unit}" + (f" x {sites} sites" if sites else "")
         raise ValueError(f"a {what} of {shape} exceeds the limit of {MAX_GRID_VALUES} values")
-
-
-def _whole_steps(times, solver: sv.SolverConfig, grid: TimeGrid | None = None) -> bool:
-    """True, or ValueError for a time that is not a whole number of solver steps,
-    nor of ``grid`` steps when given, by the checks the run makes."""
-    for t in dict.fromkeys(times):
-        try:
-            replace(solver, t_end=float(t)).n_steps()
-            if grid is not None:
-                grid.steps_of(float(t))
-        except (ValueError, OffGridError):
-            step = "solver.dt" if grid is None else "grid.dt"
-            raise ValueError(f"{t!r} is not a whole number of {step} steps") from None
     return True
-
-
-def _in_window(grid: TimeGrid, solver: sv.SolverConfig, times, back: bool) -> None:
-    """Raise the run's own error for a time t whose run, a pullback over [-t, 0]
-    (``back``) or a forward leg over [0, t], cannot step on the noise of ``grid``."""
-    for t in dict.fromkeys(float(t) for t in times):
-        sv._run_row(grid, -t if back else 0.0, t, solver)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -547,12 +603,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     Each value must pass its ``_FIELDS`` rule, and unknown keys are
     violations too, so a typo never falls back to a default.  The checks
-    that join several values (the Hurst range, each site vector against
-    ``half_width``, the grid window, the solver refinement, times that
-    are whole numbers of steps, runs that the noise window holds, the
-    ``MAX_GRID_VALUES`` size guard) run for every group whose values
-    passed their rules.  A run's reach is checked by the checks the run
-    itself makes, so a config that validates does not fail on them.
+    that every run shares and that join several values (the Hurst range,
+    each site vector against ``half_width``, the grid window, the solver
+    refinement, the noise field's ``MAX_GRID_VALUES`` size guard) run for
+    every group whose values passed their rules.  Then, once those checks
+    and the lattice damping and the experiment's options have passed, the
+    experiment's plan (see "run plans") makes every check its run makes
+    before its first step, each listed under its config path, so a config
+    that validates does not fail on them.
     """
     violations: list[str] = []
     given = _flatten(raw, violations)
@@ -595,44 +653,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
                                      scheme=sv.Scheme(values["solver.scheme"]))
         if grid is not None:
             refinement = _checked(violations, "solver.dt", solver_cfg.refinement, grid.dt)
-    if solver_cfg is not None and name in ("simulate", "contraction"):  # they run to t_end
-        if (_checked(violations, "solver.t_end", _whole_steps, [solver_cfg.t_end], solver_cfg)
-                and refinement is not None):
-            _checked(violations, "solver.t_end", sv._forward_row, grid, solver_cfg)
-    # shifts of the noise: pullbacks from the horizons, forward legs to the check times
-    for path, back in (("experiment.horizons", True), ("experiment.check_times", False)):
-        if (path in known and passed(path) and refinement is not None
-                and _checked(violations, path, _whole_steps, values[path], solver_cfg, grid)):
-            _checked(violations, path, _in_window, grid, solver_cfg, values[path], back)
-    if name == "equilibrium" and refinement is not None and passed("experiment.initial_horizon"):
-        _checked(violations, "experiment.initial_horizon", lambda: _in_window(
-            grid, solver_cfg, at._doubling_horizons(grid, values["experiment.initial_horizon"]),
-            back=True))
-    if name == "absorb" and grid is not None and passed("experiment.t_past"):
-        _checked(violations, "experiment.t_past", at._past_window, grid,
-                 float(values["experiment.t_past"]))
     sites = 2 * half_width + 1 if passed("lattice.half_width") else None
     if grid is not None and sites is not None:
-        _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, "nodes", sites)
-        if refinement is not None and refinement > 1:
-            _checked(violations, "solver.dt", _size_check, "sub-stepped noise array",
-                     refinement * grid.n_steps + 1, "nodes", sites)
-    if name == "sample-fbm" and passed("experiment.n_steps"):
-        _checked(violations, "experiment.n_steps", _size_check, "circulant",
-                 2 * values["experiment.n_steps"], "values")
-    if name in ("pullback", "absorb") and sites is not None and passed("experiment.n_starts"):
-        # the ladder's endpoints hold a row per listed horizon and start
-        n = values["experiment.n_starts"]
-        h = len(values["experiment.horizons"]) if passed("experiment.horizons") else 1
-        if name == "pullback" and n >= h:  # the larger of pullback's two arrays
-            _checked(violations, "experiment.n_starts", _size_check,
-                     "pairwise-distance array", n ** 2, "start pairs", sites)
-        else:
-            _checked(violations, "experiment.n_starts", _size_check, "pullback ladder",
-                     h * n, "horizon x start rows", sites)
-    if name == "equilibrium" and sites is not None and passed("experiment.check_times"):
-        _checked(violations, "experiment.check_times", _size_check, "stationarity batch",
-                 len(values["experiment.check_times"]), "check time rows", sites)
+        fits = _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, "nodes",
+                        sites)
+        if (fits and refinement is not None and passed("experiment.name", "lattice.damping",
+                                                       *options) and entry.plan):
+            c = SimpleNamespace(grid=grid, solver=solver_cfg, sites=sites,
+                                damping=float(values["lattice.damping"]),
+                                **{key: values[f"experiment.{key}"] for key in entry.options})
+            entry.plan(c, functools.partial(_checked, violations))
 
     if violations:
         raise ConfigError(violations)

@@ -264,6 +264,31 @@ def _growth_constant(w: np.ndarray, grid: TimeGrid) -> float:
     return float((norms / (1.0 + grid.times() ** 2)).max())
 
 
+def _forward_window(grid: TimeGrid) -> TimeGrid:
+    """The nodes of ``grid`` in [0, t_end]: where ``stationary_ou`` evaluates by default."""
+    if grid.i_start + grid.n_steps <= 0:
+        raise WindowError("field window ends at t = 0: no step after it to evaluate on")
+    return TimeGrid(dt=grid.dt, n_steps=grid.i_start + grid.n_steps, i_start=0)
+
+
+def _ou_window(lam: float, grid: TimeGrid, eval_grid: TimeGrid, tail_tol: float = TAIL_TOL) -> int:
+    """Node of ``grid`` at which ``eval_grid`` starts, after the checks of ``stationary_ou``:
+    ``eval_grid`` lies on ``grid`` (``WindowError``) and the past before it meets the
+    tail check (``InsufficientHorizonError``)."""
+    if eval_grid.dt != grid.dt:
+        raise WindowError("eval grid must share the field dt")
+    first = eval_grid.i_start - grid.i_start
+    if first < 0 or first + eval_grid.n_steps > grid.n_steps:
+        raise WindowError("eval grid leaves the sampled window")
+    past = first * grid.dt
+    if np.exp(-lam * past) * (1.0 + past) ** 2 > tail_tol:
+        raise InsufficientHorizonError(
+            f"past horizon {past:.3g} too short: e^(-lam*T)(1+T)^2 = "
+            f"{np.exp(-lam * past) * (1.0 + past) ** 2:.3e} > {tail_tol:.1e}"
+        )
+    return first
+
+
 def stationary_ou(
     lam: float,
     field: NoiseField,
@@ -282,27 +307,15 @@ def stationary_ou(
         raise ValueError("lam must be positive")
     g = field.grid
     if eval_grid is None:
-        if g.i_start + g.n_steps <= 0:
-            raise WindowError("field has no nodes at t >= 0 to evaluate on")
-        eval_grid = TimeGrid(dt=g.dt, n_steps=g.i_start + g.n_steps, i_start=0)
-    if eval_grid.dt != g.dt:
-        raise WindowError("eval grid must share the field dt")
-    first = eval_grid.i_start - g.i_start
-    last = first + eval_grid.n_steps
-    if first < 0 or last > g.n_steps:
-        raise WindowError("eval grid leaves the sampled window")
+        eval_grid = _forward_window(g)
+    first = _ou_window(lam, g, eval_grid, tail_tol)
     past = first * g.dt
-    if np.exp(-lam * past) * (1.0 + past) ** 2 > tail_tol:
-        raise InsufficientHorizonError(
-            f"past horizon {past:.3g} too short: e^(-lam*T)(1+T)^2 = "
-            f"{np.exp(-lam * past) * (1.0 + past) ** 2:.3e} > {tail_tol:.1e}"
-        )
     w = field.w_matrix
     sweep = decayed_exp_sweep(w, lam, g.dt)
     rho = _growth_constant(w, g)
     return OUProcess(
         grid=eval_grid,
-        values=sweep[first : last + 1],
+        values=sweep[first : first + eval_grid.n_steps + 1],
         lam=lam,
         past_horizon=past,
         tail_bound=float(np.exp(-lam * past) * 4.0 * rho * (1.0 + past) ** 2),

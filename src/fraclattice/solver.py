@@ -93,7 +93,7 @@ class SolverConfig:
     def n_steps(self) -> int:
         n = round(self.t_end / self.dt)
         if abs(self.t_end - n * self.dt) > 1e-9 * self.dt:
-            raise ValueError("t_end must be a multiple of dt")
+            raise ValueError(f"{self.t_end!r} is not a whole number of steps of dt={self.dt}")
         return n
 
 

@@ -580,8 +580,8 @@ class TestLadderOverConfigs:
             "nonlinearity": {"kind": kind, "a": a, "b": b},
             "solver": {"scheme": scheme, "dt": dt / m, "t_end": 0.5},
             "grid": {"dt": dt, "t_past": 30 * dt, "t_future": dt},
-            "experiment": {"name": "absorb", "d_radius": 1.0, "horizons": horizons,
-                           "n_starts": 2, "t_past": dt},
+            "experiment": {"name": "pullback", "radius": 1.0, "horizons": horizons,
+                           "n_starts": 2},
             "master_seed": seed,
         })
         field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)

@@ -1,4 +1,5 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -384,17 +385,17 @@ class TestMain:
 
     @pytest.mark.parametrize("name, extra, line", [
         ("simulate", {"solver": {"t_end": 1.01}},
-         "solver.t_end: 1.01 is not a whole number of solver.dt steps"),
+         "solver.t_end: 1.01 is not a whole number of steps of dt=0.02"),
         ("pullback", {"experiment": {"horizons": [1.0, 1.01]}},
-         "experiment.horizons: 1.01 is not a whole number of grid.dt steps"),
+         "experiment.horizons: shift -1.01 is not a multiple of dt=0.02"),
         ("absorb", {"experiment": {"horizons": [1.01], "ou_tail_tol": 1.0}},
-         "experiment.horizons: 1.01 is not a whole number of grid.dt steps"),
+         "experiment.horizons: shift -1.01 is not a multiple of dt=0.02"),
         ("equilibrium", {"experiment": {"tol": 1e-4, "check_times": [1.01]}},
-         "experiment.check_times: 1.01 is not a whole number of grid.dt steps"),
+         "experiment.check_times: 1.01 is not a whole number of steps of dt=0.02"),
         # a whole number of sub-steps, but the check time shifts the noise grid
         ("equilibrium", {"solver": {"dt": 0.01},
                          "experiment": {"tol": 1e-4, "check_times": [0.01]}},
-         "experiment.check_times: 0.01 is not a whole number of grid.dt steps"),
+         "experiment.check_times: shift 0.01 is not a multiple of dt=0.02"),
     ], ids=["t-end", "pullback-horizon", "absorb-horizon", "check-time", "sub-step-check-time"])
     def test_exit_two_on_time_off_the_steps(self, tmp_path, capsys, name, extra, line):
         # with an on-grid time in its place, each config runs and passes
@@ -417,17 +418,29 @@ class TestMain:
         ("absorb", {"experiment": {"horizons": [40.0]}},
          "experiment.horizons: time -40.0 outside grid window [-30.0, 5.0]"),
         ("equilibrium", {"experiment": {"check_times": [6.0]}},
-         "experiment.check_times: noise window ends at 5.0 but integration needs 6.0"),
+         "experiment.check_times: time 6.0 outside grid window [-30.0, 5.0]"),
         ("absorb", {"experiment": {"t_past": 40.0}},
          "experiment.t_past: t_past 40 exceeds the sampled past 30"),
         ("absorb", {"experiment": {"t_past": 3.005}},
          "experiment.t_past: shift 3.005 is not a multiple of dt=0.01"),
         ("equilibrium", {"experiment": {"initial_horizon": 20.0}},
          "experiment.initial_horizon: field past 30 cannot support initial horizon 20"),
+        # the stationary OU field's past fails the tail check of stationary_ou
+        ("ou", {"grid": {"t_past": 5.0}},
+         "grid.t_past: past horizon 5 too short: e^(-lam*T)(1+T)^2 = 2.426e-01 > 1.0e-06"),
+        ("absorb", {"experiment": {"t_past": 12.0}},
+         "experiment.t_past: past horizon 18 too short: e^(-lam*T)(1+T)^2 = 5.498e-06 > 1.0e-06"),
+        # the equilibrium search starts at horizon 1 and needs a past of 2
+        ("pullback", {"grid": {"t_past": 1.0},
+                      "experiment": {"horizons": [1.0], "equilibrium_tol": 1e-6}},
+         "experiment.equilibrium_tol: field past 1 cannot support initial horizon 1"),
+        ("ou", {"grid": {"t_future": 0.0}},
+         "grid.t_future: field window ends at t = 0: no step after it to evaluate on"),
     ], ids=["simulate-zero-t-end", "simulate-t-end-past-window", "contraction-zero-t-end",
             "contraction-t-end-past-window", "pullback-deep-horizon", "absorb-deep-horizon",
             "check-time-past-window", "absorb-deep-t-past", "absorb-off-grid-t-past",
-            "equilibrium-deep-initial-horizon"])
+            "equilibrium-deep-initial-horizon", "ou-short-past", "absorb-short-ou-past",
+            "pullback-equilibrium-short-past", "ou-no-future"])
     def test_exit_two_on_run_outside_the_window(self, tmp_path, capsys, name, raw, line):
         # the default noise window is [-30, 5]; each run would fail once its noise is built
         path = tmp_path / "cfg.json"
@@ -439,7 +452,7 @@ class TestMain:
     @pytest.mark.parametrize("name, raw", [
         ("simulate", {"solver": {"t_end": 5.0}}),
         ("pullback", {"experiment": {"horizons": [0.0, 30.0], "equilibrium_tol": 1e-6}}),
-        ("absorb", {"experiment": {"horizons": [30.0], "t_past": 30.0}}),
+        ("absorb", {"experiment": {"horizons": [30.0], "t_past": 30.0, "ou_tail_tol": 1.0}}),
         ("equilibrium", {"experiment": {"check_times": [0.0, 5.0], "initial_horizon": 15.0}}),
     ], ids=["simulate", "pullback", "absorb", "equilibrium"])
     def test_runs_to_the_window_edges_validate(self, name, raw):
@@ -513,7 +526,7 @@ class TestMain:
 
     @pytest.mark.parametrize("command, raw, message", [
         ("contraction", {"solver": {"dt": 1e-300}},
-         "solver.dt: a sub-stepped noise array of 3.50e+301 nodes x 33 sites exceeds "
+         "solver.t_end: a trajectory of 1.00e+301 node x start rows x 33 sites exceeds "
          "the limit of 67108864 values"),
         ("contraction", {"grid": {"dt": 1e-7}, "solver": {"dt": 1e-7}},
          "grid: a noise field of 3.50e+8 nodes x 33 sites exceeds the limit of 67108864 values"),
@@ -705,10 +718,11 @@ class TestValidateConfigDirect:
 
     def test_size_limit_inclusive_and_listed_with_other_violations(self, monkeypatch):
         cases = [
-            # the default grid has 3501 nodes and 33 sites; solver.dt 0.005 refines it to 7001
-            ({"solver": {"dt": 0.005}}, 7001 * 33,
-             "solver.dt: a sub-stepped noise array of 7.00e+3 nodes x 33 sites exceeds "
-             "the limit of 231032 values"),
+            # the default grid has 3501 nodes and 33 sites; at solver.dt 0.001 the two
+            # states of the run to t_end 5 take 5001 nodes each
+            ({"solver": {"dt": 0.001}}, 5001 * 2 * 33,
+             "solver.t_end: a trajectory of 1.00e+4 node x start rows x 33 sites exceeds "
+             "the limit of 330065 values"),
             # 60 starts make 3600 pairs, more values than the 3501-node noise field
             ({"experiment": {"name": "pullback", "n_starts": 60}}, 3600 * 33,
              "experiment.n_starts: a pairwise-distance array of 3.60e+3 start pairs x 33 "
@@ -736,8 +750,10 @@ class TestValidateConfigDirect:
     @pytest.mark.parametrize("name", ["absorb", "pullback"])
     def test_ladder_size_limit_inclusive(self, monkeypatch, name):
         # more horizons than starts: for pullback too the ladder is the larger array
+        # absorb's OU past is 0, whose tail bound is 1
+        tail = {"ou_tail_tol": 1.0} if name == "absorb" else {}
         raw = {"grid": {"dt": 0.5, "t_past": 4.0, "t_future": 0.0}, "solver": {"dt": 0.5},
-               "experiment": {"name": name, "n_starts": 3, "horizons": [1.0, 2.0] * 5}}
+               "experiment": {"name": name, "n_starts": 3, "horizons": [1.0, 2.0] * 5, **tail}}
         monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 10 * 3 * 33)
         validate_config(raw)
         monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 10 * 3 * 33 - 1)
@@ -746,6 +762,19 @@ class TestValidateConfigDirect:
         assert err.value.violations == [
             "experiment.n_starts: a pullback ladder of 30 horizon x start rows x 33 sites "
             "exceeds the limit of 989 values"]
+
+    def test_size_limit_counts_trajectory(self, monkeypatch):
+        # contraction keeps both states at each of its 501 nodes: 501 x 2 x 33 values,
+        # twice the 501-node noise field
+        raw = {"grid": {"t_past": 0.0}}
+        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 501 * 2 * 33)
+        validate_config(raw)
+        monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 501 * 2 * 33 - 1)
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert err.value.violations == [
+            "solver.t_end: a trajectory of 1.00e+3 node x start rows x 33 sites exceeds the "
+            "limit of 33065 values"]
 
     def test_hash_changes_with_content(self):
         assert validate_config({}).config_hash() != validate_config(
@@ -789,3 +818,48 @@ class TestFieldTable:
         with pytest.raises(ConfigError) as err:
             validate_config(raw)
         assert any(v.startswith((f"{path}:", f"{path}.")) for v in err.value.violations)
+
+
+class TestPlansCoverRuns:
+    """A config that validates passes every check its run makes before its first step."""
+
+    @pytest.mark.parametrize("name", sorted(_REGISTRY))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(data=st.data(), dt=st.sampled_from([0.05, 0.1]), m=st.integers(1, 2),
+           past=st.integers(0, 20), future=st.integers(0, 6), tol=st.sampled_from([1.0, 1e-6]),
+           equilibrium_tol=st.sampled_from([None, 1e-1, 1e-6]),
+           ou_tail_tol=st.sampled_from([1e-6, 0.5, 1.0]),
+           damping=st.sampled_from([1.0, 12.0, 30.0]),
+           kind=st.sampled_from(["linear", "cubic"]))
+    def test_validated_config_passes_its_run_checks(self, name, data, dt, m, past, future, tol,
+                                                    equilibrium_tol, ou_tail_tol, damping, kind):
+        # times count solver steps, up to one step beyond the window's edge; with
+        # m = 2 an odd count is off the noise grid
+        step = dt / m
+        back, ahead = st.integers(0, past * m + 1), st.integers(0, future * m + 1)
+        options = {"n_steps": 16, "n_vectors": 4, "tol": tol, "n_starts": 2, "radius": 1.0,
+                   "d_radius": 1.0, "equilibrium_tol": equilibrium_tol,
+                   "ou_tail_tol": ou_tail_tol,
+                   "horizons": [k * step for k in data.draw(st.lists(back, min_size=1,
+                                                                     max_size=3))],
+                   "check_times": [k * step for k in data.draw(st.lists(ahead, max_size=3))],
+                   "t_past": data.draw(st.integers(1, past + 1)) * dt,
+                   # the search needs a past of twice its initial horizon
+                   "initial_horizon": data.draw(st.integers(1, past * m // 2 + 1)) * step}
+        with tempfile.TemporaryDirectory() as out:
+            raw = {"lattice": {"half_width": 1, "damping": damping},
+                   "nonlinearity": {"kind": kind},
+                   "solver": {"dt": step, "t_end": data.draw(ahead) * step},
+                   "grid": {"dt": dt, "t_past": past * dt, "t_future": future * dt},
+                   "experiment": {"name": name, **{key: val for key, val in options.items()
+                                                   if key in _REGISTRY[name].options}},
+                   "output_dir": out}
+            try:
+                cfg = validate_config(raw)
+            except ConfigError:
+                return
+            error = run(cfg).error or ""
+        # a blow-up, or a Cauchy stop that runs out of horizons, is the run's own result
+        assert (error == "" or error.startswith(("BlowUpError", "NonlinearityOverflowError"))
+                or error.startswith("InsufficientHorizonError") and "support doubling" in error
+                ), error
