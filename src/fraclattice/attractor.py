@@ -248,7 +248,7 @@ def _doubling_horizons(grid: TimeGrid, initial_horizon: float) -> list[float]:
 
     Raises ``InsufficientHorizonError`` unless it holds the first two.
     """
-    available = -grid.t_start
+    available = -grid.i_start * grid.dt  # 0.0, not -0.0, for a grid with no past
     t = float(initial_horizon)
     if 2.0 * t > available:
         raise InsufficientHorizonError(

@@ -4,7 +4,8 @@ Sampling is done by circulant embedding of the fractional Gaussian noise
 (fGn) covariance (Davies-Harte), which is exact in law and O(n log n).
 The circulant eigenvalues are computed once per ``(n_steps, h)`` and
 cached read-only; :func:`_fgn_from_normals` turns a block of unit
-normals into fGn with one FFT along its rows.  The dense O(n^3)
+normals into fGn with one real inverse FFT of the n + 1 half of the
+Hermitian spectrum along its rows.  The dense O(n^3)
 Cholesky sampler it is cross-validated against lives with the tests,
 in ``tests/oracles.py``.
 
@@ -165,21 +166,24 @@ def _fgn_eigenvalues(n_steps: int, h: float) -> np.ndarray:
 
 
 def _fgn_from_normals(z: np.ndarray, eig: np.ndarray) -> np.ndarray:
-    """(rows, n) unit-step fGn from (rows, 2n) unit normals, one FFT along the rows.
+    """(rows, n) unit-step fGn from (rows, 2n) unit normals, one real inverse FFT per row.
 
-    Row r depends on ``z[r]`` alone, and bit for bit so: a row comes out
-    the same whatever block of rows it is transformed in.
+    The normals fill the n + 1 half of a Hermitian spectrum: ``z[:, 0]``,
+    then ``(z[:, 1:n] - i z[:, n+1:]) / sqrt(2)``, then ``z[:, n]``, each
+    scaled by the square root of its circulant eigenvalue over 2n.  A
+    real inverse FFT of that half spectrum is the fGn, and its first n
+    values are the sample.  Row r depends on ``z[r]`` alone, and bit for
+    bit so: a row comes out the same whatever block of rows it is
+    transformed in.
     """
     m = z.shape[1]
     n_steps = m // 2
-    spec = np.empty(z.shape, dtype=complex)
+    spec = np.empty((z.shape[0], n_steps + 1), dtype=complex)
     spec[:, 0] = z[:, 0]
+    spec[:, 1:n_steps] = (z[:, 1:n_steps] - 1j * z[:, n_steps + 1 :]) / np.sqrt(2.0)
     spec[:, n_steps] = z[:, n_steps]
-    half = (z[:, 1:n_steps] + 1j * z[:, n_steps + 1 :]) / np.sqrt(2.0)
-    spec[:, 1:n_steps] = half
-    spec[:, n_steps + 1 :] = np.conj(half[:, ::-1])
-    spec *= np.sqrt(eig / m)
-    return np.fft.fft(spec, axis=1, out=spec).real[:, :n_steps]
+    spec *= np.sqrt(eig[: n_steps + 1] / m)
+    return np.fft.irfft(spec, n=m, axis=1, norm="forward")[:, :n_steps]
 
 
 def sample_fbm_array(

@@ -141,9 +141,11 @@ def build_noise_field(
 
     The rows are built in blocks of ``_BLOCK_VALUES // (2 * n_steps)``
     sites: each site's normals go into one row of the block, and the
-    block becomes fGn through one FFT with the circulant eigenvalues
-    computed once per ``(n_steps, h)``.  A row does not depend on its
-    block, so every column is bit-identical to that one-row sample.
+    block becomes fGn through one real inverse FFT with the circulant
+    eigenvalues computed once per ``(n_steps, h)``.  A row does not
+    depend on its block, so every column is bit-identical to that
+    one-row sample.  Each row is re-anchored before it is written, so
+    the columns of sites with sigma_i = 0 are never touched.
     """
     k0 = grid.index_of(0.0)  # anchoring requires zero on the grid
     hurst = as_hurst(h)
@@ -158,10 +160,10 @@ def build_noise_field(
         block = sites[first : first + rows]
         for r, (_, seed) in enumerate(block):
             np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(out=z[r])
-        fgn = _fgn_from_normals(z[: len(block)], eig) * scale
-        columns = [i + params.half_width for i, _ in block]
-        paths[1:, columns] = np.cumsum(fgn, axis=1).T
-    paths -= paths[k0]
+        walks = np.zeros((len(block), grid.n_nodes))
+        np.cumsum(_fgn_from_normals(z[: len(block)], eig) * scale, axis=1, out=walks[:, 1:])
+        walks -= walks[:, k0, None]
+        paths[:, [i + params.half_width for i, _ in block]] = walks.T
     return NoiseField(grid=grid, sigma=params.noise_amp, master_seed=int(master_seed),
                       paths=paths)
 
@@ -183,7 +185,8 @@ def decayed_exp_sweep(values: np.ndarray, lam, dt: float) -> np.ndarray:
     q = e^(-lam dt), which matches the direct formula identically in
     exact arithmetic while staying overflow-safe for large lam * t.  The
     recurrence is evaluated in vectorized blocks sized so the rescaling
-    factors stay within e^25 of unity.
+    factors stay within e^25 of unity; the factors are computed once, for
+    a whole block, and the last block reads a slice of them.
     """
     lam = np.asarray(lam, dtype=float)
     if not (lam > 0).all():
@@ -197,15 +200,18 @@ def decayed_exp_sweep(values: np.ndarray, lam, dt: float) -> np.ndarray:
         return out
     b = (1.0 - half) * x[1:] - q * (1.0 + half) * x[:-1]
     block = max(1, min(n, int(25.0 / (float(np.max(lam)) * dt))))
+    i = np.arange(1, block + 1).reshape((block,) + (1,) * (x.ndim - 1))
+    up = q ** (-i)  # bounded by e^25 through the block choice
+    down = q**i
     carry = np.zeros(x.shape[1:])
     pos = 0
     while pos < n:
         m = min(block, n - pos)
-        i = np.arange(1, m + 1).reshape((m,) + (1,) * (x.ndim - 1))
-        up = q ** (-i)  # bounded by e^25 through the block choice
-        down = q**i
-        partial = np.cumsum(b[pos : pos + m] * up, axis=0)
-        out[pos + 1 : pos + m + 1] = down * (carry + partial)
+        partial = b[pos : pos + m]  # b is scratch: each block is read once
+        partial *= up[:m]
+        np.cumsum(partial, axis=0, out=partial)
+        partial += carry
+        np.multiply(down[:m], partial, out=out[pos + 1 : pos + m + 1])
         carry = out[pos + m]
         pos += m
     return out
@@ -256,7 +262,13 @@ class OUProcess(VectorSeries):
 
 def noise_growth_constant(field: NoiseField) -> float:
     """Smallest c with |W(t)| <= c (1 + t^2) on every sampled node."""
-    return _growth_constant(field.w_matrix, field.grid)
+    return _growth_constant(_noisy_w(field)[1], field.grid)
+
+
+def _noisy_w(field: NoiseField) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the sites with sigma_i != 0, and W on those columns only."""
+    noisy = np.flatnonzero(field.sigma.values)
+    return noisy, field.paths[:, noisy] * field.sigma.values[noisy]
 
 
 def _growth_constant(w: np.ndarray, grid: TimeGrid) -> float:
@@ -302,6 +314,9 @@ def stationary_ou(
     e^(-lam*past) (1 + past)^2 <= tail_tol, and the corresponding
     truncation bound (scaled by the field's growth constant) is recorded
     on the result.  Defaults to evaluating on the nodes in [0, t_end].
+
+    Only the sites with sigma_i != 0 are swept, and only they enter the
+    growth constant; the field is exactly zero at every other site.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -310,12 +325,13 @@ def stationary_ou(
         eval_grid = _forward_window(g)
     first = _ou_window(lam, g, eval_grid, tail_tol)
     past = first * g.dt
-    w = field.w_matrix
-    sweep = decayed_exp_sweep(w, lam, g.dt)
+    noisy, w = _noisy_w(field)
+    values = np.zeros((eval_grid.n_nodes, field.n_sites))
+    values[:, noisy] = decayed_exp_sweep(w, lam, g.dt)[first : first + eval_grid.n_nodes]
     rho = _growth_constant(w, g)
     return OUProcess(
         grid=eval_grid,
-        values=sweep[first : first + eval_grid.n_steps + 1],
+        values=values,
         lam=lam,
         past_horizon=past,
         tail_bound=float(np.exp(-lam * past) * 4.0 * rho * (1.0 + past) ** 2),

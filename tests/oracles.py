@@ -5,13 +5,17 @@ benchmark workload; each is an independent way to compute an object the
 package computes, or a probe of a claim the package makes:
 
 * ``fgn_autocovariance`` and the dense Cholesky sampler
-  ``sample_fbm_cholesky``, against the circulant fBm sampler;
+  ``sample_fbm_cholesky``, against the circulant fBm sampler, and the
+  full-spectrum synthesis ``fgn_from_normals_full_spectrum``, against
+  its half-spectrum one;
 * the randomized ``probe_dissipativity`` and ``probe_growth`` of a
   drift's claimed constants, and the periodic laplacian eigenbasis
   ``laplacian_modes``;
 * the field shift ``shift_noise`` and restriction ``coarsen_noise``,
-  the Stieltjes quadrature ``stieltjes_exp_integral`` and the damped
-  field from an initial state ``ou_solution``;
+  the Stieltjes quadrature ``stieltjes_exp_integral``, the damped
+  field from an initial state ``ou_solution``, and the stationary field
+  ``stationary_ou_dense`` and growth constant ``growth_constant_dense``
+  computed over every site, the silent ones too;
 * the cocycle composition check ``cocycle_check``, the spectral solution
   ``linear_oracle`` of the linear drift, and the decay envelope
   ``gronwall_envelope``.
@@ -26,7 +30,15 @@ import numpy as np
 from fraclattice.errors import WindowError
 from fraclattice.fbm import HurstParameter, TimeGrid, as_hurst
 from fraclattice.lattice import Boundary, LatticeParams, LatticeVector, NonlinearitySpec
-from fraclattice.noise import NoiseField, VectorSeries, decayed_exp_sweep
+from fraclattice.noise import (
+    TAIL_TOL,
+    NoiseField,
+    OUProcess,
+    VectorSeries,
+    _forward_window,
+    _ou_window,
+    decayed_exp_sweep,
+)
 from fraclattice.solver import SolverConfig, cocycle_map
 
 __all__ = [
@@ -34,6 +46,7 @@ __all__ = [
     "fgn_autocovariance",
     "_fbm_covariance_matrix",
     "sample_fbm_cholesky",
+    "fgn_from_normals_full_spectrum",
     "PROBE_TOL",
     "DEGENERATE_PAIR_TOL",
     "DissipativityReport",
@@ -45,6 +58,8 @@ __all__ = [
     "coarsen_noise",
     "stieltjes_exp_integral",
     "ou_solution",
+    "stationary_ou_dense",
+    "growth_constant_dense",
     "COCYCLE_RESIDUAL_COEF",
     "CocycleReport",
     "cocycle_check",
@@ -116,6 +131,25 @@ def sample_fbm_cholesky(
         if normals.shape != (n_steps,):
             raise ValueError(f"normals must have shape ({n_steps},)")
     return np.concatenate([[0.0], chol @ normals])
+
+
+def fgn_from_normals_full_spectrum(z: np.ndarray, eig: np.ndarray) -> np.ndarray:
+    """(rows, n) unit-step fGn from (rows, 2n) unit normals through the whole
+    2n-point Hermitian spectrum and one complex FFT, keeping the real part.
+
+    The reference of ``fbm._fgn_from_normals``, which takes one real
+    inverse FFT of the half spectrum instead; the two agree to rounding.
+    """
+    m = z.shape[1]
+    n_steps = m // 2
+    spec = np.empty(z.shape, dtype=complex)
+    spec[:, 0] = z[:, 0]
+    spec[:, n_steps] = z[:, n_steps]
+    half = (z[:, 1:n_steps] + 1j * z[:, n_steps + 1 :]) / np.sqrt(2.0)
+    spec[:, 1:n_steps] = half
+    spec[:, n_steps + 1 :] = np.conj(half[:, ::-1])
+    spec *= np.sqrt(eig / m)
+    return np.fft.fft(spec, axis=1, out=spec).real[:, :n_steps]
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +371,37 @@ def ou_solution(
     times = np.arange(k1 - k0 + 1) * field.grid.dt
     values = np.exp(-lam * times)[:, None] * u0.values[None, :] + sweep
     return VectorSeries(grid=TimeGrid(dt=field.grid.dt, n_steps=k1 - k0), values=values)
+
+
+def growth_constant_dense(field: NoiseField) -> float:
+    """``noise_growth_constant`` with the norms taken over every column of ``w_matrix``."""
+    norms = np.linalg.norm(field.w_matrix, axis=1)
+    return float((norms / (1.0 + field.grid.times() ** 2)).max())
+
+
+def stationary_ou_dense(
+    lam: float,
+    field: NoiseField,
+    eval_grid: TimeGrid | None = None,
+    tail_tol: float = TAIL_TOL,
+) -> OUProcess:
+    """``stationary_ou`` swept over every column of ``w_matrix``, the silent
+    sites' zero columns too: the computation the noisy-column sweep replaced."""
+    g = field.grid
+    if eval_grid is None:
+        eval_grid = _forward_window(g)
+    first = _ou_window(lam, g, eval_grid, tail_tol)
+    past = first * g.dt
+    sweep = decayed_exp_sweep(field.w_matrix, lam, g.dt)
+    rho = growth_constant_dense(field)
+    return OUProcess(
+        grid=eval_grid,
+        values=sweep[first : first + eval_grid.n_steps + 1],
+        lam=lam,
+        past_horizon=past,
+        tail_bound=float(np.exp(-lam * past) * 4.0 * rho * (1.0 + past) ** 2),
+        rho=rho,
+    )
 
 
 # ---------------------------------------------------------------------------

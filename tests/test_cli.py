@@ -425,6 +425,9 @@ class TestMain:
          "experiment.t_past: shift 3.005 is not a multiple of dt=0.01"),
         ("equilibrium", {"experiment": {"initial_horizon": 20.0}},
          "experiment.initial_horizon: field past 30 cannot support initial horizon 20"),
+        # a grid with no past has a past of 0, printed without a sign
+        ("equilibrium", {"grid": {"t_past": 0.0}},
+         "experiment.initial_horizon: field past 0 cannot support initial horizon 1"),
         # the stationary OU field's past fails the tail check of stationary_ou
         ("ou", {"grid": {"t_past": 5.0}},
          "grid.t_past: past horizon 5 too short: e^(-lam*T)(1+T)^2 = 2.426e-01 > 1.0e-06"),
@@ -439,8 +442,8 @@ class TestMain:
     ], ids=["simulate-zero-t-end", "simulate-t-end-past-window", "contraction-zero-t-end",
             "contraction-t-end-past-window", "pullback-deep-horizon", "absorb-deep-horizon",
             "check-time-past-window", "absorb-deep-t-past", "absorb-off-grid-t-past",
-            "equilibrium-deep-initial-horizon", "ou-short-past", "absorb-short-ou-past",
-            "pullback-equilibrium-short-past", "ou-no-future"])
+            "equilibrium-deep-initial-horizon", "equilibrium-no-past", "ou-short-past",
+            "absorb-short-ou-past", "pullback-equilibrium-short-past", "ou-no-future"])
     def test_exit_two_on_run_outside_the_window(self, tmp_path, capsys, name, raw, line):
         # the default noise window is [-30, 5]; each run would fail once its noise is built
         path = tmp_path / "cfg.json"

@@ -149,6 +149,30 @@ class TestSampling:
             assert abs(per_path.mean()) <= 3.0 * se
 
 
+class TestHalfSpectrum:
+    """The real inverse FFT of the half spectrum against the full-spectrum complex FFT."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 32])
+    @pytest.mark.parametrize("n", [1, 2, 7, 500, 3500, 5000])
+    def test_matches_full_spectrum_reference(self, n, rows):
+        z = np.random.default_rng([n, rows]).standard_normal((rows, 2 * n))
+        eig = fbm._fgn_eigenvalues(n, 0.75)
+        fgn = fbm._fgn_from_normals(z, eig)
+        ref = oracles.fgn_from_normals_full_spectrum(z, eig)
+        assert fgn.shape == ref.shape == (rows, n)
+        assert np.abs(fgn - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [7, 500])
+    def test_row_is_independent_of_its_block(self, n):
+        z = np.random.default_rng(n).standard_normal((40, 2 * n))
+        eig = fbm._fgn_eigenvalues(n, 0.75)
+        alone = np.concatenate([fbm._fgn_from_normals(z[r : r + 1], eig) for r in range(40)])
+        for size in range(1, 17):
+            for first in (0, 3, 17, 40 - size):
+                block = fbm._fgn_from_normals(z[first : first + size], eig)
+                assert np.array_equal(block, alone[first : first + size])
+
+
 class TestCholeskyOracle:
     def test_injected_normals_first_step(self):
         # with unit normals z = (1, 0) the first value is sqrt(var step)

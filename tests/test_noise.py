@@ -12,6 +12,7 @@ from fraclattice.noise import (
     noise_growth_constant,
     stationary_ou,
 )
+import oracles
 from oracles import coarsen_noise, ou_solution, shift_noise, stieltjes_exp_integral
 
 
@@ -234,6 +235,15 @@ class TestStieltjesIntegral:
             )
             assert sweep[field.grid.index_of(t)] == pytest.approx(direct, abs=1e-12)
 
+    def test_sweep_rows_do_not_depend_on_later_rows(self):
+        # lam dt = 2.5 makes blocks of 10 steps, so the prefixes end in last
+        # blocks of every length, each reading a slice of the first block's factors
+        x = np.random.default_rng(3).standard_normal((36, 3)).cumsum(axis=0)
+        for lam in (25.0, np.array([25.0, 3.0, 0.5])):
+            full = decayed_exp_sweep(x, lam, 0.1)
+            for n in range(1, 36):
+                assert np.array_equal(decayed_exp_sweep(x[: n + 1], lam, 0.1), full[: n + 1])
+
 
 class TestOUSolution:
     def test_zero_field_pure_decay(self):
@@ -341,3 +351,44 @@ class TestGrowthConstant:
         assert rho <= norms.max()
         times = field.grid.times()
         assert (norms <= rho * (1.0 + times**2) + 1e-15).all()
+
+
+NOISY_GRID = TimeGrid(dt=0.05, n_steps=540, i_start=-500)  # [-25, 2]
+
+
+class TestNoisyColumns:
+    """stationary_ou and the growth constant read only the noisy sites; the
+    oracles compute them over every column of w_matrix, silent ones too."""
+
+    @pytest.mark.parametrize("half_width, sigma", [
+        (3, {-2: 0.5, 0: 1.0, 2: 0.3}),
+        (2, {}),
+        (2, all_sites(2)),
+    ], ids=["silent-edges-and-gaps", "no-noisy-site", "every-site-noisy"])
+    def test_bit_identical_to_whole_field(self, half_width, sigma):
+        f = build_noise_field(make_params(half_width, sigma), NOISY_GRID, 5)
+        for eval_grid in (None, TimeGrid(dt=0.05, n_steps=20, i_start=-20)):
+            ou = stationary_ou(1.0, f, eval_grid)
+            ref = oracles.stationary_ou_dense(1.0, f, eval_grid)
+            assert ou.grid == ref.grid
+            assert np.array_equal(ou.values, ref.values)
+            assert (ou.rho, ou.tail_bound, ou.past_horizon) == (
+                ref.rho, ref.tail_bound, ref.past_horizon)
+        assert noise_growth_constant(f) == oracles.growth_constant_dense(f)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("half_width, sigma", [
+        (6, {i: 0.3 + 0.05 * i for i in range(-6, 7) if i % 3}),
+        (4, all_sites(4)),
+    ], ids=["eight-among-silent", "nine-every-site-noisy"])
+    def test_eight_or_more_noisy_sites(self, half_width, sigma, seed):
+        # numpy sums a row-major row of eight or more squares in eight interleaved
+        # partial sums, and the column-major noisy columns in column order, so
+        # |W(t)| and rho move at rounding level; the swept values stay bit-identical
+        f = build_noise_field(make_params(half_width, sigma), NOISY_GRID, seed)
+        ou = stationary_ou(1.0, f)
+        ref = oracles.stationary_ou_dense(1.0, f)
+        assert np.array_equal(ou.values, ref.values)
+        assert ou.rho == pytest.approx(ref.rho, rel=1e-15, abs=0.0)
+        assert ou.tail_bound == pytest.approx(ref.tail_bound, rel=1e-15, abs=0.0)
+        assert noise_growth_constant(f) == ou.rho
