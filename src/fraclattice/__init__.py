@@ -22,7 +22,6 @@ from .errors import (
     WindowError,
 )
 from .fbm import (
-    HurstParameter,
     TimeGrid,
     sample_fbm_array,
 )

@@ -32,7 +32,7 @@ from . import attractor as at
 from . import noise as nz
 from . import solver as sv
 from .errors import ConfigError, FracLatticeError
-from .fbm import HurstParameter, TimeGrid, sample_fbm_array
+from .fbm import TimeGrid, as_hurst, sample_fbm_array
 from .lattice import (
     Boundary,
     LatticeParams,
@@ -43,8 +43,7 @@ from .lattice import (
     apply_laplacian,
 )
 
-__all__ = ["ExperimentConfig", "RunManifest", "load_config", "run",
-           "emit_plot_series", "main"]
+__all__ = ["ExperimentConfig", "RunManifest", "load_config", "run", "main"]
 
 ENV_OUTDIR = "FRACLATTICE_OUTDIR"
 
@@ -58,7 +57,7 @@ MAX_GRID_VALUES = 1 << 26
 class ExperimentConfig:
     """Validated bundle of everything a run needs."""
 
-    hurst: HurstParameter
+    hurst: float
     params: LatticeParams
     spec: NonlinearitySpec
     solver: sv.SolverConfig
@@ -152,33 +151,6 @@ def _node_blocks(times: np.ndarray, states: np.ndarray, half_width: int):
         yield head + head.join(cells), tuple(row.tolist())
 
 
-def emit_plot_series(report, out_dir: str | Path, stem: str) -> list[str]:
-    """Write the (x, y) series a report type supports; returns file paths."""
-    out = Path(out_dir)
-    if isinstance(report, at.ContractionReport):
-        keep = report.distances > 0.0
-        d = report.distances[keep]
-        return [_write_csv(out / f"{stem}_log_distance.csv",
-                           ["t", "distance", "log_distance"],
-                           _columns(report.times[keep], d, np.log(d)))]
-    if isinstance(report, at.PullbackReport):
-        header = ["horizon", "diameter", "bound"]
-        columns = [report.horizons, report.diameters, report.bounds]
-        if report.hausdorff is not None:
-            header.append("hausdorff_to_equilibrium")
-            columns.append(report.hausdorff)
-        return [_write_csv(out / f"{stem}_diameters.csv", header, _columns(*columns))]
-    if isinstance(report, at.StationarityReport):
-        return [_write_csv(out / f"{stem}_residuals.csv", ["t", "residual"],
-                           _columns(report.times, report.residuals))]
-    if isinstance(report, at.AbsorptionReport):
-        bound = np.full(report.horizons.shape, float(report.bound))
-        return [_write_csv(out / f"{stem}_entry.csv",
-                           ["horizon", "max_norm", "bound", "margin"],
-                           _columns(report.horizons, report.max_norms, bound, report.margins))]
-    raise TypeError(f"no plot series defined for {type(report).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # experiment runners
 
@@ -268,7 +240,12 @@ def _run_contraction(cfg, out: Path, manifest: RunManifest):
     field = _build_field(cfg, manifest)
     rep = at.contraction_experiment(cfg.starts["u0"], cfg.starts["w0"], field,
                                     cfg.params, cfg.spec, cfg.solver)
-    manifest.artifacts.extend(emit_plot_series(rep, out, "contraction"))
+    keep = rep.distances > 0.0
+    d = rep.distances[keep]
+    manifest.artifacts.append(_write_csv(
+        out / "contraction_log_distance.csv", ["t", "distance", "log_distance"],
+        _columns(rep.times[keep], d, np.log(d)),
+    ))
     manifest.checks["slope"] = rep.slope_ok
     manifest.checks["pointwise_certificate"] = rep.pointwise_ok
     manifest.checks["nondegenerate"] = not rep.degenerate
@@ -293,7 +270,12 @@ def _run_pullback(cfg, out: Path, manifest: RunManifest):
         cfg.solver, opts["horizons"], seed=nz.derive_seed(cfg.master_seed, 7, 0),
         equilibrium=equilibrium,
     )
-    manifest.artifacts.extend(emit_plot_series(rep, out, "pullback"))
+    header, columns = ["horizon", "diameter", "bound"], [rep.horizons, rep.diameters, rep.bounds]
+    if rep.hausdorff is not None:
+        header.append("hausdorff_to_equilibrium")
+        columns.append(rep.hausdorff)
+    manifest.artifacts.append(_write_csv(out / "pullback_diameters.csv", header,
+                                         _columns(*columns)))
     manifest.checks["diameter_decay"] = rep.passed
     manifest.numbers["start_diameter"] = rep.start_diameter
     manifest.numbers["final_diameter"] = float(rep.diameters[-1])
@@ -323,7 +305,10 @@ def _run_equilibrium(cfg, out: Path, manifest: RunManifest):
         rep = at.forward_stationarity_check(
             eq, field, cfg.params, cfg.spec, cfg.solver, times
         )
-        manifest.artifacts.extend(emit_plot_series(rep, out, "stationarity"))
+        manifest.artifacts.append(_write_csv(
+            out / "stationarity_residuals.csv", ["t", "residual"],
+            _columns(rep.times, rep.residuals),
+        ))
         manifest.checks["forward_stationarity"] = rep.passed
         manifest.numbers["max_stationarity_residual"] = float(rep.residuals.max())
 
@@ -338,7 +323,11 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
         seed=nz.derive_seed(cfg.master_seed, 7, 1), t_past=t_past,
         ou_tail_tol=float(opts["ou_tail_tol"]),
     )
-    manifest.artifacts.extend(emit_plot_series(rep, out, "absorption"))
+    manifest.artifacts.append(_write_csv(
+        out / "absorption_entry.csv", ["horizon", "max_norm", "bound", "margin"],
+        _columns(rep.horizons, rep.max_norms, np.full(rep.horizons.shape, float(rep.bound)),
+                 rep.margins),
+    ))
     manifest.checks["absorbed"] = rep.passed
     manifest.checks["radius_at_least_one"] = rep.radius.value >= 1.0
     manifest.numbers["absorbing_radius"] = rep.radius.value
@@ -358,16 +347,25 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
 
 # ---------------------------------------------------------------------------
 # run plans: ``plan(c, check)`` makes every check its run makes before its first
-# step, through the run's own functions, and size-checks each array the run
-# allocates.  ``c`` holds the validated values; ``check(path, make, *args)``
-# returns ``make(*args)``, or None with its error listed under ``path``.
+# step, through the run's own functions, size-checks each array the run
+# allocates, and checks that a stepping run's explicit step is stable.  ``c``
+# holds the validated values; ``check(path, make, *args)`` returns
+# ``make(*args)``, or None with its error listed under ``path``.
 
 
 def _plan_fbm_sample(c, check):
     check("experiment.n_steps", _size_check, "circulant", 2 * c.n_steps, "values")
 
 
+def _stable_step(margin: float | None) -> None:
+    """ValueError if the run's ``solver.step_margin`` (None: not computed) passes 2."""
+    if margin is not None and margin > 2.0:
+        raise ValueError(f"dt (kappa rho(A) + lam + a) = {margin:.3g} exceeds 2, where an "
+                         "explicit step grows the top lattice mode")
+
+
 def _plan_forward(c, check, starts=1):
+    check("solver.dt", _stable_step, c.step_margin)
     row = check("solver.t_end", sv._forward_row, c.grid, c.solver)
     if row:  # _solve keeps every state of its starts
         check("solver.t_end", _size_check, "trajectory", (row[1] + 1) * starts,
@@ -383,6 +381,7 @@ def _plan_ou(c, check):
 def _plan_ladder(c, check, pairs=False):
     """A pullback ladder of ``n_starts`` starts from each of ``horizons``, and with
     ``pairs`` the pairwise distances of its endpoints, whose size is checked first."""
+    check("solver.dt", _stable_step, c.step_margin)
     check("experiment.horizons", at._ladder_rows, c.grid, c.horizons, c.solver)
     if not pairs or check("experiment.n_starts", _size_check, "pairwise-distance array",
                           c.n_starts**2, "start pairs", c.sites):
@@ -421,6 +420,7 @@ def _stationarity(c, horizons, times) -> None:
 
 
 def _plan_equilibrium(c, check):
+    check("solver.dt", _stable_step, c.step_margin)
     horizons = check("experiment.initial_horizon", _search, c, float(c.initial_horizon))
     times = sorted(float(t) for t in c.check_times)
     if horizons and times:
@@ -506,12 +506,10 @@ _COUNT = (lambda x: _is_int(x) and x >= 1, "an integer >= 1")
 _SITES = (lambda x: isinstance(x, dict), "an object of site -> finite number")
 
 #: Every config value: dotted path -> (default, (test, requirement)).  A
-#: ``None`` default is filled from elsewhere: each experiment's option
-#: defaults from ``_REGISTRY``, and ``hurst_reference_mode`` (false when
-#: absent) not at all, so configs that leave it out keep their hash.
+#: ``None`` default is filled from each experiment's option defaults in
+#: ``_REGISTRY``.
 _FIELDS = {
-    "hurst": (0.75, _NUMBER),  # the range depends on the reference mode
-    "hurst_reference_mode": (None, (lambda x: isinstance(x, bool), "true or false")),
+    "hurst": (0.75, _NUMBER),  # its range is checked by fbm.as_hurst
     "lattice.coupling": (1.0, _POSITIVE),
     "lattice.damping": (1.0, _POSITIVE),
     "lattice.half_width": (16, _COUNT),
@@ -610,7 +608,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     and the lattice damping and the experiment's options have passed, the
     experiment's plan (see "run plans") makes every check its run makes
     before its first step, each listed under its config path, so a config
-    that validates does not fail on them.
+    that validates does not fail on them.  A stepping run's plan also checks
+    ``solver.step_margin``, once the coefficients it reads passed their rules.
     """
     violations: list[str] = []
     given = _flatten(raw, violations)
@@ -637,8 +636,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     hurst = grid = solver_cfg = refinement = None
     if passed("hurst"):
-        hurst = _checked(violations, "hurst", HurstParameter, float(values["hurst"]),
-                         reference_mode=values.get("hurst_reference_mode") is True)
+        hurst = _checked(violations, "hurst", as_hurst, values["hurst"])
     half_width = values["lattice.half_width"]
     vectors = {path: _checked(violations, path, LatticeVector.from_support, half_width,
                               {int(k): v for k, v in values[path].items()})
@@ -659,8 +657,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
                         sites)
         if (fits and refinement is not None and passed("experiment.name", "lattice.damping",
                                                        *options) and entry.plan):
-            c = SimpleNamespace(grid=grid, solver=solver_cfg, sites=sites,
-                                damping=float(values["lattice.damping"]),
+            damping = float(values["lattice.damping"])
+            margin = (sv.step_margin(solver_cfg.dt, float(values["lattice.coupling"]), damping,
+                                     float(values["nonlinearity.a"]), sites,
+                                     Boundary(values["lattice.boundary"]))
+                      if passed("lattice.coupling", "lattice.boundary", "nonlinearity.a")
+                      else None)
+            c = SimpleNamespace(grid=grid, solver=solver_cfg, sites=sites, damping=damping,
+                                step_margin=margin,
                                 **{key: values[f"experiment.{key}"] for key in entry.options})
             entry.plan(c, functools.partial(_checked, violations))
 

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import EmbeddingError, OffGridError, WindowError
 
 __all__ = [
-    "HurstParameter",
     "TimeGrid",
     "sample_fbm_array",
 ]
@@ -39,35 +38,16 @@ __all__ = [
 EIGENVALUE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HurstParameter:
-    """Hurst exponent of the driving noise.
+def as_hurst(h: float) -> float:
+    """The Hurst exponent ``h`` as a float, checked on the open interval (1/2, 1).
 
-    The long-memory regime 1/2 < h < 1 is the supported one.  ``h = 0.5``
-    (plain Brownian motion) is admitted only with ``reference_mode=True``
-    and exists so the sampler can be checked against an independent
-    Gaussian-walk oracle.
+    The long-memory regime 1/2 < h < 1 is the one the pathwise construction
+    holds for; every entry point that takes h checks it here.
     """
-
-    h: float
-    reference_mode: bool = False
-
-    def __post_init__(self):
-        if self.reference_mode:
-            if not 0.5 <= self.h < 1.0:
-                raise ValueError(f"hurst parameter {self.h} outside [0.5, 1)")
-        elif not 0.5 < self.h < 1.0:
-            raise ValueError(
-                f"hurst parameter {self.h} outside (0.5, 1); "
-                "h = 0.5 needs reference_mode=True"
-            )
-
-
-def as_hurst(h: "HurstParameter | float") -> HurstParameter:
-    """Coerce a float to a validated :class:`HurstParameter`."""
-    if isinstance(h, HurstParameter):
-        return h
-    return HurstParameter(float(h))
+    h = float(h)
+    if not 0.5 < h < 1.0:
+        raise ValueError(f"hurst parameter {h} outside (0.5, 1)")
+    return h
 
 
 @dataclass(frozen=True)
@@ -189,7 +169,7 @@ def _fgn_from_normals(z: np.ndarray, eig: np.ndarray) -> np.ndarray:
 def sample_fbm_array(
     n_paths: int,
     n_steps: int,
-    h: "HurstParameter | float",
+    h: float,
     dt: float,
     seed,
 ) -> np.ndarray:
@@ -205,10 +185,10 @@ def sample_fbm_array(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    hurst = as_hurst(h)
-    eig = _fgn_eigenvalues(n_steps, hurst.h)
+    h = as_hurst(h)
+    eig = _fgn_eigenvalues(n_steps, h)
     z = np.random.default_rng(seed).standard_normal((n_paths, 2 * n_steps))
-    fgn = _fgn_from_normals(z, eig) * dt**hurst.h
+    fgn = _fgn_from_normals(z, eig) * dt**h
     out = np.zeros((n_paths, n_steps + 1))
     np.cumsum(fgn, axis=1, out=out[:, 1:])
     return out

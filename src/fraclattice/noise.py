@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHorizonError, WindowError
-from .fbm import HurstParameter, TimeGrid, _fgn_eigenvalues, _fgn_from_normals, as_hurst
+from .fbm import TimeGrid, _fgn_eigenvalues, _fgn_from_normals, as_hurst
 from .lattice import LatticeParams, LatticeVector
 
 __all__ = [
@@ -126,7 +126,7 @@ def build_noise_field(
     params: LatticeParams,
     grid: TimeGrid,
     master_seed: int,
-    h: "HurstParameter | float" = 0.75,
+    h: float = 0.75,
 ) -> NoiseField:
     """Sample independent per-site paths for every site with sigma_i != 0.
 
@@ -148,10 +148,10 @@ def build_noise_field(
     the columns of sites with sigma_i = 0 are never touched.
     """
     k0 = grid.index_of(0.0)  # anchoring requires zero on the grid
-    hurst = as_hurst(h)
+    h = as_hurst(h)
     n_steps = grid.n_steps
-    eig = _fgn_eigenvalues(n_steps, hurst.h)
-    scale = grid.dt**hurst.h
+    eig = _fgn_eigenvalues(n_steps, h)
+    scale = grid.dt**h
     paths = np.zeros((grid.n_nodes, params.n_sites))
     sites = list(_site_seeds(master_seed, params.noise_amp).items())
     rows = max(1, _BLOCK_VALUES // (2 * n_steps))

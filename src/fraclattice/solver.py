@@ -40,6 +40,7 @@ __all__ = [
     "SolverConfig",
     "integrate",
     "cocycle_map",
+    "step_margin",
 ]
 
 #: State-norm guard: beyond this the step loop raises ``BlowUpError``
@@ -95,6 +96,20 @@ class SolverConfig:
         if abs(self.t_end - n * self.dt) > 1e-9 * self.dt:
             raise ValueError(f"{self.t_end!r} is not a whole number of steps of dt={self.dt}")
         return n
+
+
+def step_margin(dt: float, coupling: float, damping: float, a: float, n_sites: int,
+                boundary: Boundary) -> float:
+    """dt (kappa rho(A) + lam + a): the step against the drift's symmetric linear part.
+
+    rho(A), the spectral radius of the laplacian on the 2N + 1 sites, is
+    2 + 2 cos(pi / (n_sites + 1)) with zero padding and 2 + 2 cos(pi / n_sites)
+    periodic.  Euler and Heun are stable on a real eigenvalue mu < 0 only
+    when dt |mu| <= 2, so past a margin of 2 every step grows the top mode.
+    """
+    extra = 1 if boundary is Boundary.ZERO_PADDING else 0
+    radius = 2.0 + 2.0 * math.cos(math.pi / (n_sites + extra))
+    return dt * (coupling * radius + damping + a)
 
 
 def _overflow(spec: NonlinearitySpec) -> NonlinearityOverflowError:

@@ -7,7 +7,8 @@ package computes, or a probe of a claim the package makes:
 * ``fgn_autocovariance`` and the dense Cholesky sampler
   ``sample_fbm_cholesky``, against the circulant fBm sampler, and the
   full-spectrum synthesis ``fgn_from_normals_full_spectrum``, against
-  its half-spectrum one;
+  its half-spectrum one (these take H as a plain float and do not check
+  its range, so they evaluate H = 1/2 too);
 * the randomized ``probe_dissipativity`` and ``probe_growth`` of a
   drift's claimed constants, and the periodic laplacian eigenbasis
   ``laplacian_modes``;
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fraclattice.errors import WindowError
-from fraclattice.fbm import HurstParameter, TimeGrid, as_hurst
+from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import Boundary, LatticeParams, LatticeVector, NonlinearitySpec
 from fraclattice.noise import (
     TAIL_TOL,
@@ -75,7 +76,7 @@ __all__ = [
 CHOLESKY_MAX_STEPS = 4096
 
 
-def fgn_autocovariance(k: int, h: "HurstParameter | float", dt: float = 1.0) -> float:
+def fgn_autocovariance(k: int, h: float, dt: float = 1.0) -> float:
     """Autocovariance of step-``dt`` fBm increments at integer lag ``k``.
 
     gamma(k) = dt^(2H) / 2 * (|k+1|^(2H) - 2|k|^(2H) + |k-1|^(2H)).
@@ -87,7 +88,7 @@ def fgn_autocovariance(k: int, h: "HurstParameter | float", dt: float = 1.0) -> 
         raise ValueError("lag must be >= 0")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    h2 = 2.0 * as_hurst(h).h
+    h2 = 2.0 * h
     lag = float(k)
     return 0.5 * dt**h2 * ((lag + 1.0) ** h2 - 2.0 * lag**h2 + abs(lag - 1.0) ** h2)
 
@@ -102,7 +103,7 @@ def _fbm_covariance_matrix(n_steps: int, h: float, dt: float) -> np.ndarray:
 
 def sample_fbm_cholesky(
     n_steps: int,
-    h: "HurstParameter | float",
+    h: float,
     dt: float,
     seed=None,
     normals: np.ndarray | None = None,
@@ -121,8 +122,7 @@ def sample_fbm_cholesky(
         )
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    hurst = as_hurst(h)
-    cov = _fbm_covariance_matrix(n_steps, hurst.h, dt)
+    cov = _fbm_covariance_matrix(n_steps, h, dt)
     chol = np.linalg.cholesky(cov)
     if normals is None:
         normals = np.random.default_rng(seed).standard_normal(n_steps)

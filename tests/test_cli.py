@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,13 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclattice.attractor import ContractionReport
 from fraclattice.cli import (
     _FIELDS,
     _REGISTRY,
     _columns,
     _write_csv,
-    emit_plot_series,
     load_config,
     main,
     run,
@@ -28,6 +28,11 @@ MINIMAL = {
     "grid": {"dt": 0.02, "t_past": 8.0, "t_future": 3.0},
     "master_seed": 11,
 }
+
+
+#: dt (kappa rho(A) + lam + a) = 0.5 (3.90 + 2) = 2.95 on 9 zero-padded sites: unstable.
+UNSTABLE = {"nonlinearity": {"kind": "linear", "a": 1.0}, "lattice": {"half_width": 4},
+            "solver": {"dt": 0.5}}
 
 
 def write_config(tmp_path, extra=None, name="contraction"):
@@ -48,7 +53,7 @@ def write_config(tmp_path, extra=None, name="contraction"):
 class TestLoadConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
-        assert cfg.hurst.h == 0.75
+        assert cfg.hurst == 0.75
         assert cfg.params.coupling == 1.0
         assert cfg.spec.label.startswith("cubic")
         assert cfg.options["u0"] == {"0": 1.0}
@@ -95,10 +100,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, extra={"grid": {"t_past": 8.013}}))
         assert any("grid" in v for v in err.value.violations)
-
-    def test_reference_mode_flag_admits_half(self, tmp_path):
-        path = write_config(tmp_path, extra={"hurst": 0.5, "hurst_reference_mode": True})
-        assert load_config(path).hurst.h == 0.5
 
     def test_unknown_keys_rejected_at_every_level(self, tmp_path):
         path = write_config(tmp_path, extra={
@@ -220,20 +221,12 @@ class TestLoadConfig:
          "lattice.half_width: must be an integer >= 1, got 2.6"),
         ({"lattice": {"half_width": True}},
          "lattice.half_width: must be an integer >= 1, got True"),
-        ({"hurst_reference_mode": 1}, "hurst_reference_mode: must be true or false, got 1"),
     ], ids=["fractional-seed", "boolean-seed", "negative-seed", "fractional-half-width",
-            "boolean-half-width", "integer-reference-mode"])
+            "boolean-half-width"])
     def test_integer_and_boolean_fields_typed(self, tmp_path, extra, message):
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, extra=extra))
         assert err.value.violations == [message]
-
-    def test_reference_mode_string_does_not_admit_half(self, tmp_path):
-        path = write_config(tmp_path, extra={"hurst": 0.5, "hurst_reference_mode": "false"})
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        found = [v.split(":")[0] for v in err.value.violations]
-        assert found == ["hurst_reference_mode", "hurst"]
 
     def test_unreadable_config_file_reported(self, tmp_path):
         for path in (tmp_path / "missing.json", tmp_path):
@@ -467,9 +460,10 @@ class TestMain:
 
     def test_exit_two_on_too_many_check_times(self, tmp_path, capsys, monkeypatch):
         # the stationarity batch holds a row per check time: 10 x 13 values, more
-        # than the 9-node noise field's 9 x 13
+        # than the 9-node noise field's 9 x 13; the weak drift keeps dt 0.5 stable
         path = write_config(tmp_path, name="equilibrium", extra={
             "grid": {"dt": 0.5, "t_past": 2.0, "t_future": 2.0}, "solver": {"dt": 0.5},
+            "lattice": {"coupling": 0.5, "damping": 0.5}, "nonlinearity": {"a": 0.5},
             "experiment": {"check_times": [1.0] * 10}})
         monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 10 * 13)
         load_config(path)
@@ -480,10 +474,39 @@ class TestMain:
             "rows x 13 sites exceeds the limit of 129 values\n")
         assert not (tmp_path / "out").exists()
 
-    def test_exit_two_on_reference_mode_string(self, tmp_path, capsys):
-        path = write_config(tmp_path, extra={"hurst": 0.5, "hurst_reference_mode": "false"})
-        assert main(["contraction", "--config", str(path)]) == 2
-        assert "config error: hurst_reference_mode: " in capsys.readouterr().err
+    def test_exit_two_on_half_hurst_and_reference_mode_key(self, tmp_path, capsys):
+        # H = 1/2 is outside the model, and no config key admits it
+        for extra, line in (
+                ({"hurst": 0.5}, "hurst: hurst parameter 0.5 outside (0.5, 1)"),
+                ({"hurst_reference_mode": True}, "hurst_reference_mode: unknown key")):
+            path = write_config(tmp_path, extra=extra)
+            assert main(["contraction", "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_exit_two_on_unstable_step(self, tmp_path, capsys):
+        # dt 0.5 on 9 sites: the exact solution decays, but each explicit step
+        # grows the top mode, 2746-fold over the 10 steps
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            **UNSTABLE, "grid": {"dt": 0.5, "t_past": 0.0, "t_future": 5.0},
+            "output_dir": str(tmp_path / "out")}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: solver.dt: dt (kappa rho(A) + lam + a) = 2.95 exceeds 2, where an "
+            "explicit step grows the top lattice mode\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["simulate", "contraction", "pullback", "equilibrium",
+                                      "absorb"])
+    def test_every_stepping_plan_checks_the_step(self, name):
+        raw = {**UNSTABLE, "grid": {"dt": 0.5, "t_past": 30.0, "t_future": 5.0},
+               "experiment": {"name": name}}
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert [v for v in err.value.violations if v.startswith("solver.dt")] == [
+            "solver.dt: dt (kappa rho(A) + lam + a) = 2.95 exceeds 2, where an explicit "
+            "step grows the top lattice mode"]
 
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_exit_two_on_unreadable_config(self, tmp_path, capsys, name):
@@ -612,28 +635,18 @@ class TestMain:
 
 class TestPlotSeries:
     def test_degenerate_contraction_gives_header_only(self, tmp_path):
-        report = ContractionReport(
-            times=np.array([0.0, 1.0]), distances=np.array([0.0, 0.0]),
-            fitted_slope=float("nan"), rate=1.0, slope_ok=False,
-            pointwise_ok=True, degenerate=True, passed=False,
-        )
-        files = emit_plot_series(report, tmp_path, "degenerate")
-        lines = Path(files[0]).read_text().splitlines()
+        # identical starts never separate: no positive distance to take the log of
+        path = write_config(tmp_path, extra={"experiment": {"u0": {"0": 1.0},
+                                                            "w0": {"0": 1.0}}})
+        assert main(["contraction", "--config", str(path)]) == 1
+        lines = (tmp_path / "out" / "contraction_log_distance.csv").read_text().splitlines()
         assert lines == ["t,distance,log_distance"]
 
     def test_numbers_round_trip_17_digits(self, tmp_path):
-        report = ContractionReport(
-            times=np.array([0.0, 0.1]), distances=np.array([1.0, np.pi * 1e-7]),
-            fitted_slope=-2.0, rate=1.0, slope_ok=True,
-            pointwise_ok=True, degenerate=False, passed=True,
-        )
-        files = emit_plot_series(report, tmp_path, "pi")
-        cell = Path(files[0]).read_text().splitlines()[2].split(",")[1]
+        path = _write_csv(tmp_path / "pi.csv", ["t", "distance"],
+                          _columns(np.array([0.0, 0.1]), np.array([1.0, np.pi * 1e-7])))
+        cell = Path(path).read_text().splitlines()[2].split(",")[1]
         assert float(cell) == np.pi * 1e-7
-
-    def test_unknown_report_type_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            emit_plot_series(object(), tmp_path, "x")
 
 
 def long_format_lines(header, times, states, half_width):
@@ -753,9 +766,10 @@ class TestValidateConfigDirect:
     @pytest.mark.parametrize("name", ["absorb", "pullback"])
     def test_ladder_size_limit_inclusive(self, monkeypatch, name):
         # more horizons than starts: for pullback too the ladder is the larger array
-        # absorb's OU past is 0, whose tail bound is 1
+        # absorb's OU past is 0, whose tail bound is 1; the weak drift keeps dt 0.5 stable
         tail = {"ou_tail_tol": 1.0} if name == "absorb" else {}
         raw = {"grid": {"dt": 0.5, "t_past": 4.0, "t_future": 0.0}, "solver": {"dt": 0.5},
+               "lattice": {"coupling": 0.5, "damping": 0.5}, "nonlinearity": {"a": 0.5},
                "experiment": {"name": name, "n_starts": 3, "horizons": [1.0, 2.0] * 5, **tail}}
         monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", 10 * 3 * 33)
         validate_config(raw)
@@ -805,6 +819,14 @@ class TestFieldTable:
     def test_every_experiment_option_has_a_row(self):
         options = {f"experiment.{key}" for e in _REGISTRY.values() for key in e.options}
         assert options == {p for p in _FIELDS if p.startswith("experiment.")} - {"experiment.name"}
+
+    def test_readme_table_lists_exactly_the_keys(self):
+        # the backticked keys in the first cell of each row of README's config table
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        first = lines.index("| Key | Default | Rule |") + 2  # past the header's separator
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[first:])
+        keys = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        assert keys == set(_FIELDS)
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=2 * len(_FIELDS) * len(CANDIDATES))

@@ -4,17 +4,14 @@ import pytest
 from fraclattice import fbm
 from fraclattice.errors import EmbeddingError, OffGridError, WindowError
 from fraclattice.fbm import (
-    HurstParameter,
     TimeGrid,
+    as_hurst,
     sample_fbm_array,
 )
 from fraclattice.lattice import LatticeParams, LatticeVector
 from fraclattice.noise import NoiseField, build_noise_field
 import oracles
 from oracles import fgn_autocovariance, sample_fbm_cholesky, shift_noise
-
-H_REF = HurstParameter(0.5, reference_mode=True)
-
 
 @pytest.fixture
 def forced_bad_embedding(monkeypatch):
@@ -30,16 +27,17 @@ def forced_bad_embedding(monkeypatch):
 
 class TestHurstParameter:
     def test_standard_range(self):
-        HurstParameter(0.75)
-        with pytest.raises(ValueError):
-            HurstParameter(0.5)
-        with pytest.raises(ValueError):
-            HurstParameter(0.4, reference_mode=True)
-        with pytest.raises(ValueError):
-            HurstParameter(1.0)
+        assert as_hurst(0.75) == 0.75
+        for h in (0.5, 1.0, 0.4, float("nan")):
+            with pytest.raises(ValueError, match=r"outside \(0\.5, 1\)"):
+                as_hurst(h)
 
-    def test_reference_mode_admits_half(self):
-        assert HurstParameter(0.5, reference_mode=True).h == 0.5
+    def test_half_rejected_by_samplers(self):
+        grid = TimeGrid(dt=0.01, n_steps=8)
+        with pytest.raises(ValueError):
+            sample_fbm_array(1, 8, 0.5, 0.01, seed=0)
+        with pytest.raises(ValueError):
+            build_noise_field(all_sites_params(2), grid, 0, h=0.5)
 
 
 class TestTimeGrid:
@@ -69,8 +67,9 @@ class TestAutocovariance:
         assert fgn_autocovariance(0, 0.75, 0.5) == pytest.approx(0.5**1.5, rel=1e-15)
 
     def test_reference_mode_increments_uncorrelated(self):
+        # the oracle takes H unchecked, so it evaluates the Brownian reference H = 1/2
         for k in range(1, 6):
-            assert fgn_autocovariance(k, H_REF, 1.0) == 0.0
+            assert fgn_autocovariance(k, 0.5, 1.0) == 0.0
 
     def test_lag_one_value(self):
         # direct evaluation: (2^1.5 - 2) / 2
@@ -141,8 +140,14 @@ class TestSampling:
 
     def test_reference_mode_increments_pass_whiteness(self):
         # lag-1..10 autocovariances of the increments against the
-        # Gaussian-walk oracle value 0, within 3 SE across 1e4 paths
-        inc = np.diff(sample_fbm_array(10_000, 64, H_REF, 1.0, seed=12), axis=1)
+        # Gaussian-walk oracle value 0, within 3 SE across 1e4 paths.  The
+        # samplers reject H = 1/2, so the paths are synthesized as
+        # sample_fbm_array does, from the same generator stream
+        z = np.random.default_rng(12).standard_normal((10_000, 128))
+        paths = np.zeros((10_000, 65))
+        np.cumsum(fbm._fgn_from_normals(z, fbm._fgn_eigenvalues(64, 0.5)), axis=1,
+                  out=paths[:, 1:])
+        inc = np.diff(paths, axis=1)
         for lag in range(1, 11):
             per_path = (inc[:, :-lag] * inc[:, lag:]).mean(axis=1)
             se = per_path.std(ddof=1) / np.sqrt(per_path.size)

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fraclattice import solver
 from fraclattice.attractor import _pullback_ladder
@@ -381,6 +381,47 @@ class TestGuard:
         cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
         with pytest.raises(NonlinearityOverflowError):
             _step_loop(v0, w, params, CUBIC, cfg, collect=False)
+
+
+class TestStepMargin:
+    @pytest.mark.parametrize("half_width", [1, 2, 3, 4])
+    def test_laplacian_radius_is_the_dense_one(self, half_width):
+        # at dt 1, kappa 1 and lam = a = 0 the margin is rho(A) itself
+        d = 2 * half_width + 1
+        zero, periodic = (solver.step_margin(1.0, 1.0, 0.0, 0.0, d, b)
+                          for b in (Boundary.ZERO_PADDING, Boundary.PERIODIC))
+        dense = {b: np.linalg.eigvalsh(laplacian_array(np.eye(d), b)).max() for b in Boundary}
+        assert zero == pytest.approx(dense[Boundary.ZERO_PADDING], rel=1e-14, abs=0)
+        assert periodic == pytest.approx(dense[Boundary.PERIODIC], rel=1e-14, abs=0)
+        assert periodic == pytest.approx(laplacian_modes(half_width)[0].max(), rel=1e-14, abs=0)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
+           a=st.floats(0.0, 2.0, exclude_min=True), boundary=st.sampled_from(list(Boundary)),
+           scheme=st.sampled_from(list(Scheme)), half_width=st.integers(1, 4),
+           margin=st.floats(1.5, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_stable_to_the_edge_and_growing_past_it(self, coupling, damping, a, boundary,
+                                                    scheme, half_width, margin, seed):
+        # noise-free and unforced, the linear drift is symmetric negative definite:
+        # up to a margin of 2 no explicit step grows the state; at 2.1 the top mode grows
+        params = kernel_params(half_width, coupling, damping, boundary=boundary)
+        spec, d = NonlinearitySpec.linear(a), params.n_sites
+        rate = solver.step_margin(1.0, coupling, damping, a, d, boundary)
+        dt = margin / rate
+        while solver.step_margin(dt, coupling, damping, a, d, boundary) > margin:
+            dt = np.nextafter(dt, 0.0)
+        assume(solver.step_margin(dt, coupling, damping, a, d, boundary) >= 1.5)
+        w = np.zeros((201, d))
+        v0 = np.random.default_rng(seed).standard_normal(d)
+        states = _step_loop(v0, w, params, spec, SolverConfig(dt, 200 * dt, scheme), True)
+        norms = np.linalg.norm(states, axis=1)
+        assert (norms <= (1 + 1e-12) * norms[0]).all()
+        eye = np.eye(d)
+        drift = -(coupling * laplacian_array(eye, boundary) + (damping + a) * eye)
+        top = np.linalg.eigh(drift)[1][:, 0]  # the mode of the most negative eigenvalue
+        dt = 2.1 / rate
+        states = _step_loop(top, w, params, spec, SolverConfig(dt, 200 * dt, scheme), True)
+        assert (np.diff(np.linalg.norm(states, axis=1)) > 0).all()
 
 
 class TestEvalInto:
