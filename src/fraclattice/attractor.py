@@ -18,7 +18,7 @@ that desk-scale surrogate is the only notion of "bounded set" used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import InsufficientHorizonError
 from .fbm import TimeGrid
 from .lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from .noise import NoiseField, OUProcess, stationary_ou
-from .solver import SolverConfig, _run_row, _solve, _start_values, _step_rows
+from .solver import SolverConfig, _run_row, _solve, _start_values, _step_rows, _steps
 
 __all__ = [
     "ContractionReport",
@@ -93,17 +93,11 @@ def contraction_experiment(
     """
     lam = params.damping
     # one (2, d) batch; each row is the single run bit for bit
-    states = _solve(np.stack([u0.values, w0.values]), field, params, spec, config)
+    states = _solve(np.stack([u0.values, w0.values]), field, params, spec, config, config.t_end)
     diff = np.subtract(states[:, 0], states[:, 1], out=states[:, 0])
     distances = np.linalg.norm(diff, axis=1)
     times = TimeGrid(dt=config.dt, n_steps=len(distances) - 1).times()
     d0 = float(np.linalg.norm(u0.values - w0.values))
-    if d0 == 0.0:
-        return ContractionReport(
-            times=times, distances=distances, fitted_slope=float("nan"),
-            rate=lam, slope_ok=False, pointwise_ok=bool((distances == 0).all()),
-            degenerate=True, passed=False,
-        )
     window = distances > SLOPE_FIT_FLOOR
     if window.sum() >= 2:
         slope = float(np.polyfit(times[window], np.log(distances[window]), 1)[0])
@@ -114,7 +108,7 @@ def contraction_experiment(
     pointwise_ok = bool((distances <= envelope).all())
     return ContractionReport(
         times=times, distances=distances, fitted_slope=slope, rate=lam,
-        slope_ok=slope_ok, pointwise_ok=pointwise_ok, degenerate=False,
+        slope_ok=slope_ok, pointwise_ok=pointwise_ok, degenerate=d0 == 0.0,
         passed=slope_ok and pointwise_ok,
     )
 
@@ -172,10 +166,8 @@ def _pullback_ladder(
 
 
 def _diameter(points: np.ndarray) -> float:
-    if points.shape[0] < 2:
-        return 0.0
-    gaps = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    return float(gaps.max())
+    """The largest distance between two rows of ``points``, one row against all at a time."""
+    return max(float(np.linalg.norm(points - p, axis=1).max()) for p in points)
 
 
 @dataclass(frozen=True)
@@ -330,7 +322,7 @@ def _stationarity_rows(grid: TimeGrid, config: SolverConfig, times, horizon: flo
     """Every check of :func:`forward_stationarity_check` before its first step: the
     solver steps to each sorted time, and the origin node and ``_run_row`` of the
     pullback from ``horizon`` on each time's shifted field."""
-    steps = [replace(config, t_end=float(t)).n_steps() for t in times]
+    steps = [_steps(float(t), config) for t in times]
     origins, rows = [], []
     for t in times:  # the checks of shift_noise(field, t), then of its pullback
         shifted = grid.shifted(grid.steps_of(float(t)))
@@ -363,8 +355,7 @@ def forward_stationarity_check(
     times = np.asarray(sorted(times), dtype=float)
     steps, origins, rows = _stationarity_rows(field.grid, config, times, equilibrium.horizon)
     if steps[-1]:
-        states = _solve(equilibrium.u0, field, params, spec,
-                        replace(config, t_end=float(times[-1])))
+        states = _solve(equilibrium.u0, field, params, spec, config, float(times[-1]))
     zero = _start_values(LatticeVector.zeros(params.half_width), field, params)
     shifted_eqs = np.zeros((times.size, params.n_sites))  # phi(0) of the zero start
     if rows[0]:  # one horizon, so every row steps or none does

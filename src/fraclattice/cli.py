@@ -366,7 +366,7 @@ def _stable_step(margin: float | None) -> None:
 
 def _plan_forward(c, check, starts=1):
     check("solver.dt", _stable_step, c.step_margin)
-    row = check("solver.t_end", sv._forward_row, c.grid, c.solver)
+    row = check("solver.t_end", sv._forward_row, c.grid, c.solver.t_end, c.solver)
     if row:  # _solve keeps every state of its starts
         check("solver.t_end", _size_check, "trajectory", (row[1] + 1) * starts,
               "node x start rows", c.sites)
@@ -378,15 +378,12 @@ def _plan_ou(c, check):
         check("grid.t_past", nz._ou_window, c.damping, c.grid, window)
 
 
-def _plan_ladder(c, check, pairs=False):
-    """A pullback ladder of ``n_starts`` starts from each of ``horizons``, and with
-    ``pairs`` the pairwise distances of its endpoints, whose size is checked first."""
+def _plan_ladder(c, check):
+    """A pullback ladder of ``n_starts`` starts from each of ``horizons``."""
     check("solver.dt", _stable_step, c.step_margin)
     check("experiment.horizons", at._ladder_rows, c.grid, c.horizons, c.solver)
-    if not pairs or check("experiment.n_starts", _size_check, "pairwise-distance array",
-                          c.n_starts**2, "start pairs", c.sites):
-        check("experiment.n_starts", _size_check, "pullback ladder",
-              len(c.horizons) * c.n_starts, "horizon x start rows", c.sites)
+    check("experiment.n_starts", _size_check, "pullback ladder",
+          len(c.horizons) * c.n_starts, "horizon x start rows", c.sites)
 
 
 def _search(c, initial_horizon: float) -> list[float]:
@@ -398,7 +395,7 @@ def _search(c, initial_horizon: float) -> list[float]:
 
 
 def _plan_pullback(c, check):
-    _plan_ladder(c, check, pairs=True)
+    _plan_ladder(c, check)
     if c.equilibrium_tol is not None:
         check("experiment.equilibrium_tol", _search, c, at.INITIAL_HORIZON)
 

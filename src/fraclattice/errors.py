@@ -5,8 +5,8 @@ class FracLatticeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OffGridError(FracLatticeError):
-    """A time does not coincide with a node of the sampling grid."""
+class OffGridError(FracLatticeError, ValueError):
+    """A time or duration is not a whole number of steps; a ``ValueError`` too."""
 
 
 class WindowError(FracLatticeError):

@@ -50,6 +50,18 @@ def as_hurst(h: float) -> float:
     return h
 
 
+def whole_steps(s: float, dt: float) -> int:
+    """The signed whole number k of steps dt in the duration ``s``.
+
+    The one whole-step test: ``OffGridError`` unless |s - k dt| <= 1e-6 dt, a
+    slack some 60 times the rounding of k dt at k = 2^26.
+    """
+    k = round(s / dt)
+    if abs(s - k * dt) > 1e-6 * dt:
+        raise OffGridError(f"{s} is not a whole number of steps of dt={dt}")
+    return k
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid with nodes ``(i_start + k) * dt`` for k = 0..n_steps.
@@ -73,9 +85,7 @@ class TimeGrid:
         """The grid on ``[-t_past, t_future]``; each side a whole number of steps."""
         if not (t_past >= 0 and t_future >= 0):
             raise ValueError("t_past and t_future must be >= 0")
-        n_past, n_future = round(t_past / dt), round(t_future / dt)
-        if abs(t_past - n_past * dt) > 1e-9 * dt or abs(t_future - n_future * dt) > 1e-9 * dt:
-            raise ValueError("grid window must be a whole number of steps")
+        n_past, n_future = whole_steps(t_past, dt), whole_steps(t_future, dt)
         if n_past + n_future < 1:
             raise ValueError("grid window must contain at least one step")
         return cls(dt=dt, n_steps=n_past + n_future, i_start=-n_past)
@@ -96,23 +106,18 @@ class TimeGrid:
         return (self.i_start + np.arange(self.n_nodes)) * self.dt
 
     def index_of(self, t: float) -> int:
-        """Node index of time ``t``; ``WindowError`` if t is outside the window,
-        ``OffGridError`` if t is off-grid."""
-        k = round(t / self.dt) - self.i_start
+        """Node index of time ``t``; ``OffGridError`` if t is off-grid, else
+        ``WindowError`` if t is outside the window."""
+        k = whole_steps(t, self.dt) - self.i_start
         if not 0 <= k <= self.n_steps:
             raise WindowError(
                 f"time {t} outside grid window [{self.t_start}, {self.t_end}]"
             )
-        if abs(t - (self.i_start + k) * self.dt) > 1e-6 * self.dt:
-            raise OffGridError(f"time {t} is not aligned with dt={self.dt}")
         return k
 
     def steps_of(self, s: float) -> int:
         """Signed number of grid steps equal to the duration ``s``."""
-        k = round(s / self.dt)
-        if abs(s - k * self.dt) > 1e-6 * self.dt:
-            raise OffGridError(f"shift {s} is not a multiple of dt={self.dt}")
-        return k
+        return whole_steps(s, self.dt)
 
     def shifted(self, k_steps: int) -> "TimeGrid":
         """Grid translated k_steps nodes toward the past (t -> t - k*dt)."""

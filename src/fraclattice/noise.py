@@ -196,8 +196,6 @@ def decayed_exp_sweep(values: np.ndarray, lam, dt: float) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     out = np.zeros_like(x)
     n = x.shape[0] - 1
-    if n < 1:
-        return out
     b = (1.0 - half) * x[1:] - q * (1.0 + half) * x[:-1]
     block = max(1, min(n, int(25.0 / (float(np.max(lam)) * dt))))
     i = np.arange(1, block + 1).reshape((block,) + (1,) * (x.ndim - 1))

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowUpError, NonlinearityOverflowError, WindowError
-from .fbm import TimeGrid
+from .fbm import TimeGrid, whole_steps
 from .lattice import Boundary, LatticeParams, LatticeVector, NonlinearitySpec, _operand
 from .noise import NoiseField, VectorSeries
 
@@ -83,8 +83,8 @@ class SolverConfig:
             raise ValueError("t_end must be >= 0")
 
     def refinement(self, noise_dt: float) -> int:
-        m = round(noise_dt / self.dt)
-        if m < 1 or abs(noise_dt - m * self.dt) > 1e-9 * noise_dt:
+        m = whole_steps(noise_dt, self.dt)
+        if m < 1:
             raise ValueError(
                 f"solver dt={self.dt} must equal or evenly subdivide "
                 f"the noise dt={noise_dt}"
@@ -92,10 +92,14 @@ class SolverConfig:
         return m
 
     def n_steps(self) -> int:
-        n = round(self.t_end / self.dt)
-        if abs(self.t_end - n * self.dt) > 1e-9 * self.dt:
-            raise ValueError(f"{self.t_end!r} is not a whole number of steps of dt={self.dt}")
-        return n
+        return whole_steps(self.t_end, self.dt)
+
+
+def _steps(t: float, config: SolverConfig) -> int:
+    """Solver steps in a duration ``t``, which must be >= 0 and whole (``OffGridError``)."""
+    if not t >= 0:
+        raise ValueError(f"duration {t} must be >= 0")
+    return whole_steps(t, config.dt)
 
 
 def step_margin(dt: float, coupling: float, damping: float, a: float, n_sites: int,
@@ -239,19 +243,18 @@ def _run_row(grid: TimeGrid, t0: float, t: float, config: SolverConfig) -> tuple
     """(noise node of t0, solver steps) of the run over [t0, t0 + t]; None if it takes no step.
 
     Raises before any step: for a t0 off or outside the noise grid, a ``t``
-    off the solver grid, and ``WindowError`` for noise read past the grid.
+    below 0 or off the solver grid, and ``WindowError`` for noise read past the grid.
     """
-    grid.steps_of(t0)
     j = grid.index_of(t0)
-    n = replace(config, t_end=t).n_steps() if t != 0 else 0
+    n = _steps(t, config)
     if n and _noise_node(j, n, config.refinement(grid.dt)) > grid.n_steps:
         raise WindowError(f"noise window ends at {grid.t_end} but integration needs {t}")
     return (j, n) if n else None
 
 
-def _forward_row(grid: TimeGrid, config: SolverConfig) -> tuple[int, int]:
-    """The ``_run_row`` of the run over [0, config.t_end], which must take a step."""
-    row = _run_row(grid, 0.0, config.t_end, config)
+def _forward_row(grid: TimeGrid, t: float, config: SolverConfig) -> tuple[int, int]:
+    """The ``_run_row`` of the run over [0, t], which must take a step."""
+    row = _run_row(grid, 0.0, t, config)
     if row is None:
         raise ValueError("t_end must be at least one step (phi(0) is the identity)")
     return row
@@ -309,15 +312,16 @@ def integrate(
     """
     if not isinstance(u0, LatticeVector):
         raise TypeError("integrate takes one LatticeVector; batch through cocycle_map")
-    states = _solve(u0, field, params, spec, config)
+    states = _solve(u0, field, params, spec, config, config.t_end)
     return VectorSeries(TimeGrid(dt=config.dt, n_steps=states.shape[0] - 1), states)
 
 
 def _solve(u0, field: NoiseField, params: LatticeParams, spec: NonlinearitySpec,
-           config: SolverConfig) -> np.ndarray:
-    """u at every solver node, (nodes,) + the start's shape, for a start or (n_starts, d) batch."""
+           config: SolverConfig, t: float) -> np.ndarray:
+    """u at every solver node of [0, t], (nodes,) + the start's shape, for a start or
+    (n_starts, d) batch."""
     x0 = _start_values(u0, field, params)
-    j, n = _forward_row(field.grid, config)
+    j, n = _forward_row(field.grid, t, config)
     w = _read_noise(field, j, j, np.arange(n + 1), config.refinement(field.grid.dt))
     x = x0.reshape(-1, params.n_sites)
     states = _step_loop(x - w[0], w, params, spec, config, collect=True)

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from fraclattice import noise, solver
+
+# Every property test draws the same examples on every run, with no example
+# database and no per-example deadline; a test sets only its max_examples.
+settings.register_profile("fraclattice", derandomize=True, database=None, deadline=None)
+settings.load_profile("fraclattice")
 
 
 @pytest.fixture

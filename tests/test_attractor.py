@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fraclattice import solver
 from fraclattice.attractor import (
+    EquilibriumEstimate,
     _pullback_ladder,
     absorbing_radius,
     absorption_check,
@@ -151,6 +152,8 @@ class TestContraction:
         rep = contraction_experiment(u0, u0, field, make_params(), CUBIC, CFG)
         assert rep.degenerate and not rep.passed
         assert (rep.distances == 0.0).all()
+        # no slope can be fitted, and the zero envelope holds the zero distance
+        assert math.isnan(rep.fitted_slope) and not rep.slope_ok and rep.pointwise_ok
 
     def test_linear_slope_matches_slowest_mode(self, field):
         # periodic linear pair differing in the constant mode decays at
@@ -164,6 +167,11 @@ class TestContraction:
 
 
 class TestSphereStarts:
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_input_guards(self, n_starts):
+        with pytest.raises(ValueError, match="^n_starts must be >= 1$"):
+            sphere_starts(1.0, n_starts, N, seed=1)
+
     def test_radius_and_count(self):
         pts = sphere_starts(3.0, 7, N, seed=1)
         assert pts.shape == (7, 2 * N + 1)
@@ -183,6 +191,7 @@ class TestPullback:
     def test_single_start_has_zero_diameter(self, field):
         rep = pullback_experiment(5.0, 1, field, make_params(), CUBIC, CFG,
                                   horizons=[1, 2], seed=5)
+        assert rep.start_diameter == 0.0
         assert (rep.diameters == 0.0).all()
 
     def test_zero_radius_has_zero_diameter(self, field):
@@ -413,6 +422,12 @@ class TestForwardStationarity:
         with pytest.raises(ValueError, match="^times must not be empty$"):
             forward_stationarity_check(eq, field, make_params(), CUBIC, CFG, times=[])
 
+    def test_negative_time_raises(self, field):
+        eq = EquilibriumEstimate(u0=LatticeVector.zeros(N), horizon=1.0, cauchy_gap=0.0,
+                                 start_gap=0.0, tol=1e-6)
+        with pytest.raises(ValueError, match=r"^duration -0.01 must be >= 0$"):
+            forward_stationarity_check(eq, field, make_params(), CUBIC, CFG, times=[-0.01])
+
     def test_window_errors_of_single_runs(self, field):
         params = make_params()
         eq = random_equilibrium(field, params, CUBIC, CFG, tol=1e-6)
@@ -517,7 +532,7 @@ class TestAbsorptionOverConfigs:
     DT = 0.02
     TAIL_TOL = 1e-6
 
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
            boundary=st.sampled_from([b.value for b in Boundary]),
            kind=st.sampled_from(["cubic", "linear"]),
@@ -560,7 +575,7 @@ class TestAbsorptionOverConfigs:
 class TestLadderOverConfigs:
     DT = 0.02
 
-    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
            boundary=st.sampled_from([b.value for b in Boundary]),
            scheme=st.sampled_from([s.value for s in Scheme]), m=st.integers(1, 3),

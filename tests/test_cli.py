@@ -380,15 +380,15 @@ class TestMain:
         ("simulate", {"solver": {"t_end": 1.01}},
          "solver.t_end: 1.01 is not a whole number of steps of dt=0.02"),
         ("pullback", {"experiment": {"horizons": [1.0, 1.01]}},
-         "experiment.horizons: shift -1.01 is not a multiple of dt=0.02"),
+         "experiment.horizons: -1.01 is not a whole number of steps of dt=0.02"),
         ("absorb", {"experiment": {"horizons": [1.01], "ou_tail_tol": 1.0}},
-         "experiment.horizons: shift -1.01 is not a multiple of dt=0.02"),
+         "experiment.horizons: -1.01 is not a whole number of steps of dt=0.02"),
         ("equilibrium", {"experiment": {"tol": 1e-4, "check_times": [1.01]}},
          "experiment.check_times: 1.01 is not a whole number of steps of dt=0.02"),
         # a whole number of sub-steps, but the check time shifts the noise grid
         ("equilibrium", {"solver": {"dt": 0.01},
                          "experiment": {"tol": 1e-4, "check_times": [0.01]}},
-         "experiment.check_times: shift 0.01 is not a multiple of dt=0.02"),
+         "experiment.check_times: 0.01 is not a whole number of steps of dt=0.02"),
     ], ids=["t-end", "pullback-horizon", "absorb-horizon", "check-time", "sub-step-check-time"])
     def test_exit_two_on_time_off_the_steps(self, tmp_path, capsys, name, extra, line):
         # with an on-grid time in its place, each config runs and passes
@@ -415,7 +415,7 @@ class TestMain:
         ("absorb", {"experiment": {"t_past": 40.0}},
          "experiment.t_past: t_past 40 exceeds the sampled past 30"),
         ("absorb", {"experiment": {"t_past": 3.005}},
-         "experiment.t_past: shift 3.005 is not a multiple of dt=0.01"),
+         "experiment.t_past: 3.005 is not a whole number of steps of dt=0.01"),
         ("equilibrium", {"experiment": {"initial_horizon": 20.0}},
          "experiment.initial_horizon: field past 30 cannot support initial horizon 20"),
         # a grid with no past has a past of 0, printed without a sign
@@ -560,7 +560,7 @@ class TestMain:
          "experiment.n_steps: a circulant of 2.00e+12 values exceeds the limit of "
          "67108864 values"),
         ("pullback", {"experiment": {"name": "pullback", "n_starts": 10**7}},
-         "experiment.n_starts: a pairwise-distance array of 1.00e+14 start pairs x 33 sites "
+         "experiment.n_starts: a pullback ladder of 4.00e+7 horizon x start rows x 33 sites "
          "exceeds the limit of 67108864 values"),
         ("absorb", {"experiment": {"name": "absorb", "n_starts": 10**7}},
          "experiment.n_starts: a pullback ladder of 4.00e+7 horizon x start rows x 33 sites "
@@ -739,10 +739,6 @@ class TestValidateConfigDirect:
             ({"solver": {"dt": 0.001}}, 5001 * 2 * 33,
              "solver.t_end: a trajectory of 1.00e+4 node x start rows x 33 sites exceeds "
              "the limit of 330065 values"),
-            # 60 starts make 3600 pairs, more values than the 3501-node noise field
-            ({"experiment": {"name": "pullback", "n_starts": 60}}, 3600 * 33,
-             "experiment.n_starts: a pairwise-distance array of 3.60e+3 start pairs x 33 "
-             "sites exceeds the limit of 118799 values"),
         ]
         for raw, limit, message in cases:
             monkeypatch.setattr("fraclattice.cli.MAX_GRID_VALUES", limit)
@@ -753,6 +749,17 @@ class TestValidateConfigDirect:
             assert err.value.violations == [
                 "lattice.coupling: must be a finite number > 0, got -1.0", message,
             ]
+
+    def test_pullback_starts_bounded_by_the_ladder_alone(self):
+        # 2000 starts make 4.0e6 pairs x 33 sites, over the limit, but no array holds them
+        validate_config({"experiment": {"name": "pullback", "n_starts": 2000}})
+
+    @pytest.mark.parametrize("dt, t_future, n_steps", [
+        (0.1, 954965.7, 300 + 9549657), (0.01, 65536.04, 3000 + 6553604)])
+    def test_long_windows_of_whole_steps_validate(self, dt, t_future, n_steps):
+        cfg = validate_config({"experiment": {"name": "ou"}, "lattice": {"half_width": 1},
+                               "grid": {"dt": dt, "t_past": 30.0, "t_future": t_future}})
+        assert cfg.grid.n_steps == n_steps
 
     def test_size_limit_counts_ladder_horizons(self):
         # the ladder holds a row per horizon and start: 6 x 2033601 x 33 = 4.0e8 values
@@ -815,6 +822,24 @@ def config_setting(path, value):
     return raw
 
 
+@pytest.mark.parametrize("raw, line", [
+    ({"hurst": 10**400}, f"hurst: must be a finite number, got {10**400!r}"),
+    ({"lattice": {"coupling": 10**400}},
+     f"lattice.coupling: must be a finite number > 0, got {10**400!r}"),
+    ({"grid": {"t_past": 10**400}}, f"grid.t_past: must be a finite number >= 0, got {10**400!r}"),
+    ({"lattice": {"noise_amp": {"0": 10**400}}},
+     f"lattice.noise_amp.0: must be a finite number, got {10**400!r}"),
+    ({"experiment": {"name": "pullback", "horizons": [10**400]}},
+     "experiment.horizons: must be a non-empty list of finite numbers >= 0, "
+     f"got {[10**400]!r}"),
+], ids=["hurst", "coupling", "t-past", "site-value", "horizon"])
+def test_input_guards(raw, line):
+    # a JSON integer beyond float range is no finite number
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.violations == [line]
+
+
 class TestFieldTable:
     def test_every_experiment_option_has_a_row(self):
         options = {f"experiment.{key}" for e in _REGISTRY.values() for key in e.options}
@@ -828,8 +853,7 @@ class TestFieldTable:
         keys = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
         assert keys == set(_FIELDS)
 
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=2 * len(_FIELDS) * len(CANDIDATES))
+    @settings(max_examples=2 * len(_FIELDS) * len(CANDIDATES))
     @given(path=st.sampled_from(sorted(_FIELDS)), value=st.sampled_from(CANDIDATES))
     def test_rejected_value_reported_under_its_path(self, path, value):
         raw = config_setting(path, value)
@@ -849,7 +873,7 @@ class TestPlansCoverRuns:
     """A config that validates passes every check its run makes before its first step."""
 
     @pytest.mark.parametrize("name", sorted(_REGISTRY))
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(data=st.data(), dt=st.sampled_from([0.05, 0.1]), m=st.integers(1, 2),
            past=st.integers(0, 20), future=st.integers(0, 6), tol=st.sampled_from([1.0, 1e-6]),
            equilibrium_tol=st.sampled_from([None, 1e-1, 1e-6]),

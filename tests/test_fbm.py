@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fraclattice import fbm
 from fraclattice.errors import EmbeddingError, OffGridError, WindowError
@@ -10,6 +11,7 @@ from fraclattice.fbm import (
 )
 from fraclattice.lattice import LatticeParams, LatticeVector
 from fraclattice.noise import NoiseField, build_noise_field
+from fraclattice.solver import SolverConfig
 import oracles
 from oracles import fgn_autocovariance, sample_fbm_cholesky, shift_noise
 
@@ -51,6 +53,7 @@ class TestTimeGrid:
         g = TimeGrid(dt=0.25, n_steps=4)
         with pytest.raises(OffGridError):
             g.index_of(0.1)
+        assert issubclass(OffGridError, ValueError)  # for callers that catch ValueError
         with pytest.raises(WindowError):
             g.index_of(2.0)
 
@@ -59,6 +62,48 @@ class TestTimeGrid:
             TimeGrid(dt=0.0, n_steps=2)
         with pytest.raises(ValueError):
             TimeGrid(dt=0.1, n_steps=0)
+
+
+#: Every count of a duration ``s`` in steps of ``dt``, as each user of ``whole_steps`` reads it.
+STEP_READERS = {
+    "window-past": lambda s, dt: -TimeGrid.window(dt, s, 0.0).i_start,
+    "window-future": lambda s, dt: TimeGrid.window(dt, 0.0, s).n_steps,
+    "index_of": lambda s, dt: TimeGrid(dt, 1 << 26).index_of(s),
+    "steps_of": lambda s, dt: TimeGrid(dt, 1).steps_of(s),
+    "n_steps": lambda s, dt: SolverConfig(dt=dt, t_end=s).n_steps(),
+    "refinement": lambda s, dt: SolverConfig(dt=dt, t_end=0.0).refinement(s),
+}
+
+
+class TestWholeSteps:
+    @settings(max_examples=200)
+    @given(k=st.integers(1, 1 << 26), dt=st.floats(1e-3, 10.0),
+           offset=st.floats(-1e-7, 1e-7))
+    @example(k=1 << 26, dt=0.1, offset=1e-7)
+    @example(k=1 << 26, dt=0.1, offset=-1e-7)
+    def test_every_reader_accepts_whole_steps_within_the_slack(self, k, dt, offset):
+        s = k * dt + offset * dt
+        assert {name: read(s, dt) for name, read in STEP_READERS.items()} == dict.fromkeys(
+            STEP_READERS, k)
+
+    @settings(max_examples=100)
+    @given(k=st.integers(1, 1 << 26), dt=st.floats(1e-3, 10.0), sign=st.sampled_from([-1, 1]))
+    @example(k=1 << 26, dt=0.1, sign=1)
+    def test_every_reader_rejects_a_hundred_thousandth_of_a_step(self, k, dt, sign):
+        s = k * dt + sign * 1e-5 * dt
+        for read in STEP_READERS.values():
+            with pytest.raises(OffGridError, match=" is not a whole number of steps of dt="):
+                read(s, dt)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TimeGrid.window(0.1, -0.1, 1.0), "t_past and t_future must be >= 0"),
+    (lambda: TimeGrid.window(0.1, 1.0, -0.1), "t_past and t_future must be >= 0"),
+    (lambda: sample_fbm_array(1, 0, 0.75, 0.1, 0), "n_steps must be >= 1"),
+], ids=["window-negative-past", "window-negative-future", "fbm-zero-steps"])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestAutocovariance:

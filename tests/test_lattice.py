@@ -187,6 +187,24 @@ class TestNonlinearity:
                              growth_coef=1.0, growth_power=1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LatticeVector(np.array([0.0, np.nan, 1.0])), "lattice vector entries must be finite"),
+    (lambda: NonlinearitySpec(kind=NonlinearityKind.LINEAR, diss_const=0.0),
+     "claimed dissipativity constant must be positive"),
+    (lambda: NonlinearitySpec(kind=NonlinearityKind.LINEAR, growth_coef=0.0),
+     "claimed growth coefficient must be positive"),
+    (lambda: NonlinearitySpec(kind=NonlinearityKind.LINEAR, growth_power=0.5),
+     "growth power must be >= 1"),
+    (lambda: NonlinearitySpec.linear(0.0), "linear coefficient must be positive"),
+    (lambda: NonlinearitySpec.cubic(0.0, 1.0), "cubic coefficients must be positive"),
+    (lambda: NonlinearitySpec.cubic(1.0, -1.0), "cubic coefficients must be positive"),
+], ids=["vector-nan", "spec-dissipativity", "spec-growth-coef", "spec-growth-power",
+        "linear-coefficient", "cubic-a", "cubic-b"])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 class TestDissipativityProbe:
     @pytest.mark.parametrize("a", [1.0, 2.0, 4.0])
     def test_linear_quotient_exact(self, a):

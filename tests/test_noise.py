@@ -7,6 +7,7 @@ from fraclattice.fbm import TimeGrid, sample_fbm_array
 from fraclattice.lattice import LatticeParams, LatticeVector
 from fraclattice.noise import (
     NoiseField,
+    VectorSeries,
     build_noise_field,
     decayed_exp_sweep,
     noise_growth_constant,
@@ -244,6 +245,12 @@ class TestStieltjesIntegral:
             for n in range(1, 36):
                 assert np.array_equal(decayed_exp_sweep(x[: n + 1], lam, 0.1), full[: n + 1])
 
+    @pytest.mark.parametrize("lam", [1.3, np.array([25.0, 3.0, 0.5])],
+                             ids=["scalar", "per-column"])
+    def test_one_node_sweeps_to_zero(self, lam):
+        out = decayed_exp_sweep(np.array([[0.4, -1.0, 2.0]]), lam, 0.1)
+        assert out.shape == (1, 3) and (out == 0.0).all()
+
 
 class TestOUSolution:
     def test_zero_field_pure_decay(self):
@@ -337,6 +344,24 @@ class TestStationaryOU:
         kwargs = {"lam": 1.0, field_name: bad}
         with pytest.raises(ValueError, match=f"^{field_name} must be a finite number"):
             noise.OUProcess(grid=TimeGrid(0.1, 10, -10), values=np.zeros((11, 3)), **kwargs)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda f: stationary_ou(1.0, f, TimeGrid(dt=0.1, n_steps=10)), WindowError,
+     "eval grid must share the field dt"),
+    (lambda f: stationary_ou(1.0, f, TimeGrid(dt=0.05, n_steps=10, i_start=35)), WindowError,
+     "eval grid leaves the sampled window"),
+    (lambda f: stationary_ou(0.0, f), ValueError, "lam must be positive"),
+    (lambda f: stationary_ou(-1.0, f), ValueError, "lam must be positive"),
+    (lambda f: decayed_exp_sweep(f.paths, 0.0, f.grid.dt), ValueError, "lam must be positive"),
+    (lambda f: decayed_exp_sweep(f.paths[:, :2], np.array([1.0, -1.0]), f.grid.dt), ValueError,
+     "lam must be positive"),
+    (lambda f: VectorSeries(f.grid, f.paths[1:]), ValueError, "values rows must match grid nodes"),
+], ids=["ou-other-dt", "ou-outside-window", "ou-zero-lam", "ou-negative-lam", "sweep-zero-lam",
+        "sweep-negative-column-lam", "series-row-mismatch"])
+def test_input_guards(field, call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(field)
 
 
 class TestGrowthConstant:

@@ -20,6 +20,7 @@ from fraclattice.lattice import (
 from fraclattice.noise import build_noise_field, decayed_exp_sweep
 from fraclattice.solver import (
     _GUARD_TOTAL,
+    BLOWUP_NORM,
     Scheme,
     SolverConfig,
     _drift,
@@ -319,7 +320,7 @@ LAYOUTS = ["single", "batch", "ladder"]
 
 
 class TestKernelOverConfigs:
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(boundary=st.sampled_from(list(Boundary)), scheme=st.sampled_from(list(Scheme)),
            spec=st.sampled_from([LINEAR, CUBIC, SINE, NonlinearitySpec.cubic(0.3, 1.7)]),
            coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
@@ -336,10 +337,17 @@ class TestKernelOverConfigs:
         v0, w = layout(name, d, n_steps, rng)
         v0[..., 0] = -0.0  # the sign of zero must come out as the reference's
         cfg = SolverConfig(dt=0.05, t_end=0.05 * n_steps, scheme=scheme)
+        refs = []
+        for k in range(n_steps + 1):
+            refs.append(written_out_steps(v0, w[: k + 1], params, spec, 0.05, scheme))
+            if np.linalg.norm(refs[-1], axis=-1).max() > BLOWUP_NORM:
+                # the guard stops the run at the reference's first node past the bound
+                with pytest.raises(BlowUpError, match=f"at t={k * 0.05:.6g};"):
+                    _step_loop(v0, w, params, spec, cfg, collect=True)
+                return
         states = _step_loop(v0, w, params, spec, cfg, collect=True)
         for k in range(n_steps + 1):
-            assert_bits_equal(states[k],
-                              written_out_steps(v0, w[: k + 1], params, spec, 0.05, scheme))
+            assert_bits_equal(states[k], refs[k])
         assert_bits_equal(_step_loop(v0, w, params, spec, cfg, collect=False), states[-1])
 
 
@@ -395,7 +403,7 @@ class TestStepMargin:
         assert periodic == pytest.approx(dense[Boundary.PERIODIC], rel=1e-14, abs=0)
         assert periodic == pytest.approx(laplacian_modes(half_width)[0].max(), rel=1e-14, abs=0)
 
-    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
            a=st.floats(0.0, 2.0, exclude_min=True), boundary=st.sampled_from(list(Boundary)),
            scheme=st.sampled_from(list(Scheme)), half_width=st.integers(1, 4),
@@ -425,7 +433,7 @@ class TestStepMargin:
 
 
 class TestEvalInto:
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(spec=st.sampled_from([LINEAR, CUBIC, NonlinearitySpec.cubic(0.3, 1.7),
                                  NonlinearitySpec.linear(2.5)]),
            shape=st.sampled_from([(7,), (3, 5), (2, 3, 4)]), seed=st.integers(0, 2**32 - 1))
@@ -449,7 +457,7 @@ class TestSubStepCocycle:
     FIELD = build_noise_field(PARAMS, TimeGrid(dt=0.02, n_steps=40), 2718)
     U0 = LatticeVector.from_support(2, {0: 1.0, 1: -0.5})
 
-    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(m=st.sampled_from([1, 2, 3, 4]), scheme=st.sampled_from(list(Scheme)),
            shift=st.integers(1, 15), tau_steps=st.integers(1, 20))
     @example(m=2, scheme=Scheme.HEUN, shift=5, tau_steps=7)
@@ -527,6 +535,10 @@ class TestCocycle:
         out = cocycle_map(0.0, self.field, self.u0, self.params, CUBIC, self.cfg)
         assert out is self.u0
 
+    def test_negative_time_raises(self):
+        with pytest.raises(ValueError, match=r"^duration -0.01 must be >= 0$"):
+            cocycle_map(-0.01, self.field, self.u0, self.params, CUBIC, self.cfg)
+
     def test_degenerate_legs_are_exact(self):
         r0 = cocycle_check(0.0, 1.0, self.field, self.u0, self.params, CUBIC, self.cfg)
         r1 = cocycle_check(1.0, 0.0, self.field, self.u0, self.params, CUBIC, self.cfg)
@@ -559,6 +571,21 @@ class TestCocycle:
         gap_coarse = np.linalg.norm(ends[1e-3].values - ends[5e-4].values)
         gap_fine = np.linalg.norm(ends[5e-4].values - ends[2.5e-4].values)
         assert gap_fine < gap_coarse
+
+
+def test_long_run_is_a_whole_number_of_steps():
+    # 65536.04 is 1.46e-11 off 6553604 * 0.01: over 1e-9 of a step, inside 1e-6 of one
+    assert SolverConfig(dt=0.01, t_end=65536.04).n_steps() == 6553604
+
+
+@pytest.mark.parametrize("dt, t_end, message", [
+    (0.0, 1.0, "dt must be positive"),
+    (-0.01, 1.0, "dt must be positive"),
+    (0.01, -0.01, "t_end must be >= 0"),
+], ids=["zero-dt", "negative-dt", "negative-t-end"])
+def test_input_guards(dt, t_end, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverConfig(dt=dt, t_end=t_end)
 
 
 class TestLinearOracle:
