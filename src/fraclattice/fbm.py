@@ -13,7 +13,7 @@ A path is a plain array: row k of :func:`sample_fbm_array` samples
 one fBm path on the nodes 0, dt, ..., exactly zero at t = 0.  Two-sided
 paths are built by the noise field
 (:func:`fraclattice.noise.build_noise_field`) through the same
-:func:`_fgn_from_normals`: each site's row is drawn from the site's own
+:func:`_fbm_rows`: each site's row is drawn from the site's own
 seed and re-anchored at the interior node of t = 0, and stationarity of
 the increments makes that row an exact two-sided sample.
 """
@@ -53,9 +53,11 @@ def as_hurst(h: float) -> float:
 def whole_steps(s: float, dt: float) -> int:
     """The signed whole number k of steps dt in the duration ``s``.
 
-    The one whole-step test: ``OffGridError`` unless |s - k dt| <= 1e-6 dt, a
-    slack some 60 times the rounding of k dt at k = 2^26.
+    The one whole-step test: ``OffGridError`` unless s is finite and
+    |s - k dt| <= 1e-6 dt, a slack some 60 times the rounding of k dt at k = 2^26.
     """
+    if not np.isfinite(s):
+        raise OffGridError(f"duration {s} is not finite, so no whole number of steps")
     k = round(s / dt)
     if abs(s - k * dt) > 1e-6 * dt:
         raise OffGridError(f"{s} is not a whole number of steps of dt={dt}")
@@ -171,6 +173,14 @@ def _fgn_from_normals(z: np.ndarray, eig: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=m, axis=1, norm="forward")[:, :n_steps]
 
 
+def _fbm_rows(z: np.ndarray, eig: np.ndarray, dt: float, h: float) -> np.ndarray:
+    """(rows, n + 1) fBm paths on 0, dt, ..., n dt from (rows, 2n) unit normals: the
+    fGn of the eigenvalues ``eig`` of ``(n, h)``, times dt^h, summed from an exact 0."""
+    out = np.zeros((z.shape[0], z.shape[1] // 2 + 1))
+    np.cumsum(_fgn_from_normals(z, eig) * dt**h, axis=1, out=out[:, 1:])
+    return out
+
+
 def sample_fbm_array(
     n_paths: int,
     n_steps: int,
@@ -193,7 +203,4 @@ def sample_fbm_array(
     h = as_hurst(h)
     eig = _fgn_eigenvalues(n_steps, h)
     z = np.random.default_rng(seed).standard_normal((n_paths, 2 * n_steps))
-    fgn = _fgn_from_normals(z, eig) * dt**h
-    out = np.zeros((n_paths, n_steps + 1))
-    np.cumsum(fgn, axis=1, out=out[:, 1:])
-    return out
+    return _fbm_rows(z, eig, dt, h)

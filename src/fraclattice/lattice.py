@@ -134,41 +134,41 @@ class LatticeParams:
         return 2 * self.half_width + 1
 
 
-def _roll_prev(x: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """x_{i-1} along the last axis."""
+def _neighbours(out: np.ndarray, x: np.ndarray, boundary: Boundary):
+    """(left, right) lists of (out slice, x slice) pairs: x_{i-1}, then x_{i+1}, against out_i
+    along the last axis; the periodic wrap slices one in past an edge, zero padding none."""
+    left, right = [(out[..., 1:], x[..., :-1])], [(out[..., :-1], x[..., 1:])]
     if boundary is Boundary.PERIODIC:
-        return np.roll(x, 1, axis=-1)
+        left.append((out[..., :1], x[..., -1:]))
+        right.append((out[..., -1:], x[..., :1]))
+    return left, right
+
+
+def _diff_array(x: np.ndarray, boundary: Boundary, side: int) -> np.ndarray:
+    """x_{i-1} - x_i (side 0) or x_{i+1} - x_i (side 1), a missing neighbour 0."""
     out = np.zeros_like(x)
-    out[..., 1:] = x[..., :-1]
-    return out
-
-
-def _roll_next(x: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """x_{i+1} along the last axis."""
-    if boundary is Boundary.PERIODIC:
-        return np.roll(x, -1, axis=-1)
-    out = np.zeros_like(x)
-    out[..., :-1] = x[..., 1:]
-    return out
-
-
-def laplacian_array(x: np.ndarray, boundary: Boundary) -> np.ndarray:
-    return -_roll_prev(x, boundary) + 2.0 * x - _roll_next(x, boundary)
+    for target, neighbour in _neighbours(out, x, boundary)[side]:
+        target[...] = neighbour
+    return np.subtract(out, x, out=out)
 
 
 def apply_laplacian(x: LatticeVector, boundary: Boundary = Boundary.ZERO_PADDING) -> LatticeVector:
     """(A x)_i = -x_{i-1} + 2 x_i - x_{i+1}; positive semidefinite."""
-    return LatticeVector(laplacian_array(x.values, boundary))
+    out = 2.0 * x.values
+    left, right = _neighbours(out, x.values, boundary)
+    for target, neighbour in left + right:
+        np.subtract(target, neighbour, out=target)
+    return LatticeVector(out)
 
 
 def apply_diff(x: LatticeVector, boundary: Boundary = Boundary.ZERO_PADDING) -> LatticeVector:
     """(B x)_i = x_{i+1} - x_i."""
-    return LatticeVector(_roll_next(x.values, boundary) - x.values)
+    return LatticeVector(_diff_array(x.values, boundary, 1))
 
 
 def apply_diff_adjoint(x: LatticeVector, boundary: Boundary = Boundary.ZERO_PADDING) -> LatticeVector:
     """(B* x)_i = x_{i-1} - x_i, the adjoint of :func:`apply_diff`."""
-    return LatticeVector(_roll_prev(x.values, boundary) - x.values)
+    return LatticeVector(_diff_array(x.values, boundary, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHorizonError, WindowError
-from .fbm import TimeGrid, _fgn_eigenvalues, _fgn_from_normals, as_hurst
+from .fbm import TimeGrid, _fbm_rows, _fgn_eigenvalues, as_hurst
 from .lattice import LatticeParams, LatticeVector
 
 __all__ = [
@@ -139,19 +139,16 @@ def build_noise_field(
     zero too.  The seed depends on neither the truncation width nor the
     other sites, so widening the truncation leaves every path untouched.
 
-    The rows are built in blocks of ``_BLOCK_VALUES // (2 * n_steps)``
-    sites: each site's normals go into one row of the block, and the
-    block becomes fGn through one real inverse FFT with the circulant
-    eigenvalues computed once per ``(n_steps, h)``.  A row does not
-    depend on its block, so every column is bit-identical to that
-    one-row sample.  Each row is re-anchored before it is written, so
-    the columns of sites with sigma_i = 0 are never touched.
+    Each block of ``_BLOCK_VALUES // (2 * n_steps)`` sites' normals becomes
+    paths through the samplers' shared synthesis, with the circulant
+    eigenvalues looked up once per field; a row does not depend on its
+    block, so every column is bit-identical to that one-row sample.  The
+    columns of sites with sigma_i = 0 are never touched.
     """
     k0 = grid.index_of(0.0)  # anchoring requires zero on the grid
     h = as_hurst(h)
     n_steps = grid.n_steps
     eig = _fgn_eigenvalues(n_steps, h)
-    scale = grid.dt**h
     paths = np.zeros((grid.n_nodes, params.n_sites))
     sites = list(_site_seeds(master_seed, params.noise_amp).items())
     rows = max(1, _BLOCK_VALUES // (2 * n_steps))
@@ -160,8 +157,7 @@ def build_noise_field(
         block = sites[first : first + rows]
         for r, (_, seed) in enumerate(block):
             np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(out=z[r])
-        walks = np.zeros((len(block), grid.n_nodes))
-        np.cumsum(_fgn_from_normals(z[: len(block)], eig) * scale, axis=1, out=walks[:, 1:])
+        walks = _fbm_rows(z[: len(block)], eig, grid.dt, h)
         walks -= walks[:, k0, None]
         paths[:, [i + params.half_width for i, _ in block]] = walks.T
     return NoiseField(grid=grid, sigma=params.noise_amp, master_seed=int(master_seed),

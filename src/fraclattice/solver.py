@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import BlowUpError, NonlinearityOverflowError, WindowError
 from .fbm import TimeGrid, whole_steps
-from .lattice import Boundary, LatticeParams, LatticeVector, NonlinearitySpec, _operand
+from .lattice import (Boundary, LatticeParams, LatticeVector, NonlinearitySpec, _neighbours,
+                      _operand)
 from .noise import NoiseField, VectorSeries
 
 __all__ = [
@@ -134,13 +135,8 @@ def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):
     neg_kappa, lam = _operand(-params.coupling), _operand(params.damping)
     g = np.empty(shape)
     g[...] = params.forcing.values
-    # A u = -u_{i-1} + 2 u_i - u_{i+1}: subtract every left neighbour, then
-    # every right one, as (target, neighbour) slices; zero padding has no
-    # neighbour past an edge, the periodic wrap slices one in
-    left, right = [(out[..., 1:], u[..., :-1])], [(out[..., :-1], u[..., 1:])]
-    if params.boundary is Boundary.PERIODIC:
-        left.append((out[..., :1], u[..., -1:]))
-        right.append((out[..., -1:], u[..., :1]))
+    # A u = -u_{i-1} + 2 u_i - u_{i+1}: subtract every left neighbour, then every right one
+    left, right = _neighbours(out, u, params.boundary)
     stencil = left + right
 
     def drift(v, w):

@@ -10,8 +10,9 @@ package computes, or a probe of a claim the package makes:
   its half-spectrum one (these take H as a plain float and do not check
   its range, so they evaluate H = 1/2 too);
 * the randomized ``probe_dissipativity`` and ``probe_growth`` of a
-  drift's claimed constants, and the periodic laplacian eigenbasis
-  ``laplacian_modes``;
+  drift's claimed constants, the rolled neighbours ``rolled`` and
+  laplacian ``laplacian_array``, against the package's slice stencil,
+  and the periodic laplacian eigenbasis ``laplacian_modes``;
 * the field shift ``shift_noise`` and restriction ``coarsen_noise``,
   the Stieltjes quadrature ``stieltjes_exp_integral``, the damped
   field from an initial state ``ou_solution``, and the stationary field
@@ -54,6 +55,8 @@ __all__ = [
     "GrowthReport",
     "probe_dissipativity",
     "probe_growth",
+    "rolled",
+    "laplacian_array",
     "laplacian_modes",
     "shift_noise",
     "coarsen_noise",
@@ -252,7 +255,23 @@ def probe_growth(
 
 
 # ---------------------------------------------------------------------------
-# spectral basis (periodic boundary)
+# lattice operators and the spectral basis (periodic boundary)
+
+
+def rolled(x: np.ndarray, boundary: Boundary, shift: int) -> np.ndarray:
+    """x_{i-shift} along the last axis for shift +-1, by ``np.roll``.
+
+    Zero padding zeroes the entry the roll wrapped around.
+    """
+    out = np.roll(x, shift, axis=-1)
+    if boundary is Boundary.ZERO_PADDING:
+        out[..., 0 if shift == 1 else -1] = 0.0
+    return out
+
+
+def laplacian_array(x: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """(A x)_i = -x_{i-1} + 2 x_i - x_{i+1} along the last axis, from rolled copies."""
+    return -rolled(x, boundary, 1) + 2.0 * x - rolled(x, boundary, -1)
 
 
 def laplacian_modes(half_width: int) -> tuple[np.ndarray, np.ndarray]:

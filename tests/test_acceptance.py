@@ -18,16 +18,9 @@ from fraclattice.attractor import (
     pullback_experiment,
     random_equilibrium,
 )
+from fraclattice.cli import run, validate_config
 from fraclattice.fbm import TimeGrid, sample_fbm_array
-from fraclattice.lattice import (
-    Boundary,
-    LatticeParams,
-    LatticeVector,
-    NonlinearitySpec,
-    apply_diff,
-    apply_diff_adjoint,
-    apply_laplacian,
-)
+from fraclattice.lattice import Boundary, LatticeParams, LatticeVector, NonlinearitySpec
 from fraclattice.noise import (
     build_noise_field,
     stationary_ou,
@@ -75,37 +68,24 @@ def test_criterion_01_fbm_increment_law():
     assert watch.elapsed < 60.0
 
 
-def test_criterion_02_operator_identities():
+def test_criterion_02_operator_identities(tmp_path):
+    # the shipped verify-operators command on the slice stencil the drift steps with
+    cfg = validate_config({"experiment": {"name": "verify-operators", "n_vectors": 1000,
+                                          "tol": 1e-12},
+                           "lattice": {"half_width": 64}, "master_seed": 20,
+                           "output_dir": str(tmp_path)})
     with _Stopwatch(1.0) as watch:
-        n = 64
-        rng = np.random.default_rng(20)
-        worst_factor = worst_adj = worst_pos = 0.0
-        for _ in range(1000):
-            x = rng.standard_normal(2 * n + 1)
-            y = rng.standard_normal(2 * n + 1)
-            xi = x.copy()
-            xi[0] = xi[-1] = 0.0  # honest truncation for the zero-padded case
-            for bnd, vec in ((Boundary.PERIODIC, x), (Boundary.ZERO_PADDING, xi)):
-                v = LatticeVector(vec)
-                ax = apply_laplacian(v, bnd).values
-                bbs = apply_diff(apply_diff_adjoint(v, bnd), bnd).values
-                bsb = apply_diff_adjoint(apply_diff(v, bnd), bnd).values
-                gap = max(np.abs(ax - bbs).max(), np.abs(ax - bsb).max())
-                worst_factor = max(worst_factor, gap / np.linalg.norm(vec))
-            xv, yv = LatticeVector(x), LatticeVector(y)
-            lhs = float(np.dot(apply_diff_adjoint(xv).values, y))
-            rhs = float(np.dot(x, apply_diff(yv).values))
-            worst_adj = max(
-                worst_adj, abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y))
-            )
-            quad = float(np.dot(apply_laplacian(xv).values, x))
-            worst_pos = max(worst_pos, -quad / float(np.dot(x, x)))
-        ok = worst_factor <= 1e-12 and worst_adj <= 1e-12 and worst_pos <= 1e-12
-    _report(2, "operator-identities", ok and watch.elapsed < 1,
-            watch, f"factor={worst_factor:.1e} adjoint={worst_adj:.1e}")
-    assert worst_factor <= 1e-12
-    assert worst_adj <= 1e-12
-    assert worst_pos <= 1e-12
+        manifest = run(cfg)
+    keys = ("factor_periodic", "factor_zero_interior", "adjoint", "positivity")
+    worst = {key: manifest.numbers.get(f"worst_{key}", math.inf) for key in keys}
+    ok = manifest.all_passed and max(worst.values()) <= 1e-12
+    _report(2, "operator-identities", ok and watch.elapsed < 1, watch,
+            " ".join(f"{key}={val:.1e}" for key, val in worst.items()))
+    assert manifest.error is None
+    assert set(manifest.checks) == set(keys)
+    for key in keys:
+        assert worst[key] <= 1e-12
+        assert manifest.checks[key]
     assert watch.elapsed < 1.0
 
 

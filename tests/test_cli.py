@@ -606,6 +606,25 @@ class TestMain:
         assert code == 0
         assert "PASS" in out and "fitted_slope" in out
 
+    def test_run_error_exits_one_with_error_on_stderr(self, tmp_path, capsys):
+        # the equilibrium of test_insufficient_horizon_becomes_manifest_error, from the command line
+        path = write_config(tmp_path, name="equilibrium", extra={"experiment": {"tol": 1e-12}})
+        assert main(["equilibrium", "--config", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("ERROR InsufficientHorizonError: ")
+        assert "ERROR" not in out.out
+
+    def test_report_prints_integer_numbers_and_the_error(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"experiment": "ou", "config_hash": "0123456789abcdef",
+                                    "checks": {"stationary": False},
+                                    "numbers": {"n_steps": 64, "gap": 0.5},
+                                    "error": "ValueError: boom", "all_passed": False}))
+        assert main(["report", "--manifest", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["experiment: ou   config 0123456789ab", "  FAIL  stationary",
+                         "        gap = 0.5", "        n_steps = 64", "  ERROR ValueError: boom"]
+
     def test_report_exit_two_on_unreadable_manifest(self, tmp_path, capsys):
         bad, listed = tmp_path / "bad.json", tmp_path / "list.json"
         bad.write_text("{not json")

@@ -95,6 +95,16 @@ class TestWholeSteps:
             with pytest.raises(OffGridError, match=" is not a whole number of steps of dt="):
                 read(s, dt)
 
+    @pytest.mark.parametrize("call", [
+        lambda: TimeGrid.window(0.1, float("inf"), 0.0),
+        lambda: SolverConfig(0.01, float("inf")).n_steps(),
+        lambda: TimeGrid(0.1, 10).index_of(float("nan")),
+    ], ids=["window-infinite-past", "n_steps-infinite-t_end", "index_of-nan"])
+    def test_non_finite_duration_is_off_grid(self, call):
+        # not the OverflowError or ValueError of rounding inf or nan to an integer
+        with pytest.raises(OffGridError, match=r"^duration (inf|nan) is not finite"):
+            call()
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: TimeGrid.window(0.1, -0.1, 1.0), "t_past and t_future must be >= 0"),
@@ -186,12 +196,10 @@ class TestSampling:
     def test_reference_mode_increments_pass_whiteness(self):
         # lag-1..10 autocovariances of the increments against the
         # Gaussian-walk oracle value 0, within 3 SE across 1e4 paths.  The
-        # samplers reject H = 1/2, so the paths are synthesized as
-        # sample_fbm_array does, from the same generator stream
+        # samplers reject H = 1/2, so the paths are synthesized by their
+        # shared synthesis, from the generator stream sample_fbm_array uses
         z = np.random.default_rng(12).standard_normal((10_000, 128))
-        paths = np.zeros((10_000, 65))
-        np.cumsum(fbm._fgn_from_normals(z, fbm._fgn_eigenvalues(64, 0.5)), axis=1,
-                  out=paths[:, 1:])
+        paths = fbm._fbm_rows(z, fbm._fgn_eigenvalues(64, 0.5), 1.0, 0.5)
         inc = np.diff(paths, axis=1)
         for lag in range(1, 11):
             per_path = (inc[:, :-lag] * inc[:, lag:]).mean(axis=1)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -14,10 +15,9 @@ from fraclattice.lattice import (
     apply_diff,
     apply_diff_adjoint,
     apply_laplacian,
-    laplacian_array,
 )
 from fraclattice.solver import SolverConfig, _step_loop
-from oracles import laplacian_modes, probe_dissipativity, probe_growth
+from oracles import laplacian_array, laplacian_modes, probe_dissipativity, probe_growth, rolled
 
 
 def rand_vec(rng, n, interior=False):
@@ -105,6 +105,22 @@ class TestOperators:
         assert np.abs(gap).max() > 0.5
 
     @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("d", [3, 5, 33])
+    def test_stencil_matches_rolled_references_bit_for_bit(self, boundary, d):
+        # edge values of +-0.0 make a signed zero show if it changes
+        rng = np.random.default_rng(d)
+        for first, last in itertools.product([None, 0.0, -0.0], repeat=2):
+            v = rng.standard_normal(d)
+            v[0] = v[0] if first is None else first
+            v[-1] = v[-1] if last is None else last
+            x = LatticeVector(v)
+            pairs = [(apply_laplacian(x, boundary), laplacian_array(v, boundary)),
+                     (apply_diff(x, boundary), rolled(v, boundary, -1) - v),
+                     (apply_diff_adjoint(x, boundary), rolled(v, boundary, 1) - v)]
+            for got, want in pairs:
+                assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
     def test_positivity(self, boundary):
         rng = np.random.default_rng(5)
         for _ in range(300):
@@ -180,6 +196,12 @@ class TestNonlinearity:
         x = rng.standard_normal(9)
         flipped = LatticeVector(spec.eval_array(x[::-1].copy())).values
         np.testing.assert_array_equal(flipped, LatticeVector(spec.eval_array(x)).values[::-1])
+
+    def test_custom_derivative_is_a_float_array(self):
+        spec = NonlinearitySpec.custom(fn=lambda s: -s, dfn=lambda s: [-1] * len(s),
+                                       diss_const=1.0, growth_coef=2.0, growth_power=1.0)
+        deriv = spec.deriv_array(np.array([0.5, -2.0]))
+        assert deriv.dtype == np.float64 and deriv.tolist() == [-1.0, -1.0]
 
     def test_custom_requires_callables(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from fraclattice.lattice import (
     NonlinearityKind,
     NonlinearitySpec,
     apply_laplacian,
-    laplacian_array,
 )
 from fraclattice.noise import build_noise_field, decayed_exp_sweep
 from fraclattice.solver import (
@@ -28,7 +27,8 @@ from fraclattice.solver import (
     cocycle_map,
     integrate,
 )
-from oracles import cocycle_check, gronwall_envelope, laplacian_modes, linear_oracle
+from oracles import (cocycle_check, gronwall_envelope, laplacian_array, laplacian_modes,
+                     linear_oracle)
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)
@@ -576,6 +576,13 @@ class TestCocycle:
 def test_long_run_is_a_whole_number_of_steps():
     # 65536.04 is 1.46e-11 off 6553604 * 0.01: over 1e-9 of a step, inside 1e-6 of one
     assert SolverConfig(dt=0.01, t_end=65536.04).n_steps() == 6553604
+
+
+def test_refinement_rejects_a_noise_step_below_the_solver_step():
+    # 1e-7 is within the slack of 0 steps of 1.0: no whole number m >= 1 of solver steps
+    with pytest.raises(ValueError, match="^solver dt=1.0 must equal or evenly subdivide "
+                                         "the noise dt=1e-07$"):
+        SolverConfig(1.0, 1.0).refinement(1e-7)
 
 
 @pytest.mark.parametrize("dt, t_end, message", [
