@@ -367,7 +367,7 @@ def _stable_step(margin: float | None) -> None:
 def _plan_forward(c, check, starts=1):
     check("solver.dt", _stable_step, c.step_margin)
     row = check("solver.t_end", sv._forward_row, c.grid, c.solver.t_end, c.solver)
-    if row:  # _solve keeps every state of its starts
+    if row:  # the forward run keeps every state of its starts, in one array
         check("solver.t_end", _size_check, "trajectory", (row[1] + 1) * starts,
               "node x start rows", c.sites)
 

@@ -21,6 +21,7 @@ the increments makes that row an exact two-sided sample.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +51,31 @@ def as_hurst(h: float) -> float:
     return h
 
 
+def finite_duration(s: float) -> float:
+    """``s``, or ``OffGridError`` if it is not finite: no whole number of steps spans it."""
+    if not np.isfinite(s):
+        raise OffGridError(f"duration {s} is not finite, so no whole number of steps")
+    return s
+
+
+def check_step(dt: float) -> None:
+    """ValueError unless the step ``dt`` is positive and finite.
+
+    An infinite step would count every duration as 0 steps.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if dt == np.inf:
+        raise ValueError("dt must be finite")
+
+
 def whole_steps(s: float, dt: float) -> int:
     """The signed whole number k of steps dt in the duration ``s``.
 
     The one whole-step test: ``OffGridError`` unless s is finite and
     |s - k dt| <= 1e-6 dt, a slack some 60 times the rounding of k dt at k = 2^26.
     """
-    if not np.isfinite(s):
-        raise OffGridError(f"duration {s} is not finite, so no whole number of steps")
-    k = round(s / dt)
+    k = round(finite_duration(s) / dt)
     if abs(s - k * dt) > 1e-6 * dt:
         raise OffGridError(f"{s} is not a whole number of steps of dt={dt}")
     return k
@@ -77,14 +94,16 @@ class TimeGrid:
     i_start: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        check_step(self.dt)
+        for name in ("n_steps", "i_start"):  # whole node counts: TypeError for a float
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
     @classmethod
     def window(cls, dt: float, t_past: float, t_future: float) -> "TimeGrid":
         """The grid on ``[-t_past, t_future]``; each side a whole number of steps."""
+        check_step(dt)
         if not (t_past >= 0 and t_future >= 0):
             raise ValueError("t_past and t_future must be >= 0")
         n_past, n_future = whole_steps(t_past, dt), whole_steps(t_future, dt)

@@ -16,7 +16,9 @@ up.  The solution map
 
 is :func:`cocycle_map`, for one start or a batch; it satisfies
 phi(0) = id exactly and composes with the noise shift (the cocycle
-property).  The references the tests check it against live in
+property).  Every run, forward or pulled back, steps through one driver,
+``_step_rows``, which reads the noise in blocks and keeps the endpoints
+or, for a forward run, u at every step.  The references the tests check it against live in
 ``tests/oracles.py``: ``cocycle_check`` measures that composition
 residual directly, and ``linear_oracle`` is the spectral solution for
 linear drifts on the periodic lattice, an independent accuracy oracle.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUpError, NonlinearityOverflowError, WindowError
-from .fbm import TimeGrid, whole_steps
+from .fbm import TimeGrid, check_step, finite_duration, whole_steps
 from .lattice import (Boundary, LatticeParams, LatticeVector, NonlinearitySpec, _neighbours,
                       _operand)
 from .noise import NoiseField, VectorSeries
@@ -78,10 +80,10 @@ class SolverConfig:
     scheme: Scheme = Scheme.HEUN
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        check_step(self.dt)
         if not self.t_end >= 0:
             raise ValueError("t_end must be >= 0")
+        finite_duration(self.t_end)
 
     def refinement(self, noise_dt: float) -> int:
         m = whole_steps(noise_dt, self.dt)
@@ -161,12 +163,14 @@ def _step_loop(
     params: LatticeParams,
     spec: NonlinearitySpec,
     config: SolverConfig,
-    collect: bool,
+    states: np.ndarray | None,
     first_step: int = 0,
 ) -> np.ndarray:
     """Advance v over all solver nodes; v0 is (..., d), w is (nodes, ..., d).
 
-    Every stage writes into buffers allocated once per run, with dt and
+    Returns the last node's v, having written node k into ``states[k]``,
+    or with ``states`` None stepped in place on a copy of v0.  Every
+    stage writes into buffers allocated once per call, with dt and
     dt/2 as 0-d arrays.  Each step sums the squares of the whole state
     in one reduction; only when that total passes ``_GUARD_TOTAL`` are
     the row norms checked against ``BLOWUP_NORM``, and only when one
@@ -181,15 +185,14 @@ def _step_loop(
     stage0, stage1 = _drift(shape, params, spec), _drift(shape, params, spec)
     work = np.empty(shape)
     squares = work.reshape(-1)  # a view: one reduction over the whole state
-    if collect:
-        states = np.empty((n_steps + 1,) + shape)
+    if states is None:
+        v = np.array(v0, dtype=float)
+    else:
         states[0] = v0
         v = states[0]
-    else:
-        v = np.array(v0, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            nxt = states[k + 1] if collect else v
+            nxt = v if states is None else states[k + 1]
             f0, fx0 = stage0(v, w[k])
             fx1 = fx0
             if heun:
@@ -212,7 +215,7 @@ def _step_loop(
                     f"|v| exceeded {BLOWUP_NORM:.0e} at t={(first_step + k + 1) * config.dt:.6g}; "
                     "check dissipativity or reduce dt"
                 )
-    return states if collect else v
+    return v
 
 
 def _noise_node(j, local, m):
@@ -257,30 +260,38 @@ def _forward_row(grid: TimeGrid, t: float, config: SolverConfig) -> tuple[int, i
 
 
 def _step_rows(rows, origins, field: NoiseField, x: np.ndarray, params: LatticeParams,
-               spec: NonlinearitySpec, config: SolverConfig) -> np.ndarray:
+               spec: NonlinearitySpec, config: SolverConfig, collect: bool = False) -> np.ndarray:
     """Endpoints (rows, n_starts, d) of the (noise node, steps) rows, longest first.
 
     One staggered run from the starts x, (n_starts, d): the rows end together,
     each reading its noise re-anchored at ``origins[r]`` (see ``_read_noise``)
     in ``_step_loop`` calls of at most ``_BLOCK_VALUES`` noise values.  A
-    blow-up's time counts from the first row's start.
+    blow-up's time counts from the first row's start.  With ``collect``, the
+    one row's u at every step, (steps + 1, 1, n_starts, d), in one array: a
+    block writes its nodes there as v and makes all but its last u = v + w,
+    and the next block steps on from that v.
     """
     m = config.refinement(field.grid.dt)
     (j, n), o = np.array(rows).T, np.array(origins)
     joins = n[0] - n  # global step at which a row starts
     bounds = sorted(set(joins.tolist())) + [int(n[0])]
+    states = np.empty((n[0] + 1, 1) + x.shape) if collect else None
     v = np.empty((0,) + x.shape)
     for a, b in zip(bounds, bounds[1:]):
         r = int(np.searchsorted(joins, a, side="right"))  # rows active from step a
         block = max(1, _BLOCK_VALUES // (r * x.shape[-1]))
         for c in range(a, b, block):
-            local = np.arange(c, min(b, c + block) + 1)[:, None] - joins[:r]
-            w = _read_noise(field, j[:r], o[:r], local, m)[:, :, None, :]
+            e = min(b, c + block)
+            w = _read_noise(field, j[:r], o[:r], np.arange(c, e + 1)[:, None] - joins[:r],
+                            m)[:, :, None, :]
             if c == a:  # the rows joining here start from x - w[0], as v0
                 v = np.concatenate([v, x - w[0, len(v):]])
-            v = _step_loop(v, w, params, spec, config, collect=False, first_step=c)
+            view = states[c:e + 1] if collect else None
+            v = _step_loop(v, w, params, spec, config, view, first_step=c)
+            if collect:
+                view[:-1] += w[:-1]
     v += w[-1]
-    return v
+    return states if collect else v
 
 
 def _start_values(u0, field: NoiseField, params: LatticeParams) -> np.ndarray:
@@ -315,14 +326,12 @@ def integrate(
 def _solve(u0, field: NoiseField, params: LatticeParams, spec: NonlinearitySpec,
            config: SolverConfig, t: float) -> np.ndarray:
     """u at every solver node of [0, t], (nodes,) + the start's shape, for a start or
-    (n_starts, d) batch."""
+    (n_starts, d) batch: the one-row ``_step_rows`` run from the node of t = 0."""
     x0 = _start_values(u0, field, params)
-    j, n = _forward_row(field.grid, t, config)
-    w = _read_noise(field, j, j, np.arange(n + 1), config.refinement(field.grid.dt))
-    x = x0.reshape(-1, params.n_sites)
-    states = _step_loop(x - w[0], w, params, spec, config, collect=True)
-    states += w[:, None]
-    return states.reshape((n + 1,) + x0.shape)
+    row = _forward_row(field.grid, t, config)
+    states = _step_rows([row], [row[0]], field, x0.reshape(-1, params.n_sites), params, spec,
+                        config, collect=True)
+    return states.reshape((row[1] + 1,) + x0.shape)
 
 
 def cocycle_map(

@@ -56,3 +56,19 @@ def test_oracles_stay_out_of_the_package():
             else:
                 continue
             assert test_modules.isdisjoint(roots), f"{path.name} imports {roots}"
+
+
+def test_one_stepping_driver():
+    # forward runs and pullbacks alike step through solver._step_rows, which alone
+    # reads the noise and calls the step loop; a top-level def owns its nested ones
+    uses = []
+    for path in sorted(Path(fraclattice.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+            for node in ast.walk(stmt):
+                name = (node.name if isinstance(node, ast.alias)
+                        else getattr(node, "id", getattr(node, "attr", None)))
+                if name in ("_step_loop", "_read_noise"):
+                    uses.append((name, owner))
+    assert sorted(uses) == [("_read_noise", "solver._step_rows"),
+                            ("_step_loop", "solver._step_rows")]

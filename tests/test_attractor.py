@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -414,7 +415,7 @@ class TestForwardStationarity:
         ladder_calls.clear()
         forward_stationarity_check(eq, field, params, CUBIC, CFG, times=[0.5, 1.0, 2.0])
         d = 2 * N + 1
-        assert ladder_calls == [((1, d), 200), ((3, 1, d), round(eq.horizon / DT))]
+        assert ladder_calls == [((1, 1, d), 200), ((3, 1, d), round(eq.horizon / DT))]
 
     def test_no_times_raise(self, field):
         # no residual to bound is no pass
@@ -454,6 +455,52 @@ class TestForwardStationarity:
                                          LatticeVector.zeros(N), params, CUBIC, CFG)
             gap = float(np.linalg.norm(forward.values - eq_shifted))
             assert gap <= d0 * np.exp(-params.damping * t) * (1.0 + 5.0 * DT) + 1e-7
+
+
+class TestBlockedForward:
+    """Forward runs read their noise in blocks, as pullback ladders do."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_blocks_keep_every_forward_run(self, field, monkeypatch, ladder_calls, m, scheme):
+        # more blocks change nothing but how many steps one call takes
+        params = make_params()
+        cfg = SolverConfig(dt=DT / m, t_end=1.0, scheme=scheme)
+        x = sphere_starts(2.0, 1, N, seed=3)[0]
+        x[:4] = -0.0
+        u0 = LatticeVector(x)
+        eq = EquilibriumEstimate(u0=u0, horizon=0.5, cauchy_gap=0.0, start_gap=0.0, tol=1.0)
+
+        def runs():
+            return (integrate(u0, field, params, CUBIC, cfg).values,
+                    contraction_experiment(u0, LatticeVector.zeros(N), field, params, CUBIC,
+                                           cfg).distances,
+                    forward_stationarity_check(eq, field, params, CUBIC, cfg,
+                                               times=[0.0, 0.37, 1.0]).residuals)
+
+        ref = runs()
+        assert [steps for _, steps in ladder_calls[:3]] == [100 * m] * 3
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", 7 * (2 * N + 1))  # 7 steps per call
+        ladder_calls.clear()
+        for got, want in zip(runs(), ref):
+            assert_bits_equal(got, want)
+        n = 100 * m
+        blocks = [7] * (n // 7) + [n % 7]
+        assert [steps for _, steps in ladder_calls[:len(blocks)]] == blocks
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_blocked_blow_up_reports_the_same_time(self, field, monkeypatch, m, scheme):
+        # the start blows up 3 to 5 steps in, past the first 2-step block
+        cfg = SolverConfig(dt=DT / m, t_end=1.0, scheme=scheme)
+        start = LatticeVector.from_support(N, {0: 15.0 * math.sqrt(m)})
+        with pytest.raises(BlowUpError) as whole:
+            integrate(start, field, make_params(), CUBIC, cfg)
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", 2 * (2 * N + 1))
+        with pytest.raises(BlowUpError) as blocked:
+            integrate(start, field, make_params(), CUBIC, cfg)
+        assert str(blocked.value) == str(whole.value)
+        assert float(re.search("at t=(.*?);", str(whole.value))[1]) > 2 * cfg.dt
 
 
 class TestAbsorbingRadius:

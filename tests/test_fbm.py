@@ -110,10 +110,33 @@ class TestWholeSteps:
     (lambda: TimeGrid.window(0.1, -0.1, 1.0), "t_past and t_future must be >= 0"),
     (lambda: TimeGrid.window(0.1, 1.0, -0.1), "t_past and t_future must be >= 0"),
     (lambda: sample_fbm_array(1, 0, 0.75, 0.1, 0), "n_steps must be >= 1"),
-], ids=["window-negative-past", "window-negative-future", "fbm-zero-steps"])
+    # an infinite step would count every duration as 0 steps
+    (lambda: TimeGrid(float("inf"), 10).index_of(5.0), "dt must be finite"),
+    (lambda: TimeGrid(float("inf"), 10).steps_of(123.0), "dt must be finite"),
+    (lambda: SolverConfig(float("inf"), 3.0).n_steps(), "dt must be finite"),
+    (lambda: TimeGrid.window(float("inf"), 1.0, 1.0), "dt must be finite"),
+], ids=["window-negative-past", "window-negative-future", "fbm-zero-steps",
+        "infinite-dt-index_of", "infinite-dt-steps_of", "infinite-dt-n_steps",
+        "infinite-dt-window"])
 def test_input_guards(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TimeGrid(0.1, 10.5),
+    lambda: TimeGrid(0.1, 10, i_start=-2.5),
+], ids=["n_steps", "i_start"])
+def test_fractional_node_count_rejected(call):
+    # 10.5 steps would give 11.5 nodes but 12 times, and i_start -2.5 a node index of 2.5
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+def test_node_counts_become_ints():
+    grid = TimeGrid(0.1, np.int64(10), i_start=np.int64(-4))
+    assert type(grid.n_steps) is int and type(grid.i_start) is int
+    assert grid.index_of(0.0) == 4
 
 
 class TestAutocovariance:

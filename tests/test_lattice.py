@@ -153,7 +153,7 @@ def step_cubic(x):
     params = LatticeParams(coupling=1.0, damping=1.0, forcing=LatticeVector.zeros(3),
                            noise_amp=LatticeVector.zeros(3), half_width=3)
     return _step_loop(x.values, np.zeros((2, 7)), params, NonlinearitySpec.cubic(1.0, 1.0),
-                      SolverConfig(dt=0.01, t_end=0.01), collect=False)
+                      SolverConfig(dt=0.01, t_end=0.01), None)
 
 
 class TestNonlinearity:

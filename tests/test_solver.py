@@ -319,6 +319,13 @@ def layout(name, d, n_steps, rng):
 LAYOUTS = ["single", "batch", "ladder"]
 
 
+def collected(v0, w, params, spec, cfg):
+    """Every node of one ``_step_loop`` run, written into one states array."""
+    states = np.empty((len(w),) + np.shape(v0))
+    _step_loop(v0, w, params, spec, cfg, states)
+    return states
+
+
 class TestKernelOverConfigs:
     @settings(max_examples=150)
     @given(boundary=st.sampled_from(list(Boundary)), scheme=st.sampled_from(list(Scheme)),
@@ -343,12 +350,12 @@ class TestKernelOverConfigs:
             if np.linalg.norm(refs[-1], axis=-1).max() > BLOWUP_NORM:
                 # the guard stops the run at the reference's first node past the bound
                 with pytest.raises(BlowUpError, match=f"at t={k * 0.05:.6g};"):
-                    _step_loop(v0, w, params, spec, cfg, collect=True)
+                    collected(v0, w, params, spec, cfg)
                 return
-        states = _step_loop(v0, w, params, spec, cfg, collect=True)
+        states = collected(v0, w, params, spec, cfg)
         for k in range(n_steps + 1):
             assert_bits_equal(states[k], refs[k])
-        assert_bits_equal(_step_loop(v0, w, params, spec, cfg, collect=False), states[-1])
+        assert_bits_equal(_step_loop(v0, w, params, spec, cfg, None), states[-1])
 
 
 class TestGuard:
@@ -361,7 +368,7 @@ class TestGuard:
         w = np.zeros((4, 5))
         assert np.add.reduce((v0 * v0).reshape(-1)) > _GUARD_TOTAL
         cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
-        ends = _step_loop(v0, w, params, LINEAR, cfg, collect=False)
+        ends = _step_loop(v0, w, params, LINEAR, cfg, None)
         assert np.add.reduce((ends * ends).reshape(-1)) > _GUARD_TOTAL
         assert_bits_equal(ends, written_out_steps(v0, w, params, LINEAR, 0.01, scheme))
 
@@ -377,7 +384,7 @@ class TestGuard:
             v, k = written_out_steps(v, w[:2], params, LINEAR, 1.0, scheme), k + 1
         cfg = SolverConfig(dt=1.0, t_end=39.0, scheme=scheme)
         with pytest.raises(BlowUpError, match=f"at t={first_step + k:.6g};"):
-            _step_loop(v0, w, params, LINEAR, cfg, collect=False, first_step=first_step)
+            _step_loop(v0, w, params, LINEAR, cfg, None, first_step=first_step)
         assert 2 < k < 39
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -388,7 +395,7 @@ class TestGuard:
         v0[..., 2] = 1e110
         cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
         with pytest.raises(NonlinearityOverflowError):
-            _step_loop(v0, w, params, CUBIC, cfg, collect=False)
+            _step_loop(v0, w, params, CUBIC, cfg, None)
 
 
 class TestStepMargin:
@@ -421,14 +428,14 @@ class TestStepMargin:
         assume(solver.step_margin(dt, coupling, damping, a, d, boundary) >= 1.5)
         w = np.zeros((201, d))
         v0 = np.random.default_rng(seed).standard_normal(d)
-        states = _step_loop(v0, w, params, spec, SolverConfig(dt, 200 * dt, scheme), True)
+        states = collected(v0, w, params, spec, SolverConfig(dt, 200 * dt, scheme))
         norms = np.linalg.norm(states, axis=1)
         assert (norms <= (1 + 1e-12) * norms[0]).all()
         eye = np.eye(d)
         drift = -(coupling * laplacian_array(eye, boundary) + (damping + a) * eye)
         top = np.linalg.eigh(drift)[1][:, 0]  # the mode of the most negative eigenvalue
         dt = 2.1 / rate
-        states = _step_loop(top, w, params, spec, SolverConfig(dt, 200 * dt, scheme), True)
+        states = collected(top, w, params, spec, SolverConfig(dt, 200 * dt, scheme))
         assert (np.diff(np.linalg.norm(states, axis=1)) > 0).all()
 
 
@@ -485,7 +492,7 @@ class TestNoiseNodes:
         rule: solver step k reads the nearer of the nodes around k / m, ties up."""
         nodes = [j + k // m + (2 * (k % m) >= m) for k in range(n + 1)]
         w = (self.FIELD.paths[nodes] - self.FIELD.paths[j]) * self.FIELD.sigma.values
-        return _step_loop(self.STARTS - w[0], w, self.PARAMS, CUBIC, cfg, collect=False) + w[-1]
+        return _step_loop(self.STARTS - w[0], w, self.PARAMS, CUBIC, cfg, None) + w[-1]
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("scheme", list(Scheme))
