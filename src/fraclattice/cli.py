@@ -1,9 +1,11 @@
-"""Experiment orchestration: JSON configs in, CSV series and manifests out.
+"""Experiment orchestration: JSON configs in, state arrays, tables and manifests out.
 
 Every run is a pure function of its config file plus one master seed;
 per-site and per-member seeds derive from the master, so re-running a
-config reproduces every CSV payload byte for byte.  Numbers are written
-with 17 significant digits, which round-trips binary doubles exactly.
+config reproduces every artifact byte for byte.  The per-node state tables
+(``simulate``'s trajectory, ``ou``'s noise and damped fields) are exact
+float64 ``.npy`` arrays; the other tables are CSV series written with 17
+significant digits, which round-trips binary doubles exactly.
 
 Subcommands: sample-fbm, verify-operators, simulate, ou, contraction,
 pullback, equilibrium, absorb, report.
@@ -52,6 +54,11 @@ ENV_OUTDIR = "FRACLATTICE_OUTDIR"
 #: of every config, and each experiment's plan the arrays its run allocates.
 MAX_GRID_VALUES = 1 << 26
 
+#: Work guard on a config: the most site-steps (solver steps x starts x sites)
+#: one stepping batch of a run may take, 340 times the largest batch of the
+#: default and CLI benchmark configs (the default ``pullback`` ladder, 7.9e5).
+MAX_SITE_STEPS = 1 << 28
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -76,13 +83,14 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """What a run produced: artifacts, per-check verdicts, timings."""
+    """What a run produced: artifacts and their array records, verdicts, timings."""
 
     experiment: str
     config_hash: str
     config: dict
     site_seeds: dict = dc_field(default_factory=dict)
     artifacts: list = dc_field(default_factory=list)
+    arrays: dict = dc_field(default_factory=dict)
     checks: dict = dc_field(default_factory=dict)
     numbers: dict = dc_field(default_factory=dict)
     timings: dict = dc_field(default_factory=dict)
@@ -93,62 +101,45 @@ class RunManifest:
         return self.error is None and all(self.checks.values())
 
     def to_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "config_hash": self.config_hash,
-            "config": self.config,
-            "site_seeds": {str(k): list(v) for k, v in self.site_seeds.items()},
-            "artifacts": self.artifacts,
-            "checks": self.checks,
-            "numbers": self.numbers,
-            "timings_s": self.timings,
-            "error": self.error,
-            "all_passed": self.all_passed,
-        }
+        """The fields as JSON, ``timings`` as ``timings_s`` and ``arrays`` only when not empty."""
+        payload = vars(self) | {"all_passed": self.all_passed}  # a shallow copy
+        payload["timings_s"] = payload.pop("timings")
+        if not self.arrays:
+            del payload["arrays"]
         finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # NaN, inf -> null
         return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
-# CSV output
+# output
 #
-# Every table goes through one writer.  It streams blocks of rows, each
-# block one ``template % values`` call: ``%.17g`` (an exact float64
-# round-trip) for float columns and ``%d`` for integer columns.
+# A per-node state table is one float64 ``.npy`` array, exact as stored.  Its
+# ``arrays`` record on the manifest holds its shape, its axes (t, i), the ``TimeGrid``
+# fields whose ``times()`` are its nodes, ``(i_start + k) * dt``, and its first site.
+# Every other table is a CSV of equal-length columns in one ``template % values``
+# call: ``%.17g`` (an exact float64 round-trip) for floats and ``%d`` for integers.
 
 
-def _write_csv(path: Path, header: list[str], blocks) -> str:
-    """Write the header line, then each ``(template, values)`` block."""
+def _write_csv(path: Path, header: list[str], *columns) -> str:
+    """Write the header line, then one row per entry of the integer or float ``columns``."""
+    arrays = [np.asarray(c) for c in columns]
+    if wrong := [a.dtype for a in arrays if a.dtype.kind not in "iuf"]:
+        raise TypeError(f"CSV column of dtype {wrong[0]}: expected integers or floats")
+    cells = ["%.17g" if a.dtype.kind == "f" else "%d" for a in arrays]
+    rows = list(zip(*(a.tolist() for a in arrays), strict=True))
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for template, values in blocks:
-            fh.write(template % values)
+        fh.write(((",".join(cells) + "\n") * len(rows)) % tuple(v for row in rows for v in row))
     return str(path)
 
 
-def _columns(*columns) -> list[tuple[str, tuple]]:
-    """Equal-length integer or float columns as one block of rows."""
-    arrays = [np.asarray(c) for c in columns]
-    cells = []
-    for a in arrays:
-        if a.dtype.kind not in "iuf":
-            raise TypeError(f"CSV column of dtype {a.dtype}: expected integers or floats")
-        cells.append("%.17g" if a.dtype.kind == "f" else "%d")
-    rows = list(zip(*(a.tolist() for a in arrays), strict=True))
-    return [((",".join(cells) + "\n") * len(rows), tuple(v for row in rows for v in row))]
-
-
-def _node_blocks(times: np.ndarray, states: np.ndarray, half_width: int):
-    """Long-format ``t,i,value`` rows, one block per node, sites in order.
-
-    Each node's ``t`` is formatted once and the site indices once per
-    table, so only the values are formatted per row.
-    """
-    cells = [",%d,%%.17g\n" % i for i in range(-half_width, half_width + 1)]
-    for t, row in zip(times.tolist(), states, strict=True):
-        head = "%.17g" % t
-        yield head + head.join(cells), tuple(row.tolist())
+def _write_states(out: Path, name: str, values: np.ndarray, grid: TimeGrid, manifest) -> None:
+    """Save the (node, site) ``values`` on ``grid`` as ``out / name``, with its record."""
+    np.save(out / name, values, allow_pickle=False)
+    manifest.artifacts.append(str(out / name))
+    manifest.arrays[name] = {"shape": list(values.shape), "axes": ["t", "i"], "dt": float(grid.dt),
+                             "i_start": int(grid.i_start), "first_site": -(values.shape[1] // 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +156,8 @@ def _build_field(cfg: ExperimentConfig, manifest: RunManifest) -> nz.NoiseField:
 def _run_fbm_sample(cfg, out: Path, manifest: RunManifest):
     n_steps = cfg.options["n_steps"]
     path = sample_fbm_array(1, n_steps, cfg.hurst, cfg.grid.dt, cfg.master_seed)[0]
-    manifest.artifacts.append(_write_csv(
-        out / "fbm_path.csv", ["t", "value"],
-        _columns(TimeGrid(cfg.grid.dt, n_steps).times(), path),
-    ))
+    manifest.artifacts.append(_write_csv(out / "fbm_path.csv", ["t", "value"],
+                                         TimeGrid(cfg.grid.dt, n_steps).times(), path))
     manifest.checks["anchored"] = bool(path[0] == 0.0)
     manifest.numbers["n_steps"] = n_steps
 
@@ -209,10 +198,7 @@ def _run_verify_operators(cfg, out: Path, manifest: RunManifest):
 def _run_simulate(cfg, out: Path, manifest: RunManifest):
     field = _build_field(cfg, manifest)
     traj = sv.integrate(cfg.starts["u0"], field, cfg.params, cfg.spec, cfg.solver)
-    manifest.artifacts.append(_write_csv(
-        out / "trajectory.csv", ["t", "i", "u_i"],
-        _node_blocks(traj.grid.times(), traj.values, cfg.params.half_width),
-    ))
+    _write_states(out, "trajectory.npy", traj.values, traj.grid, manifest)
     manifest.checks["finite"] = bool(np.isfinite(traj.values).all())
     manifest.numbers["final_norm"] = float(np.linalg.norm(traj.values[-1]))
 
@@ -220,16 +206,9 @@ def _run_simulate(cfg, out: Path, manifest: RunManifest):
 def _run_ou(cfg, out: Path, manifest: RunManifest):
     field = _build_field(cfg, manifest)
     ou = nz.stationary_ou(cfg.params.damping, field)
-    times = ou.grid.times()
-    bound = 4.0 * ou.rho * (1.0 + np.abs(times)) ** 2
-    manifest.artifacts.append(_write_csv(
-        out / "noise_field.csv", ["t", "i", "value"],
-        _node_blocks(field.grid.times(), field.w_matrix, cfg.params.half_width),
-    ))
-    manifest.artifacts.append(_write_csv(
-        out / "ou_field.csv", ["t", "i", "value"],
-        _node_blocks(times, ou.values, cfg.params.half_width),
-    ))
+    bound = 4.0 * ou.rho * (1.0 + np.abs(ou.grid.times())) ** 2
+    _write_states(out, "noise_field.npy", field.w_matrix, field.grid, manifest)
+    _write_states(out, "ou_field.npy", ou.values, ou.grid, manifest)
     manifest.checks["growth_bound"] = bool((ou.norms() <= bound + 1e-12).all())
     manifest.numbers["rho"] = ou.rho
     manifest.numbers["past_horizon"] = ou.past_horizon
@@ -242,10 +221,9 @@ def _run_contraction(cfg, out: Path, manifest: RunManifest):
                                     cfg.params, cfg.spec, cfg.solver)
     keep = rep.distances > 0.0
     d = rep.distances[keep]
-    manifest.artifacts.append(_write_csv(
-        out / "contraction_log_distance.csv", ["t", "distance", "log_distance"],
-        _columns(rep.times[keep], d, np.log(d)),
-    ))
+    manifest.artifacts.append(_write_csv(out / "contraction_log_distance.csv",
+                                         ["t", "distance", "log_distance"], rep.times[keep], d,
+                                         np.log(d)))
     manifest.checks["slope"] = rep.slope_ok
     manifest.checks["pointwise_certificate"] = rep.pointwise_ok
     manifest.checks["nondegenerate"] = not rep.degenerate
@@ -274,8 +252,7 @@ def _run_pullback(cfg, out: Path, manifest: RunManifest):
     if rep.hausdorff is not None:
         header.append("hausdorff_to_equilibrium")
         columns.append(rep.hausdorff)
-    manifest.artifacts.append(_write_csv(out / "pullback_diameters.csv", header,
-                                         _columns(*columns)))
+    manifest.artifacts.append(_write_csv(out / "pullback_diameters.csv", header, *columns))
     manifest.checks["diameter_decay"] = rep.passed
     manifest.numbers["start_diameter"] = rep.start_diameter
     manifest.numbers["final_diameter"] = float(rep.diameters[-1])
@@ -296,19 +273,15 @@ def _run_equilibrium(cfg, out: Path, manifest: RunManifest):
     manifest.checks["cauchy"] = eq.cauchy_gap <= tol
     manifest.checks["start_independent"] = eq.start_gap <= 2 * tol
     sites = np.arange(-cfg.params.half_width, cfg.params.half_width + 1)
-    manifest.artifacts.append(_write_csv(
-        out / "equilibrium.csv", ["i", "value"],
-        _columns(sites, eq.u0.values),
-    ))
+    manifest.artifacts.append(_write_csv(out / "equilibrium.csv", ["i", "value"], sites,
+                                         eq.u0.values))
     times = [float(t) for t in opts["check_times"]]
     if times:
         rep = at.forward_stationarity_check(
             eq, field, cfg.params, cfg.spec, cfg.solver, times
         )
-        manifest.artifacts.append(_write_csv(
-            out / "stationarity_residuals.csv", ["t", "residual"],
-            _columns(rep.times, rep.residuals),
-        ))
+        manifest.artifacts.append(_write_csv(out / "stationarity_residuals.csv",
+                                             ["t", "residual"], rep.times, rep.residuals))
         manifest.checks["forward_stationarity"] = rep.passed
         manifest.numbers["max_stationarity_residual"] = float(rep.residuals.max())
 
@@ -325,9 +298,7 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
     )
     manifest.artifacts.append(_write_csv(
         out / "absorption_entry.csv", ["horizon", "max_norm", "bound", "margin"],
-        _columns(rep.horizons, rep.max_norms, np.full(rep.horizons.shape, float(rep.bound)),
-                 rep.margins),
-    ))
+        rep.horizons, rep.max_norms, np.full(rep.horizons.shape, float(rep.bound)), rep.margins))
     manifest.checks["absorbed"] = rep.passed
     manifest.checks["radius_at_least_one"] = rep.radius.value >= 1.0
     manifest.numbers["absorbing_radius"] = rep.radius.value
@@ -339,16 +310,16 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
     dt = field.grid.dt
     depths = [max(dt, round(frac * t_past / dt) * dt) for frac in (0.25, 0.5, 1.0)]
     radii = [at.absorbing_radius(rep.ou, cfg.spec, tp) for tp in depths]
-    manifest.artifacts.append(_write_csv(
-        out / "absorbing_radius.csv", ["t_past", "radius", "tail_bound"],
-        _columns(depths, [r.value for r in radii], [r.tail_bound for r in radii]),
-    ))
+    manifest.artifacts.append(_write_csv(out / "absorbing_radius.csv",
+                                         ["t_past", "radius", "tail_bound"], depths,
+                                         [r.value for r in radii], [r.tail_bound for r in radii]))
 
 
 # ---------------------------------------------------------------------------
 # run plans: ``plan(c, check)`` makes every check its run makes before its first
 # step, through the run's own functions, size-checks each array the run
-# allocates, and checks that a stepping run's explicit step is stable.  ``c``
+# allocates, and checks that a stepping run's explicit step is stable and that
+# each of its stepping batches fits ``MAX_SITE_STEPS``.  ``c``
 # holds the validated values; ``check(path, make, *args)`` returns
 # ``make(*args)``, or None with its error listed under ``path``.
 
@@ -367,9 +338,10 @@ def _stable_step(margin: float | None) -> None:
 def _plan_forward(c, check, starts=1):
     check("solver.dt", _stable_step, c.step_margin)
     row = check("solver.t_end", sv._forward_row, c.grid, c.solver.t_end, c.solver)
-    if row:  # the forward run keeps every state of its starts, in one array
-        check("solver.t_end", _size_check, "trajectory", (row[1] + 1) * starts,
-              "node x start rows", c.sites)
+    # the forward run keeps every state of its starts, in one array
+    if row and check("solver.t_end", _size_check, "trajectory", (row[1] + 1) * starts,
+                     "node x start rows", c.sites):
+        check("solver.dt", _work_check, "forward run", row[1] * starts, sites=c.sites)
 
 
 def _plan_ou(c, check):
@@ -381,16 +353,19 @@ def _plan_ou(c, check):
 def _plan_ladder(c, check):
     """A pullback ladder of ``n_starts`` starts from each of ``horizons``."""
     check("solver.dt", _stable_step, c.step_margin)
-    check("experiment.horizons", at._ladder_rows, c.grid, c.horizons, c.solver)
-    check("experiment.n_starts", _size_check, "pullback ladder",
-          len(c.horizons) * c.n_starts, "horizon x start rows", c.sites)
+    rows = check("experiment.horizons", at._ladder_rows, c.grid, c.horizons, c.solver)
+    if check("experiment.n_starts", _size_check, "pullback ladder",
+             len(c.horizons) * c.n_starts, "horizon x start rows", c.sites) and rows:
+        check("solver.dt", _work_check, "pullback ladder",  # each row steps every start
+              sum(r[1] for r in rows.values() if r) * c.n_starts, sites=c.sites)
 
 
 def _search(c, initial_horizon: float) -> list[float]:
     """The checks of ``random_equilibrium``'s two-start ladder; returns its horizons."""
     horizons = at._doubling_horizons(c.grid, initial_horizon)
-    at._ladder_rows(c.grid, horizons, c.solver)
+    rows = at._ladder_rows(c.grid, horizons, c.solver)
     _size_check("pullback ladder", 2 * len(horizons), "horizon x start rows", c.sites)
+    _work_check("pullback ladder", 2 * sum(r[1] for r in rows.values() if r), sites=c.sites)
     return horizons
 
 
@@ -408,12 +383,13 @@ def _plan_absorb(c, check):
 
 
 def _stationarity(c, horizons, times) -> None:
-    """The checks of ``forward_stationarity_check`` at each horizon the search may stop
-    at, and the sizes of its batch and of its forward leg's states."""
+    """The checks of ``forward_stationarity_check`` at each horizon the search may stop at,
+    the sizes of its batch and forward leg, and the work of its deepest batch."""
     _size_check("stationarity batch", len(times), "check time rows", c.sites)
     for horizon in horizons[1:]:
-        steps = at._stationarity_rows(c.grid, c.solver, times, horizon)[0]
+        steps, _, rows = at._stationarity_rows(c.grid, c.solver, times, horizon)
     _size_check("trajectory", steps[-1] + 1, "node x start rows", c.sites)
+    _work_check("stationarity batch", sum(r[1] for r in rows if r), sites=c.sites)
 
 
 def _plan_equilibrium(c, check):
@@ -585,12 +561,19 @@ def _checked(violations: list[str], label: str, make, *args, **kwargs):
         return None
 
 
-def _size_check(what: str, rows: int, unit: str, sites: int | None = None) -> bool:
-    """True, or ValueError if ``rows`` (times ``sites``) values exceed ``MAX_GRID_VALUES``."""
-    if rows * (sites or 1) > MAX_GRID_VALUES:
+def _size_check(what: str, rows: int, unit: str, sites: int | None = None,
+                work: bool = False) -> bool:
+    """True, or ValueError if ``rows`` (times ``sites``) values exceed ``MAX_GRID_VALUES``,
+    or with ``work``, if that many site-steps exceed ``MAX_SITE_STEPS``."""
+    limit, of = (MAX_SITE_STEPS, "site-steps") if work else (MAX_GRID_VALUES, "values")
+    if rows * (sites or 1) > limit:
         shape = f"{Decimal(rows):.3g} {unit}" + (f" x {sites} sites" if sites else "")
-        raise ValueError(f"a {what} of {shape} exceeds the limit of {MAX_GRID_VALUES} values")
+        raise ValueError(f"a {what} of {shape} exceeds the limit of {limit} {of}")
     return True
+
+
+#: ``_size_check`` of the start-steps of a stepping batch over ``sites``: its work.
+_work_check = functools.partial(_size_check, unit="start-steps", work=True)
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -606,7 +589,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     experiment's plan (see "run plans") makes every check its run makes
     before its first step, each listed under its config path, so a config
     that validates does not fail on them.  A stepping run's plan also checks
-    ``solver.step_margin``, once the coefficients it reads passed their rules.
+    ``solver.step_margin``, once the coefficients it reads passed their rules,
+    and the ``MAX_SITE_STEPS`` work guard of each batch whose arrays fit.
     """
     violations: list[str] = []
     given = _flatten(raw, violations)
@@ -707,12 +691,23 @@ def _read_json(path: str | Path) -> dict:
     except OSError as exc:
         raise ConfigError([f"cannot read {path}: {exc.strerror or exc}"]) from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
-        ) from exc
+        msg = f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        raise ConfigError([msg]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top-level JSON value must be an object"])
     return raw
+
+
+def _arrays_ok(data: dict) -> bool:
+    """Whether a manifest's ``arrays`` holds a well-formed record per ``.npy`` artifact."""
+    arrays, listed = data.get("arrays", {}), data.get("artifacts", [])
+    saved = {Path(a).name for a in listed if str(a).endswith(".npy")} if isinstance(
+        listed, list) else set()
+    return isinstance(arrays, dict) and saved <= arrays.keys() and all(
+        isinstance(r, dict) and isinstance(r.get("shape"), list) and isinstance(r.get("axes"), list)
+        and len(r["axes"]) == len(r["shape"]) and all(_is_int(n) and n >= 0 for n in r["shape"])
+        and all(isinstance(a, str) for a in r["axes"]) and _POSITIVE[0](r.get("dt"))
+        and _is_int(r.get("i_start")) and _is_int(r.get("first_site")) for r in arrays.values())
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -732,11 +727,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        experiment=cfg.experiment,
-        config_hash=cfg.config_hash(),
-        config=cfg.effective,
-    )
+    manifest = RunManifest(experiment=cfg.experiment, config_hash=cfg.config_hash(),
+                           config=cfg.effective)
     t0 = time.perf_counter()
     try:
         _REGISTRY[cfg.experiment].run(cfg, out, manifest)
@@ -805,6 +797,8 @@ def main(argv=None) -> int:
             data = _read_json(args.manifest)
             bad = [k for k in ("experiment", "config_hash") if not isinstance(data.get(k), str)]
             bad += [k for k in ("checks", "numbers") if not isinstance(data.get(k, {}), dict)]
+            if not _arrays_ok(data):
+                bad.append("arrays")
             if bad:
                 raise ConfigError([f"not a run manifest: {', '.join(bad)} missing or malformed"])
         except ConfigError as exc:
@@ -816,6 +810,10 @@ def main(argv=None) -> int:
         for name, val in sorted(data.get("numbers", {}).items()):
             print(f"        {name} = {val:.6g}" if isinstance(val, float)
                   else f"        {name} = {val}")
+        for name, rec in sorted(data.get("arrays", {}).items()):
+            print(f"  ARRAY {name}  shape {' x '.join(map(str, rec['shape']))}  axes "
+                  f"{', '.join(rec['axes'])}  dt {rec['dt']!r}  i_start {rec['i_start']}  "
+                  f"first_site {rec['first_site']}")
         if data.get("error"):
             print(f"  ERROR {data['error']}")
         return 0 if data.get("all_passed") else 1

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraclattice.cli import (
+    MAX_SITE_STEPS,
     _FIELDS,
     _REGISTRY,
-    _columns,
     _write_csv,
     load_config,
     main,
@@ -19,6 +19,7 @@ from fraclattice.cli import (
     validate_config,
 )
 from fraclattice.errors import ConfigError
+from fraclattice.fbm import TimeGrid
 from fraclattice.noise import build_noise_field, stationary_ou
 from fraclattice.solver import integrate
 
@@ -576,6 +577,23 @@ class TestMain:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("name, message", [
+        ("pullback", "solver.dt: a pullback ladder of 2.40e+9 start-steps x 33 sites exceeds "
+                     "the limit of 268435456 site-steps"),
+        ("absorb", "solver.dt: a pullback ladder of 6.00e+8 start-steps x 33 sites exceeds "
+                   "the limit of 268435456 site-steps"),
+        ("equilibrium", "experiment.initial_horizon: a pullback ladder of 6.20e+8 start-steps "
+                        "x 33 sites exceeds the limit of 268435456 site-steps"),
+    ])
+    def test_exit_two_on_unbounded_work(self, tmp_path, capsys, name, message):
+        # solver.dt 1e-7 under grid.dt 0.01: no array grows, but the ladder takes 1e5
+        # solver steps per noise step
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"solver": {"dt": 1e-7}, "experiment": {"name": name}}))
+        assert main([name, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_sample_fbm_flags(self, tmp_path):
         out = tmp_path / "fbm"
         code = main(["sample-fbm", "--h", "0.75", "--dt", "0.01", "--steps", "64",
@@ -644,6 +662,34 @@ class TestMain:
             assert out.err.startswith(f"report error: {reason}")
             assert out.err.count("\n") == 1
 
+    def test_report_shows_arrays(self, tmp_path, capsys):
+        path = write_config(tmp_path, name="simulate")
+        assert main(["simulate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--manifest", str(tmp_path / "out" / "manifest.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == ("  ARRAY trajectory.npy  shape 101 x 13  axes t, i  dt 0.02  "
+                             "i_start 0  first_site -6")
+
+    def test_report_exit_two_on_malformed_arrays(self, tmp_path, capsys):
+        record = {"shape": [3, 2], "axes": ["t", "i"], "dt": 0.1, "i_start": 0, "first_site": -1}
+        base = {"experiment": "simulate", "config_hash": "0123456789abcdef",
+                "artifacts": ["out/trajectory.npy"], "arrays": {"trajectory.npy": record}}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(base))
+        assert main(["report", "--manifest", str(path)]) == 1  # well formed; all_passed absent
+        capsys.readouterr()
+        for arrays in ([], {}, {"trajectory.npy": {**record, "axes": ["t"]}},
+                       {"trajectory.npy": {**record, "dt": None}},
+                       {"trajectory.npy": {**record, "shape": [3.0, 2]}},
+                       {"trajectory.npy": {k: v for k, v in record.items() if k != "i_start"}},
+                       {"trajectory.npy": [3, 2]}):
+            path.write_text(json.dumps({**base, "arrays": arrays}))
+            assert main(["report", "--manifest", str(path)]) == 2, arrays
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "report error: not a run manifest: arrays missing or malformed\n"
+
     def test_exit_one_on_failed_check(self, tmp_path):
         # identical starts validate, but their contraction is degenerate, a
         # failed check and a nonzero exit
@@ -663,28 +709,31 @@ class TestPlotSeries:
 
     def test_numbers_round_trip_17_digits(self, tmp_path):
         path = _write_csv(tmp_path / "pi.csv", ["t", "distance"],
-                          _columns(np.array([0.0, 0.1]), np.array([1.0, np.pi * 1e-7])))
+                          np.array([0.0, 0.1]), np.array([1.0, np.pi * 1e-7]))
         cell = Path(path).read_text().splitlines()[2].split(",")[1]
         assert float(cell) == np.pi * 1e-7
 
 
-def long_format_lines(header, times, states, half_width):
-    """The CSV layout written out: one ``t,i,value`` row per node and site."""
-    return [header] + [
-        f"{format(t, '.17g')},{i},{format(u, '.17g')}"
-        for t, row in zip(times.tolist(), states.tolist())
-        for i, u in zip(range(-half_width, half_width + 1), row)
-    ]
+class TestStateArrays:
+    """The per-node state tables are float64 ``.npy`` arrays holding the run's states."""
 
+    @staticmethod
+    def assert_exact(out, name, grid, states):
+        saved = np.load(out / name, allow_pickle=False)
+        assert saved.dtype == np.dtype("<f8")
+        assert saved.tobytes() == states.tobytes()
+        record = json.loads((out / "manifest.json").read_text())["arrays"][name]
+        assert record["shape"] == list(states.shape) and record["axes"] == ["t", "i"]
+        rebuilt = TimeGrid(record["dt"], saved.shape[0] - 1, record["i_start"]).times()
+        assert rebuilt.tobytes() == grid.times().tobytes()
+        assert record["first_site"] == -6
 
-class TestCsvFormat:
     def test_simulate_trajectory_matches_oracle(self, tmp_path):
         cfg = load_config(write_config(tmp_path, name="simulate"))
         assert run(cfg).all_passed
         field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
         traj = integrate(cfg.starts["u0"], field, cfg.params, cfg.spec, cfg.solver)
-        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-        assert lines == long_format_lines("t,i,u_i", traj.grid.times(), traj.values, 6)
+        self.assert_exact(tmp_path / "out", "trajectory.npy", traj.grid, traj.values)
 
     def test_ou_fields_match_oracle(self, tmp_path):
         cfg = load_config(write_config(tmp_path, name="ou",
@@ -692,15 +741,26 @@ class TestCsvFormat:
         assert run(cfg).all_passed
         field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
         ou = stationary_ou(cfg.params.damping, field)
-        for name, times, states in (("noise_field", field.grid.times(), field.w_matrix),
-                                    ("ou_field", ou.grid.times(), ou.values)):
-            lines = (tmp_path / "out" / f"{name}.csv").read_text().splitlines()
-            assert lines == long_format_lines("t,i,value", times, states, 6)
+        self.assert_exact(tmp_path / "out", "noise_field.npy", field.grid, field.w_matrix)
+        self.assert_exact(tmp_path / "out", "ou_field.npy", ou.grid, ou.values)
 
+    def test_rerun_trajectory_is_byte_identical(self, tmp_path):
+        run(load_config(write_config(tmp_path / "a", name="simulate")))
+        run(load_config(write_config(tmp_path / "b", name="simulate")))
+        a = (tmp_path / "a" / "out" / "trajectory.npy").read_bytes()
+        assert a == (tmp_path / "b" / "out" / "trajectory.npy").read_bytes()
+
+    def test_only_array_runs_record_arrays(self, tmp_path):
+        manifest = run(load_config(write_config(tmp_path)))
+        assert manifest.arrays == {}
+        assert "arrays" not in json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+
+class TestCsvFormat:
     def test_float_edge_values(self, tmp_path):
         values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3,
                   float("nan"), float("inf"), float("-inf")]
-        path = _write_csv(tmp_path / "f.csv", ["x"], _columns(values))
+        path = _write_csv(tmp_path / "f.csv", ["x"], values)
         lines = Path(path).read_text().splitlines()
         assert lines == ["x", "-0", "4.9406564584124654e-324", "1.7976931348623157e+308",
                          "0.10000000000000001", "0.33333333333333331", "nan", "inf", "-inf"]
@@ -708,22 +768,24 @@ class TestCsvFormat:
 
     def test_integer_column(self, tmp_path):
         path = _write_csv(tmp_path / "i.csv", ["i", "n", "value"],
-                          _columns(np.arange(-2, 1), [7, 8, 2**40], np.array([0.5, 2.0, -1e-7])))
+                          np.arange(-2, 1), [7, 8, 2**40], np.array([0.5, 2.0, -1e-7]))
         assert Path(path).read_text().splitlines() == [
             "i,n,value", "-2,7,0.5", "-1,8,2", "0,1099511627776,-9.9999999999999995e-08"]
 
     def test_zero_rows_stay_header_only(self, tmp_path):
-        path = _write_csv(tmp_path / "z.csv", ["t", "i"], _columns(np.empty(0), np.empty(0, int)))
+        path = _write_csv(tmp_path / "z.csv", ["t", "i"], np.empty(0), np.empty(0, int))
         assert Path(path).read_bytes() == b"t,i\n"
 
-    def test_bool_column_rejected(self):
+    def test_bool_column_rejected(self, tmp_path):
         # '%d' % True is '1' but str(True) is 'True': neither is an integer column
         with pytest.raises(TypeError, match="dtype bool"):
-            _columns(np.array([True, False]))
+            _write_csv(tmp_path / "b.csv", ["x"], np.array([True, False]))
+        assert not (tmp_path / "b.csv").exists()
 
-    def test_columns_of_unequal_length_rejected(self):
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            _columns(np.zeros(3), np.zeros(2))
+            _write_csv(tmp_path / "u.csv", ["x", "y"], np.zeros(3), np.zeros(2))
+        assert not (tmp_path / "u.csv").exists()
 
 
 class TestValidateConfigDirect:
@@ -818,6 +880,44 @@ class TestValidateConfigDirect:
         assert err.value.violations == [
             "solver.t_end: a trajectory of 1.00e+3 node x start rows x 33 sites exceeds the "
             "limit of 33065 values"]
+
+    @pytest.mark.parametrize("raw, work, message", [
+        ({"experiment": {"name": "simulate"}}, 500 * 33,
+         "solver.dt: a forward run of 500 start-steps x 33 sites"),
+        ({"experiment": {"name": "contraction"}}, 500 * 2 * 33,
+         "solver.dt: a forward run of 1.00e+3 start-steps x 33 sites"),
+        # the ladder steps each of its horizons' rows, 100 + 200 + 400 + 800 steps, 16 starts wide
+        ({"experiment": {"name": "pullback"}}, 1500 * 16 * 33,
+         "solver.dt: a pullback ladder of 2.40e+4 start-steps x 33 sites"),
+        # the two-start search over horizons 1, 2, 4, 8 and 16 of the 30-unit past
+        ({"experiment": {"name": "equilibrium"}}, 3100 * 2 * 33,
+         "experiment.initial_horizon: a pullback ladder of 6.20e+3 start-steps x 33 sites"),
+        # the stationarity batch pulls back from the deepest horizon, 16, at each of 8 check
+        # times: 8 x 1600 steps, more than the search's 6200
+        ({"experiment": {"name": "equilibrium", "check_times": [k / 2 for k in range(1, 9)]}},
+         8 * 1600 * 33,
+         "experiment.check_times: a stationarity batch of 1.28e+4 start-steps x 33 sites"),
+    ], ids=["simulate", "contraction", "pullback", "equilibrium-search", "stationarity"])
+    def test_work_limit_inclusive(self, monkeypatch, raw, work, message):
+        monkeypatch.setattr("fraclattice.cli.MAX_SITE_STEPS", work)
+        validate_config(raw)
+        monkeypatch.setattr("fraclattice.cli.MAX_SITE_STEPS", work - 1)
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert err.value.violations == [
+            f"{message} exceeds the limit of {work - 1} site-steps"]
+
+    def test_work_limit_leaves_ten_times_headroom(self, monkeypatch):
+        # every default config, the pullback-cli benchmark config (with its equilibrium
+        # search) and a d = 513 simulate validate at a tenth of the limit
+        monkeypatch.setattr("fraclattice.cli.MAX_SITE_STEPS", MAX_SITE_STEPS // 10)
+        for name in _REGISTRY:
+            validate_config({"experiment": {"name": name}})
+        validate_config({"lattice": {"half_width": 16, "noise_amp": {"0": 0.8, "1": 0.5}},
+                         "grid": {"t_past": 25.0, "t_future": 1.0}, "solver": {"t_end": 1.0},
+                         "experiment": {"name": "pullback", "equilibrium_tol": 1e-6}})
+        validate_config({"lattice": {"half_width": 256}, "grid": {"t_past": 0.0},
+                         "experiment": {"name": "simulate"}})
 
     def test_hash_changes_with_content(self):
         assert validate_config({}).config_hash() != validate_config(
