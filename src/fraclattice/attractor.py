@@ -26,7 +26,7 @@ from .errors import InsufficientHorizonError
 from .fbm import TimeGrid
 from .lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from .noise import NoiseField, OUProcess, stationary_ou
-from .solver import SolverConfig, _run_row, _solve, _start_values, _step_rows, _steps
+from .solver import SolverConfig, _run_row, _solve, _step_rows, _steps
 
 __all__ = [
     "ContractionReport",
@@ -139,30 +139,20 @@ def _pullback_ladder(
 ) -> np.ndarray:
     """phi(T, shift_(-T) field, starts) for every T in ``horizons``, in their order.
 
-    One staggered batch steps from -max T to 0: the rows of horizon T
-    join at -T, and each row reads its own noise (omega(s) - omega(-T)) sigma
-    on the nodes its single run reads, so every row equals
+    The ``_step_rows`` batch of the horizons' runs steps from -max T to 0:
+    horizon T's run joins at -T and reads its own noise
+    (omega(s) - omega(-T)) sigma, so it equals
     ``cocycle_map(T, shift_noise(field, -T), starts, ...)`` bit for bit
-    (``shift_noise`` is the field shift of ``tests/oracles.py``) and
-    T = 0 gives the starts untouched.  Horizons that read the same
-    noise step once.  Every horizon is checked before any step, smallest
-    first, as its single run checks it; a blow-up reports its time from
-    -max T, and no horizons raise ValueError.  Returns shape
-    ``(len(horizons),) + starts' shape``.
+    (``shift_noise`` is the field shift of ``tests/oracles.py``).  Every
+    horizon is checked before any step, smallest first, as its single run
+    checks it; a blow-up reports its time from -max T, and no horizons
+    raise ValueError.  Returns shape ``(len(horizons),) + starts' shape``.
     """
     if not len(horizons):
         raise ValueError("horizons must not be empty")
-    x0 = _start_values(starts, field, params)
     runs = _ladder_rows(field.grid, horizons, config)
-    rows = sorted({r for r in runs.values() if r}, key=lambda r: -r[1])
-    out = np.empty((len(horizons),) + x0.shape)
-    if rows:
-        ends = _step_rows(rows, [r[0] for r in rows], field, x0.reshape(-1, params.n_sites),
-                          params, spec, config)
-    for i, t in enumerate(horizons):
-        r = runs[float(t)]
-        out[i] = x0 if r is None else ends[rows.index(r)].reshape(x0.shape)
-    return out
+    rows = [runs[float(t)] for t in horizons]
+    return _step_rows(rows, [r and r[0] for r in rows], field, starts, params, spec, config)
 
 
 def _diameter(points: np.ndarray) -> float:
@@ -289,8 +279,10 @@ def random_equilibrium(
         verify_start = LatticeVector(10.0 * signs / np.sqrt(params.n_sites))
     available = -field.grid.t_start
     horizons = _doubling_horizons(field.grid, initial_horizon)
-    pair = np.stack([_start_values(start, field, params),
-                     _start_values(verify_start, field, params)])
+    if start.half_width != verify_start.half_width:
+        raise ValueError(f"start and verify_start widths differ: {start.values.size} and "
+                         f"{verify_start.values.size} sites")
+    pair = np.stack([start.values, verify_start.values])
     ends = _pullback_ladder(horizons, field, pair, params, spec, config)
     for k in range(1, len(horizons)):
         cur, check = ends[k]
@@ -356,10 +348,8 @@ def forward_stationarity_check(
     steps, origins, rows = _stationarity_rows(field.grid, config, times, equilibrium.horizon)
     if steps[-1]:
         states = _solve(equilibrium.u0, field, params, spec, config, float(times[-1]))
-    zero = _start_values(LatticeVector.zeros(params.half_width), field, params)
-    shifted_eqs = np.zeros((times.size, params.n_sites))  # phi(0) of the zero start
-    if rows[0]:  # one horizon, so every row steps or none does
-        shifted_eqs = _step_rows(rows, origins, field, zero[None], params, spec, config)[:, 0]
+    shifted_eqs = _step_rows(rows, origins, field, LatticeVector.zeros(params.half_width),
+                             params, spec, config)
     residuals = np.empty(times.size)
     for j, n in enumerate(steps):
         leg = states[n] if n else equilibrium.u0.values  # phi(0) is the identity

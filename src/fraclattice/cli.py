@@ -101,13 +101,16 @@ class RunManifest:
         return self.error is None and all(self.checks.values())
 
     def to_json(self) -> str:
-        """The fields as JSON, ``timings`` as ``timings_s`` and ``arrays`` only when not empty."""
+        """The fields as JSON, ``timings`` as ``timings_s``, ``arrays`` only when not empty,
+        ``site_seeds``' keys as strings and each non-finite number as null."""
         payload = vars(self) | {"all_passed": self.all_passed}  # a shallow copy
         payload["timings_s"] = payload.pop("timings")
         if not self.arrays:
             del payload["arrays"]
-        finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # NaN, inf -> null
-        return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False)
+        payload["site_seeds"] = {str(k): v for k, v in self.site_seeds.items()}
+        payload["numbers"] = {k: v if math.isfinite(v) else None
+                              for k, v in self.numbers.items()}
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +123,19 @@ class RunManifest:
 # call: ``%.17g`` (an exact float64 round-trip) for floats and ``%d`` for integers.
 
 
-def _write_csv(path: Path, header: list[str], *columns) -> str:
-    """Write the header line, then one row per entry of the integer or float ``columns``."""
+def _write_csv(out: Path, name: str, header: list[str], *columns, manifest) -> None:
+    """Write ``out / name``: the header line, then one row per entry of the integer or
+    float ``columns``; list it on the manifest."""
     arrays = [np.asarray(c) for c in columns]
     if wrong := [a.dtype for a in arrays if a.dtype.kind not in "iuf"]:
         raise TypeError(f"CSV column of dtype {wrong[0]}: expected integers or floats")
     cells = ["%.17g" if a.dtype.kind == "f" else "%d" for a in arrays]
     rows = list(zip(*(a.tolist() for a in arrays), strict=True))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    out.mkdir(parents=True, exist_ok=True)
+    with (out / name).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.write(((",".join(cells) + "\n") * len(rows)) % tuple(v for row in rows for v in row))
-    return str(path)
+    manifest.artifacts.append(str(out / name))
 
 
 def _write_states(out: Path, name: str, values: np.ndarray, grid: TimeGrid, manifest) -> None:
@@ -156,8 +160,8 @@ def _build_field(cfg: ExperimentConfig, manifest: RunManifest) -> nz.NoiseField:
 def _run_fbm_sample(cfg, out: Path, manifest: RunManifest):
     n_steps = cfg.options["n_steps"]
     path = sample_fbm_array(1, n_steps, cfg.hurst, cfg.grid.dt, cfg.master_seed)[0]
-    manifest.artifacts.append(_write_csv(out / "fbm_path.csv", ["t", "value"],
-                                         TimeGrid(cfg.grid.dt, n_steps).times(), path))
+    _write_csv(out, "fbm_path.csv", ["t", "value"], TimeGrid(cfg.grid.dt, n_steps).times(),
+               path, manifest=manifest)
     manifest.checks["anchored"] = bool(path[0] == 0.0)
     manifest.numbers["n_steps"] = n_steps
 
@@ -221,9 +225,8 @@ def _run_contraction(cfg, out: Path, manifest: RunManifest):
                                     cfg.params, cfg.spec, cfg.solver)
     keep = rep.distances > 0.0
     d = rep.distances[keep]
-    manifest.artifacts.append(_write_csv(out / "contraction_log_distance.csv",
-                                         ["t", "distance", "log_distance"], rep.times[keep], d,
-                                         np.log(d)))
+    _write_csv(out, "contraction_log_distance.csv", ["t", "distance", "log_distance"],
+               rep.times[keep], d, np.log(d), manifest=manifest)
     manifest.checks["slope"] = rep.slope_ok
     manifest.checks["pointwise_certificate"] = rep.pointwise_ok
     manifest.checks["nondegenerate"] = not rep.degenerate
@@ -237,8 +240,7 @@ def _run_pullback(cfg, out: Path, manifest: RunManifest):
     equilibrium = None
     tol = opts["equilibrium_tol"]
     if tol is not None:
-        eq = at.random_equilibrium(field, cfg.params, cfg.spec, cfg.solver, tol=float(tol),
-                                   initial_horizon=at.INITIAL_HORIZON)  # as _plan_pullback
+        eq = at.random_equilibrium(field, cfg.params, cfg.spec, cfg.solver, tol=float(tol))
         equilibrium = eq.u0
         manifest.numbers["equilibrium_horizon"] = eq.horizon
         manifest.numbers["equilibrium_cauchy_gap"] = eq.cauchy_gap
@@ -252,7 +254,7 @@ def _run_pullback(cfg, out: Path, manifest: RunManifest):
     if rep.hausdorff is not None:
         header.append("hausdorff_to_equilibrium")
         columns.append(rep.hausdorff)
-    manifest.artifacts.append(_write_csv(out / "pullback_diameters.csv", header, *columns))
+    _write_csv(out, "pullback_diameters.csv", header, *columns, manifest=manifest)
     manifest.checks["diameter_decay"] = rep.passed
     manifest.numbers["start_diameter"] = rep.start_diameter
     manifest.numbers["final_diameter"] = float(rep.diameters[-1])
@@ -273,15 +275,14 @@ def _run_equilibrium(cfg, out: Path, manifest: RunManifest):
     manifest.checks["cauchy"] = eq.cauchy_gap <= tol
     manifest.checks["start_independent"] = eq.start_gap <= 2 * tol
     sites = np.arange(-cfg.params.half_width, cfg.params.half_width + 1)
-    manifest.artifacts.append(_write_csv(out / "equilibrium.csv", ["i", "value"], sites,
-                                         eq.u0.values))
+    _write_csv(out, "equilibrium.csv", ["i", "value"], sites, eq.u0.values, manifest=manifest)
     times = [float(t) for t in opts["check_times"]]
     if times:
         rep = at.forward_stationarity_check(
             eq, field, cfg.params, cfg.spec, cfg.solver, times
         )
-        manifest.artifacts.append(_write_csv(out / "stationarity_residuals.csv",
-                                             ["t", "residual"], rep.times, rep.residuals))
+        _write_csv(out, "stationarity_residuals.csv", ["t", "residual"], rep.times,
+                   rep.residuals, manifest=manifest)
         manifest.checks["forward_stationarity"] = rep.passed
         manifest.numbers["max_stationarity_residual"] = float(rep.residuals.max())
 
@@ -296,9 +297,9 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
         seed=nz.derive_seed(cfg.master_seed, 7, 1), t_past=t_past,
         ou_tail_tol=float(opts["ou_tail_tol"]),
     )
-    manifest.artifacts.append(_write_csv(
-        out / "absorption_entry.csv", ["horizon", "max_norm", "bound", "margin"],
-        rep.horizons, rep.max_norms, np.full(rep.horizons.shape, float(rep.bound)), rep.margins))
+    _write_csv(out, "absorption_entry.csv", ["horizon", "max_norm", "bound", "margin"],
+               rep.horizons, rep.max_norms, np.full(rep.horizons.shape, float(rep.bound)),
+               rep.margins, manifest=manifest)
     manifest.checks["absorbed"] = rep.passed
     manifest.checks["radius_at_least_one"] = rep.radius.value >= 1.0
     manifest.numbers["absorbing_radius"] = rep.radius.value
@@ -310,9 +311,8 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
     dt = field.grid.dt
     depths = [max(dt, round(frac * t_past / dt) * dt) for frac in (0.25, 0.5, 1.0)]
     radii = [at.absorbing_radius(rep.ou, cfg.spec, tp) for tp in depths]
-    manifest.artifacts.append(_write_csv(out / "absorbing_radius.csv",
-                                         ["t_past", "radius", "tail_bound"], depths,
-                                         [r.value for r in radii], [r.tail_bound for r in radii]))
+    _write_csv(out, "absorbing_radius.csv", ["t_past", "radius", "tail_bound"], depths,
+               [r.value for r in radii], [r.tail_bound for r in radii], manifest=manifest)
 
 
 # ---------------------------------------------------------------------------

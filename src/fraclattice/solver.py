@@ -17,11 +17,13 @@ up.  The solution map
 is :func:`cocycle_map`, for one start or a batch; it satisfies
 phi(0) = id exactly and composes with the noise shift (the cocycle
 property).  Every run, forward or pulled back, steps through one driver,
-``_step_rows``, which reads the noise in blocks and keeps the endpoints
-or, for a forward run, u at every step.  The references the tests check it against live in
-``tests/oracles.py``: ``cocycle_check`` measures that composition
-residual directly, and ``linear_oracle`` is the spectral solution for
-linear drifts on the periodic lattice, an independent accuracy oracle.
+``_step_rows``: given runs in any order and a start or batch, it steps
+each distinct run once, in one staggered batch reading the noise in
+blocks, and returns each run's endpoint or a forward run's every state.
+The references the tests check it against live in ``tests/oracles.py``:
+``cocycle_check`` measures that composition residual directly, and
+``linear_oracle`` is the spectral solution for linear drifts on the
+periodic lattice, an independent accuracy oracle.
 """
 
 from __future__ import annotations
@@ -259,41 +261,6 @@ def _forward_row(grid: TimeGrid, t: float, config: SolverConfig) -> tuple[int, i
     return row
 
 
-def _step_rows(rows, origins, field: NoiseField, x: np.ndarray, params: LatticeParams,
-               spec: NonlinearitySpec, config: SolverConfig, collect: bool = False) -> np.ndarray:
-    """Endpoints (rows, n_starts, d) of the (noise node, steps) rows, longest first.
-
-    One staggered run from the starts x, (n_starts, d): the rows end together,
-    each reading its noise re-anchored at ``origins[r]`` (see ``_read_noise``)
-    in ``_step_loop`` calls of at most ``_BLOCK_VALUES`` noise values.  A
-    blow-up's time counts from the first row's start.  With ``collect``, the
-    one row's u at every step, (steps + 1, 1, n_starts, d), in one array: a
-    block writes its nodes there as v and makes all but its last u = v + w,
-    and the next block steps on from that v.
-    """
-    m = config.refinement(field.grid.dt)
-    (j, n), o = np.array(rows).T, np.array(origins)
-    joins = n[0] - n  # global step at which a row starts
-    bounds = sorted(set(joins.tolist())) + [int(n[0])]
-    states = np.empty((n[0] + 1, 1) + x.shape) if collect else None
-    v = np.empty((0,) + x.shape)
-    for a, b in zip(bounds, bounds[1:]):
-        r = int(np.searchsorted(joins, a, side="right"))  # rows active from step a
-        block = max(1, _BLOCK_VALUES // (r * x.shape[-1]))
-        for c in range(a, b, block):
-            e = min(b, c + block)
-            w = _read_noise(field, j[:r], o[:r], np.arange(c, e + 1)[:, None] - joins[:r],
-                            m)[:, :, None, :]
-            if c == a:  # the rows joining here start from x - w[0], as v0
-                v = np.concatenate([v, x - w[0, len(v):]])
-            view = states[c:e + 1] if collect else None
-            v = _step_loop(v, w, params, spec, config, view, first_step=c)
-            if collect:
-                view[:-1] += w[:-1]
-    v += w[-1]
-    return states if collect else v
-
-
 def _start_values(u0, field: NoiseField, params: LatticeParams) -> np.ndarray:
     """Values of a LatticeVector or (n_starts, d) batch; all widths must agree."""
     single = isinstance(u0, LatticeVector)
@@ -303,6 +270,52 @@ def _start_values(u0, field: NoiseField, params: LatticeParams) -> np.ndarray:
         raise ValueError(f"start {x.shape}, params ({params.n_sites} sites) and "
                          f"field ({field.n_sites} sites) widths differ")
     return x
+
+
+def _step_rows(rows, origins, field: NoiseField, starts, params: LatticeParams,
+               spec: NonlinearitySpec, config: SolverConfig, collect: bool = False) -> np.ndarray:
+    """Endpoint of each (noise node, steps) run from ``starts``, in the order given.
+
+    The runs come in any order, with repeats and None for a run of no step;
+    run r reads its noise re-anchored at ``origins[r]`` (see ``_read_noise``).
+    The starts are a LatticeVector or an (n_starts, d) batch.  Each distinct
+    run steps once, in one staggered batch from the longest run's start (a
+    blow-up's time counts from there): the runs end together, in ``_step_loop``
+    calls of at most ``_BLOCK_VALUES`` noise values.  Returns (runs,) + the
+    starts' shape, a None run's entry being the starts; with ``collect``, the
+    one run's u at every step, (steps + 1,) + that shape: a block writes its
+    nodes there as v and makes all but its last u = v + w, and the next block
+    steps on from that v.
+    """
+    x = _start_values(starts, field, params)
+    keys = [r and (*r, o) for r, o in zip(rows, origins, strict=True)]
+    runs = sorted({k for k in keys if k}, key=lambda k: (-k[1], k))
+    if not runs:
+        return np.stack([x] * len(keys))
+    m = config.refinement(field.grid.dt)
+    (j, n, o), flat = np.array(runs).T, x.reshape(-1, params.n_sites)
+    joins = n[0] - n  # global step at which a run starts
+    bounds = sorted(set(joins.tolist())) + [int(n[0])]
+    states = np.empty((n[0] + 1, 1) + flat.shape) if collect else None
+    v = np.empty((0,) + flat.shape)
+    for a, b in zip(bounds, bounds[1:]):
+        r = int(np.searchsorted(joins, a, side="right"))  # runs active from step a
+        block = max(1, _BLOCK_VALUES // (r * flat.shape[-1]))
+        for c in range(a, b, block):
+            e = min(b, c + block)
+            w = _read_noise(field, j[:r], o[:r], np.arange(c, e + 1)[:, None] - joins[:r],
+                            m)[:, :, None, :]
+            if c == a:  # the runs joining here start from x - w[0], as v0
+                v = np.concatenate([v, flat - w[0, len(v):]])
+            view = states[c:e + 1] if collect else None
+            v = _step_loop(v, w, params, spec, config, view, first_step=c)
+            if collect:
+                view[:-1] += w[:-1]
+    v += w[-1]
+    if collect:
+        return states.reshape((n[0] + 1,) + x.shape)
+    ends = dict(zip(runs, v.reshape((len(runs),) + x.shape)))
+    return np.stack([ends.get(k, x) for k in keys])
 
 
 def integrate(
@@ -326,12 +339,9 @@ def integrate(
 def _solve(u0, field: NoiseField, params: LatticeParams, spec: NonlinearitySpec,
            config: SolverConfig, t: float) -> np.ndarray:
     """u at every solver node of [0, t], (nodes,) + the start's shape, for a start or
-    (n_starts, d) batch: the one-row ``_step_rows`` run from the node of t = 0."""
-    x0 = _start_values(u0, field, params)
+    (n_starts, d) batch: the one-run ``_step_rows`` batch from the node of t = 0."""
     row = _forward_row(field.grid, t, config)
-    states = _step_rows([row], [row[0]], field, x0.reshape(-1, params.n_sites), params, spec,
-                        config, collect=True)
-    return states.reshape((row[1] + 1,) + x0.shape)
+    return _step_rows([row], [row[0]], field, u0, params, spec, config, collect=True)
 
 
 def cocycle_map(
@@ -347,13 +357,12 @@ def cocycle_map(
     ``u0`` is one ``LatticeVector``, giving one, or an (n_starts, d)
     array of starts, giving the array of their endpoints.  A batch shares
     the one noise realization and steps vectorized; each row equals the
-    single run from that start bit for bit.  It is the one-row staggered
-    run from the node of t = 0, so it reads its noise in blocks.
+    single run from that start bit for bit.  It is the one-run
+    ``_step_rows`` batch from the node of t = 0, so it reads its noise in blocks.
     """
-    x0 = _start_values(u0, field, params)
     row = _run_row(field.grid, 0.0, t, config)
     if row is None:
+        _start_values(u0, field, params)  # the identity, on a start of the right width
         return u0
-    end = _step_rows([row], [row[0]], field, x0.reshape(-1, params.n_sites), params, spec,
-                     config)[0].reshape(x0.shape)
+    end = _step_rows([row], [row[0]], field, u0, params, spec, config)[0]
     return LatticeVector(end) if isinstance(u0, LatticeVector) else end

@@ -8,10 +8,16 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fraclattice
 import oracles
+from fraclattice.attractor import random_equilibrium
+from fraclattice.fbm import TimeGrid
+from fraclattice.lattice import LatticeParams, LatticeVector, NonlinearitySpec
+from fraclattice.noise import build_noise_field
+from fraclattice.solver import SolverConfig, cocycle_map
 
 MODULES = sorted(f"fraclattice.{m.name}" for m in pkgutil.iter_modules(fraclattice.__path__))
 
@@ -58,9 +64,9 @@ def test_oracles_stay_out_of_the_package():
             assert test_modules.isdisjoint(roots), f"{path.name} imports {roots}"
 
 
-def test_one_stepping_driver():
-    # forward runs and pullbacks alike step through solver._step_rows, which alone
-    # reads the noise and calls the step loop; a top-level def owns its nested ones
+def uses_of(*names: str) -> list[tuple[str, str]]:
+    """(name, top-level def) of every use of ``names`` in the package, imports included;
+    a top-level def owns its nested ones."""
     uses = []
     for path in sorted(Path(fraclattice.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
@@ -68,7 +74,42 @@ def test_one_stepping_driver():
             for node in ast.walk(stmt):
                 name = (node.name if isinstance(node, ast.alias)
                         else getattr(node, "id", getattr(node, "attr", None)))
-                if name in ("_step_loop", "_read_noise"):
+                if name in names:
                     uses.append((name, owner))
-    assert sorted(uses) == [("_read_noise", "solver._step_rows"),
-                            ("_step_loop", "solver._step_rows")]
+    return sorted(uses)
+
+
+def test_one_stepping_driver():
+    # forward runs and pullbacks alike step through solver._step_rows, which alone
+    # reads the noise and calls the step loop
+    assert uses_of("_step_loop", "_read_noise") == [("_read_noise", "solver._step_rows"),
+                                                    ("_step_loop", "solver._step_rows")]
+
+
+PARAMS = LatticeParams(coupling=1.0, damping=1.0, forcing=LatticeVector.zeros(2),
+                       noise_amp=LatticeVector.from_support(2, {0: 0.5}), half_width=2)
+CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
+
+
+def test_the_driver_owns_the_starts():
+    # _step_rows checks and shapes every start it steps; cocycle_map checks only
+    # the start that its t = 0 identity hands back
+    assert uses_of("_start_values") == [("_start_values", "solver._step_rows"),
+                                        ("_start_values", "solver.cocycle_map")]
+    field = build_noise_field(PARAMS, TimeGrid(0.01, 10), 0)
+    config = SolverConfig(0.01, 0.1)
+    for t in (0.0, 0.05):
+        for bad in (LatticeVector.zeros(3), np.zeros((2, 7)), np.zeros(5)):
+            with pytest.raises(ValueError, match="widths differ"):
+                cocycle_map(t, field, bad, PARAMS, CUBIC, config)
+
+
+def test_random_equilibrium_stacks_its_starts():
+    assert "np.stack([start.values, verify_start.values])" in inspect.getsource(
+        random_equilibrium)
+    field = build_noise_field(PARAMS, TimeGrid(0.01, 300, -200), 0)
+    good, wide = LatticeVector.zeros(2), LatticeVector.zeros(3)
+    for start, verify_start in ((good, wide), (wide, good), (wide, wide)):
+        with pytest.raises(ValueError, match="widths differ"):
+            random_equilibrium(field, PARAMS, CUBIC, SolverConfig(0.01, 1.0), start=start,
+                               verify_start=verify_start, initial_horizon=0.5)

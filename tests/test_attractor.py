@@ -10,6 +10,7 @@ from fraclattice import solver
 from fraclattice.attractor import (
     EquilibriumEstimate,
     _pullback_ladder,
+    _stationarity_rows,
     absorbing_radius,
     absorption_check,
     contraction_experiment,
@@ -28,7 +29,7 @@ from fraclattice.lattice import (
     NonlinearitySpec,
 )
 from fraclattice.noise import build_noise_field, stationary_ou
-from fraclattice.solver import Scheme, SolverConfig, cocycle_map, integrate
+from fraclattice.solver import Scheme, SolverConfig, _run_row, _step_rows, cocycle_map, integrate
 from oracles import laplacian_modes, shift_noise
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
@@ -278,6 +279,59 @@ class TestPullbackLadder:
         with pytest.raises(BlowUpError) as ladder:
             _pullback_ladder([0.99, 1.0], field, start, make_params(), CUBIC, CFG)
         assert str(ladder.value) == str(single.value)
+
+
+class TestStepRows:
+    """The driver takes the runs as its callers have them: in any order, with
+    repeats and with None for a run of no step."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_each_run_equals_its_single_run(self, field, ladder_calls, m, scheme):
+        params, grid = make_params(), field.grid
+        cfg = SolverConfig(dt=DT / m, t_end=1.0, scheme=scheme)
+        # (run, origin, its single run's duration and field): pullbacks from 1 and 0.37
+        # (origin = start node), the forward run over [0, 0.37], and the stationarity
+        # batch's runs from horizon 0.37 at t = 0.37 and 1, re-anchored at t
+        ladder = [(_run_row(grid, -t, t, cfg), t, shift_noise(field, -t)) for t in (1.0, 0.37)]
+        runs = [(r, r[0], t, f) for r, t, f in ladder]
+        runs.append((_run_row(grid, 0.0, 0.37, cfg), grid.index_of(0.0), 0.37, field))
+        _, origins, rows = _stationarity_rows(grid, cfg, [0.37, 1.0], 0.37)
+        runs += [(r, o, 0.37, shift_noise(shift_noise(field, t), -0.37))
+                 for r, o, t in zip(rows, origins, [0.37, 1.0])]
+        assert runs[2][0] == runs[3][0] and runs[2][1] != runs[3][1]  # same row, two origins
+        runs.append((_run_row(grid, 0.0, 0.0, cfg), None, 0.0, field))
+        assert runs[-1][0] is None
+        given = [runs[i] for i in (3, 1, 5, 0, 4, 1, 2, 5, 3)]
+        batch = sphere_starts(3.0, 3, N, seed=4)
+        batch[0, :5] = -0.0
+        distinct = sorted({(r, o) for r, o, *_ in runs if r}, key=lambda ro: -ro[0][1])
+        for starts in (batch, LatticeVector(batch[0])):
+            ladder_calls.clear()
+            _step_rows([r for r, _ in distinct], [o for _, o in distinct], field, starts,
+                       params, CUBIC, cfg)
+            sorted_calls = ladder_calls[:]
+            ladder_calls.clear()
+            ends = _step_rows([r for r, *_ in given], [o for _, o, *_ in given], field,
+                              starts, params, CUBIC, cfg)
+            assert ladder_calls == sorted_calls
+            x = starts.values if isinstance(starts, LatticeVector) else starts
+            assert ends.shape == (len(given),) + x.shape
+            for end, (_, _, t, f) in zip(ends, given):
+                single = cocycle_map(t, f, starts, params, CUBIC, cfg)
+                assert_bits_equal(end, getattr(single, "values", single))
+            assert_bits_equal(ends[2], x)  # None gives the starts, signs of zero kept
+
+    def test_stationarity_at_horizon_zero(self, field, ladder_calls):
+        # every shifted equilibrium is the zero start itself: no run steps
+        params = make_params()
+        u0 = LatticeVector(sphere_starts(2.0, 1, N, seed=3)[0])
+        eq = EquilibriumEstimate(u0=u0, horizon=0.0, cauchy_gap=0.0, start_gap=0.0, tol=1.0)
+        times = [0.0, 0.37, 1.0]
+        rep = forward_stationarity_check(eq, field, params, CUBIC, CFG, times)
+        assert ladder_calls == [((1, 1, 2 * N + 1), 100)]  # the forward leg alone
+        legs = [cocycle_map(t, field, u0, params, CUBIC, CFG).values for t in times]
+        assert_bits_equal(rep.residuals, np.array([np.linalg.norm(v) for v in legs]))
 
 
 class TestRandomEquilibrium:

@@ -12,6 +12,7 @@ from fraclattice.cli import (
     MAX_SITE_STEPS,
     _FIELDS,
     _REGISTRY,
+    RunManifest,
     _write_csv,
     load_config,
     main,
@@ -34,6 +35,10 @@ MINIMAL = {
 #: dt (kappa rho(A) + lam + a) = 0.5 (3.90 + 2) = 2.95 on 9 zero-padded sites: unstable.
 UNSTABLE = {"nonlinearity": {"kind": "linear", "a": 1.0}, "lattice": {"half_width": 4},
             "solver": {"dt": 0.5}}
+
+
+def blank_manifest() -> RunManifest:
+    return RunManifest(experiment="simulate", config_hash="", config={})
 
 
 def write_config(tmp_path, extra=None, name="contraction"):
@@ -708,9 +713,9 @@ class TestPlotSeries:
         assert lines == ["t,distance,log_distance"]
 
     def test_numbers_round_trip_17_digits(self, tmp_path):
-        path = _write_csv(tmp_path / "pi.csv", ["t", "distance"],
-                          np.array([0.0, 0.1]), np.array([1.0, np.pi * 1e-7]))
-        cell = Path(path).read_text().splitlines()[2].split(",")[1]
+        _write_csv(tmp_path, "pi.csv", ["t", "distance"], np.array([0.0, 0.1]),
+                   np.array([1.0, np.pi * 1e-7]), manifest=blank_manifest())
+        cell = (tmp_path / "pi.csv").read_text().splitlines()[2].split(",")[1]
         assert float(cell) == np.pi * 1e-7
 
 
@@ -757,35 +762,69 @@ class TestStateArrays:
 
 
 class TestCsvFormat:
+    @staticmethod
+    def lines(tmp_path, name, header, *columns):
+        """The lines ``_write_csv`` writes, checking that it lists the file on the manifest."""
+        manifest = blank_manifest()
+        _write_csv(tmp_path, name, header, *columns, manifest=manifest)
+        assert manifest.artifacts == [str(tmp_path / name)]
+        return (tmp_path / name).read_text().splitlines()
+
     def test_float_edge_values(self, tmp_path):
         values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3,
                   float("nan"), float("inf"), float("-inf")]
-        path = _write_csv(tmp_path / "f.csv", ["x"], values)
-        lines = Path(path).read_text().splitlines()
+        lines = self.lines(tmp_path, "f.csv", ["x"], values)
         assert lines == ["x", "-0", "4.9406564584124654e-324", "1.7976931348623157e+308",
                          "0.10000000000000001", "0.33333333333333331", "nan", "inf", "-inf"]
         assert lines[1:] == [format(x, ".17g") for x in values]
 
     def test_integer_column(self, tmp_path):
-        path = _write_csv(tmp_path / "i.csv", ["i", "n", "value"],
-                          np.arange(-2, 1), [7, 8, 2**40], np.array([0.5, 2.0, -1e-7]))
-        assert Path(path).read_text().splitlines() == [
+        lines = self.lines(tmp_path, "i.csv", ["i", "n", "value"],
+                           np.arange(-2, 1), [7, 8, 2**40], np.array([0.5, 2.0, -1e-7]))
+        assert lines == [
             "i,n,value", "-2,7,0.5", "-1,8,2", "0,1099511627776,-9.9999999999999995e-08"]
 
     def test_zero_rows_stay_header_only(self, tmp_path):
-        path = _write_csv(tmp_path / "z.csv", ["t", "i"], np.empty(0), np.empty(0, int))
-        assert Path(path).read_bytes() == b"t,i\n"
+        _write_csv(tmp_path, "z.csv", ["t", "i"], np.empty(0), np.empty(0, int),
+                   manifest=blank_manifest())
+        assert (tmp_path / "z.csv").read_bytes() == b"t,i\n"
 
     def test_bool_column_rejected(self, tmp_path):
         # '%d' % True is '1' but str(True) is 'True': neither is an integer column
+        manifest = blank_manifest()
         with pytest.raises(TypeError, match="dtype bool"):
-            _write_csv(tmp_path / "b.csv", ["x"], np.array([True, False]))
-        assert not (tmp_path / "b.csv").exists()
+            _write_csv(tmp_path, "b.csv", ["x"], np.array([True, False]), manifest=manifest)
+        assert not (tmp_path / "b.csv").exists() and manifest.artifacts == []
 
     def test_columns_of_unequal_length_rejected(self, tmp_path):
+        manifest = blank_manifest()
         with pytest.raises(ValueError):
-            _write_csv(tmp_path / "u.csv", ["x", "y"], np.zeros(3), np.zeros(2))
-        assert not (tmp_path / "u.csv").exists()
+            _write_csv(tmp_path, "u.csv", ["x", "y"], np.zeros(3), np.zeros(2),
+                       manifest=manifest)
+        assert not (tmp_path / "u.csv").exists() and manifest.artifacts == []
+
+
+class TestManifestJson:
+    def test_one_pass_equals_the_round_trip(self, tmp_path):
+        # a degenerate contraction's NaN slope becomes null, and the 13 site
+        # seeds' int keys sort as strings, as dumping, loading and dumping again does
+        noisy = {str(i): 0.5 for i in range(-6, 7)}
+        path = write_config(tmp_path, extra={"lattice": {"noise_amp": noisy},
+                                             "experiment": {"w0": {"0": 1.0}}})
+        manifest = run(load_config(path))
+        assert np.isnan(manifest.numbers["fitted_slope"]) and len(manifest.site_seeds) == 13
+        payload = vars(manifest) | {"all_passed": manifest.all_passed}
+        payload["timings_s"] = payload.pop("timings")
+        del payload["arrays"]
+        finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        text = manifest.to_json()
+        assert text == json.dumps(finite, indent=2, sort_keys=True, allow_nan=False)
+        assert list(json.loads(text)["site_seeds"])[:4] == ["-1", "-2", "-3", "-4"]
+
+    def test_non_finite_value_outside_numbers_raises(self):
+        manifest = RunManifest("simulate", "", {"dt": float("nan")})
+        with pytest.raises(ValueError):
+            manifest.to_json()
 
 
 class TestValidateConfigDirect:
