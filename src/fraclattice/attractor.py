@@ -26,7 +26,7 @@ from .errors import InsufficientHorizonError
 from .fbm import TimeGrid
 from .lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from .noise import NoiseField, OUProcess, stationary_ou
-from .solver import SolverConfig, _run_row, _solve, _step_rows, _steps
+from .solver import SolverConfig, _forward_row, _run_row, _step_rows, _steps
 
 __all__ = [
     "ContractionReport",
@@ -93,7 +93,8 @@ def contraction_experiment(
     """
     lam = params.damping
     # one (2, d) batch; each row is the single run bit for bit
-    states = _solve(np.stack([u0.values, w0.values]), field, params, spec, config, config.t_end)
+    states = _step_rows([_forward_row(field.grid, config.t_end, config)], field,
+                        np.stack([u0.values, w0.values]), params, spec, config, collect=True)
     diff = np.subtract(states[:, 0], states[:, 1], out=states[:, 0])
     distances = np.linalg.norm(diff, axis=1)
     times = TimeGrid(dt=config.dt, n_steps=len(distances) - 1).times()
@@ -152,7 +153,7 @@ def _pullback_ladder(
         raise ValueError("horizons must not be empty")
     runs = _ladder_rows(field.grid, horizons, config)
     rows = [runs[float(t)] for t in horizons]
-    return _step_rows(rows, [r and r[0] for r in rows], field, starts, params, spec, config)
+    return _step_rows(rows, field, starts, params, spec, config)
 
 
 def _diameter(points: np.ndarray) -> float:
@@ -312,15 +313,14 @@ class StationarityReport:
 
 def _stationarity_rows(grid: TimeGrid, config: SolverConfig, times, horizon: float):
     """Every check of :func:`forward_stationarity_check` before its first step: the
-    solver steps to each sorted time, and the origin node and ``_run_row`` of the
-    pullback from ``horizon`` on each time's shifted field."""
+    solver steps to each sorted time, and the ``_run_row`` of each time t's pullback
+    over [t - horizon, t], which reads the noise of theta_(t - horizon) omega."""
     steps = [_steps(float(t), config) for t in times]
-    origins, rows = [], []
-    for t in times:  # the checks of shift_noise(field, t), then of its pullback
-        shifted = grid.shifted(grid.steps_of(float(t)))
-        origins.append(grid.index_of(float(t)))
-        rows.append(_run_row(shifted, -horizon, horizon, config))
-    return steps, origins, rows
+    rows = []
+    for t in times:  # the checks of time t on the grid, then of its pullback
+        grid.index_of(float(t))
+        rows.append(_run_row(grid, float(t) - horizon, horizon, config))
+    return steps, rows
 
 
 def forward_stationarity_check(
@@ -333,27 +333,25 @@ def forward_stationarity_check(
 ) -> StationarityReport:
     """Check phi(t, field, eq) against the equilibrium of the shifted noise.
 
-    Equilibria on the shifted fields are recomputed at the estimate's own
-    horizon, so the residual mixes pullback truncation with solver error;
-    it must stay below STATIONARITY_TOL_FACTOR * tol.  Every forward leg
-    is read off one run to the last time, and the equilibria of all the
-    shifted fields are pulled back from 0 as one batch, each row equal to
-    its single pullback bit for bit.  Each shifted field is read off
-    ``field`` as the field shift ``shift_noise`` of ``tests/oracles.py``
-    makes it.  No ``times`` raise ValueError.
+    u*(theta_t omega) is recomputed at the estimate's own horizon H as the
+    pullback phi(H, theta_(t - H) omega, 0), so the residual mixes pullback
+    truncation with solver error; it must stay below
+    STATIONARITY_TOL_FACTOR * tol.  Every forward leg is read off one run to
+    the last time, and the pullbacks step as one batch, each row equal to
+    ``cocycle_map(H, shift_noise(field, t - H), 0)`` bit for bit, with the
+    field shift of ``tests/oracles.py``.  No ``times`` raise ValueError.
     """
     if not len(times):
         raise ValueError("times must not be empty")
     times = np.asarray(sorted(times), dtype=float)
-    steps, origins, rows = _stationarity_rows(field.grid, config, times, equilibrium.horizon)
-    if steps[-1]:
-        states = _solve(equilibrium.u0, field, params, spec, config, float(times[-1]))
-    shifted_eqs = _step_rows(rows, origins, field, LatticeVector.zeros(params.half_width),
+    steps, rows = _stationarity_rows(field.grid, config, times, equilibrium.horizon)
+    legs = _step_rows([_run_row(field.grid, 0.0, float(times[-1]), config)], field,
+                      equilibrium.u0, params, spec, config, collect=True)
+    shifted_eqs = _step_rows(rows, field, LatticeVector.zeros(params.half_width),
                              params, spec, config)
     residuals = np.empty(times.size)
     for j, n in enumerate(steps):
-        leg = states[n] if n else equilibrium.u0.values  # phi(0) is the identity
-        residuals[j] = float(np.linalg.norm(leg - shifted_eqs[j]))
+        residuals[j] = float(np.linalg.norm(legs[n] - shifted_eqs[j]))
     threshold = STATIONARITY_TOL_FACTOR * equilibrium.tol
     return StationarityReport(
         times=times, residuals=residuals, threshold=threshold,

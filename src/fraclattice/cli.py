@@ -383,11 +383,11 @@ def _plan_absorb(c, check):
 
 
 def _stationarity(c, horizons, times) -> None:
-    """The checks of ``forward_stationarity_check`` at each horizon the search may stop at,
-    the sizes of its batch and forward leg, and the work of its deepest batch."""
+    """The checks of ``forward_stationarity_check`` at the deepest horizon the search may
+    stop at, which cover every shallower H (t - H lies on the grid between t and the
+    deepest's start), the sizes of its batch and forward leg, and its batch's work."""
     _size_check("stationarity batch", len(times), "check time rows", c.sites)
-    for horizon in horizons[1:]:
-        steps, _, rows = at._stationarity_rows(c.grid, c.solver, times, horizon)
+    steps, rows = at._stationarity_rows(c.grid, c.solver, times, horizons[-1])
     _size_check("trajectory", steps[-1] + 1, "node x start rows", c.sites)
     _work_check("stationarity batch", sum(r[1] for r in rows if r), sites=c.sites)
 

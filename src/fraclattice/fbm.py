@@ -140,10 +140,6 @@ class TimeGrid:
         """Signed number of grid steps equal to the duration ``s``."""
         return whole_steps(s, self.dt)
 
-    def shifted(self, k_steps: int) -> "TimeGrid":
-        """Grid translated k_steps nodes toward the past (t -> t - k*dt)."""
-        return TimeGrid(self.dt, self.n_steps, self.i_start - k_steps)
-
 
 @functools.lru_cache(maxsize=32)
 def _fgn_eigenvalues(n_steps: int, h: float) -> np.ndarray:

@@ -225,17 +225,15 @@ def _noise_node(j, local, m):
     return j + (2 * local + m) // (2 * m)
 
 
-def _read_noise(field: NoiseField, j, o, local, m: int) -> np.ndarray:
+def _read_noise(field: NoiseField, j, local, m: int) -> np.ndarray:
     """W at solver steps ``local`` of runs from noise nodes j (broadcast), refinement m.
 
-    Re-anchored at node o and then at j, as the field shift ``shift_noise`` of
-    ``tests/oracles.py`` makes it, in place on one gathered copy:
-    ((omega - omega[o]) - (omega[j] - omega[o])) sigma.
-    At o = j it is the shifted field's noise bit for bit; at t = 0's node, W.
+    Re-anchored once, at the run's start node, in place on one gathered copy:
+    (omega - omega[j]) sigma, the noise of theta_(t0) omega, t0 node j's time,
+    bit for bit as the field shift of ``tests/oracles.py`` makes it; at t = 0's node, W.
     """
     w = field.paths[_noise_node(j, local, m)]
-    w -= field.paths[o]
-    w -= field.paths[j] - field.paths[o]
+    w -= field.paths[j]
     w *= field.sigma.values
     return w
 
@@ -272,12 +270,12 @@ def _start_values(u0, field: NoiseField, params: LatticeParams) -> np.ndarray:
     return x
 
 
-def _step_rows(rows, origins, field: NoiseField, starts, params: LatticeParams,
+def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
                spec: NonlinearitySpec, config: SolverConfig, collect: bool = False) -> np.ndarray:
     """Endpoint of each (noise node, steps) run from ``starts``, in the order given.
 
     The runs come in any order, with repeats and None for a run of no step;
-    run r reads its noise re-anchored at ``origins[r]`` (see ``_read_noise``).
+    a run reads its noise re-anchored at its start node (see ``_read_noise``).
     The starts are a LatticeVector or an (n_starts, d) batch.  Each distinct
     run steps once, in one staggered batch from the longest run's start (a
     blow-up's time counts from there): the runs end together, in ``_step_loop``
@@ -288,12 +286,11 @@ def _step_rows(rows, origins, field: NoiseField, starts, params: LatticeParams,
     steps on from that v.
     """
     x = _start_values(starts, field, params)
-    keys = [r and (*r, o) for r, o in zip(rows, origins, strict=True)]
-    runs = sorted({k for k in keys if k}, key=lambda k: (-k[1], k))
+    runs = sorted({r for r in rows if r}, key=lambda r: (-r[1], r))
     if not runs:
-        return np.stack([x] * len(keys))
+        return np.stack([x] * len(rows))
     m = config.refinement(field.grid.dt)
-    (j, n, o), flat = np.array(runs).T, x.reshape(-1, params.n_sites)
+    (j, n), flat = np.array(runs).T, x.reshape(-1, params.n_sites)
     joins = n[0] - n  # global step at which a run starts
     bounds = sorted(set(joins.tolist())) + [int(n[0])]
     states = np.empty((n[0] + 1, 1) + flat.shape) if collect else None
@@ -303,8 +300,8 @@ def _step_rows(rows, origins, field: NoiseField, starts, params: LatticeParams,
         block = max(1, _BLOCK_VALUES // (r * flat.shape[-1]))
         for c in range(a, b, block):
             e = min(b, c + block)
-            w = _read_noise(field, j[:r], o[:r], np.arange(c, e + 1)[:, None] - joins[:r],
-                            m)[:, :, None, :]
+            local = np.arange(c, e + 1)[:, None] - joins[:r]
+            w = _read_noise(field, j[:r], local, m)[:, :, None, :]
             if c == a:  # the runs joining here start from x - w[0], as v0
                 v = np.concatenate([v, flat - w[0, len(v):]])
             view = states[c:e + 1] if collect else None
@@ -315,7 +312,7 @@ def _step_rows(rows, origins, field: NoiseField, starts, params: LatticeParams,
     if collect:
         return states.reshape((n[0] + 1,) + x.shape)
     ends = dict(zip(runs, v.reshape((len(runs),) + x.shape)))
-    return np.stack([ends.get(k, x) for k in keys])
+    return np.stack([ends.get(r, x) for r in rows])
 
 
 def integrate(
@@ -332,16 +329,9 @@ def integrate(
     """
     if not isinstance(u0, LatticeVector):
         raise TypeError("integrate takes one LatticeVector; batch through cocycle_map")
-    states = _solve(u0, field, params, spec, config, config.t_end)
+    states = _step_rows([_forward_row(field.grid, config.t_end, config)], field, u0, params,
+                        spec, config, collect=True)
     return VectorSeries(TimeGrid(dt=config.dt, n_steps=states.shape[0] - 1), states)
-
-
-def _solve(u0, field: NoiseField, params: LatticeParams, spec: NonlinearitySpec,
-           config: SolverConfig, t: float) -> np.ndarray:
-    """u at every solver node of [0, t], (nodes,) + the start's shape, for a start or
-    (n_starts, d) batch: the one-run ``_step_rows`` batch from the node of t = 0."""
-    row = _forward_row(field.grid, t, config)
-    return _step_rows([row], [row[0]], field, u0, params, spec, config, collect=True)
 
 
 def cocycle_map(
@@ -364,5 +354,5 @@ def cocycle_map(
     if row is None:
         _start_values(u0, field, params)  # the identity, on a start of the right width
         return u0
-    end = _step_rows([row], [row[0]], field, u0, params, spec, config)[0]
+    end = _step_rows([row], field, u0, params, spec, config)[0]
     return LatticeVector(end) if isinstance(u0, LatticeVector) else end

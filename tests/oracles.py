@@ -311,9 +311,10 @@ def shift_noise(field: NoiseField, t: float) -> NoiseField:
     W(tau + t) = W'(tau) + W(t) holds on shared nodes up to one floating
     subtraction per value.  The grid window translates by -t.
     """
-    k = field.grid.steps_of(t)
-    j = field.grid.index_of(t)  # raises WindowError if t is outside
-    return NoiseField(grid=field.grid.shifted(k), sigma=field.sigma,
+    g = field.grid
+    k = g.steps_of(t)
+    j = g.index_of(t)  # raises WindowError if t is outside
+    return NoiseField(grid=TimeGrid(g.dt, g.n_steps, g.i_start - k), sigma=field.sigma,
                       master_seed=field.master_seed, paths=field.paths - field.paths[j])
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import fraclattice
 import oracles
+from fraclattice import solver
 from fraclattice.attractor import random_equilibrium
 from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import LatticeParams, LatticeVector, NonlinearitySpec
@@ -84,6 +85,16 @@ def test_one_stepping_driver():
     # reads the noise and calls the step loop
     assert uses_of("_step_loop", "_read_noise") == [("_read_noise", "solver._step_rows"),
                                                     ("_step_loop", "solver._step_rows")]
+
+
+def test_one_anchor_per_run():
+    # a run reads its noise re-anchored at its own start node, and the noise shift
+    # is the field shift of the reference oracles alone
+    assert list(inspect.signature(solver._read_noise).parameters) == [
+        "field", "j", "local", "m"]
+    assert list(inspect.signature(solver._step_rows).parameters) == [
+        "rows", "field", "starts", "params", "spec", "config", "collect"]
+    assert uses_of("shifted") == [] and not hasattr(TimeGrid, "shifted")
 
 
 PARAMS = LatticeParams(coupling=1.0, damping=1.0, forcing=LatticeVector.zeros(2),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclattice import solver
+from fraclattice import attractor, solver
 from fraclattice.attractor import (
     EquilibriumEstimate,
     _pullback_ladder,
@@ -290,48 +290,55 @@ class TestStepRows:
     def test_each_run_equals_its_single_run(self, field, ladder_calls, m, scheme):
         params, grid = make_params(), field.grid
         cfg = SolverConfig(dt=DT / m, t_end=1.0, scheme=scheme)
-        # (run, origin, its single run's duration and field): pullbacks from 1 and 0.37
-        # (origin = start node), the forward run over [0, 0.37], and the stationarity
-        # batch's runs from horizon 0.37 at t = 0.37 and 1, re-anchored at t
-        ladder = [(_run_row(grid, -t, t, cfg), t, shift_noise(field, -t)) for t in (1.0, 0.37)]
-        runs = [(r, r[0], t, f) for r, t, f in ladder]
-        runs.append((_run_row(grid, 0.0, 0.37, cfg), grid.index_of(0.0), 0.37, field))
-        _, origins, rows = _stationarity_rows(grid, cfg, [0.37, 1.0], 0.37)
-        runs += [(r, o, 0.37, shift_noise(shift_noise(field, t), -0.37))
-                 for r, o, t in zip(rows, origins, [0.37, 1.0])]
-        assert runs[2][0] == runs[3][0] and runs[2][1] != runs[3][1]  # same row, two origins
-        runs.append((_run_row(grid, 0.0, 0.0, cfg), None, 0.0, field))
+        # (run, its single run's duration and field): pullbacks from 1 and 0.37, the
+        # forward run over [0, 0.37], and the stationarity batch's runs from horizon
+        # 0.37 at t = 0.37 and 1, each on the noise shifted once, to t - 0.37
+        runs = [(_run_row(grid, -t, t, cfg), t, shift_noise(field, -t)) for t in (1.0, 0.37)]
+        runs.append((_run_row(grid, 0.0, 0.37, cfg), 0.37, field))
+        _, rows = _stationarity_rows(grid, cfg, [0.37, 1.0], 0.37)
+        runs += [(r, 0.37, shift_noise(field, t - 0.37)) for r, t in zip(rows, [0.37, 1.0])]
+        assert runs[2][0] == runs[3][0]  # the forward run is a stationarity run too
+        runs.append((_run_row(grid, 0.0, 0.0, cfg), 0.0, field))
         assert runs[-1][0] is None
         given = [runs[i] for i in (3, 1, 5, 0, 4, 1, 2, 5, 3)]
         batch = sphere_starts(3.0, 3, N, seed=4)
         batch[0, :5] = -0.0
-        distinct = sorted({(r, o) for r, o, *_ in runs if r}, key=lambda ro: -ro[0][1])
+        distinct = sorted({r for r, *_ in runs if r}, key=lambda r: -r[1])
         for starts in (batch, LatticeVector(batch[0])):
             ladder_calls.clear()
-            _step_rows([r for r, _ in distinct], [o for _, o in distinct], field, starts,
-                       params, CUBIC, cfg)
+            _step_rows(distinct, field, starts, params, CUBIC, cfg)
             sorted_calls = ladder_calls[:]
             ladder_calls.clear()
-            ends = _step_rows([r for r, *_ in given], [o for _, o, *_ in given], field,
-                              starts, params, CUBIC, cfg)
+            ends = _step_rows([r for r, *_ in given], field, starts, params, CUBIC, cfg)
             assert ladder_calls == sorted_calls
             x = starts.values if isinstance(starts, LatticeVector) else starts
             assert ends.shape == (len(given),) + x.shape
-            for end, (_, _, t, f) in zip(ends, given):
+            for end, (_, t, f) in zip(ends, given):
                 single = cocycle_map(t, f, starts, params, CUBIC, cfg)
                 assert_bits_equal(end, getattr(single, "values", single))
             assert_bits_equal(ends[2], x)  # None gives the starts, signs of zero kept
 
-    def test_stationarity_at_horizon_zero(self, field, ladder_calls):
-        # every shifted equilibrium is the zero start itself: no run steps
+    def test_stationarity_at_horizon_zero(self, field, ladder_calls, monkeypatch):
+        # every shifted equilibrium is the zero start itself: no pullback steps, and
+        # the forward leg is one driver call even when it takes no step
         params = make_params()
         u0 = LatticeVector(sphere_starts(2.0, 1, N, seed=3)[0])
         eq = EquilibriumEstimate(u0=u0, horizon=0.0, cauchy_gap=0.0, start_gap=0.0, tol=1.0)
-        times = [0.0, 0.37, 1.0]
-        rep = forward_stationarity_check(eq, field, params, CUBIC, CFG, times)
-        assert ladder_calls == [((1, 1, 2 * N + 1), 100)]  # the forward leg alone
-        legs = [cocycle_map(t, field, u0, params, CUBIC, CFG).values for t in times]
-        assert_bits_equal(rep.residuals, np.array([np.linalg.norm(v) for v in legs]))
+        driver_calls = []
+
+        def counted(*args, **kwargs):
+            driver_calls.append(args[0])
+            return _step_rows(*args, **kwargs)
+
+        monkeypatch.setattr(attractor, "_step_rows", counted)
+        for times, stepped in (([0.0], []), ([0.0, 0.37, 1.0], [((1, 1, 2 * N + 1), 100)])):
+            driver_calls.clear()
+            ladder_calls.clear()
+            rep = forward_stationarity_check(eq, field, params, CUBIC, CFG, times)
+            assert len(driver_calls) == 2
+            assert ladder_calls == stepped  # the forward leg alone steps
+            legs = [cocycle_map(t, field, u0, params, CUBIC, CFG).values for t in times]
+            assert_bits_equal(rep.residuals, np.array([np.linalg.norm(v) for v in legs]))
 
 
 class TestRandomEquilibrium:
@@ -456,11 +463,30 @@ class TestForwardStationarity:
         expected = [
             float(np.linalg.norm(
                 cocycle_map(t, field, eq.u0, params, CUBIC, cfg).values
-                - single_pullback(eq.horizon, shift_noise(field, t), zero, params, CUBIC, cfg)
+                - cocycle_map(eq.horizon, shift_noise(field, t - eq.horizon), zero, params,
+                              CUBIC, cfg).values
             ))
             for t in times
         ]
         assert_bits_equal(rep.residuals, np.array(expected))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rows_agree_with_the_two_shift_reference(self, field, m):
+        # theta_(t - H) omega is theta_(-H) theta_t omega: the rows read the noise shifted
+        # once, and the pullback on the noise shifted twice agrees with them to the
+        # bound that test_flow_composition holds the shift to
+        params, cfg = make_params(), SolverConfig(dt=DT / m, t_end=1.0)
+        times, zero = [0.0, 0.37, 1.0, 2.0], LatticeVector.zeros(N)
+        for horizon in (0.37, 4.0):
+            _, rows = _stationarity_rows(field.grid, cfg, times, horizon)
+            ends = _step_rows(rows, field, zero, params, CUBIC, cfg)
+            for end, t in zip(ends, times):
+                once = cocycle_map(horizon, shift_noise(field, t - horizon), zero, params,
+                                   CUBIC, cfg)
+                assert_bits_equal(end, once.values)
+                twice = single_pullback(horizon, shift_noise(field, t), zero, params, CUBIC,
+                                        cfg)
+                np.testing.assert_allclose(end, twice, rtol=1e-13, atol=1e-13)
 
     def test_equilibria_step_as_one_batch(self, field, ladder_calls):
         # every check time is one row of one pullback from the estimate's horizon
@@ -490,8 +516,8 @@ class TestForwardStationarity:
             forward_stationarity_check(eq, field, params, CUBIC, CFG, times=[1.0, 7.0])
         deep = dataclasses.replace(eq, horizon=24.5)  # reaches past -24 from t = 0.25
         with pytest.raises(WindowError) as single:
-            single_pullback(24.5, shift_noise(field, 0.25), LatticeVector.zeros(N), params,
-                            CUBIC, CFG)
+            cocycle_map(24.5, shift_noise(field, 0.25 - 24.5), LatticeVector.zeros(N), params,
+                        CUBIC, CFG)
         with pytest.raises(WindowError) as batch:
             forward_stationarity_check(deep, field, params, CUBIC, CFG, times=[1.0, 0.25])
         assert str(batch.value) == str(single.value)
