@@ -136,11 +136,12 @@ class LatticeParams:
 
 def _neighbours(out: np.ndarray, x: np.ndarray, boundary: Boundary):
     """(left, right) lists of (out slice, x slice) pairs: x_{i-1}, then x_{i+1}, against out_i
-    along the last axis; the periodic wrap slices one in past an edge, zero padding none."""
-    left, right = [(out[..., 1:], x[..., :-1])], [(out[..., :-1], x[..., 1:])]
+    along the first axis, the sites; the periodic wrap slices one in past an edge, zero
+    padding none.  On a C-contiguous site-major state every slice is one contiguous block."""
+    left, right = [(out[1:], x[:-1])], [(out[:-1], x[1:])]
     if boundary is Boundary.PERIODIC:
-        left.append((out[..., :1], x[..., -1:]))
-        right.append((out[..., -1:], x[..., :1]))
+        left.append((out[:1], x[-1:]))
+        right.append((out[-1:], x[:1]))
     return left, right
 
 

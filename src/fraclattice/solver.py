@@ -20,6 +20,9 @@ property).  Every run, forward or pulled back, steps through one driver,
 ``_step_rows``: given runs in any order and a start or batch, it steps
 each distinct run once, in one staggered batch reading the noise in
 blocks, and returns each run's endpoint or a forward run's every state.
+Inside the driver the state is site-major, (d, runs, starts), so that
+every per-step numpy call of the stepping meets C-contiguous operands of
+one shape, numpy's fast path; callers see the starts' shape only.
 The references the tests check it against live in ``tests/oracles.py``:
 ``cocycle_check`` measures that composition residual directly, and
 ``linear_oracle`` is the spectral solution for linear drifts on the
@@ -57,9 +60,10 @@ BLOWUP_NORM = 1e12
 #: factor 4 of room covers the rounding of either sum.
 _GUARD_TOTAL = (BLOWUP_NORM / 2) ** 2
 
-#: Noise values one ``_step_loop`` call of a blocked run reads at most, so
-#: the noise block grows neither with the run's length nor with its rows.
-_BLOCK_VALUES = 1 << 20
+#: Noise values, counting the starts, that one ``_step_loop`` call's noise
+#: block holds at most (two nodes when one node holds more), so the block
+#: grows neither with the run's length nor with its runs and starts.
+_BLOCK_VALUES = 1 << 15
 
 
 class Scheme(str, enum.Enum):
@@ -128,17 +132,19 @@ def _overflow(spec: NonlinearitySpec) -> NonlinearityOverflowError:
 
 
 def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):
-    """``drift(v, w) -> (F, f(u))``: the drift at u = v + w, ``shape`` states.
+    """``drift(v, w) -> (F, f(u))``: the drift at u = v + w, site-major ``shape`` states.
 
-    F = -kappa A u - lam u + f(u) + g is written into one buffer, through
-    work buffers, views and constants made here, once: -kappa and lam as
-    0-d arrays and g broadcast to ``shape``.  f(u) is returned for the
-    caller's overflow check, inside the caller's ``np.errstate``.
+    ``shape`` is (d, ...): the sites lead, so the stencil slices whole
+    contiguous blocks.  F = -kappa A u - lam u + f(u) + g is written into
+    one buffer, through work buffers, views and constants made here, once:
+    -kappa and lam as 0-d arrays and g broadcast to ``shape``.  f(u) is
+    returned for the caller's overflow check, inside the caller's
+    ``np.errstate``.
     """
     u, fx, out, work = (np.empty(shape) for _ in range(4))
     neg_kappa, lam = _operand(-params.coupling), _operand(params.damping)
     g = np.empty(shape)
-    g[...] = params.forcing.values
+    g[...] = params.forcing.values.reshape((-1,) + (1,) * (len(shape) - 1))
     # A u = -u_{i-1} + 2 u_i - u_{i+1}: subtract every left neighbour, then every right one
     left, right = _neighbours(out, u, params.boundary)
     stencil = left + right
@@ -168,14 +174,15 @@ def _step_loop(
     states: np.ndarray | None,
     first_step: int = 0,
 ) -> np.ndarray:
-    """Advance v over all solver nodes; v0 is (..., d), w is (nodes, ..., d).
+    """Advance v over all solver nodes; site-major, v0 is (d, ...) and w is (nodes, d, ...).
 
     Returns the last node's v, having written node k into ``states[k]``,
     or with ``states`` None stepped in place on a copy of v0.  Every
     stage writes into buffers allocated once per call, with dt and
     dt/2 as 0-d arrays.  Each step sums the squares of the whole state
     in one reduction; only when that total passes ``_GUARD_TOTAL`` are
-    the row norms checked against ``BLOWUP_NORM``, and only when one
+    the row norms checked against ``BLOWUP_NORM``, each row's squares
+    summed in site order from a row-major copy, and only when one
     passes does the run decide between a non-finite f
     (``NonlinearityOverflowError``) and a blow-up, whose time counts
     ``first_step`` steps already taken by the run this call continues.
@@ -210,7 +217,7 @@ def _step_loop(
             v = nxt
             np.multiply(v, v, out=work)
             if (not np.add.reduce(squares) <= _GUARD_TOTAL
-                    and not math.sqrt(work.sum(axis=-1).max()) <= BLOWUP_NORM):
+                    and not math.sqrt(_row_sums(work).max()) <= BLOWUP_NORM):
                 if not (np.isfinite(fx0).all() and np.isfinite(fx1).all()):
                     raise _overflow(spec)
                 raise BlowUpError(
@@ -220,22 +227,28 @@ def _step_loop(
     return v
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum over the sites of a site-major ``x``, added in a row-major copy's order."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+
+
 def _noise_node(j, local, m):
     """Noise node that solver step ``local`` of a run from node j reads (see ``SolverConfig``)."""
     return j + (2 * local + m) // (2 * m)
 
 
 def _read_noise(field: NoiseField, j, local, m: int) -> np.ndarray:
-    """W at solver steps ``local`` of runs from noise nodes j (broadcast), refinement m.
+    """W at solver steps ``local`` (steps, runs) of runs from noise nodes j, refinement m.
 
     Re-anchored once, at the run's start node, in place on one gathered copy:
     (omega - omega[j]) sigma, the noise of theta_(t0) omega, t0 node j's time,
     bit for bit as the field shift of ``tests/oracles.py`` makes it; at t = 0's node, W.
+    Returned site-major, as a (steps, d, runs) view of that copy.
     """
     w = field.paths[_noise_node(j, local, m)]
     w -= field.paths[j]
     w *= field.sigma.values
-    return w
+    return np.moveaxis(w, -1, 1)
 
 
 def _run_row(grid: TimeGrid, t0: float, t: float, config: SolverConfig) -> tuple[int, int] | None:
@@ -279,39 +292,53 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
     The starts are a LatticeVector or an (n_starts, d) batch.  Each distinct
     run steps once, in one staggered batch from the longest run's start (a
     blow-up's time counts from there): the runs end together, in ``_step_loop``
-    calls of at most ``_BLOCK_VALUES`` noise values.  Returns (runs,) + the
-    starts' shape, a None run's entry being the starts; with ``collect``, the
-    one run's u at every step, (steps + 1,) + that shape: a block writes its
-    nodes there as v and makes all but its last u = v + w, and the next block
-    steps on from that v.
+    calls on the site-major state (d, runs, starts), each handed a noise block
+    of at most ``_BLOCK_VALUES`` values with the starts filled in, written into
+    one buffer that every block reuses.  Returns (runs,) + the starts' shape,
+    C-contiguous, a None run's entry being the starts; with ``collect``, which
+    takes one run only (ValueError before any step), that run's u at every
+    step, (steps + 1,) + that shape, as a view of the site-major states: a
+    block writes its nodes there as v and makes all but its last u = v + w,
+    and the next block steps on from that v.
     """
+    if collect and len(set(rows)) > 1:
+        raise ValueError(f"collect keeps the states of one run, not of {len(set(rows))}")
     x = _start_values(starts, field, params)
     runs = sorted({r for r in rows if r}, key=lambda r: (-r[1], r))
     if not runs:
         return np.stack([x] * len(rows))
     m = config.refinement(field.grid.dt)
-    (j, n), flat = np.array(runs).T, x.reshape(-1, params.n_sites)
+    (j, n), sites = np.array(runs).T, x.reshape(-1, params.n_sites).T  # (d, starts)
+    d, n_starts = sites.shape
     joins = n[0] - n  # global step at which a run starts
     bounds = sorted(set(joins.tolist())) + [int(n[0])]
-    states = np.empty((n[0] + 1, 1) + flat.shape) if collect else None
-    v = np.empty((0,) + flat.shape)
+    states = np.empty((n[0] + 1, d, 1, n_starts)) if collect else None
+    v, buffer = np.empty((d, 0, n_starts)), np.empty(0)
     for a, b in zip(bounds, bounds[1:]):
         r = int(np.searchsorted(joins, a, side="right"))  # runs active from step a
-        block = max(1, _BLOCK_VALUES // (r * flat.shape[-1]))
+        node = (d, r, n_starts)  # one node of the noise block
+        block = max(1, _BLOCK_VALUES // math.prod(node) - 1)  # steps per call
         for c in range(a, b, block):
             e = min(b, c + block)
-            local = np.arange(c, e + 1)[:, None] - joins[:r]
-            w = _read_noise(field, j[:r], local, m)[:, :, None, :]
+            size = (e - c + 1) * math.prod(node)
+            if buffer.size < size:
+                buffer = np.empty(size)
+            w = buffer[:size].reshape((e - c + 1,) + node)
+            w[...] = _read_noise(field, j[:r], np.arange(c, e + 1)[:, None] - joins[:r],
+                                 m)[..., None]
             if c == a:  # the runs joining here start from x - w[0], as v0
-                v = np.concatenate([v, flat - w[0, len(v):]])
+                v = np.concatenate([v, sites[:, None] - w[0, :, v.shape[1]:]], axis=1)
             view = states[c:e + 1] if collect else None
             v = _step_loop(v, w, params, spec, config, view, first_step=c)
             if collect:
                 view[:-1] += w[:-1]
     v += w[-1]
     if collect:
-        return states.reshape((n[0] + 1,) + x.shape)
-    ends = dict(zip(runs, v.reshape((len(runs),) + x.shape)))
+        return states.transpose(0, 2, 3, 1).reshape((n[0] + 1,) + x.shape)
+    # row-major endpoints: np.stack keeps its operands' layout, and norms downstream add
+    # in memory order
+    ends = dict(zip(runs, np.ascontiguousarray(v.transpose(1, 2, 0)).reshape(
+        (len(runs),) + x.shape)))
     return np.stack([ends.get(r, x) for r in rows])
 
 

@@ -24,10 +24,15 @@ def sweep_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def ladder_calls(monkeypatch) -> list:
-    """``(start batch shape, steps)`` per ``solver._step_loop`` call made during the test."""
+    """``(site-major state shape, steps)`` per ``solver._step_loop`` call made during the test.
+
+    Each call's noise block must hold the state's shape at every node, C-contiguous: the
+    starts filled in, so that no per-step call broadcasts.
+    """
     calls, step_loop = [], solver._step_loop
 
     def counted(v0, w, *args, **kwargs):
+        assert w.shape == (w.shape[0],) + v0.shape and w.flags.c_contiguous
         calls.append((v0.shape, w.shape[0] - 1))
         return step_loop(v0, w, *args, **kwargs)
 

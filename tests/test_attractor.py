@@ -238,12 +238,26 @@ class TestPullbackLadder:
             assert_bits_equal(end, single_pullback(t, field, one, params, CUBIC, cfg))
 
     def test_one_step_loop_per_segment(self, field, ladder_calls):
-        # horizons 1, 2, 4, 8 step 400 + 200 + 100 + 100 = 800 times, 16 to 64 rows wide
+        # horizons 1, 2, 4, 8 step 400 + 200 + 100 + 100 = 800 times, 16 to 64 rows wide;
+        # each segment's calls hold 62, 31, 20 and 15 nodes of 33 sites, 1 to 4 runs and
+        # 16 starts, within the 2^15 noise values of a block
         pullback_experiment(10.0, 16, field, make_params(), CUBIC, CFG,
                             horizons=[8, 4, 2, 1], seed=5)
         d = 2 * N + 1
-        assert ladder_calls == [((1, 16, d), 400), ((2, 16, d), 200), ((3, 16, d), 100),
-                                ((4, 16, d), 100)]
+        assert ladder_calls == ([((d, 1, 16), 61)] * 6 + [((d, 1, 16), 34)]
+                                + [((d, 2, 16), 30)] * 6 + [((d, 2, 16), 20)]
+                                + [((d, 3, 16), 19)] * 5 + [((d, 3, 16), 5)]
+                                + [((d, 4, 16), 14)] * 7 + [((d, 4, 16), 2)])
+
+    def test_noise_blocks_stay_within_the_bound(self, field, ladder_calls):
+        # a call's noise block holds its steps + 1 nodes of the whole site-major state,
+        # starts counted, and never more than _BLOCK_VALUES values
+        pullback_experiment(10.0, 16, field, make_params(), CUBIC, CFG,
+                            horizons=[8, 4, 2, 1], seed=5)
+        assert sum(n for _, n in ladder_calls) == 800
+        sizes = [(n + 1) * math.prod(shape) for shape, n in ladder_calls]
+        assert max(sizes) <= solver._BLOCK_VALUES == 1 << 15
+        assert max(sizes) > solver._BLOCK_VALUES - 16 * (2 * N + 1)  # within a node of it
 
     def test_blocks_bound_noise_rows(self, field, monkeypatch):
         # more blocks change nothing but how many steps one call takes
@@ -318,6 +332,27 @@ class TestStepRows:
                 assert_bits_equal(end, getattr(single, "values", single))
             assert_bits_equal(ends[2], x)  # None gives the starts, signs of zero kept
 
+    def test_endpoints_are_row_major(self, field):
+        # the driver steps site-major, but norms downstream add in memory order, so the
+        # endpoints' layout is part of their bits
+        starts = sphere_starts(3.0, 3, N, seed=4)
+        ends = _step_rows([(2000, 100), (2100, 50)], field, starts, make_params(), CUBIC, CFG)
+        assert ends.shape == (2,) + starts.shape and ends.flags.c_contiguous
+
+    def test_collect_takes_one_run(self, field, ladder_calls):
+        # the states of two runs do not fit one array: refused before any step
+        params, zero = make_params(), LatticeVector.zeros(N)
+        for rows in ([(100, 50), (50, 100)], [(100, 50), None]):
+            with pytest.raises(ValueError, match="^collect keeps the states of one run, "
+                                                 "not of 2$"):
+                _step_rows(rows, field, zero, params, CUBIC, CFG, collect=True)
+        assert ladder_calls == []
+        states = _step_rows([(100, 50), (100, 50)], field, zero, params, CUBIC, CFG,
+                            collect=True)
+        assert_bits_equal(states, _step_rows([(100, 50)], field, zero, params, CUBIC, CFG,
+                                             collect=True))
+        assert states.shape == (51, 2 * N + 1)
+
     def test_stationarity_at_horizon_zero(self, field, ladder_calls, monkeypatch):
         # every shifted equilibrium is the zero start itself: no pullback steps, and
         # the forward leg is one driver call even when it takes no step
@@ -331,7 +366,7 @@ class TestStepRows:
             return _step_rows(*args, **kwargs)
 
         monkeypatch.setattr(attractor, "_step_rows", counted)
-        for times, stepped in (([0.0], []), ([0.0, 0.37, 1.0], [((1, 1, 2 * N + 1), 100)])):
+        for times, stepped in (([0.0], []), ([0.0, 0.37, 1.0], [((2 * N + 1, 1, 1), 100)])):
             driver_calls.clear()
             ladder_calls.clear()
             rep = forward_stationarity_check(eq, field, params, CUBIC, CFG, times)
@@ -495,7 +530,8 @@ class TestForwardStationarity:
         ladder_calls.clear()
         forward_stationarity_check(eq, field, params, CUBIC, CFG, times=[0.5, 1.0, 2.0])
         d = 2 * N + 1
-        assert ladder_calls == [((1, 1, d), 200), ((3, 1, d), round(eq.horizon / DT))]
+        assert round(eq.horizon / DT) == 1600  # blocks of 330 nodes of 3 runs
+        assert ladder_calls == [((d, 1, 1), 200)] + [((d, 3, 1), 329)] * 4 + [((d, 3, 1), 284)]
 
     def test_no_times_raise(self, field):
         # no residual to bound is no pass
@@ -560,7 +596,7 @@ class TestBlockedForward:
 
         ref = runs()
         assert [steps for _, steps in ladder_calls[:3]] == [100 * m] * 3
-        monkeypatch.setattr(solver, "_BLOCK_VALUES", 7 * (2 * N + 1))  # 7 steps per call
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", 8 * (2 * N + 1))  # 7 steps per call
         ladder_calls.clear()
         for got, want in zip(runs(), ref):
             assert_bits_equal(got, want)
@@ -576,7 +612,7 @@ class TestBlockedForward:
         start = LatticeVector.from_support(N, {0: 15.0 * math.sqrt(m)})
         with pytest.raises(BlowUpError) as whole:
             integrate(start, field, make_params(), CUBIC, cfg)
-        monkeypatch.setattr(solver, "_BLOCK_VALUES", 2 * (2 * N + 1))
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", 3 * (2 * N + 1))  # 2 steps per call
         with pytest.raises(BlowUpError) as blocked:
             integrate(start, field, make_params(), CUBIC, cfg)
         assert str(blocked.value) == str(whole.value)

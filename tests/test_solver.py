@@ -307,16 +307,32 @@ def kernel_params(half_width, coupling=1.0, damping=1.0, forcing=None,
     )
 
 
-def layout(name, d, n_steps, rng):
-    """Start and noise rows of one batch layout: a start, starts, or the ladder's rows."""
+def layout(name, d, n_steps, rng, n_starts=3):
+    """Start and noise rows of one batch layout, batch-major: a start, starts, or the
+    ladder's rows of ``n_starts`` starts each."""
     if name == "single":
         return rng.standard_normal(d), rng.standard_normal((n_steps + 1, d))
     if name == "batch":
-        return rng.standard_normal((3, d)), rng.standard_normal((n_steps + 1, d))
-    return rng.standard_normal((2, 3, d)), rng.standard_normal((n_steps + 1, 2, 1, d))
+        return rng.standard_normal((n_starts, d)), rng.standard_normal((n_steps + 1, d))
+    return (rng.standard_normal((2, n_starts, d)),
+            rng.standard_normal((n_steps + 1, 2, 1, d)))
 
 
 LAYOUTS = ["single", "batch", "ladder"]
+
+
+def site_major(v0, w):
+    """A batch-major start (..., d) and its noise rows (nodes, ..., d) as the step loop
+    takes them: (d, ...) and (nodes, d, ...), the rows broadcast to the start's shape."""
+    w = w.reshape(w.shape[:1] + (1,) * (np.ndim(v0) + 1 - w.ndim) + w.shape[1:])
+    w = np.broadcast_to(w, (len(w),) + np.shape(v0))
+    return (np.ascontiguousarray(np.moveaxis(v0, -1, 0)),
+            np.ascontiguousarray(np.moveaxis(w, -1, 1)))
+
+
+def batch_major(x):
+    """A site-major state (d, ...) with its sites moved back last."""
+    return np.moveaxis(x, 0, -1)
 
 
 def collected(v0, w, params, spec, cfg):
@@ -332,16 +348,17 @@ class TestKernelOverConfigs:
            spec=st.sampled_from([LINEAR, CUBIC, SINE, NonlinearitySpec.cubic(0.3, 1.7)]),
            coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
            forced=st.booleans(), name=st.sampled_from(LAYOUTS),
-           half_width=st.integers(1, 4), n_steps=st.integers(1, 5),
-           seed=st.integers(0, 2**32 - 1))
+           n_starts=st.sampled_from([1, 2, 5]), half_width=st.integers(1, 4),
+           n_steps=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_steps_equal_written_out_reference(self, boundary, scheme, spec, coupling,
-                                               damping, forced, name, half_width, n_steps,
-                                               seed):
+                                               damping, forced, name, n_starts, half_width,
+                                               n_steps, seed):
+        # the reference steps batch-major, row by row; the kernel steps site-major
         d = 2 * half_width + 1
         rng = np.random.default_rng(seed)
         params = kernel_params(half_width, coupling, damping,
                                rng.standard_normal(d) if forced else None, boundary)
-        v0, w = layout(name, d, n_steps, rng)
+        v0, w = layout(name, d, n_steps, rng, n_starts)
         v0[..., 0] = -0.0  # the sign of zero must come out as the reference's
         cfg = SolverConfig(dt=0.05, t_end=0.05 * n_steps, scheme=scheme)
         refs = []
@@ -350,12 +367,12 @@ class TestKernelOverConfigs:
             if np.linalg.norm(refs[-1], axis=-1).max() > BLOWUP_NORM:
                 # the guard stops the run at the reference's first node past the bound
                 with pytest.raises(BlowUpError, match=f"at t={k * 0.05:.6g};"):
-                    collected(v0, w, params, spec, cfg)
+                    collected(*site_major(v0, w), params, spec, cfg)
                 return
-        states = collected(v0, w, params, spec, cfg)
+        states = collected(*site_major(v0, w), params, spec, cfg)
         for k in range(n_steps + 1):
-            assert_bits_equal(states[k], refs[k])
-        assert_bits_equal(_step_loop(v0, w, params, spec, cfg, None), states[-1])
+            assert_bits_equal(batch_major(states[k]), refs[k])
+        assert_bits_equal(_step_loop(*site_major(v0, w), params, spec, cfg, None), states[-1])
 
 
 class TestGuard:
@@ -368,7 +385,7 @@ class TestGuard:
         w = np.zeros((4, 5))
         assert np.add.reduce((v0 * v0).reshape(-1)) > _GUARD_TOTAL
         cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
-        ends = _step_loop(v0, w, params, LINEAR, cfg, None)
+        ends = batch_major(_step_loop(*site_major(v0, w), params, LINEAR, cfg, None))
         assert np.add.reduce((ends * ends).reshape(-1)) > _GUARD_TOTAL
         assert_bits_equal(ends, written_out_steps(v0, w, params, LINEAR, 0.01, scheme))
 
@@ -384,7 +401,7 @@ class TestGuard:
             v, k = written_out_steps(v, w[:2], params, LINEAR, 1.0, scheme), k + 1
         cfg = SolverConfig(dt=1.0, t_end=39.0, scheme=scheme)
         with pytest.raises(BlowUpError, match=f"at t={first_step + k:.6g};"):
-            _step_loop(v0, w, params, LINEAR, cfg, None, first_step=first_step)
+            _step_loop(*site_major(v0, w), params, LINEAR, cfg, None, first_step=first_step)
         assert 2 < k < 39
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -395,7 +412,7 @@ class TestGuard:
         v0[..., 2] = 1e110
         cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
         with pytest.raises(NonlinearityOverflowError):
-            _step_loop(v0, w, params, CUBIC, cfg, None)
+            _step_loop(*site_major(v0, w), params, CUBIC, cfg, None)
 
 
 class TestStepMargin:
@@ -492,7 +509,8 @@ class TestNoiseNodes:
         rule: solver step k reads the nearer of the nodes around k / m, ties up."""
         nodes = [j + k // m + (2 * (k % m) >= m) for k in range(n + 1)]
         w = (self.FIELD.paths[nodes] - self.FIELD.paths[j]) * self.FIELD.sigma.values
-        return _step_loop(self.STARTS - w[0], w, self.PARAMS, CUBIC, cfg, None) + w[-1]
+        v = _step_loop(*site_major(self.STARTS - w[0], w), self.PARAMS, CUBIC, cfg, None)
+        return batch_major(v) + w[-1]
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -507,8 +525,9 @@ class TestNoiseNodes:
     def test_blocks_keep_a_long_run(self, monkeypatch, ladder_calls):
         cfg = SolverConfig(dt=0.01 / 3, t_end=1.0)
         ref = cocycle_map(1.0, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
-        assert ladder_calls == [((1, 2, 5), 300)]
-        monkeypatch.setattr(solver, "_BLOCK_VALUES", 7 * 5)  # 7 steps per call
+        assert ladder_calls == [((5, 1, 2), 300)]
+        # 8 nodes of 1 run, 2 starts and 5 sites: 7 steps per call
+        monkeypatch.setattr(solver, "_BLOCK_VALUES", 8 * 2 * 5)
         assert_bits_equal(cocycle_map(1.0, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg),
                           ref)
         assert len(ladder_calls) == 1 + 43
