@@ -22,6 +22,7 @@ and growth constants; the randomized probes of the test suite
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -211,11 +212,14 @@ class NonlinearitySpec:
     growth_coef: float = 1.0
     growth_power: float = 1.0
     label: str = ""
-    # -a and b as ufunc operands, for eval_into
+    # -a and -b as ufunc operands, for eval_into and remainder_into
     _neg_a: np.ndarray = field(init=False, repr=False, compare=False)
-    _b: np.ndarray = field(init=False, repr=False, compare=False)
+    _neg_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", NonlinearityKind(self.kind))
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("coefficients a and b must be finite")
         if not self.diss_const > 0:
             raise ValueError("claimed dissipativity constant must be positive")
         if not self.growth_coef > 0:
@@ -225,7 +229,7 @@ class NonlinearitySpec:
         if self.kind is NonlinearityKind.CUSTOM and (self.fn is None or self.dfn is None):
             raise ValueError("custom nonlinearity needs fn and dfn callables")
         object.__setattr__(self, "_neg_a", _operand(-self.a))
-        object.__setattr__(self, "_b", _operand(self.b))
+        object.__setattr__(self, "_neg_b", _operand(-self.b))
 
     @classmethod
     def linear(cls, a: float) -> "NonlinearitySpec":
@@ -276,25 +280,39 @@ class NonlinearitySpec:
             label=label,
         )
 
+    @property
+    def linear_coef(self) -> float:
+        """l, the coefficient of f's linear part -l x: a for the linear and cubic kinds, 0 for
+        custom, so that f(x) = -l x + r(x) with r the remainder of :meth:`remainder_into`."""
+        return 0.0 if self.kind is NonlinearityKind.CUSTOM else self.a
+
+    def remainder_into(self, x: np.ndarray, out: np.ndarray, work: np.ndarray):
+        """r(x) = f(x) + l x: -b (x x x) written into ``out`` for the cubic, leaving x x in
+        ``work``; fn(x) as a float array for custom, both buffers left alone; None for the
+        linear kind, whose f has no remainder.  Buffers as for :meth:`eval_into`."""
+        if self.kind is NonlinearityKind.LINEAR:
+            return None
+        if self.kind is NonlinearityKind.CUBIC:
+            np.multiply(x, x, work)
+            np.multiply(work, x, out)
+            return np.multiply(out, self._neg_b, out)
+        return np.asarray(self.fn(x), dtype=float)
+
     def eval_into(self, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """f(x), written into ``out`` for the linear and cubic kinds; returns it.
 
         ``out`` and ``work`` are float arrays of x's shape that do not
-        overlap x; ``work`` is scratch.  The cubic runs the operations of
-        -a*x - b*(x*x*x) in their order.  The custom kind returns fn(x)
-        as a float array and leaves both buffers alone.  Overflow surfaces
-        as non-finite output, which callers turn into
+        overlap x; ``work`` is scratch.  The cubic is -a*x + r(x), bit for
+        bit -a*x - b*(x*x*x).  The custom kind returns fn(x) as a float
+        array and leaves both buffers alone.  Overflow surfaces as
+        non-finite output, which callers turn into
         ``NonlinearityOverflowError`` inside their own ``np.errstate``.
         """
-        if self.kind is NonlinearityKind.LINEAR:
-            return np.multiply(x, self._neg_a, out=out)
-        if self.kind is NonlinearityKind.CUBIC:
-            np.multiply(x, self._neg_a, out=out)
-            np.multiply(x, x, out=work)
-            np.multiply(work, x, out=work)
-            np.multiply(work, self._b, out=work)
-            return np.subtract(out, work, out=out)
-        return np.asarray(self.fn(x), dtype=float)
+        r = self.remainder_into(x, work, out)  # r into work, out its scratch for x*x
+        if self.kind is NonlinearityKind.CUSTOM:
+            return r
+        np.multiply(x, self._neg_a, out)
+        return out if r is None else np.add(out, r, out)
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         """f(x) as a new array, through :meth:`eval_into`."""

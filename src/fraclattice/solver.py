@@ -6,8 +6,9 @@ continuous (Hoelder) time dependence,
 
     dv/dt = F(v + W(t)),   F(u) = -kappa A u - lam u + f(u) + g,
 
-stepped here by explicit Euler or Heun, each stage evaluating the plain
-drift F once, in place, into buffers allocated once per run.  W is used
+stepped here by explicit Euler or Heun, each stage evaluating F once, its
+scalar linear terms folded into one diagonal coefficient, in place, into
+buffers allocated once per run.  W is used
 only at its sampled nodes and never interpolated; refining the solver
 step below the noise step evaluates W at the nearest node, ties rounding
 up.  The solution map
@@ -132,35 +133,37 @@ def _overflow(spec: NonlinearitySpec) -> NonlinearityOverflowError:
 
 
 def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):
-    """``drift(v, w) -> (F, f(u))``: the drift at u = v + w, site-major ``shape`` states.
+    """``drift(v, w) -> (F, r(u))``: the drift at u = v + w, site-major ``shape`` states.
 
     ``shape`` is (d, ...): the sites lead, so the stencil slices whole
-    contiguous blocks.  F = -kappa A u - lam u + f(u) + g is written into
-    one buffer, through work buffers, views and constants made here, once:
-    -kappa and lam as 0-d arrays and g broadcast to ``shape``.  f(u) is
-    returned for the caller's overflow check, inside the caller's
-    ``np.errstate``.
+    contiguous blocks.  F = -c u + kappa (u_{i-1} + u_{i+1}) + r(u) + g, the
+    scalar linear terms folded into c = 2 kappa + lam + l (l the spec's
+    ``linear_coef``, r its remainder), is written into one buffer, through
+    work buffers, views and constants made here, once: -c and kappa as 0-d
+    arrays and g broadcast to ``shape``.  r(u), None for the linear kind, is
+    returned for the caller's overflow check, inside its ``np.errstate``.
     """
-    u, fx, out, work = (np.empty(shape) for _ in range(4))
-    neg_kappa, lam = _operand(-params.coupling), _operand(params.damping)
+    u, ku, rest, out, work = (np.empty(shape) for _ in range(5))
+    neg_c = _operand(-(2.0 * params.coupling + params.damping + spec.linear_coef))
+    kappa = _operand(params.coupling)
     g = np.empty(shape)
     g[...] = params.forcing.values.reshape((-1,) + (1,) * (len(shape) - 1))
-    # A u = -u_{i-1} + 2 u_i - u_{i+1}: subtract every left neighbour, then every right one
-    left, right = _neighbours(out, u, params.boundary)
+    # add every left neighbour's kappa u, then every right one's
+    left, right = _neighbours(out, ku, params.boundary)
     stencil = left + right
+    add, multiply, remainder = np.add, np.multiply, spec.remainder_into
 
     def drift(v, w):
-        np.add(v, w, out=u)
-        f = spec.eval_into(u, fx, work)
-        np.add(u, u, out=out)  # 2u, exactly
+        add(v, w, u)
+        multiply(u, kappa, ku)
+        multiply(u, neg_c, out)
         for target, neighbour in stencil:
-            np.subtract(target, neighbour, out=target)
-        np.multiply(out, neg_kappa, out=out)
-        np.multiply(u, lam, out=work)
-        np.subtract(out, work, out=out)
-        np.add(out, f, out=out)
-        np.add(out, g, out=out)
-        return out, f
+            add(target, neighbour, target)
+        r = remainder(u, rest, work)
+        if r is not None:
+            add(out, r, out)
+        add(out, g, out)
+        return out, r
 
     return drift
 
@@ -183,9 +186,10 @@ def _step_loop(
     in one reduction; only when that total passes ``_GUARD_TOTAL`` are
     the row norms checked against ``BLOWUP_NORM``, each row's squares
     summed in site order from a row-major copy, and only when one
-    passes does the run decide between a non-finite f
-    (``NonlinearityOverflowError``) and a blow-up, whose time counts
-    ``first_step`` steps already taken by the run this call continues.
+    passes does the run decide between a non-finite remainder r
+    (``NonlinearityOverflowError``; the linear kind has none) and a
+    blow-up, whose time counts ``first_step`` steps already taken by the
+    run this call continues.
     """
     dt, half_dt = _operand(config.dt), _operand(0.5 * config.dt)
     heun = config.scheme is Scheme.HEUN
@@ -194,6 +198,7 @@ def _step_loop(
     stage0, stage1 = _drift(shape, params, spec), _drift(shape, params, spec)
     work = np.empty(shape)
     squares = work.reshape(-1)  # a view: one reduction over the whole state
+    add, multiply, total = np.add, np.multiply, np.add.reduce
     if states is None:
         v = np.array(v0, dtype=float)
     else:
@@ -202,23 +207,23 @@ def _step_loop(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             nxt = v if states is None else states[k + 1]
-            f0, fx0 = stage0(v, w[k])
-            fx1 = fx0
+            f0, r0 = stage0(v, w[k])
+            r1 = r0
             if heun:
-                np.multiply(f0, dt, out=work)
-                np.add(v, work, out=work)  # the predictor v + dt f0
-                f1, fx1 = stage1(work, w[k + 1])
-                np.add(f0, f1, out=f1)
-                np.multiply(f1, half_dt, out=f1)
-                np.add(v, f1, out=nxt)  # v + dt/2 (f0 + f1)
+                multiply(f0, dt, work)
+                add(v, work, work)  # the predictor v + dt f0
+                f1, r1 = stage1(work, w[k + 1])
+                add(f0, f1, f1)
+                multiply(f1, half_dt, f1)
+                add(v, f1, nxt)  # v + dt/2 (f0 + f1)
             else:
-                np.multiply(f0, dt, out=f0)
-                np.add(v, f0, out=nxt)
+                multiply(f0, dt, f0)
+                add(v, f0, nxt)
             v = nxt
-            np.multiply(v, v, out=work)
-            if (not np.add.reduce(squares) <= _GUARD_TOTAL
+            multiply(v, v, work)
+            if (not total(squares) <= _GUARD_TOTAL
                     and not math.sqrt(_row_sums(work).max()) <= BLOWUP_NORM):
-                if not (np.isfinite(fx0).all() and np.isfinite(fx1).all()):
+                if r0 is not None and not (np.isfinite(r0).all() and np.isfinite(r1).all()):
                     raise _overflow(spec)
                 raise BlowUpError(
                     f"|v| exceeded {BLOWUP_NORM:.0e} at t={(first_step + k + 1) * config.dt:.6g}; "

@@ -203,6 +203,26 @@ class TestNonlinearity:
         deriv = spec.deriv_array(np.array([0.5, -2.0]))
         assert deriv.dtype == np.float64 and deriv.tolist() == [-1.0, -1.0]
 
+    def test_kind_given_by_value(self):
+        # a kind given as its string value is the kind itself, and evaluates as it
+        spec = NonlinearitySpec(kind="cubic", a=1.0, b=1.0)
+        assert spec.kind is NonlinearityKind.CUBIC
+        x = np.array([-2.0, 0.5, 3.0])
+        np.testing.assert_array_equal(spec.eval_array(x),
+                                      NonlinearitySpec.cubic(1.0, 1.0).eval_array(x))
+
+    def test_linear_coef_per_kind(self):
+        # l of f(x) = -l x + r(x): a for the derived kinds, 0 for custom whatever its a
+        custom = NonlinearitySpec(kind=NonlinearityKind.CUSTOM, a=5.0, fn=np.sin, dfn=np.cos)
+        assert NonlinearitySpec.linear(2.5).linear_coef == 2.5
+        assert NonlinearitySpec.cubic(0.3, 1.7).linear_coef == 0.3
+        assert custom.linear_coef == 0.0
+        x = np.linspace(-2.0, 2.0, 9)
+        for spec in (NonlinearitySpec.linear(2.5), NonlinearitySpec.cubic(0.3, 1.7), custom):
+            r = spec.remainder_into(x, np.empty(9), np.empty(9))
+            np.testing.assert_array_equal(-spec.linear_coef * x + (0.0 if r is None else r),
+                                          spec.eval_array(x))
+
     def test_custom_requires_callables(self):
         with pytest.raises(ValueError):
             NonlinearitySpec(kind=NonlinearityKind.CUSTOM, diss_const=1.0,
@@ -220,8 +240,14 @@ class TestNonlinearity:
     (lambda: NonlinearitySpec.linear(0.0), "linear coefficient must be positive"),
     (lambda: NonlinearitySpec.cubic(0.0, 1.0), "cubic coefficients must be positive"),
     (lambda: NonlinearitySpec.cubic(1.0, -1.0), "cubic coefficients must be positive"),
+    (lambda: NonlinearitySpec(kind="quartic", a=1.0, b=1.0),
+     "'quartic' is not a valid NonlinearityKind"),
+    (lambda: NonlinearitySpec(kind=NonlinearityKind.CUBIC, a=float("nan"), b=1.0),
+     "coefficients a and b must be finite"),
+    (lambda: NonlinearitySpec(kind="linear", a=1.0, b=float("inf")),
+     "coefficients a and b must be finite"),
 ], ids=["vector-nan", "spec-dissipativity", "spec-growth-coef", "spec-growth-power",
-        "linear-coefficient", "cubic-a", "cubic-b"])
+        "linear-coefficient", "cubic-a", "cubic-b", "spec-kind", "spec-a-nan", "spec-b-inf"])
 def test_input_guards(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

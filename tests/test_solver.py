@@ -14,7 +14,6 @@ from fraclattice.lattice import (
     LatticeVector,
     NonlinearityKind,
     NonlinearitySpec,
-    apply_laplacian,
 )
 from fraclattice.noise import build_noise_field, decayed_exp_sweep
 from fraclattice.solver import (
@@ -28,7 +27,7 @@ from fraclattice.solver import (
     integrate,
 )
 from oracles import (cocycle_check, gronwall_envelope, laplacian_array, laplacian_modes,
-                     linear_oracle)
+                     linear_oracle, rolled)
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)
@@ -51,9 +50,10 @@ def make_params(half_width=8, boundary=Boundary.ZERO_PADDING, sigma=None, forcin
 
 
 def rhs(v, w, params, spec):
-    """The kernel's drift F(v + w) at one instant, with f checked finite."""
-    out, fx = _drift(np.shape(v), params, spec)(v, w)
-    assert np.isfinite(fx).all()
+    """The kernel's drift F(v + w) at one instant, with its remainder checked finite (the
+    linear kind has none)."""
+    out, r = _drift(np.shape(v), params, spec)(v, w)
+    assert r is None or np.isfinite(r).all()
     return out
 
 
@@ -83,13 +83,7 @@ class TestRhs:
             for _ in range(50):
                 v = rng.standard_normal(13)
                 w = rng.standard_normal(13)
-                lhs = rhs(v, w, params, spec)
-                u = v + w
-                drift = (
-                    -laplacian_array(u, params.boundary) - u + spec.eval_array(u)
-                    + params.forcing.values
-                )
-                np.testing.assert_array_equal(lhs, drift)
+                assert_bits_equal(rhs(v, w, params, spec), written_out_drift(v + w, params, spec))
 
 
 class TestIntegrate:
@@ -208,27 +202,55 @@ def reference_f(spec, u):
     return spec.fn(u)
 
 
-def written_out_steps(v, ws, params, spec, dt, scheme):
-    """Solver steps of v over the noise rows ws, from apply_laplacian row by row."""
+def reference_r(spec, u):
+    """r(u) = f(u) + l u from the literal formula of each kind; None for the linear kind."""
+    if spec.kind is NonlinearityKind.LINEAR:
+        return None
+    if spec.kind is NonlinearityKind.CUBIC:
+        return -spec.b * (u * u * u)
+    return spec.fn(u)
 
-    def drift(u):
-        lap = np.array([apply_laplacian(LatticeVector(row), params.boundary).values
-                        for row in u.reshape(-1, u.shape[-1])]).reshape(u.shape)
-        return (-params.coupling * lap - params.damping * u + reference_f(spec, u)
-                + params.forcing.values)
 
+def written_out_drift(u, params, spec):
+    """F(u) = -c u + kappa (u_{i-1} + u_{i+1}) + r(u) + g, c = 2 kappa + lam + l, site by
+    site along the last axis: the left neighbour's kappa u added first, then the right
+    one's, a neighbour missing under zero padding skipped."""
+    c = 2.0 * params.coupling + params.damping + spec.linear_coef
+    ku = params.coupling * u
+    d, wrap = u.shape[-1], params.boundary is Boundary.PERIODIC
+    out = np.empty_like(u)
+    for i in range(d):
+        site = -c * u[..., i]
+        if i > 0 or wrap:
+            site = site + ku[..., i - 1]
+        if i < d - 1 or wrap:
+            site = site + ku[..., (i + 1) % d]
+        out[..., i] = site
+    r = reference_r(spec, u)
+    return (out if r is None else out + r) + params.forcing.values
+
+
+def unfolded_drift(u, params, spec):
+    """F(u) = -kappa A u - lam u + f(u) + g term by term, from rolled copies: the drift
+    before its scalar linear terms are folded into one coefficient."""
+    return (-params.coupling * laplacian_array(u, params.boundary) - params.damping * u
+            + reference_f(spec, u) + params.forcing.values)
+
+
+def written_out_steps(v, ws, params, spec, dt, scheme, drift=written_out_drift):
+    """Solver steps of v over the noise rows ws, from the site-by-site written-out drift."""
     for w0, w1 in zip(ws, ws[1:]):
-        f0 = drift(v + w0)
+        f0 = drift(v + w0, params, spec)
         if scheme is Scheme.EULER:
             v = v + dt * f0
         else:
-            f1 = drift(v + dt * f0 + w1)
+            f1 = drift(v + dt * f0 + w1, params, spec)
             v = v + 0.5 * dt * (f0 + f1)
     return v
 
 
 def written_out_step(u0, field, params, spec, dt, scheme):
-    """One solver step from apply_laplacian and the literal f, row by row."""
+    """One solver step from the written-out drift."""
     w0, w1 = field.at(0.0).values, field.at(dt).values
     return written_out_steps(u0 - w0, [w0, w1], params, spec, dt, scheme) + w1
 
@@ -342,14 +364,19 @@ def collected(v0, w, params, spec, cfg):
     return states
 
 
+#: The kernel configurations the property tests draw from.
+KERNEL_CONFIGS = dict(
+    boundary=st.sampled_from(list(Boundary)), scheme=st.sampled_from(list(Scheme)),
+    spec=st.sampled_from([LINEAR, CUBIC, SINE, NonlinearitySpec.cubic(0.3, 1.7)]),
+    coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
+    forced=st.booleans(), name=st.sampled_from(LAYOUTS),
+    n_starts=st.sampled_from([1, 2, 5]), half_width=st.integers(1, 4),
+    n_steps=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+
+
 class TestKernelOverConfigs:
     @settings(max_examples=150)
-    @given(boundary=st.sampled_from(list(Boundary)), scheme=st.sampled_from(list(Scheme)),
-           spec=st.sampled_from([LINEAR, CUBIC, SINE, NonlinearitySpec.cubic(0.3, 1.7)]),
-           coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
-           forced=st.booleans(), name=st.sampled_from(LAYOUTS),
-           n_starts=st.sampled_from([1, 2, 5]), half_width=st.integers(1, 4),
-           n_steps=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @given(**KERNEL_CONFIGS)
     def test_steps_equal_written_out_reference(self, boundary, scheme, spec, coupling,
                                                damping, forced, name, n_starts, half_width,
                                                n_steps, seed):
@@ -373,6 +400,73 @@ class TestKernelOverConfigs:
         for k in range(n_steps + 1):
             assert_bits_equal(batch_major(states[k]), refs[k])
         assert_bits_equal(_step_loop(*site_major(v0, w), params, spec, cfg, None), states[-1])
+
+
+class TestLinearPart:
+    """The drift's scalar linear terms fold into one coefficient -c u, c = 2 kappa + lam + l."""
+
+    @settings(max_examples=150)
+    @given(**KERNEL_CONFIGS)
+    def test_fold_is_within_ulps_of_the_unfolded_drift(self, boundary, scheme, spec, coupling,
+                                                       damping, forced, name, n_starts,
+                                                       half_width, n_steps, seed):
+        # each formula rounds about a dozen times, each time by at most half an ulp of a
+        # value bounded by the site's sum of absolute terms s, so the two differ by at
+        # most 16 ulp of s, a bound fixed before the first run
+        d = 2 * half_width + 1
+        rng = np.random.default_rng(seed)
+        params = kernel_params(half_width, coupling, damping,
+                               rng.standard_normal(d) if forced else None, boundary)
+        v0, w = layout(name, d, 1, rng, n_starts)
+        v, w = site_major(v0, w)
+        folded = batch_major(rhs(v, w[0], params, spec))
+        u = batch_major(v + w[0])
+        au = np.abs(u)
+        rest = np.abs(reference_f(spec, u) + spec.linear_coef * u)
+        s = ((2 * coupling + damping + spec.linear_coef) * au
+             + coupling * (rolled(au, boundary, 1) + rolled(au, boundary, -1))
+             + rest + np.abs(params.forcing.values))
+        assert (np.abs(folded - unfolded_drift(u, params, spec))
+                <= 16 * np.finfo(float).eps * s).all()
+
+    def test_custom_steps_alike_whatever_its_a(self):
+        # custom f is fn alone: an ``a`` given at construction joins no linear part
+        params = make_params(4, sigma={-4: 0.7, 0: 0.8}, forcing={1: 0.4})
+        field = build_noise_field(params, TimeGrid(dt=0.05, n_steps=40), 3)
+        cfg = SolverConfig(dt=0.05, t_end=2.0)
+        batch = np.random.default_rng(4).standard_normal((3, 9))
+        specs = [NonlinearitySpec(kind=NonlinearityKind.CUSTOM, a=a, fn=SINE.fn, dfn=SINE.dfn,
+                                  diss_const=0.5, growth_coef=2.0) for a in (5.0, 0.0)]
+        assert [spec.linear_coef for spec in specs] == [0.0, 0.0]
+        ends = [cocycle_map(2.0, field, batch, params, spec, cfg) for spec in specs]
+        assert_bits_equal(*ends)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_linear_blow_up_at_the_reference_step(self, boundary, scheme):
+        # dt = 1 is unstable; the linear kind has no remainder to overflow, so past the
+        # bound it is a blow-up, at the first step the written-out references pass it
+        params = kernel_params(2, boundary=boundary)
+        v0 = np.array([[3e5, -1e6, 2e5, 0.0, 7e5], [0.0, 1.0, 0.0, 0.0, -1.0]])
+        w = np.zeros((40, 5))
+        steps = []
+        for drift in (written_out_drift, unfolded_drift):
+            v, k = v0, 0
+            while np.linalg.norm(v, axis=1).max() <= BLOWUP_NORM:
+                v, k = written_out_steps(v, w[:2], params, LINEAR, 1.0, scheme, drift), k + 1
+            steps.append(k)
+        assert steps[0] == steps[1] and 2 < steps[0] < 39
+        with pytest.raises(BlowUpError, match=f"at t={steps[0]:.6g};"):
+            _step_loop(*site_major(v0, w), params, LINEAR, SolverConfig(1.0, 39.0, scheme),
+                       None)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_linear_state_overflow_is_a_blow_up(self, scheme):
+        # one step takes the state to inf: still a blow-up, never an overflow of f
+        params = kernel_params(2)
+        v0, w = site_major(np.full(5, 1e300), np.zeros((3, 5)))
+        with pytest.raises(BlowUpError, match=r"at t=1e\+10;"):
+            _step_loop(v0, w, params, LINEAR, SolverConfig(1e10, 2e10, scheme), None)
 
 
 class TestGuard:
