@@ -386,7 +386,7 @@ def absorbing_radius(ou: OUProcess, spec: NonlinearitySpec, t_past: float) -> Ab
     which its grid must cover, with lam = ``ou.lam``.  Each row comes from
     the full sampled past, so ``t_past`` only truncates the quadrature and
     deepening it can never shrink the value.  The neglected tail is bounded
-    through the growth claim |f(x)| <= K (1 + |x|^p) and ``ou.rho``.
+    through the growth claim |f(x)| <= K (1 + |x|^p) and ``ou.growth_bound``.
     """
     window = _past_window(ou.grid, t_past)
     k0 = ou.grid.index_of(0.0)  # a grid that stops before 0 does not cover the window
@@ -396,7 +396,7 @@ def absorbing_radius(ou: OUProcess, spec: NonlinearitySpec, t_past: float) -> Ab
     # tail of the radius integral, bounded via the growth claim
     r = np.linspace(t_past, t_past + 80.0 / lam, 4001)
     tail_integrand = np.exp(-lam * r) * spec.growth_coef * (
-        1.0 + (4.0 * ou.rho * (1.0 + r) ** 2) ** spec.growth_power
+        1.0 + ou.growth_bound(r) ** spec.growth_power
     )
     return AbsorbingRadius(value=value, tail_bound=float(np.trapezoid(tail_integrand, r)))
 

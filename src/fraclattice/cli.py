@@ -210,7 +210,7 @@ def _run_simulate(cfg, out: Path, manifest: RunManifest):
 def _run_ou(cfg, out: Path, manifest: RunManifest):
     field = _build_field(cfg, manifest)
     ou = nz.stationary_ou(cfg.params.damping, field)
-    bound = 4.0 * ou.rho * (1.0 + np.abs(ou.grid.times())) ** 2
+    bound = ou.growth_bound(ou.grid.times())
     _write_states(out, "noise_field.npy", field.w_matrix, field.grid, manifest)
     _write_states(out, "ou_field.npy", ou.values, ou.grid, manifest)
     manifest.checks["growth_bound"] = bool((ou.norms() <= bound + 1e-12).all())
@@ -389,7 +389,9 @@ def _stationarity(c, horizons, times) -> None:
     _size_check("stationarity batch", len(times), "check time rows", c.sites)
     steps, rows = at._stationarity_rows(c.grid, c.solver, times, horizons[-1])
     _size_check("trajectory", steps[-1] + 1, "node x start rows", c.sites)
-    _work_check("stationarity batch", sum(r[1] for r in rows if r), sites=c.sites)
+    # the driver steps each distinct run once, however many check times share it
+    _work_check("stationarity batch", sum(r[1] for r in {r for r in rows if r}),
+                sites=c.sites)
 
 
 def _plan_equilibrium(c, check):
@@ -584,13 +586,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
     that every run shares and that join several values (the Hurst range,
     each site vector against ``half_width``, the grid window, the solver
     refinement, the noise field's ``MAX_GRID_VALUES`` size guard) run for
-    every group whose values passed their rules.  Then, once those checks
-    and the lattice damping and the experiment's options have passed, the
-    experiment's plan (see "run plans") makes every check its run makes
-    before its first step, each listed under its config path, so a config
-    that validates does not fail on them.  A stepping run's plan also checks
-    ``solver.step_margin``, once the coefficients it reads passed their rules,
-    and the ``MAX_SITE_STEPS`` work guard of each batch whose arrays fit.
+    every group whose values passed their rules; so are the lattice params
+    and the nonlinearity spec, once each, and the config returns those
+    objects.  Then, once those checks and the lattice damping and the
+    experiment's options have passed, the experiment's plan (see "run
+    plans") makes every check its run makes before its first step, each
+    listed under its config path, so a config that validates does not fail
+    on them.  A stepping run's plan also checks the ``solver.step_margin``
+    of the params and the spec, once both are built, and the
+    ``MAX_SITE_STEPS`` work guard of each batch whose arrays fit.
     """
     violations: list[str] = []
     given = _flatten(raw, violations)
@@ -629,23 +633,29 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if passed("solver.dt", "solver.t_end", "solver.scheme"):
         solver_cfg = sv.SolverConfig(dt=float(values["solver.dt"]),
                                      t_end=float(values["solver.t_end"]),
-                                     scheme=sv.Scheme(values["solver.scheme"]))
+                                     scheme=values["solver.scheme"])
         if grid is not None:
             refinement = _checked(violations, "solver.dt", solver_cfg.refinement, grid.dt)
     sites = 2 * half_width + 1 if passed("lattice.half_width") else None
+    params = spec = None
+    if (passed("lattice.coupling", "lattice.damping", "lattice.boundary")
+            and all(vectors.get(path) for path in ("lattice.forcing", "lattice.noise_amp"))):
+        params = LatticeParams(float(values["lattice.coupling"]),
+                               float(values["lattice.damping"]), vectors["lattice.forcing"],
+                               vectors["lattice.noise_amp"], half_width,
+                               values["lattice.boundary"])
+    if passed("nonlinearity.kind", "nonlinearity.a", "nonlinearity.b"):
+        a, b = float(values["nonlinearity.a"]), float(values["nonlinearity.b"])
+        spec = (NonlinearitySpec.linear(a) if values["nonlinearity.kind"] == "linear"
+                else NonlinearitySpec.cubic(a, b))
     if grid is not None and sites is not None:
         fits = _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, "nodes",
                         sites)
         if (fits and refinement is not None and passed("experiment.name", "lattice.damping",
                                                        *options) and entry.plan):
-            damping = float(values["lattice.damping"])
-            margin = (sv.step_margin(solver_cfg.dt, float(values["lattice.coupling"]), damping,
-                                     float(values["nonlinearity.a"]), sites,
-                                     Boundary(values["lattice.boundary"]))
-                      if passed("lattice.coupling", "lattice.boundary", "nonlinearity.a")
-                      else None)
-            c = SimpleNamespace(grid=grid, solver=solver_cfg, sites=sites, damping=damping,
-                                step_margin=margin,
+            margin = sv.step_margin(solver_cfg.dt, params, spec) if params and spec else None
+            c = SimpleNamespace(grid=grid, solver=solver_cfg, sites=sites,
+                                damping=float(values["lattice.damping"]), step_margin=margin,
                                 **{key: values[f"experiment.{key}"] for key in entry.options})
             entry.plan(c, functools.partial(_checked, violations))
 
@@ -659,19 +669,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
             effective.setdefault(section, {})[key] = value
         else:
             effective[path] = value
-    a, b = float(values["nonlinearity.a"]), float(values["nonlinearity.b"])
     return ExperimentConfig(
         hurst=hurst,
-        params=LatticeParams(
-            coupling=float(values["lattice.coupling"]),
-            damping=float(values["lattice.damping"]),
-            forcing=vectors["lattice.forcing"],
-            noise_amp=vectors["lattice.noise_amp"],
-            half_width=half_width,
-            boundary=Boundary(values["lattice.boundary"]),
-        ),
-        spec=(NonlinearitySpec.linear(a) if values["nonlinearity.kind"] == "linear"
-              else NonlinearitySpec.cubic(a, b)),
+        params=params,
+        spec=spec,
         solver=solver_cfg,
         grid=grid,
         experiment=name,

@@ -14,9 +14,10 @@ factorization picks up boundary terms unless the vector vanishes on the
 outermost sites (the adjointness identity survives unconditionally).
 
 The drift nonlinearity acts componentwise and is described by a
-:class:`NonlinearitySpec` carrying its claimed one-sided dissipativity
-and growth constants; the randomized probes of the test suite
-(``tests/oracles.py``) check the claims numerically.
+:class:`NonlinearitySpec` carrying its one-sided dissipativity and growth
+constants, derived for the linear and cubic kinds and claimed for a
+custom one; the randomized probes of the test suite (``tests/oracles.py``)
+check them numerically.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class LatticeParams:
     ``coupling`` and ``damping`` are the positive prefactors of the
     discrete diffusion and of the linear decay; ``forcing`` is the
     constant drive g and ``noise_amp`` holds the per-site noise
-    intensities.  All vectors share ``half_width``.
+    intensities.  All vectors share ``half_width``; a ``boundary`` given
+    by its value is the member itself.
     """
 
     coupling: float
@@ -119,16 +121,15 @@ class LatticeParams:
     boundary: Boundary = Boundary.ZERO_PADDING
 
     def __post_init__(self):
-        if not self.coupling > 0:
-            raise ValueError("coupling must be positive")
-        if not self.damping > 0:
-            raise ValueError("damping must be positive")
+        for name in ("coupling", "damping"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        object.__setattr__(self, "boundary", Boundary(self.boundary))
         for name in ("forcing", "noise_amp"):
             vec = getattr(self, name)
             if vec.half_width != self.half_width:
-                raise ValueError(
-                    f"{name} half_width {vec.half_width} != {self.half_width}"
-                )
+                raise ValueError(f"{name} half_width {vec.half_width} != {self.half_width}")
 
     @property
     def n_sites(self) -> int:
@@ -149,7 +150,7 @@ def _neighbours(out: np.ndarray, x: np.ndarray, boundary: Boundary):
 def _diff_array(x: np.ndarray, boundary: Boundary, side: int) -> np.ndarray:
     """x_{i-1} - x_i (side 0) or x_{i+1} - x_i (side 1), a missing neighbour 0."""
     out = np.zeros_like(x)
-    for target, neighbour in _neighbours(out, x, boundary)[side]:
+    for target, neighbour in _neighbours(out, x, Boundary(boundary))[side]:
         target[...] = neighbour
     return np.subtract(out, x, out=out)
 
@@ -157,7 +158,7 @@ def _diff_array(x: np.ndarray, boundary: Boundary, side: int) -> np.ndarray:
 def apply_laplacian(x: LatticeVector, boundary: Boundary = Boundary.ZERO_PADDING) -> LatticeVector:
     """(A x)_i = -x_{i-1} + 2 x_i - x_{i+1}; positive semidefinite."""
     out = 2.0 * x.values
-    left, right = _neighbours(out, x.values, boundary)
+    left, right = _neighbours(out, x.values, Boundary(boundary))
     for target, neighbour in left + right:
         np.subtract(target, neighbour, out=target)
     return LatticeVector(out)
@@ -193,14 +194,18 @@ def _cubic_growth_coef(a: float, b: float) -> float:
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Componentwise drift term f(x) = (f(x_i))_i with claimed constants.
+    """Componentwise drift term f(x) = (f(x_i))_i with its constants.
 
-    ``diss_const`` is the claimed one-sided dissipativity rate L in
+    ``diss_const`` is the one-sided dissipativity rate L in
     <x - y, f(x) - f(y)> <= -L |x - y|^2, and ``growth_coef`` /
-    ``growth_power`` the claimed K, p in |f(x)| + |Df(x)| <= K(1 + |x|^p)
-    with |Df| the max-abs diagonal derivative.  The claims are metadata;
-    the probes ``probe_dissipativity`` and ``probe_growth`` of
-    ``tests/oracles.py`` test them.
+    ``growth_power`` the K, p in |f(x)| + |Df(x)| <= K(1 + |x|^p)
+    with |Df| the max-abs diagonal derivative.  Each kind takes only the
+    values it uses, and any other value given is a ValueError.  The linear
+    kind f(s) = -a s takes ``a``, the cubic f(s) = -a s - b s^3 takes ``a``
+    and ``b``, and both derive L, K, p and ``label`` from them.  The custom
+    kind takes ``fn``, ``dfn``, its three claims, which it must state, and a
+    ``label``; its claims are metadata, which the probes
+    ``probe_dissipativity`` and ``probe_growth`` of ``tests/oracles.py`` test.
     """
 
     kind: NonlinearityKind
@@ -208,77 +213,72 @@ class NonlinearitySpec:
     b: float = 0.0
     fn: Callable[[np.ndarray], np.ndarray] | None = None
     dfn: Callable[[np.ndarray], np.ndarray] | None = None
-    diss_const: float = 1.0
-    growth_coef: float = 1.0
-    growth_power: float = 1.0
-    label: str = ""
-    # -a and -b as ufunc operands, for eval_into and remainder_into
+    diss_const: float | None = None
+    growth_coef: float | None = None
+    growth_power: float | None = None
+    label: str | None = None
+    # -a and -b as ufunc operands, for eval_array and remainder_into
     _neg_a: np.ndarray = field(init=False, repr=False, compare=False)
     _neg_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", NonlinearityKind(self.kind))
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        kind = NonlinearityKind(self.kind)
+        a, b = self.a, self.b
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("coefficients a and b must be finite")
-        if not self.diss_const > 0:
-            raise ValueError("claimed dissipativity constant must be positive")
-        if not self.growth_coef > 0:
-            raise ValueError("claimed growth coefficient must be positive")
-        if self.growth_power < 1:
-            raise ValueError("growth power must be >= 1")
-        if self.kind is NonlinearityKind.CUSTOM and (self.fn is None or self.dfn is None):
-            raise ValueError("custom nonlinearity needs fn and dfn callables")
-        object.__setattr__(self, "_neg_a", _operand(-self.a))
-        object.__setattr__(self, "_neg_b", _operand(-self.b))
+        given = [name for name in ("fn", "dfn", "diss_const", "growth_coef", "growth_power",
+                                   "label") if getattr(self, name) is not None]
+        if kind is NonlinearityKind.CUSTOM:
+            if a or b:
+                raise ValueError("the custom kind takes no coefficients a and b")
+            if self.fn is None or self.dfn is None:
+                raise ValueError("custom nonlinearity needs fn and dfn callables")
+            if None in (self.diss_const, self.growth_coef, self.growth_power):
+                raise ValueError("custom nonlinearity must state diss_const, growth_coef "
+                                 "and growth_power")
+            if not self.diss_const > 0:
+                raise ValueError("claimed dissipativity constant must be positive")
+            if not self.growth_coef > 0:
+                raise ValueError("claimed growth coefficient must be positive")
+            if self.growth_power < 1:
+                raise ValueError("growth power must be >= 1")
+            derived = {"label": self.label or "custom"}
+        elif given:
+            raise ValueError(f"the {kind.value} kind derives its constants and label from "
+                             f"its coefficients; it takes no {', '.join(given)}")
+        elif kind is NonlinearityKind.LINEAR:
+            if b:
+                raise ValueError("the linear kind takes no coefficient b")
+            if not a > 0:
+                raise ValueError("linear coefficient must be positive")
+            derived = {"diss_const": a, "growth_coef": a, "growth_power": 1.0,
+                       "label": f"linear(a={a:g})"}
+        else:
+            if not (a > 0 and b > 0):
+                raise ValueError("cubic coefficients must be positive")
+            derived = {"diss_const": a, "growth_coef": _cubic_growth_coef(a, b),
+                       "growth_power": 3.0, "label": f"cubic(a={a:g}, b={b:g})"}
+        for name, value in {"kind": kind, "_neg_a": _operand(-a), "_neg_b": _operand(-b),
+                            **derived}.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def linear(cls, a: float) -> "NonlinearitySpec":
         """f(s) = -a s, exactly dissipative with rate a."""
-        if not a > 0:
-            raise ValueError("linear coefficient must be positive")
-        return cls(
-            kind=NonlinearityKind.LINEAR,
-            a=a,
-            diss_const=a,
-            growth_coef=a,
-            growth_power=1.0,
-            label=f"linear(a={a:g})",
-        )
+        return cls(kind=NonlinearityKind.LINEAR, a=a)
 
     @classmethod
     def cubic(cls, a: float, b: float) -> "NonlinearitySpec":
         """f(s) = -a s - b s^3; dissipative with rate a, growth power 3."""
-        if not (a > 0 and b > 0):
-            raise ValueError("cubic coefficients must be positive")
-        return cls(
-            kind=NonlinearityKind.CUBIC,
-            a=a,
-            b=b,
-            diss_const=a,
-            growth_coef=_cubic_growth_coef(a, b),
-            growth_power=3.0,
-            label=f"cubic(a={a:g}, b={b:g})",
-        )
+        return cls(kind=NonlinearityKind.CUBIC, a=a, b=b)
 
     @classmethod
-    def custom(
-        cls,
-        fn: Callable[[np.ndarray], np.ndarray],
-        dfn: Callable[[np.ndarray], np.ndarray],
-        diss_const: float,
-        growth_coef: float,
-        growth_power: float,
-        label: str = "custom",
-    ) -> "NonlinearitySpec":
-        return cls(
-            kind=NonlinearityKind.CUSTOM,
-            fn=fn,
-            dfn=dfn,
-            diss_const=diss_const,
-            growth_coef=growth_coef,
-            growth_power=growth_power,
-            label=label,
-        )
+    def custom(cls, fn: Callable[[np.ndarray], np.ndarray],
+               dfn: Callable[[np.ndarray], np.ndarray], diss_const: float, growth_coef: float,
+               growth_power: float, label: str = "custom") -> "NonlinearitySpec":
+        """f = fn with derivative dfn and the claimed constants L, K, p."""
+        return cls(kind=NonlinearityKind.CUSTOM, fn=fn, dfn=dfn, diss_const=diss_const,
+                   growth_coef=growth_coef, growth_power=growth_power, label=label)
 
     @property
     def linear_coef(self) -> float:
@@ -289,7 +289,8 @@ class NonlinearitySpec:
     def remainder_into(self, x: np.ndarray, out: np.ndarray, work: np.ndarray):
         """r(x) = f(x) + l x: -b (x x x) written into ``out`` for the cubic, leaving x x in
         ``work``; fn(x) as a float array for custom, both buffers left alone; None for the
-        linear kind, whose f has no remainder.  Buffers as for :meth:`eval_into`."""
+        linear kind, whose f has no remainder.  ``out`` and ``work`` are float
+        arrays of x's shape that do not overlap x."""
         if self.kind is NonlinearityKind.LINEAR:
             return None
         if self.kind is NonlinearityKind.CUBIC:
@@ -298,25 +299,15 @@ class NonlinearitySpec:
             return np.multiply(out, self._neg_b, out)
         return np.asarray(self.fn(x), dtype=float)
 
-    def eval_into(self, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """f(x), written into ``out`` for the linear and cubic kinds; returns it.
-
-        ``out`` and ``work`` are float arrays of x's shape that do not
-        overlap x; ``work`` is scratch.  The cubic is -a*x + r(x), bit for
-        bit -a*x - b*(x*x*x).  The custom kind returns fn(x) as a float
-        array and leaves both buffers alone.  Overflow surfaces as
-        non-finite output, which callers turn into
-        ``NonlinearityOverflowError`` inside their own ``np.errstate``.
-        """
-        r = self.remainder_into(x, work, out)  # r into work, out its scratch for x*x
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
+        """f(x) as a new float array: -a*x + r(x) for the derived kinds, bit for bit
+        -a*x - b*(x*x*x) for the cubic, and fn(x) for custom.  Overflow surfaces as non-finite
+        output, which callers turn into ``NonlinearityOverflowError`` in their ``np.errstate``."""
+        r = self.remainder_into(x, np.empty(np.shape(x)), np.empty(np.shape(x)))
         if self.kind is NonlinearityKind.CUSTOM:
             return r
-        np.multiply(x, self._neg_a, out)
-        return out if r is None else np.add(out, r, out)
-
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        """f(x) as a new array, through :meth:`eval_into`."""
-        return self.eval_into(x, np.empty(np.shape(x)), np.empty(np.shape(x)))
+        fx = np.multiply(x, self._neg_a)
+        return fx if r is None else np.add(fx, r, fx)
 
     def deriv_array(self, x: np.ndarray) -> np.ndarray:
         if self.kind is NonlinearityKind.LINEAR:

@@ -234,24 +234,32 @@ class OUProcess(VectorSeries):
     """Stationary damped linear field driven by W, truncated in the past.
 
     ``past_horizon`` is the depth of past actually integrated for the
-    first evaluation node; ``tail_bound`` the recorded bound
-    e^(-lam*horizon) * 4 * rho * (1 + horizon)^2 on the truncation error.
-    ``lam`` must be finite and > 0, the other three finite and >= 0.
+    first evaluation node and ``rho`` the noise growth constant, from
+    which :meth:`growth_bound` and ``tail_bound`` derive.  ``lam`` must be
+    finite and > 0, the other two finite and >= 0.
     """
 
     lam: float = 0.0
     past_horizon: float = 0.0
-    tail_bound: float = 0.0
     rho: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be a finite number > 0, got {self.lam!r}")
-        for name in ("past_horizon", "tail_bound", "rho"):
+        for name in ("past_horizon", "rho"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+    def growth_bound(self, t):
+        """4 rho (1 + |t|)^2, the bound on the field's norm at times ``t`` (float or array)."""
+        return 4.0 * self.rho * (1.0 + np.abs(t)) ** 2
+
+    @property
+    def tail_bound(self) -> float:
+        """e^(-lam * past_horizon) growth_bound(past_horizon): the truncation error's bound."""
+        return float(np.exp(-self.lam * self.past_horizon) * self.growth_bound(self.past_horizon))
 
 
 def noise_growth_constant(field: NoiseField) -> float:
@@ -305,9 +313,9 @@ def stationary_ou(
 
     The integral is truncated at the field's earliest sample; the
     available past before the first evaluation node must satisfy
-    e^(-lam*past) (1 + past)^2 <= tail_tol, and the corresponding
-    truncation bound (scaled by the field's growth constant) is recorded
-    on the result.  Defaults to evaluating on the nodes in [0, t_end].
+    e^(-lam*past) (1 + past)^2 <= tail_tol, and the result derives the
+    corresponding truncation bound, scaled by the field's growth constant,
+    as ``tail_bound``.  Defaults to evaluating on the nodes in [0, t_end].
 
     Only the sites with sigma_i != 0 are swept, and only they enter the
     growth constant; the field is exactly zero at every other site.
@@ -328,6 +336,5 @@ def stationary_ou(
         values=values,
         lam=lam,
         past_horizon=past,
-        tail_bound=float(np.exp(-lam * past) * 4.0 * rho * (1.0 + past) ** 2),
         rho=rho,
     )

@@ -80,6 +80,7 @@ class SolverConfig:
     number of times m.  Solver node j reads W at noise node
     k0 + (2j + m) // (2m) (k0 at t = 0): the nearest, ties rounding up, a
     rule that commutes with whole-node shifts and so keeps the cocycle.
+    A ``scheme`` given by its value is the member itself.
     """
 
     dt: float
@@ -87,6 +88,7 @@ class SolverConfig:
     scheme: Scheme = Scheme.HEUN
 
     def __post_init__(self):
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
         check_step(self.dt)
         if not self.t_end >= 0:
             raise ValueError("t_end must be >= 0")
@@ -112,24 +114,22 @@ def _steps(t: float, config: SolverConfig) -> int:
     return whole_steps(t, config.dt)
 
 
-def step_margin(dt: float, coupling: float, damping: float, a: float, n_sites: int,
-                boundary: Boundary) -> float:
-    """dt (kappa rho(A) + lam + a): the step against the drift's symmetric linear part.
+def step_margin(dt: float, params: LatticeParams, spec: NonlinearitySpec) -> float:
+    """dt (kappa rho(A) + lam + l): the step against the drift's symmetric linear part.
 
-    rho(A), the spectral radius of the laplacian on the 2N + 1 sites, is
-    2 + 2 cos(pi / (n_sites + 1)) with zero padding and 2 + 2 cos(pi / n_sites)
-    periodic.  Euler and Heun are stable on a real eigenvalue mu < 0 only
-    when dt |mu| <= 2, so past a margin of 2 every step grows the top mode.
+    kappa and lam are the params' coupling and damping and l the spec's ``linear_coef``;
+    rho(A), the spectral radius of the laplacian on the params' d sites, is
+    2 + 2 cos(pi / (d + 1)) with zero padding and 2 + 2 cos(pi / d) periodic.  Euler and
+    Heun are stable on a real eigenvalue mu < 0 only when dt |mu| <= 2, so past a margin
+    of 2 every step grows the top mode.
     """
-    extra = 1 if boundary is Boundary.ZERO_PADDING else 0
-    radius = 2.0 + 2.0 * math.cos(math.pi / (n_sites + extra))
-    return dt * (coupling * radius + damping + a)
+    extra = 1 if params.boundary is Boundary.ZERO_PADDING else 0
+    radius = 2.0 + 2.0 * math.cos(math.pi / (params.n_sites + extra))
+    return dt * (params.coupling * radius + params.damping + spec.linear_coef)
 
 
 def _overflow(spec: NonlinearitySpec) -> NonlinearityOverflowError:
-    return NonlinearityOverflowError(
-        f"{spec.label or spec.kind.value} overflowed during stepping"
-    )
+    return NonlinearityOverflowError(f"{spec.label} overflowed during stepping")
 
 
 def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):

@@ -419,7 +419,6 @@ def stationary_ou_dense(
         values=sweep[first : first + eval_grid.n_steps + 1],
         lam=lam,
         past_horizon=past,
-        tail_bound=float(np.exp(-lam * past) * 4.0 * rho * (1.0 + past) ** 2),
         rho=rho,
     )
 

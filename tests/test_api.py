@@ -97,6 +97,15 @@ def test_one_anchor_per_run():
     assert uses_of("shifted") == [] and not hasattr(TimeGrid, "shifted")
 
 
+def test_one_derivation_per_constant():
+    # the spec alone derives the cubic's growth coefficient, and the OU growth bound is
+    # read by the tail bound, the ou run's growth check and the absorbing radius's tail
+    assert uses_of("_cubic_growth_coef") == [("_cubic_growth_coef", "lattice.NonlinearitySpec")]
+    assert uses_of("growth_bound") == [("growth_bound", "attractor.absorbing_radius"),
+                                       ("growth_bound", "cli._run_ou"),
+                                       ("growth_bound", "noise.OUProcess")]
+
+
 PARAMS = LatticeParams(coupling=1.0, damping=1.0, forcing=LatticeVector.zeros(2),
                        noise_amp=LatticeVector.from_support(2, {0: 0.5}), half_width=2)
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)

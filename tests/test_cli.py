@@ -946,6 +946,19 @@ class TestValidateConfigDirect:
         assert err.value.violations == [
             f"{message} exceeds the limit of {work - 1} site-steps"]
 
+    def test_repeated_check_times_count_one_run(self, monkeypatch):
+        # four check times at t = 1 share one 1600-step pullback, which the driver steps
+        # once: at the search's bound of 6200 start-steps the batch fits, while four
+        # distinct times take 4 x 1600
+        monkeypatch.setattr("fraclattice.cli.MAX_SITE_STEPS", 6200 * 33)
+        validate_config({"experiment": {"name": "equilibrium", "check_times": [1.0] * 4}})
+        with pytest.raises(ConfigError) as err:
+            validate_config({"experiment": {"name": "equilibrium",
+                                            "check_times": [1.0, 2.0, 3.0, 4.0]}})
+        assert err.value.violations == [
+            "experiment.check_times: a stationarity batch of 6.40e+3 start-steps x 33 sites "
+            "exceeds the limit of 204600 site-steps"]
+
     def test_work_limit_leaves_ten_times_headroom(self, monkeypatch):
         # every default config, the pullback-cli benchmark config (with its equilibrium
         # search) and a d = 513 simulate validate at a tenth of the limit

@@ -55,6 +55,18 @@ class TestOperators:
         assert a.get(0) == 2.0 and a.get(1) == -1.0 and a.get(-1) == -1.0
         assert a.norm() ** 2 == pytest.approx(6.0, abs=1e-15)
 
+    @pytest.mark.parametrize("op", [apply_laplacian, apply_diff, apply_diff_adjoint])
+    def test_boundary_given_by_value(self, op):
+        x = LatticeVector(np.arange(5.0))
+        for boundary in Boundary:
+            np.testing.assert_array_equal(op(x, boundary.value).values, op(x, boundary).values)
+        with pytest.raises(ValueError, match="^'torus' is not a valid Boundary$"):
+            op(x, "torus")
+
+    def test_periodic_laplacian_given_by_value_wraps(self):
+        x = LatticeVector(np.arange(5.0))
+        assert apply_laplacian(x, "periodic").values.tolist() == [-5.0, 0.0, 0.0, 0.0, 5.0]
+
     def test_periodic_kills_constants(self):
         c = LatticeVector(np.full(9, 3.7))
         assert apply_laplacian(c, Boundary.PERIODIC).norm() == 0.0
@@ -207,13 +219,14 @@ class TestNonlinearity:
         # a kind given as its string value is the kind itself, and evaluates as it
         spec = NonlinearitySpec(kind="cubic", a=1.0, b=1.0)
         assert spec.kind is NonlinearityKind.CUBIC
+        assert spec == NonlinearitySpec.cubic(1.0, 1.0)
         x = np.array([-2.0, 0.5, 3.0])
         np.testing.assert_array_equal(spec.eval_array(x),
                                       NonlinearitySpec.cubic(1.0, 1.0).eval_array(x))
 
     def test_linear_coef_per_kind(self):
-        # l of f(x) = -l x + r(x): a for the derived kinds, 0 for custom whatever its a
-        custom = NonlinearitySpec(kind=NonlinearityKind.CUSTOM, a=5.0, fn=np.sin, dfn=np.cos)
+        # l of f(x) = -l x + r(x): a for the derived kinds, 0 for custom, which takes no a
+        custom = NonlinearitySpec.custom(np.sin, np.cos, 1.0, 2.0, 1.0)
         assert NonlinearitySpec.linear(2.5).linear_coef == 2.5
         assert NonlinearitySpec.cubic(0.3, 1.7).linear_coef == 0.3
         assert custom.linear_coef == 0.0
@@ -223,6 +236,19 @@ class TestNonlinearity:
             np.testing.assert_array_equal(-spec.linear_coef * x + (0.0 if r is None else r),
                                           spec.eval_array(x))
 
+    @pytest.mark.parametrize("kind, a, b", [("linear", 2.5, 0.0), ("cubic", 0.3, 1.7)])
+    def test_derived_constants(self, kind, a, b):
+        # the derived kinds make L, K, p and the label from their coefficients alone
+        spec = NonlinearitySpec(kind=kind, a=a, b=b)
+        assert spec.diss_const == a
+        if kind == "linear":
+            assert (spec.growth_coef, spec.growth_power, spec.label) == (a, 1.0, "linear(a=2.5)")
+        else:
+            assert spec.growth_power == 3.0 and spec.label == "cubic(a=0.3, b=1.7)"
+            r = np.linspace(0.0, 50.0, 20001)
+            worst = ((a + a * r + 3.0 * b * r**2 + b * r**3) / (1.0 + r**3)).max()
+            assert worst < spec.growth_coef <= worst * (1.0 + 2e-12)
+
     def test_custom_requires_callables(self):
         with pytest.raises(ValueError):
             NonlinearitySpec(kind=NonlinearityKind.CUSTOM, diss_const=1.0,
@@ -231,11 +257,14 @@ class TestNonlinearity:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: LatticeVector(np.array([0.0, np.nan, 1.0])), "lattice vector entries must be finite"),
-    (lambda: NonlinearitySpec(kind=NonlinearityKind.LINEAR, diss_const=0.0),
+    (lambda: NonlinearitySpec.custom(np.sin, np.cos, diss_const=0.0, growth_coef=1.0,
+                                     growth_power=1.0),
      "claimed dissipativity constant must be positive"),
-    (lambda: NonlinearitySpec(kind=NonlinearityKind.LINEAR, growth_coef=0.0),
+    (lambda: NonlinearitySpec.custom(np.sin, np.cos, diss_const=1.0, growth_coef=0.0,
+                                     growth_power=1.0),
      "claimed growth coefficient must be positive"),
-    (lambda: NonlinearitySpec(kind=NonlinearityKind.LINEAR, growth_power=0.5),
+    (lambda: NonlinearitySpec.custom(np.sin, np.cos, diss_const=1.0, growth_coef=1.0,
+                                     growth_power=0.5),
      "growth power must be >= 1"),
     (lambda: NonlinearitySpec.linear(0.0), "linear coefficient must be positive"),
     (lambda: NonlinearitySpec.cubic(0.0, 1.0), "cubic coefficients must be positive"),
@@ -246,8 +275,34 @@ class TestNonlinearity:
      "coefficients a and b must be finite"),
     (lambda: NonlinearitySpec(kind="linear", a=1.0, b=float("inf")),
      "coefficients a and b must be finite"),
+    (lambda: NonlinearitySpec(kind="cubic", a=1.0, b=1.0, growth_power=1.0),
+     "the cubic kind derives its constants and label from its coefficients; "
+     "it takes no growth_power"),
+    (lambda: NonlinearitySpec(kind="linear", a=-3.0, diss_const=1.0, label="weak"),
+     "the linear kind derives its constants and label from its coefficients; "
+     "it takes no diss_const, label"),
+    (lambda: NonlinearitySpec(kind="linear", a=1.0, fn=np.sin, dfn=np.cos),
+     "the linear kind derives its constants and label from its coefficients; "
+     "it takes no fn, dfn"),
+    (lambda: NonlinearitySpec(kind="linear", a=1.0, b=1.0),
+     "the linear kind takes no coefficient b"),
+    (lambda: NonlinearitySpec(kind="linear", a=-3.0), "linear coefficient must be positive"),
+    (lambda: NonlinearitySpec(kind="cubic", a=1.0), "cubic coefficients must be positive"),
+    (lambda: NonlinearitySpec(kind="custom", a=5.0, fn=np.sin, dfn=np.cos, diss_const=0.5,
+                              growth_coef=2.0, growth_power=1.0),
+     "the custom kind takes no coefficients a and b"),
+    (lambda: NonlinearitySpec(kind="custom", b=1.0, fn=np.sin, dfn=np.cos, diss_const=0.5,
+                              growth_coef=2.0, growth_power=1.0),
+     "the custom kind takes no coefficients a and b"),
+    (lambda: NonlinearitySpec(kind="custom", fn=np.sin, dfn=np.cos),
+     "custom nonlinearity must state diss_const, growth_coef and growth_power"),
+    (lambda: NonlinearitySpec(kind="custom", fn=np.sin, dfn=np.cos, diss_const=1.0,
+                              growth_coef=1.0),
+     "custom nonlinearity must state diss_const, growth_coef and growth_power"),
 ], ids=["vector-nan", "spec-dissipativity", "spec-growth-coef", "spec-growth-power",
-        "linear-coefficient", "cubic-a", "cubic-b", "spec-kind", "spec-a-nan", "spec-b-inf"])
+        "linear-coefficient", "cubic-a", "cubic-b", "spec-kind", "spec-a-nan", "spec-b-inf",
+        "cubic-claim", "linear-claims", "linear-callables", "linear-b", "linear-a-negative",
+        "cubic-no-b", "custom-a", "custom-b", "custom-no-claims", "custom-no-power"])
 def test_input_guards(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -278,8 +333,10 @@ class TestDissipativityProbe:
 
 class TestGrowthProbe:
     def test_linear_with_doubled_coef(self):
-        spec = NonlinearitySpec(kind=NonlinearityKind.LINEAR, a=1.0, diss_const=1.0,
-                                growth_coef=2.0, growth_power=1.0)
+        # f(s) = -s with the claim K = 2, which the linear kind would derive as 1
+        linear = NonlinearitySpec.linear(1.0)
+        spec = NonlinearitySpec.custom(linear.eval_array, linear.deriv_array, diss_const=1.0,
+                                       growth_coef=2.0, growth_power=1.0)
         rep = probe_growth(spec, 2000, 10.0, seed=2)
         assert rep.passed
         assert rep.worst_ratio <= 1.0 + 1e-12  # |x| + 1 <= 1 * (1 + |x|)
@@ -299,10 +356,10 @@ class TestGrowthProbe:
             worst = max(worst, lhs / rhs)
         rep = probe_growth(spec, n, radius, seed=seed, half_width=width)
         assert rep.worst_ratio == pytest.approx(worst, rel=1e-12)
-        ok = NonlinearitySpec(kind=NonlinearityKind.CUBIC, a=1.0, b=1.0, diss_const=1.0,
-                              growth_coef=worst * 1.05, growth_power=3.0)
-        bad = NonlinearitySpec(kind=NonlinearityKind.CUBIC, a=1.0, b=1.0, diss_const=1.0,
-                               growth_coef=worst * 0.95, growth_power=3.0)
+        ok = NonlinearitySpec.custom(spec.eval_array, spec.deriv_array, diss_const=1.0,
+                                     growth_coef=worst * 1.05, growth_power=3.0)
+        bad = NonlinearitySpec.custom(spec.eval_array, spec.deriv_array, diss_const=1.0,
+                                      growth_coef=worst * 0.95, growth_power=3.0)
         assert probe_growth(ok, n, radius, seed=seed, half_width=width).passed
         assert not probe_growth(bad, n, radius, seed=seed, half_width=width).passed
 
@@ -311,9 +368,9 @@ class TestGrowthProbe:
         assert rep.passed
 
     def test_cubic_with_claimed_linear_growth_fails(self):
-        lying = NonlinearitySpec(kind=NonlinearityKind.CUBIC, a=1.0, b=1.0, diss_const=1.0,
-                                 growth_coef=NonlinearitySpec.cubic(1.0, 1.0).growth_coef,
-                                 growth_power=1.0)
+        cubic = NonlinearitySpec.cubic(1.0, 1.0)
+        lying = NonlinearitySpec.custom(cubic.eval_array, cubic.deriv_array, diss_const=1.0,
+                                        growth_coef=cubic.growth_coef, growth_power=1.0)
         assert not probe_growth(lying, 2000, 10.0, seed=4).passed
 
 
@@ -324,6 +381,21 @@ class TestLatticeParams:
             LatticeParams(coupling=-1.0, damping=1.0, forcing=z, noise_amp=z, half_width=2)
         with pytest.raises(ValueError):
             LatticeParams(coupling=1.0, damping=0.0, forcing=z, noise_amp=z, half_width=2)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["coupling", "damping"])
+    def test_non_finite_coefficients_rejected(self, name, bad):
+        z = LatticeVector.zeros(2)
+        kwargs = {"coupling": 1.0, "damping": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got {bad!r}$"):
+            LatticeParams(forcing=z, noise_amp=z, half_width=2, **kwargs)
+
+    def test_boundary_given_by_value(self):
+        z = LatticeVector.zeros(2)
+        params = LatticeParams(1.0, 1.0, z, z, 2, boundary="periodic")
+        assert params.boundary is Boundary.PERIODIC
+        with pytest.raises(ValueError, match="^'torus' is not a valid Boundary$"):
+            LatticeParams(1.0, 1.0, z, z, 2, boundary="torus")
 
     def test_width_consistency(self):
         with pytest.raises(ValueError):

@@ -318,6 +318,7 @@ class TestStationaryOU:
         rho = noise_growth_constant(self.field)
         times = ou.grid.times()
         assert (ou.norms() <= 4.0 * rho * (1.0 + np.abs(times)) ** 2 + 1e-12).all()
+        assert np.array_equal(ou.growth_bound(times), 4.0 * rho * (1.0 + np.abs(times)) ** 2)
 
     def test_rho_equals_growth_constant(self):
         for f in (self.field, shift_noise(self.field, 1.0)):
@@ -328,6 +329,8 @@ class TestStationaryOU:
         rho = noise_growth_constant(self.field)
         expected = np.exp(-20.0) * 4.0 * rho * 21.0**2
         assert ou.tail_bound == pytest.approx(expected, rel=1e-12)
+        # derived from the field's growth bound at the past horizon, not stored
+        assert ou.tail_bound == np.exp(-1.0 * ou.past_horizon) * ou.growth_bound(ou.past_horizon)
         assert ou.past_horizon == pytest.approx(20.0)
 
     def test_built_without_rate_raises(self):
@@ -338,7 +341,6 @@ class TestStationaryOU:
     @pytest.mark.parametrize("field_name, bad", [
         ("lam", -1.0), ("lam", np.inf), ("lam", np.nan),
         ("rho", -1e-9), ("rho", np.inf), ("past_horizon", -1.0), ("past_horizon", np.nan),
-        ("tail_bound", -1.0), ("tail_bound", np.inf),
     ])
     def test_invalid_fields_named(self, field_name, bad):
         kwargs = {"lam": 1.0, field_name: bad}

@@ -429,18 +429,6 @@ class TestLinearPart:
         assert (np.abs(folded - unfolded_drift(u, params, spec))
                 <= 16 * np.finfo(float).eps * s).all()
 
-    def test_custom_steps_alike_whatever_its_a(self):
-        # custom f is fn alone: an ``a`` given at construction joins no linear part
-        params = make_params(4, sigma={-4: 0.7, 0: 0.8}, forcing={1: 0.4})
-        field = build_noise_field(params, TimeGrid(dt=0.05, n_steps=40), 3)
-        cfg = SolverConfig(dt=0.05, t_end=2.0)
-        batch = np.random.default_rng(4).standard_normal((3, 9))
-        specs = [NonlinearitySpec(kind=NonlinearityKind.CUSTOM, a=a, fn=SINE.fn, dfn=SINE.dfn,
-                                  diss_const=0.5, growth_coef=2.0) for a in (5.0, 0.0)]
-        assert [spec.linear_coef for spec in specs] == [0.0, 0.0]
-        ends = [cocycle_map(2.0, field, batch, params, spec, cfg) for spec in specs]
-        assert_bits_equal(*ends)
-
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_linear_blow_up_at_the_reference_step(self, boundary, scheme):
@@ -512,9 +500,11 @@ class TestGuard:
 class TestStepMargin:
     @pytest.mark.parametrize("half_width", [1, 2, 3, 4])
     def test_laplacian_radius_is_the_dense_one(self, half_width):
-        # at dt 1, kappa 1 and lam = a = 0 the margin is rho(A) itself
+        # at dt 1 and kappa 1 the margin is rho(A) itself: a custom drift has l = 0, and
+        # lam 2^-60 is under half an ulp of rho(A)
         d = 2 * half_width + 1
-        zero, periodic = (solver.step_margin(1.0, 1.0, 0.0, 0.0, d, b)
+        zero, periodic = (solver.step_margin(1.0, kernel_params(half_width, damping=2.0**-60,
+                                                                boundary=b), SINE)
                           for b in (Boundary.ZERO_PADDING, Boundary.PERIODIC))
         dense = {b: np.linalg.eigvalsh(laplacian_array(np.eye(d), b)).max() for b in Boundary}
         assert zero == pytest.approx(dense[Boundary.ZERO_PADDING], rel=1e-14, abs=0)
@@ -532,11 +522,11 @@ class TestStepMargin:
         # up to a margin of 2 no explicit step grows the state; at 2.1 the top mode grows
         params = kernel_params(half_width, coupling, damping, boundary=boundary)
         spec, d = NonlinearitySpec.linear(a), params.n_sites
-        rate = solver.step_margin(1.0, coupling, damping, a, d, boundary)
+        rate = solver.step_margin(1.0, params, spec)
         dt = margin / rate
-        while solver.step_margin(dt, coupling, damping, a, d, boundary) > margin:
+        while solver.step_margin(dt, params, spec) > margin:
             dt = np.nextafter(dt, 0.0)
-        assume(solver.step_margin(dt, coupling, damping, a, d, boundary) >= 1.5)
+        assume(solver.step_margin(dt, params, spec) >= 1.5)
         w = np.zeros((201, d))
         v0 = np.random.default_rng(seed).standard_normal(d)
         states = collected(v0, w, params, spec, SolverConfig(dt, 200 * dt, scheme))
@@ -549,24 +539,34 @@ class TestStepMargin:
         states = collected(top, w, params, spec, SolverConfig(dt, 200 * dt, scheme))
         assert (np.diff(np.linalg.norm(states, axis=1)) > 0).all()
 
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_boundary_given_by_value(self, boundary):
+        # the params hold the member, so the margin takes its radius and the run its stencil
+        by_value = make_params(4, boundary=boundary.value, forcing={1: 0.4})
+        member = make_params(4, boundary=boundary, forcing={1: 0.4})
+        assert by_value.boundary is boundary
+        assert solver.step_margin(0.1, by_value, CUBIC) == solver.step_margin(0.1, member, CUBIC)
+        field = build_noise_field(member, TimeGrid(dt=0.05, n_steps=40), 3)
+        batch = np.random.default_rng(4).standard_normal((3, 9))
+        cfg = SolverConfig(dt=0.05, t_end=2.0)
+        assert_bits_equal(cocycle_map(2.0, field, batch, by_value, CUBIC, cfg),
+                          cocycle_map(2.0, field, batch, member, CUBIC, cfg))
+
 
 class TestEvalInto:
+    """``eval_array``: the exact f(x) that ``absorbing_radius`` and the probes read."""
+
     @settings(max_examples=60)
     @given(spec=st.sampled_from([LINEAR, CUBIC, NonlinearitySpec.cubic(0.3, 1.7),
                                  NonlinearitySpec.linear(2.5)]),
            shape=st.sampled_from([(7,), (3, 5), (2, 3, 4)]), seed=st.integers(0, 2**32 - 1))
     def test_equals_the_formula_into_the_buffer(self, spec, shape, seed):
         x = 3.0 * np.random.default_rng(seed).standard_normal(shape)
-        out, work = np.empty(shape), np.empty(shape)
-        assert spec.eval_into(x, out, work) is out
-        assert_bits_equal(out, reference_f(spec, x))
         assert_bits_equal(spec.eval_array(x), reference_f(spec, x))
 
     def test_custom_returns_fn_of_x(self):
         x = np.linspace(-2.0, 2.0, 9)
-        out = np.zeros(9)
-        assert_bits_equal(SINE.eval_into(x, out, np.zeros(9)), SINE.fn(x))
-        assert not out.any()
+        assert_bits_equal(SINE.eval_array(x), SINE.fn(x))
 
 
 class TestSubStepCocycle:
@@ -691,6 +691,25 @@ class TestCocycle:
         gap_coarse = np.linalg.norm(ends[1e-3].values - ends[5e-4].values)
         gap_fine = np.linalg.norm(ends[5e-4].values - ends[2.5e-4].values)
         assert gap_fine < gap_coarse
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_scheme_given_by_value(scheme):
+    # a scheme given as its value is the member itself and steps as it
+    params = make_params(2, sigma={0: 0.8, 2: 0.5}, forcing={0: 0.2})
+    field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=10), 5)
+    by_value = SolverConfig(0.01, 0.1, scheme.value)
+    assert by_value.scheme is scheme
+    other = SolverConfig(0.01, 0.1, next(s for s in Scheme if s is not scheme))
+    ends = [cocycle_map(0.1, field, np.ones((1, 5)), params, CUBIC, cfg)
+            for cfg in (by_value, SolverConfig(0.01, 0.1, scheme), other)]
+    assert_bits_equal(ends[0], ends[1])
+    assert not np.array_equal(ends[0], ends[2])
+
+
+def test_unknown_scheme_raises():
+    with pytest.raises(ValueError, match="^'rk4' is not a valid Scheme$"):
+        SolverConfig(0.01, 0.1, "rk4")
 
 
 def test_long_run_is_a_whole_number_of_steps():
