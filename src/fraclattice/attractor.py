@@ -129,9 +129,11 @@ def sphere_starts(
     return radius * pts / norms
 
 
-def _ladder_rows(grid: TimeGrid, horizons, config: SolverConfig) -> dict:
-    """The ``_run_row`` of each horizon T's pullback over [-T, 0], checked smallest first."""
-    return {t: _run_row(grid, -t, t, config) for t in sorted({float(t) for t in horizons})}
+def _ladder_rows(grid: TimeGrid, horizons, config: SolverConfig) -> list:
+    """The ``_run_row`` of each horizon T's pullback over [-T, 0], in the order of
+    ``horizons``; each distinct horizon is checked once, smallest first."""
+    runs = {t: _run_row(grid, -t, t, config) for t in sorted({float(t) for t in horizons})}
+    return [runs[float(t)] for t in horizons]
 
 
 def _pullback_ladder(
@@ -151,9 +153,8 @@ def _pullback_ladder(
     """
     if not len(horizons):
         raise ValueError("horizons must not be empty")
-    runs = _ladder_rows(field.grid, horizons, config)
-    rows = [runs[float(t)] for t in horizons]
-    return _step_rows(rows, field, starts, params, spec, config)
+    return _step_rows(_ladder_rows(field.grid, horizons, config), field, starts, params, spec,
+                      config)
 
 
 def _diameter(points: np.ndarray) -> float:

@@ -341,7 +341,7 @@ def _plan_forward(c, check, starts=1):
     # the forward run keeps every state of its starts, in one array
     if row and check("solver.t_end", _size_check, "trajectory", (row[1] + 1) * starts,
                      "node x start rows", c.sites):
-        check("solver.dt", _work_check, "forward run", row[1] * starts, sites=c.sites)
+        check("solver.dt", _work_check, "forward run", [row], starts, c.sites)
 
 
 def _plan_ou(c, check):
@@ -356,8 +356,7 @@ def _plan_ladder(c, check):
     rows = check("experiment.horizons", at._ladder_rows, c.grid, c.horizons, c.solver)
     if check("experiment.n_starts", _size_check, "pullback ladder",
              len(c.horizons) * c.n_starts, "horizon x start rows", c.sites) and rows:
-        check("solver.dt", _work_check, "pullback ladder",  # each row steps every start
-              sum(r[1] for r in rows.values() if r) * c.n_starts, sites=c.sites)
+        check("solver.dt", _work_check, "pullback ladder", rows, c.n_starts, c.sites)
 
 
 def _search(c, initial_horizon: float) -> list[float]:
@@ -365,7 +364,7 @@ def _search(c, initial_horizon: float) -> list[float]:
     horizons = at._doubling_horizons(c.grid, initial_horizon)
     rows = at._ladder_rows(c.grid, horizons, c.solver)
     _size_check("pullback ladder", 2 * len(horizons), "horizon x start rows", c.sites)
-    _work_check("pullback ladder", 2 * sum(r[1] for r in rows.values() if r), sites=c.sites)
+    _work_check("pullback ladder", rows, 2, c.sites)
     return horizons
 
 
@@ -389,9 +388,7 @@ def _stationarity(c, horizons, times) -> None:
     _size_check("stationarity batch", len(times), "check time rows", c.sites)
     steps, rows = at._stationarity_rows(c.grid, c.solver, times, horizons[-1])
     _size_check("trajectory", steps[-1] + 1, "node x start rows", c.sites)
-    # the driver steps each distinct run once, however many check times share it
-    _work_check("stationarity batch", sum(r[1] for r in {r for r in rows if r}),
-                sites=c.sites)
+    _work_check("stationarity batch", rows, 1, c.sites)
 
 
 def _plan_equilibrium(c, check):
@@ -563,19 +560,22 @@ def _checked(violations: list[str], label: str, make, *args, **kwargs):
         return None
 
 
-def _size_check(what: str, rows: int, unit: str, sites: int | None = None,
-                work: bool = False) -> bool:
-    """True, or ValueError if ``rows`` (times ``sites``) values exceed ``MAX_GRID_VALUES``,
-    or with ``work``, if that many site-steps exceed ``MAX_SITE_STEPS``."""
-    limit, of = (MAX_SITE_STEPS, "site-steps") if work else (MAX_GRID_VALUES, "values")
-    if rows * (sites or 1) > limit:
+def _size_check(what: str, rows: int, unit: str, sites: int | None = None) -> bool:
+    """True, or ValueError if ``rows`` (times ``sites``) values exceed ``MAX_GRID_VALUES``."""
+    if rows * (sites or 1) > MAX_GRID_VALUES:
         shape = f"{Decimal(rows):.3g} {unit}" + (f" x {sites} sites" if sites else "")
-        raise ValueError(f"a {what} of {shape} exceeds the limit of {limit} {of}")
+        raise ValueError(f"a {what} of {shape} exceeds the limit of {MAX_GRID_VALUES} values")
     return True
 
 
-#: ``_size_check`` of the start-steps of a stepping batch over ``sites``: its work.
-_work_check = functools.partial(_size_check, unit="start-steps", work=True)
+def _work_check(what: str, rows, starts: int, sites: int) -> bool:
+    """True, or ValueError if the batch of ``rows`` over ``sites``, stepping each run of
+    ``solver._runs`` from ``starts`` starts, takes more than ``MAX_SITE_STEPS`` site-steps."""
+    steps = sum(n for _, n in sv._runs(rows)) * starts
+    if steps * sites > MAX_SITE_STEPS:
+        raise ValueError(f"a {what} of {Decimal(steps):.3g} start-steps x {sites} sites "
+                         f"exceeds the limit of {MAX_SITE_STEPS} site-steps")
+    return True
 
 
 def validate_config(raw: dict) -> ExperimentConfig:

@@ -185,11 +185,18 @@ class NonlinearityKind(str, enum.Enum):
 
 
 def _cubic_growth_coef(a: float, b: float) -> float:
-    # sup over r >= 0 of (a + a r + 3 b r^2 + b r^3) / (1 + r^3), from the
-    # norm bounds |f(x)| <= a|x| + b|x|^3 and max|f'| <= a + 3b|x|^2.
-    r = np.linspace(0.0, 50.0, 20001)
-    ratio = (a + a * r + 3.0 * b * r**2 + b * r**3) / (1.0 + r**3)
-    return float(ratio.max()) * (1.0 + 1e-12)
+    # sup over r >= 0 of g(r) = (a + a r + 3 b r^2 + b r^3) / (1 + r^3), from the
+    # norm bounds |f(x)| <= a|x| + b|x|^3 and max|f'| <= a + 3b|x|^2.  g' has the sign
+    # of P(r) = a + 6b r + 3(b - a) r^2 - 2a r^3 - 3b r^4, whose coefficients change sign
+    # once, so g peaks at P's one positive root, bisected on [0, 2] (P(2) = -27a - 24b).
+    lo, hi = 0.0, 2.0
+    for _ in range(64):
+        r = 0.5 * (lo + hi)
+        if a + r * (6.0 * b + r * (3.0 * (b - a) - r * (2.0 * a + 3.0 * b * r))) > 0.0:
+            lo = r
+        else:
+            hi = r
+    return (a + a * r + 3.0 * b * r**2 + b * r**3) / (1.0 + r**3) * (1.0 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -311,7 +318,7 @@ class NonlinearitySpec:
 
     def deriv_array(self, x: np.ndarray) -> np.ndarray:
         if self.kind is NonlinearityKind.LINEAR:
-            return np.full_like(x, -self.a)
+            return np.full(np.shape(x), -self.a)
         if self.kind is NonlinearityKind.CUBIC:
             return -self.a - 3.0 * self.b * x**2
         return np.asarray(self.dfn(x), dtype=float)

@@ -254,12 +254,17 @@ class OUProcess(VectorSeries):
 
     def growth_bound(self, t):
         """4 rho (1 + |t|)^2, the bound on the field's norm at times ``t`` (float or array)."""
-        return 4.0 * self.rho * (1.0 + np.abs(t)) ** 2
+        return 4.0 * self.rho * _growth_shape(t)
 
     @property
     def tail_bound(self) -> float:
         """e^(-lam * past_horizon) growth_bound(past_horizon): the truncation error's bound."""
         return float(np.exp(-self.lam * self.past_horizon) * self.growth_bound(self.past_horizon))
+
+
+def _growth_shape(t):
+    """(1 + |t|)^2: the growth in |t| of ``OUProcess.growth_bound`` and ``_ou_window``'s check."""
+    return (1.0 + np.abs(t)) ** 2
 
 
 def noise_growth_constant(field: NoiseField) -> float:
@@ -295,11 +300,10 @@ def _ou_window(lam: float, grid: TimeGrid, eval_grid: TimeGrid, tail_tol: float 
     if first < 0 or first + eval_grid.n_steps > grid.n_steps:
         raise WindowError("eval grid leaves the sampled window")
     past = first * grid.dt
-    if np.exp(-lam * past) * (1.0 + past) ** 2 > tail_tol:
+    tail = np.exp(-lam * past) * _growth_shape(past)
+    if tail > tail_tol:
         raise InsufficientHorizonError(
-            f"past horizon {past:.3g} too short: e^(-lam*T)(1+T)^2 = "
-            f"{np.exp(-lam * past) * (1.0 + past) ** 2:.3e} > {tail_tol:.1e}"
-        )
+            f"past horizon {past:.3g} too short: e^(-lam*T)(1+T)^2 = {tail:.3e} > {tail_tol:.1e}")
     return first
 
 

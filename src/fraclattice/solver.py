@@ -288,6 +288,12 @@ def _start_values(u0, field: NoiseField, params: LatticeParams) -> np.ndarray:
     return x
 
 
+def _runs(rows) -> list[tuple[int, int]]:
+    """The runs that ``_step_rows`` steps for ``rows``: each distinct one that takes a step,
+    longest first."""
+    return sorted({r for r in rows if r}, key=lambda r: (-r[1], r))
+
+
 def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
                spec: NonlinearitySpec, config: SolverConfig, collect: bool = False) -> np.ndarray:
     """Endpoint of each (noise node, steps) run from ``starts``, in the order given.
@@ -309,7 +315,7 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
     if collect and len(set(rows)) > 1:
         raise ValueError(f"collect keeps the states of one run, not of {len(set(rows))}")
     x = _start_values(starts, field, params)
-    runs = sorted({r for r in rows if r}, key=lambda r: (-r[1], r))
+    runs = _runs(rows)
     if not runs:
         return np.stack([x] * len(rows))
     m = config.refinement(field.grid.dt)

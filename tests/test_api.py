@@ -106,6 +106,14 @@ def test_one_derivation_per_constant():
                                        ("growth_bound", "noise.OUProcess")]
 
 
+def test_one_owner_per_shared_rule():
+    # the plans count a stepping batch with the driver's own list of the runs it steps,
+    # and the OU tail check reads the growth law of the OU growth bound
+    assert uses_of("_runs") == [("_runs", "cli._work_check"), ("_runs", "solver._step_rows")]
+    assert uses_of("_growth_shape") == [("_growth_shape", "noise.OUProcess"),
+                                        ("_growth_shape", "noise._ou_window")]
+
+
 PARAMS = LatticeParams(coupling=1.0, damping=1.0, forcing=LatticeVector.zeros(2),
                        noise_amp=LatticeVector.from_support(2, {0: 0.5}), half_width=2)
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -13,6 +14,7 @@ from fraclattice.cli import (
     _FIELDS,
     _REGISTRY,
     RunManifest,
+    _work_check,
     _write_csv,
     load_config,
     main,
@@ -21,8 +23,9 @@ from fraclattice.cli import (
 )
 from fraclattice.errors import ConfigError
 from fraclattice.fbm import TimeGrid
+from fraclattice.lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from fraclattice.noise import build_noise_field, stationary_ou
-from fraclattice.solver import integrate
+from fraclattice.solver import SolverConfig, _step_rows, integrate
 
 MINIMAL = {
     "lattice": {"half_width": 6, "noise_amp": {"0": 0.8, "1": 0.5}},
@@ -945,6 +948,28 @@ class TestValidateConfigDirect:
             validate_config(raw)
         assert err.value.violations == [
             f"{message} exceeds the limit of {work - 1} site-steps"]
+
+    @pytest.mark.parametrize("n_starts, count", [(1, "65"), (3, "195")])
+    def test_work_check_counts_the_driver_steps(self, monkeypatch, ladder_calls, n_starts,
+                                                count):
+        # rows out of order, repeated and None: the work bound counts the site-steps that
+        # the driver takes, each distinct run that steps once, from every start
+        params = LatticeParams(1.0, 1.0, LatticeVector.zeros(3),
+                               LatticeVector.from_support(3, {0: 0.5}), 3)
+        field = build_noise_field(params, TimeGrid(0.01, 80, -50), 0)
+        rows = [(30, 20), None, (10, 40), (30, 20), (0, 5), None, (10, 40)]
+        starts = LatticeVector.zeros(3) if n_starts == 1 else np.full((n_starts, 7), 0.5)
+        _step_rows(rows, field, starts, params, NonlinearitySpec.cubic(1.0, 1.0),
+                   SolverConfig(0.01, 0.0))
+        work = sum(n * math.prod(shape) for shape, n in ladder_calls)
+        assert work == int(count) * 7
+        monkeypatch.setattr("fraclattice.cli.MAX_SITE_STEPS", work)
+        assert _work_check("batch", rows, n_starts, 7)
+        monkeypatch.setattr("fraclattice.cli.MAX_SITE_STEPS", work - 1)
+        with pytest.raises(ValueError) as err:
+            _work_check("batch", rows, n_starts, 7)
+        assert str(err.value) == (f"a batch of {count} start-steps x 7 sites exceeds the limit "
+                                  f"of {work - 1} site-steps")
 
     def test_repeated_check_times_count_one_run(self, monkeypatch):
         # four check times at t = 1 share one 1600-step pullback, which the driver steps

@@ -236,18 +236,44 @@ class TestNonlinearity:
             np.testing.assert_array_equal(-spec.linear_coef * x + (0.0 if r is None else r),
                                           spec.eval_array(x))
 
-    @pytest.mark.parametrize("kind, a, b", [("linear", 2.5, 0.0), ("cubic", 0.3, 1.7)])
+    @pytest.mark.parametrize("kind, a, b", [("linear", 2.5, 0.0), ("cubic", 0.3, 1.7),
+                                            ("cubic", 5e-324, 1.0), ("cubic", 1.0, 5e-324)])
     def test_derived_constants(self, kind, a, b):
-        # the derived kinds make L, K, p and the label from their coefficients alone
-        spec = NonlinearitySpec(kind=kind, a=a, b=b)
+        # the derived kinds make L, K, p and the label from their coefficients alone, without
+        # a warning even at the smallest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = NonlinearitySpec(kind=kind, a=a, b=b)
         assert spec.diss_const == a
         if kind == "linear":
             assert (spec.growth_coef, spec.growth_power, spec.label) == (a, 1.0, "linear(a=2.5)")
-        else:
-            assert spec.growth_power == 3.0 and spec.label == "cubic(a=0.3, b=1.7)"
-            r = np.linspace(0.0, 50.0, 20001)
-            worst = ((a + a * r + 3.0 * b * r**2 + b * r**3) / (1.0 + r**3)).max()
-            assert worst < spec.growth_coef <= worst * (1.0 + 2e-12)
+            return
+        assert spec.growth_power == 3.0 and spec.label == f"cubic(a={a:g}, b={b:g})"
+
+        def g(r):
+            return (a + a * r + 3.0 * b * r**2 + b * r**3) / (1.0 + r**3)
+
+        # K is the sup of g over r >= 0: at least g on every grid, and within rounding of g
+        # at the one positive root of g's numerator P(r) = a + 6b r + 3(b - a) r^2
+        # - 2a r^3 - 3b r^4, its subnormal coefficients dropped so np.roots need not divide
+        # by them
+        for nodes in (20001, 200001):
+            assert spec.growth_coef >= g(np.linspace(0.0, 50.0, nodes)).max()
+        p = np.array([-3.0 * b, -2.0 * a, 3.0 * (b - a), 6.0 * b, a])
+        roots = np.roots(np.where(np.abs(p) > 1e-300, p, 0.0))
+        (peak,) = roots.real[(np.abs(roots.imag) < 1e-12) & (roots.real > 0)]
+        assert spec.growth_coef <= g(peak) * (1.0 + 2e-12)
+
+    def test_derivative_is_a_float_array_for_every_kind(self):
+        # an integer sample gives float derivatives, the linear kind's included
+        custom = NonlinearitySpec.custom(fn=lambda s: -s, dfn=lambda s: -np.ones_like(s),
+                                         diss_const=1.0, growth_coef=2.0, growth_power=1.0)
+        x = np.array([1, 2])
+        for spec, expected in ((NonlinearitySpec.linear(2.5), [-2.5, -2.5]),
+                               (NonlinearitySpec.cubic(0.5, 1.0), [-3.5, -12.5]),
+                               (custom, [-1.0, -1.0])):
+            deriv = spec.deriv_array(x)
+            assert deriv.dtype == np.float64 and deriv.tolist() == expected
 
     def test_custom_requires_callables(self):
         with pytest.raises(ValueError):
