@@ -170,21 +170,23 @@ def _fgn_eigenvalues(n_steps: int, h: float) -> np.ndarray:
 def _fgn_from_normals(z: np.ndarray, eig: np.ndarray) -> np.ndarray:
     """(rows, n) unit-step fGn from (rows, 2n) unit normals, one real inverse FFT per row.
 
-    The normals fill the n + 1 half of a Hermitian spectrum: ``z[:, 0]``,
-    then ``(z[:, 1:n] - i z[:, n+1:]) / sqrt(2)``, then ``z[:, n]``, each
-    scaled by the square root of its circulant eigenvalue over 2n.  A
-    real inverse FFT of that half spectrum is the fGn, and its first n
-    values are the sample.  Row r depends on ``z[r]`` alone, and bit for
-    bit so: a row comes out the same whatever block of rows it is
-    transformed in.
+    The normals fill the n + 1 half of a Hermitian spectrum: ``z[:, 0]``, then
+    ``(z[:, 1:n] - i z[:, n+1:]) / sqrt(2)``, then ``z[:, n]``, each scaled by the square
+    root of its circulant eigenvalue over 2n, written in real arithmetic through a float
+    view: z (1/sqrt(2)) and (0 - z) (1/sqrt(2)), numpy's complex division by sqrt(2), bit
+    for bit wherever no normal is exactly 0.  A real inverse FFT of that half spectrum is
+    the fGn, and its first n values are the sample.  Row r depends on ``z[r]`` alone, and
+    bit for bit so: a row comes out the same whatever block of rows it is transformed in.
     """
     m = z.shape[1]
     n_steps = m // 2
     spec = np.empty((z.shape[0], n_steps + 1), dtype=complex)
-    spec[:, 0] = z[:, 0]
-    spec[:, 1:n_steps] = (z[:, 1:n_steps] - 1j * z[:, n_steps + 1 :]) / np.sqrt(2.0)
-    spec[:, n_steps] = z[:, n_steps]
-    spec *= np.sqrt(eig[: n_steps + 1] / m)
+    parts = spec.view(float).reshape(z.shape[0], n_steps + 1, 2)  # (real, imaginary)
+    parts[:, :, 0] = z[:, : n_steps + 1]
+    parts[:, 0, 1] = parts[:, n_steps, 1] = 0.0
+    np.subtract(0.0, z[:, n_steps + 1 :], out=parts[:, 1:n_steps, 1])
+    parts[:, 1:n_steps] *= 1.0 / np.sqrt(2.0)
+    parts *= np.sqrt(eig[: n_steps + 1] / m)[:, None]
     return np.fft.irfft(spec, n=m, axis=1, norm="forward")[:, :n_steps]
 
 

@@ -224,7 +224,7 @@ class NonlinearitySpec:
     growth_coef: float | None = None
     growth_power: float | None = None
     label: str | None = None
-    # -a and -b as ufunc operands, for eval_array and remainder_into
+    # -a and -b as ufunc operands, for eval_array and remainder
     _neg_a: np.ndarray = field(init=False, repr=False, compare=False)
     _neg_b: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -290,31 +290,34 @@ class NonlinearitySpec:
     @property
     def linear_coef(self) -> float:
         """l, the coefficient of f's linear part -l x: a for the linear and cubic kinds, 0 for
-        custom, so that f(x) = -l x + r(x) with r the remainder of :meth:`remainder_into`."""
+        custom, so that f(x) = -l x + r(x) with r the :meth:`remainder`."""
         return 0.0 if self.kind is NonlinearityKind.CUSTOM else self.a
 
-    def remainder_into(self, x: np.ndarray, out: np.ndarray, work: np.ndarray):
-        """r(x) = f(x) + l x: -b (x x x) written into ``out`` for the cubic, leaving x x in
-        ``work``; fn(x) as a float array for custom, both buffers left alone; None for the
-        linear kind, whose f has no remainder.  ``out`` and ``work`` are float
-        arrays of x's shape that do not overlap x."""
+    def remainder(self, shape: tuple):
+        """r(x) = f(x) + l x prepared once for float x of ``shape``: a callable r(x), None for
+        the linear kind, whose f has none.  The cubic's writes -b (x x x) into a buffer of its
+        own, which it returns; custom's returns fn(x) as a float array."""
         if self.kind is NonlinearityKind.LINEAR:
             return None
-        if self.kind is NonlinearityKind.CUBIC:
-            np.multiply(x, x, work)
-            np.multiply(work, x, out)
-            return np.multiply(out, self._neg_b, out)
-        return np.asarray(self.fn(x), dtype=float)
+        if self.kind is NonlinearityKind.CUSTOM:
+            return lambda x: np.asarray(self.fn(x), dtype=float)
+        out, work, neg_b, multiply = np.empty(shape), np.empty(shape), self._neg_b, np.multiply
+
+        def cubic(x):
+            multiply(x, x, work)
+            multiply(work, x, out)
+            return multiply(out, neg_b, out)
+        return cubic
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         """f(x) as a new float array: -a*x + r(x) for the derived kinds, bit for bit
         -a*x - b*(x*x*x) for the cubic, and fn(x) for custom.  Overflow surfaces as non-finite
         output, which callers turn into ``NonlinearityOverflowError`` in their ``np.errstate``."""
-        r = self.remainder_into(x, np.empty(np.shape(x)), np.empty(np.shape(x)))
+        remainder = self.remainder(np.shape(x))
         if self.kind is NonlinearityKind.CUSTOM:
-            return r
+            return remainder(x)
         fx = np.multiply(x, self._neg_a)
-        return fx if r is None else np.add(fx, r, fx)
+        return fx if remainder is None else np.add(fx, remainder(x), fx)
 
     def deriv_array(self, x: np.ndarray) -> np.ndarray:
         if self.kind is NonlinearityKind.LINEAR:

@@ -8,10 +8,10 @@ continuous (Hoelder) time dependence,
 
 stepped here by explicit Euler or Heun, each stage evaluating F once, its
 scalar linear terms folded into one diagonal coefficient, in place, into
-buffers allocated once per run.  W is used
-only at its sampled nodes and never interpolated; refining the solver
-step below the noise step evaluates W at the nearest node, ties rounding
-up.  The solution map
+buffers bound once per batch shape, so a step is one straight run of ufunc
+calls.  W is used only at its sampled nodes and never interpolated; refining
+the solver step below the noise step evaluates W at the nearest node, ties
+rounding up.  The solution map
 
     phi(t, field, u0) = endpoint of the integration over [0, t]
 
@@ -19,11 +19,11 @@ is :func:`cocycle_map`, for one start or a batch; it satisfies
 phi(0) = id exactly and composes with the noise shift (the cocycle
 property).  Every run, forward or pulled back, steps through one driver,
 ``_step_rows``: given runs in any order and a start or batch, it steps
-each distinct run once, in one staggered batch reading the noise in
-blocks, and returns each run's endpoint or a forward run's every state.
-Inside the driver the state is site-major, (d, runs, starts), so that
-every per-step numpy call of the stepping meets C-contiguous operands of
-one shape, numpy's fast path; callers see the starts' shape only.
+each distinct run once, in one staggered batch reading the noise in blocks,
+and returns each run's endpoint or a forward run's every state.  Inside the
+driver the state is site-major, (d, runs, starts), so that every per-step
+numpy call of the stepping meets C-contiguous operands of one shape, numpy's
+fast path; callers see the starts' shape only.
 The references the tests check it against live in ``tests/oracles.py``:
 ``cocycle_check`` measures that composition residual directly, and
 ``linear_oracle`` is the spectral solution for linear drifts on the
@@ -132,104 +132,98 @@ def _overflow(spec: NonlinearitySpec) -> NonlinearityOverflowError:
     return NonlinearityOverflowError(f"{spec.label} overflowed during stepping")
 
 
-def _drift(shape: tuple, params: LatticeParams, spec: NonlinearitySpec):
-    """``drift(v, w) -> (F, r(u))``: the drift at u = v + w, site-major ``shape`` states.
+def _step_loop(shape: tuple, params: LatticeParams, spec: NonlinearitySpec,
+               config: SolverConfig):
+    """``steps(v0, w, states=None, first_step=0) -> v`` for site-major (d, ...) states of
+    ``shape``, every buffer, view and constant bound here, once.
 
-    ``shape`` is (d, ...): the sites lead, so the stencil slices whole
-    contiguous blocks.  F = -c u + kappa (u_{i-1} + u_{i+1}) + r(u) + g, the
-    scalar linear terms folded into c = 2 kappa + lam + l (l the spec's
-    ``linear_coef``, r its remainder), is written into one buffer, through
-    work buffers, views and constants made here, once: -c and kappa as 0-d
-    arrays and g broadcast to ``shape``.  r(u), None for the linear kind, is
-    returned for the caller's overflow check, inside its ``np.errstate``.
+    ``steps`` advances v0 over the nodes of the noise rows w, (nodes,) + ``shape``, and
+    returns the last v, with node k written into ``states[k]``, or stepped in place on a
+    copy of v0 with ``states`` None.  A step is one straight run of ufunc calls.  Each
+    stage writes F(v + w) = -c u + kappa (u_{i-1} + u_{i+1}) + r(u) + g into its own
+    buffer, c = 2 kappa + lam + l folding the scalar linear terms: every left neighbour's
+    kappa u is added, then every right one's, then r, the spec's ``remainder`` prepared
+    per stage (None for the linear kind), then g.  Each step sums the squares of the
+    state in one reduction; past ``_GUARD_TOTAL`` the row norms, each row's squares
+    summed in site order from a row-major copy, are checked against ``BLOWUP_NORM``, and
+    past that a non-finite r is ``NonlinearityOverflowError``, anything else a blow-up,
+    its time counting ``first_step`` steps already taken by the run this call continues.
     """
-    u, ku, rest, out, work = (np.empty(shape) for _ in range(5))
-    neg_c = _operand(-(2.0 * params.coupling + params.damping + spec.linear_coef))
-    kappa = _operand(params.coupling)
-    g = np.empty(shape)
+    u0, u1, ku, f0, f1, work, g = (np.empty(shape) for _ in range(7))
     g[...] = params.forcing.values.reshape((-1,) + (1,) * (len(shape) - 1))
-    # add every left neighbour's kappa u, then every right one's
-    left, right = _neighbours(out, ku, params.boundary)
-    stencil = left + right
-    add, multiply, remainder = np.add, np.multiply, spec.remainder_into
-
-    def drift(v, w):
-        add(v, w, u)
-        multiply(u, kappa, ku)
-        multiply(u, neg_c, out)
-        for target, neighbour in stencil:
-            add(target, neighbour, target)
-        r = remainder(u, rest, work)
-        if r is not None:
-            add(out, r, out)
-        add(out, g, out)
-        return out, r
-
-    return drift
-
-
-def _step_loop(
-    v0: np.ndarray,
-    w: np.ndarray,
-    params: LatticeParams,
-    spec: NonlinearitySpec,
-    config: SolverConfig,
-    states: np.ndarray | None,
-    first_step: int = 0,
-) -> np.ndarray:
-    """Advance v over all solver nodes; site-major, v0 is (d, ...) and w is (nodes, d, ...).
-
-    Returns the last node's v, having written node k into ``states[k]``,
-    or with ``states`` None stepped in place on a copy of v0.  Every
-    stage writes into buffers allocated once per call, with dt and
-    dt/2 as 0-d arrays.  Each step sums the squares of the whole state
-    in one reduction; only when that total passes ``_GUARD_TOTAL`` are
-    the row norms checked against ``BLOWUP_NORM``, each row's squares
-    summed in site order from a row-major copy, and only when one
-    passes does the run decide between a non-finite remainder r
-    (``NonlinearityOverflowError``; the linear kind has none) and a
-    blow-up, whose time counts ``first_step`` steps already taken by the
-    run this call continues.
-    """
-    dt, half_dt = _operand(config.dt), _operand(0.5 * config.dt)
-    heun = config.scheme is Scheme.HEUN
-    n_steps = w.shape[0] - 1
-    shape = np.shape(v0)
-    stage0, stage1 = _drift(shape, params, spec), _drift(shape, params, spec)
-    work = np.empty(shape)
+    neg_c = _operand(-(2.0 * params.coupling + params.damping + spec.linear_coef))
+    kappa, dt, half_dt = (_operand(x) for x in (params.coupling, config.dt, 0.5 * config.dt))
+    remainder0, remainder1 = spec.remainder(shape), spec.remainder(shape)
+    has_r, heun = remainder0 is not None, config.scheme is Scheme.HEUN
+    wrap = params.boundary is Boundary.PERIODIC
+    # each stage's (out, ku) slice pairs: left, wrap left, right, wrap right; the wrap
+    # pairs, read only when wrap, repeat the inner ones under zero padding
+    pairs = [p for f in (f0, f1) for side in _neighbours(f, ku, params.boundary)
+             for p in (side[0], side[-1])]
+    (f0l, kl), (f0wl, kwl), (f0r, kr), (f0wr, kwr), (f1l, _), (f1wl, _), (f1r, _), (f1wr, _) = pairs
     squares = work.reshape(-1)  # a view: one reduction over the whole state
     add, multiply, total = np.add, np.multiply, np.add.reduce
-    if states is None:
-        v = np.array(v0, dtype=float)
-    else:
-        states[0] = v0
-        v = states[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            nxt = v if states is None else states[k + 1]
-            f0, r0 = stage0(v, w[k])
-            r1 = r0
-            if heun:
-                multiply(f0, dt, work)
-                add(v, work, work)  # the predictor v + dt f0
-                f1, r1 = stage1(work, w[k + 1])
-                add(f0, f1, f1)
-                multiply(f1, half_dt, f1)
-                add(v, f1, nxt)  # v + dt/2 (f0 + f1)
-            else:
-                multiply(f0, dt, f0)
-                add(v, f0, nxt)
-            v = nxt
-            multiply(v, v, work)
-            if (not total(squares) <= _GUARD_TOTAL
-                    and not math.sqrt(_row_sums(work).max()) <= BLOWUP_NORM):
-                if r0 is not None and not (np.isfinite(r0).all() and np.isfinite(r1).all()):
-                    raise _overflow(spec)
-                raise BlowUpError(
-                    f"|v| exceeded {BLOWUP_NORM:.0e} at t={(first_step + k + 1) * config.dt:.6g}; "
-                    "check dissipativity or reduce dt"
-                )
-    return v
+
+    def steps(v0, w, states=None, first_step=0):
+        if states is None:
+            v = np.array(v0, dtype=float)
+            targets = [v] * (len(w) - 1)
+        else:
+            states[0] = v0
+            v, targets = states[0], states[1:]
+        w0 = w[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, w1, nxt in zip(range(first_step + 1, first_step + len(w)), w[1:],
+                                     targets):
+                add(v, w0, u0)
+                multiply(u0, kappa, ku)
+                multiply(u0, neg_c, f0)
+                add(f0l, kl, f0l)
+                if wrap:
+                    add(f0wl, kwl, f0wl)
+                add(f0r, kr, f0r)
+                if wrap:
+                    add(f0wr, kwr, f0wr)
+                if has_r:
+                    r0 = remainder0(u0)
+                    add(f0, r0, f0)
+                add(f0, g, f0)
+                if heun:
+                    multiply(f0, dt, work)
+                    add(v, work, work)  # the predictor v + dt f0
+                    add(work, w1, u1)
+                    multiply(u1, kappa, ku)
+                    multiply(u1, neg_c, f1)
+                    add(f1l, kl, f1l)
+                    if wrap:
+                        add(f1wl, kwl, f1wl)
+                    add(f1r, kr, f1r)
+                    if wrap:
+                        add(f1wr, kwr, f1wr)
+                    if has_r:
+                        r1 = remainder1(u1)
+                        add(f1, r1, f1)
+                    add(f1, g, f1)
+                    add(f0, f1, f1)
+                    multiply(f1, half_dt, f1)
+                    add(v, f1, nxt)  # v + dt/2 (f0 + f1)
+                else:
+                    multiply(f0, dt, f0)
+                    add(v, f0, nxt)
+                v, w0 = nxt, w1
+                multiply(v, v, work)
+                if (not total(squares) <= _GUARD_TOTAL
+                        and not math.sqrt(_row_sums(work).max()) <= BLOWUP_NORM):
+                    if has_r and not (np.isfinite(r0).all()
+                                      and (not heun or np.isfinite(r1).all())):
+                        raise _overflow(spec)
+                    raise BlowUpError(
+                        f"|v| exceeded {BLOWUP_NORM:.0e} at t={step * config.dt:.6g}; "
+                        "check dissipativity or reduce dt"
+                    )
+        return v
+
+    return steps
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -302,10 +296,10 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
     a run reads its noise re-anchored at its start node (see ``_read_noise``).
     The starts are a LatticeVector or an (n_starts, d) batch.  Each distinct
     run steps once, in one staggered batch from the longest run's start (a
-    blow-up's time counts from there): the runs end together, in ``_step_loop``
-    calls on the site-major state (d, runs, starts), each handed a noise block
-    of at most ``_BLOCK_VALUES`` values with the starts filled in, written into
-    one buffer that every block reuses.  Returns (runs,) + the starts' shape,
+    blow-up's time counts from there): the runs end together, the site-major state
+    (d, runs, starts) stepped by one ``_step_loop`` kernel per batch shape, each call
+    handed a noise block of at most ``_BLOCK_VALUES`` values with the starts filled in,
+    written into one buffer that every block reuses.  Returns (runs,) + the starts' shape,
     C-contiguous, a None run's entry being the starts; with ``collect``, which
     takes one run only (ValueError before any step), that run's u at every
     step, (steps + 1,) + that shape, as a view of the site-major states: a
@@ -329,6 +323,7 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
         r = int(np.searchsorted(joins, a, side="right"))  # runs active from step a
         node = (d, r, n_starts)  # one node of the noise block
         block = max(1, _BLOCK_VALUES // math.prod(node) - 1)  # steps per call
+        steps = _step_loop(node, params, spec, config)
         for c in range(a, b, block):
             e = min(b, c + block)
             size = (e - c + 1) * math.prod(node)
@@ -340,7 +335,7 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
             if c == a:  # the runs joining here start from x - w[0], as v0
                 v = np.concatenate([v, sites[:, None] - w[0, :, v.shape[1]:]], axis=1)
             view = states[c:e + 1] if collect else None
-            v = _step_loop(v, w, params, spec, config, view, first_step=c)
+            v = steps(v, w, view, c)
             if collect:
                 view[:-1] += w[:-1]
     v += w[-1]

@@ -22,19 +22,35 @@ def sweep_calls(monkeypatch) -> list:
     return calls
 
 
+class LadderCalls(list):
+    """``(shape, steps)`` per block stepped, with ``builds``, the shape of each kernel bound."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = []
+
+
 @pytest.fixture
-def ladder_calls(monkeypatch) -> list:
-    """``(site-major state shape, steps)`` per ``solver._step_loop`` call made during the test.
+def ladder_calls(monkeypatch) -> LadderCalls:
+    """``(site-major state shape, steps)`` per noise block that a ``solver._step_loop``
+    kernel steps during the test, and in ``builds`` the state shape of each kernel bound.
 
-    Each call's noise block must hold the state's shape at every node, C-contiguous: the
-    starts filled in, so that no per-step call broadcasts.
+    Each block must hold the kernel's state shape at every node, C-contiguous: the starts
+    filled in, so that no per-step call broadcasts.
     """
-    calls, step_loop = [], solver._step_loop
+    calls, step_loop = LadderCalls(), solver._step_loop
 
-    def counted(v0, w, *args, **kwargs):
-        assert w.shape == (w.shape[0],) + v0.shape and w.flags.c_contiguous
-        calls.append((v0.shape, w.shape[0] - 1))
-        return step_loop(v0, w, *args, **kwargs)
+    def counted(shape, *args):
+        calls.builds.append(shape)
+        steps = step_loop(shape, *args)
+
+        def counted_steps(v0, w, *rest):
+            assert v0.shape == shape and w.shape == (w.shape[0],) + shape
+            assert w.flags.c_contiguous
+            calls.append((v0.shape, w.shape[0] - 1))
+            return steps(v0, w, *rest)
+
+        return counted_steps
 
     monkeypatch.setattr(solver, "_step_loop", counted)
     return calls

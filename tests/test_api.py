@@ -87,6 +87,15 @@ def test_one_stepping_driver():
                                                     ("_step_loop", "solver._step_rows")]
 
 
+def test_one_step_kernel():
+    # one kernel steps every kind, boundary and scheme, reading the drift's remainder from
+    # the spec, which alone holds the cubic's coefficient: no second drift in the solver
+    assert uses_of("_drift", "remainder_into") == []
+    assert {owner for _, owner in uses_of("remainder")} == {"lattice.NonlinearitySpec",
+                                                           "solver._step_loop"}
+    assert {owner for _, owner in uses_of("_neg_b")} == {"lattice.NonlinearitySpec"}
+
+
 def test_one_anchor_per_run():
     # a run reads its noise re-anchored at its own start node, and the noise shift
     # is the field shift of the reference oracles alone

@@ -248,6 +248,8 @@ class TestPullbackLadder:
                                 + [((d, 2, 16), 30)] * 6 + [((d, 2, 16), 20)]
                                 + [((d, 3, 16), 19)] * 5 + [((d, 3, 16), 5)]
                                 + [((d, 4, 16), 14)] * 7 + [((d, 4, 16), 2)])
+        # one kernel bound per segment, stepping each of its blocks
+        assert ladder_calls.builds == [(d, 1, 16), (d, 2, 16), (d, 3, 16), (d, 4, 16)]
 
     def test_noise_blocks_stay_within_the_bound(self, field, ladder_calls):
         # a call's noise block holds its steps + 1 nodes of the whole site-major state,

@@ -243,6 +243,18 @@ class TestHalfSpectrum:
         assert fgn.shape == ref.shape == (rows, n)
         assert np.abs(fgn - ref).max() <= 1e-15 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 500, 3500])
+    @pytest.mark.parametrize("seed", [0, 1, 2**70 + 5])
+    def test_real_arithmetic_equals_the_complex_formula(self, n, seed):
+        # the spectrum's parts, written in real arithmetic, are the complex formula's bits,
+        # and so is the fGn of the one inverse FFT
+        z = np.random.default_rng(seed).standard_normal((32, 2 * n))
+        assert (z != 0).all()
+        for h in (0.6, 0.9):
+            eig = fbm._fgn_eigenvalues(n, h)
+            fgn, ref = fbm._fgn_from_normals(z, eig), oracles.fgn_from_normals_complex(z, eig)
+            assert fgn.shape == ref.shape == (32, n) and fgn.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("n", [7, 500])
     def test_row_is_independent_of_its_block(self, n):
         z = np.random.default_rng(n).standard_normal((40, 2 * n))

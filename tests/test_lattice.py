@@ -164,8 +164,8 @@ def step_cubic(x):
     """One solver step from x, noise-free, under the cubic drift a = b = 1."""
     params = LatticeParams(coupling=1.0, damping=1.0, forcing=LatticeVector.zeros(3),
                            noise_amp=LatticeVector.zeros(3), half_width=3)
-    return _step_loop(x.values, np.zeros((2, 7)), params, NonlinearitySpec.cubic(1.0, 1.0),
-                      SolverConfig(dt=0.01, t_end=0.01), None)
+    return _step_loop((7,), params, NonlinearitySpec.cubic(1.0, 1.0),
+                      SolverConfig(dt=0.01, t_end=0.01))(x.values, np.zeros((2, 7)))
 
 
 class TestNonlinearity:
@@ -232,8 +232,8 @@ class TestNonlinearity:
         assert custom.linear_coef == 0.0
         x = np.linspace(-2.0, 2.0, 9)
         for spec in (NonlinearitySpec.linear(2.5), NonlinearitySpec.cubic(0.3, 1.7), custom):
-            r = spec.remainder_into(x, np.empty(9), np.empty(9))
-            np.testing.assert_array_equal(-spec.linear_coef * x + (0.0 if r is None else r),
+            r = spec.remainder((9,))
+            np.testing.assert_array_equal(-spec.linear_coef * x + (0.0 if r is None else r(x)),
                                           spec.eval_array(x))
 
     @pytest.mark.parametrize("kind, a, b", [("linear", 2.5, 0.0), ("cubic", 0.3, 1.7),

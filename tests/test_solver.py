@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from fraclattice.solver import (
     BLOWUP_NORM,
     Scheme,
     SolverConfig,
-    _drift,
     _step_loop,
     cocycle_map,
     integrate,
@@ -50,11 +50,17 @@ def make_params(half_width=8, boundary=Boundary.ZERO_PADDING, sigma=None, forcin
 
 
 def rhs(v, w, params, spec):
-    """The kernel's drift F(v + w) at one instant, with its remainder checked finite (the
-    linear kind has none)."""
-    out, r = _drift(np.shape(v), params, spec)(v, w)
-    assert r is None or np.isfinite(r).all()
-    return out
+    """The kernel's drift F(v + w) at one instant: one Euler step of dt 1 from -0, which
+    adds -0 to u = v + w and to 1 F, so both come through bit for bit, sign of zero
+    included.  A non-finite remainder would fail the step's guard."""
+    u = v + w
+    cfg = SolverConfig(dt=1.0, t_end=1.0, scheme=Scheme.EULER)
+    return run_kernel(np.full(np.shape(u), -0.0), np.stack([u, u]), params, spec, cfg)
+
+
+def run_kernel(v0, w, params, spec, cfg, states=None, first_step=0):
+    """The kernel of site-major ``v0``'s shape, bound and run once over the noise rows w."""
+    return _step_loop(np.shape(v0), params, spec, cfg)(v0, w, states, first_step)
 
 
 class TestRhs:
@@ -360,7 +366,7 @@ def batch_major(x):
 def collected(v0, w, params, spec, cfg):
     """Every node of one ``_step_loop`` run, written into one states array."""
     states = np.empty((len(w),) + np.shape(v0))
-    _step_loop(v0, w, params, spec, cfg, states)
+    run_kernel(v0, w, params, spec, cfg, states)
     return states
 
 
@@ -399,7 +405,7 @@ class TestKernelOverConfigs:
         states = collected(*site_major(v0, w), params, spec, cfg)
         for k in range(n_steps + 1):
             assert_bits_equal(batch_major(states[k]), refs[k])
-        assert_bits_equal(_step_loop(*site_major(v0, w), params, spec, cfg, None), states[-1])
+        assert_bits_equal(run_kernel(*site_major(v0, w), params, spec, cfg), states[-1])
 
 
 class TestLinearPart:
@@ -445,8 +451,7 @@ class TestLinearPart:
             steps.append(k)
         assert steps[0] == steps[1] and 2 < steps[0] < 39
         with pytest.raises(BlowUpError, match=f"at t={steps[0]:.6g};"):
-            _step_loop(*site_major(v0, w), params, LINEAR, SolverConfig(1.0, 39.0, scheme),
-                       None)
+            run_kernel(*site_major(v0, w), params, LINEAR, SolverConfig(1.0, 39.0, scheme))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_linear_state_overflow_is_a_blow_up(self, scheme):
@@ -454,7 +459,7 @@ class TestLinearPart:
         params = kernel_params(2)
         v0, w = site_major(np.full(5, 1e300), np.zeros((3, 5)))
         with pytest.raises(BlowUpError, match=r"at t=1e\+10;"):
-            _step_loop(v0, w, params, LINEAR, SolverConfig(1e10, 2e10, scheme), None)
+            run_kernel(v0, w, params, LINEAR, SolverConfig(1e10, 2e10, scheme))
 
 
 class TestGuard:
@@ -467,7 +472,7 @@ class TestGuard:
         w = np.zeros((4, 5))
         assert np.add.reduce((v0 * v0).reshape(-1)) > _GUARD_TOTAL
         cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
-        ends = batch_major(_step_loop(*site_major(v0, w), params, LINEAR, cfg, None))
+        ends = batch_major(run_kernel(*site_major(v0, w), params, LINEAR, cfg))
         assert np.add.reduce((ends * ends).reshape(-1)) > _GUARD_TOTAL
         assert_bits_equal(ends, written_out_steps(v0, w, params, LINEAR, 0.01, scheme))
 
@@ -483,7 +488,7 @@ class TestGuard:
             v, k = written_out_steps(v, w[:2], params, LINEAR, 1.0, scheme), k + 1
         cfg = SolverConfig(dt=1.0, t_end=39.0, scheme=scheme)
         with pytest.raises(BlowUpError, match=f"at t={first_step + k:.6g};"):
-            _step_loop(*site_major(v0, w), params, LINEAR, cfg, None, first_step=first_step)
+            run_kernel(*site_major(v0, w), params, LINEAR, cfg, first_step=first_step)
         assert 2 < k < 39
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -494,7 +499,89 @@ class TestGuard:
         v0[..., 2] = 1e110
         cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
         with pytest.raises(NonlinearityOverflowError):
-            _step_loop(*site_major(v0, w), params, CUBIC, cfg, None)
+            run_kernel(*site_major(v0, w), params, CUBIC, cfg)
+
+
+class CountedUfunc:
+    """Stands in for a ufunc, appending its name to ``calls`` on each call and reduce."""
+
+    def __init__(self, ufunc, calls):
+        self.ufunc, self.calls = ufunc, calls
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(self.ufunc.__name__)
+        return self.ufunc(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self.calls.append(self.ufunc.__name__ + ".reduce")
+        return self.ufunc.reduce(*args, **kwargs)
+
+
+#: A custom spec whose fn is a numpy function, so that its only Python-level call is the
+#: remainder the spec prepares
+SINE_UFUNC = NonlinearitySpec.custom(np.sin, np.cos, diss_const=1.0, growth_coef=2.0,
+                                     growth_power=1.0)
+
+#: ufunc calls per step, by kind, boundary and scheme: a stage adds u = v + w, makes kappa u
+#: and -c u, adds the left and right stencil slices (two more with the periodic wrap), then
+#: r (three products more for the cubic) and g; Heun adds the predictor's two calls and the
+#: update's three, Euler the update's two, and the guard squares and sums the state
+UFUNC_CALLS = {
+    ("linear", "zero-padding", "heun"): 19, ("linear", "periodic", "heun"): 23,
+    ("cubic", "zero-padding", "heun"): 27, ("cubic", "periodic", "heun"): 31,
+    ("custom", "zero-padding", "heun"): 21, ("custom", "periodic", "heun"): 25,
+    ("linear", "zero-padding", "euler"): 10, ("linear", "periodic", "euler"): 12,
+    ("cubic", "zero-padding", "euler"): 14, ("cubic", "periodic", "euler"): 16,
+    ("custom", "zero-padding", "euler"): 11, ("custom", "periodic", "euler"): 13,
+}
+
+
+class TestStepCost:
+    """A step is a fixed run of ufunc calls, with one Python-level call per stage at most."""
+
+    SPECS = {"linear": LINEAR, "cubic": CUBIC, "custom": SINE_UFUNC}
+
+    def kernel_run(self, kind, boundary, scheme, n_steps):
+        params = kernel_params(2, forcing=np.linspace(-1.0, 1.0, 5), boundary=boundary)
+        cfg = SolverConfig(dt=0.01, t_end=0.01 * n_steps, scheme=scheme)
+        v0, w = site_major(*layout("batch", 5, n_steps, np.random.default_rng(n_steps)))
+        return _step_loop(v0.shape, params, self.SPECS[kind], cfg), v0, w
+
+    @pytest.mark.parametrize("kind, boundary, scheme", list(UFUNC_CALLS))
+    def test_ufunc_calls_per_step(self, monkeypatch, kind, boundary, scheme):
+        # binding the kernel makes no ufunc call, and each step makes the same ones
+        counts, ends = [], []
+        for n_steps in (1, 2, 5):
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "add", CountedUfunc(np.add, calls))
+                patch.setattr(np, "multiply", CountedUfunc(np.multiply, calls))
+                steps, v0, w = self.kernel_run(kind, boundary, scheme, n_steps)
+                ends.append(steps(v0, w))
+            counts.append(len(calls))
+            steps, v0, w = self.kernel_run(kind, boundary, scheme, n_steps)
+            assert_bits_equal(ends[-1], steps(v0, w))
+        assert counts == [UFUNC_CALLS[kind, boundary, scheme] * n for n in (1, 2, 5)]
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_python_calls_per_step(self, kind, boundary, scheme):
+        # the prepared remainder is a step's one Python-level call per stage; the linear
+        # kind, which has none, makes no Python-level call in a step
+        counts = []
+        for n_steps in (1, 2, 5):
+            steps, v0, w = self.kernel_run(kind, boundary, scheme, n_steps)
+            calls = []
+            sys.setprofile(lambda frame, event, arg: calls.append(1) if event == "call"
+                           else None)
+            try:
+                steps(v0, w)
+            finally:
+                sys.setprofile(None)
+            counts.append(len(calls))
+        per_step = 0 if kind == "linear" else 2 if scheme is Scheme.HEUN else 1
+        assert [c - counts[0] for c in counts] == [0, per_step, 4 * per_step]
 
 
 class TestStepMargin:
@@ -564,6 +651,20 @@ class TestEvalInto:
         x = 3.0 * np.random.default_rng(seed).standard_normal(shape)
         assert_bits_equal(spec.eval_array(x), reference_f(spec, x))
 
+    @pytest.mark.parametrize("spec", [LINEAR, CUBIC, NonlinearitySpec.cubic(0.3, 1.7), SINE],
+                             ids=["linear", "cubic", "cubic-2", "custom"])
+    def test_prepared_remainder_equals_the_formula(self, spec):
+        # each preparation writes into buffers of its own, so a second one's call leaves
+        # the first one's r as it was; the linear kind has no remainder to prepare
+        x, y = 3.0 * np.random.default_rng(3).standard_normal((2, 3, 5))
+        first, second = spec.remainder((3, 5)), spec.remainder((3, 5))
+        if spec.kind is NonlinearityKind.LINEAR:
+            assert first is None and second is None
+            return
+        rx, ry = first(x), second(y)
+        assert_bits_equal(rx, reference_r(spec, x))
+        assert_bits_equal(ry, reference_r(spec, y))
+
     def test_custom_returns_fn_of_x(self):
         x = np.linspace(-2.0, 2.0, 9)
         assert_bits_equal(SINE.eval_array(x), SINE.fn(x))
@@ -603,7 +704,7 @@ class TestNoiseNodes:
         rule: solver step k reads the nearer of the nodes around k / m, ties up."""
         nodes = [j + k // m + (2 * (k % m) >= m) for k in range(n + 1)]
         w = (self.FIELD.paths[nodes] - self.FIELD.paths[j]) * self.FIELD.sigma.values
-        v = _step_loop(*site_major(self.STARTS - w[0], w), self.PARAMS, CUBIC, cfg, None)
+        v = run_kernel(*site_major(self.STARTS - w[0], w), self.PARAMS, CUBIC, cfg)
         return batch_major(v) + w[-1]
 
     @pytest.mark.parametrize("m", [2, 3])
