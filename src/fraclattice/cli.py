@@ -328,15 +328,8 @@ def _plan_fbm_sample(c, check):
     check("experiment.n_steps", _size_check, "circulant", 2 * c.n_steps, "values")
 
 
-def _stable_step(margin: float | None) -> None:
-    """ValueError if the run's ``solver.step_margin`` (None: not computed) passes 2."""
-    if margin is not None and margin > 2.0:
-        raise ValueError(f"dt (kappa rho(A) + lam + a) = {margin:.3g} exceeds 2, where an "
-                         "explicit step grows the top lattice mode")
-
-
 def _plan_forward(c, check, starts=1):
-    check("solver.dt", _stable_step, c.step_margin)
+    check("solver.dt", sv._stable_step, c.step_margin)
     row = check("solver.t_end", sv._forward_row, c.grid, c.solver.t_end, c.solver)
     # the forward run keeps every state of its starts, in one array
     if row and check("solver.t_end", _size_check, "trajectory", (row[1] + 1) * starts,
@@ -352,7 +345,7 @@ def _plan_ou(c, check):
 
 def _plan_ladder(c, check):
     """A pullback ladder of ``n_starts`` starts from each of ``horizons``."""
-    check("solver.dt", _stable_step, c.step_margin)
+    check("solver.dt", sv._stable_step, c.step_margin)
     rows = check("experiment.horizons", at._ladder_rows, c.grid, c.horizons, c.solver)
     if check("experiment.n_starts", _size_check, "pullback ladder",
              len(c.horizons) * c.n_starts, "horizon x start rows", c.sites) and rows:
@@ -392,7 +385,7 @@ def _stationarity(c, horizons, times) -> None:
 
 
 def _plan_equilibrium(c, check):
-    check("solver.dt", _stable_step, c.step_margin)
+    check("solver.dt", sv._stable_step, c.step_margin)
     horizons = check("experiment.initial_horizon", _search, c, float(c.initial_horizon))
     times = sorted(float(t) for t in c.check_times)
     if horizons and times:

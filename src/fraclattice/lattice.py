@@ -14,10 +14,9 @@ factorization picks up boundary terms unless the vector vanishes on the
 outermost sites (the adjointness identity survives unconditionally).
 
 The drift nonlinearity acts componentwise and is described by a
-:class:`NonlinearitySpec` carrying its one-sided dissipativity and growth
-constants, derived for the linear and cubic kinds and claimed for a
-custom one; the randomized probes of the test suite (``tests/oracles.py``)
-check them numerically.
+:class:`NonlinearitySpec`, linear or cubic, which derives its one-sided
+dissipativity and growth constants from its coefficients; the randomized
+probes of the test suite (``tests/oracles.py``) check them numerically.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -181,7 +179,6 @@ def apply_diff_adjoint(x: LatticeVector, boundary: Boundary = Boundary.ZERO_PADD
 class NonlinearityKind(str, enum.Enum):
     LINEAR = "linear"
     CUBIC = "cubic"
-    CUSTOM = "custom"
 
 
 def _cubic_growth_coef(a: float, b: float) -> float:
@@ -203,27 +200,22 @@ def _cubic_growth_coef(a: float, b: float) -> float:
 class NonlinearitySpec:
     """Componentwise drift term f(x) = (f(x_i))_i with its constants.
 
-    ``diss_const`` is the one-sided dissipativity rate L in
-    <x - y, f(x) - f(y)> <= -L |x - y|^2, and ``growth_coef`` /
-    ``growth_power`` the K, p in |f(x)| + |Df(x)| <= K(1 + |x|^p)
-    with |Df| the max-abs diagonal derivative.  Each kind takes only the
-    values it uses, and any other value given is a ValueError.  The linear
-    kind f(s) = -a s takes ``a``, the cubic f(s) = -a s - b s^3 takes ``a``
-    and ``b``, and both derive L, K, p and ``label`` from them.  The custom
-    kind takes ``fn``, ``dfn``, its three claims, which it must state, and a
-    ``label``; its claims are metadata, which the probes
-    ``probe_dissipativity`` and ``probe_growth`` of ``tests/oracles.py`` test.
+    The linear kind is f(s) = -a s, the cubic f(s) = -a s - b s^3; a spec takes
+    ``kind``, ``a`` and ``b`` (0 for the linear kind) and derives the rest from them:
+    ``diss_const``, the one-sided dissipativity rate L in
+    <x - y, f(x) - f(y)> <= -L |x - y|^2, ``growth_coef`` / ``growth_power``, the K, p
+    in |f(x)| + |Df(x)| <= K(1 + |x|^p) with |Df| the max-abs diagonal derivative, and
+    ``label``.  ``dataclasses.replace`` derives them anew.  The probes
+    ``probe_dissipativity`` and ``probe_growth`` of ``tests/oracles.py`` test them.
     """
 
     kind: NonlinearityKind
     a: float = 0.0
     b: float = 0.0
-    fn: Callable[[np.ndarray], np.ndarray] | None = None
-    dfn: Callable[[np.ndarray], np.ndarray] | None = None
-    diss_const: float | None = None
-    growth_coef: float | None = None
-    growth_power: float | None = None
-    label: str | None = None
+    diss_const: float = field(init=False)
+    growth_coef: float = field(init=False)
+    growth_power: float = field(init=False)
+    label: str = field(init=False)
     # -a and -b as ufunc operands, for eval_array and remainder
     _neg_a: np.ndarray = field(init=False, repr=False, compare=False)
     _neg_b: np.ndarray = field(init=False, repr=False, compare=False)
@@ -233,27 +225,7 @@ class NonlinearitySpec:
         a, b = self.a, self.b
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("coefficients a and b must be finite")
-        given = [name for name in ("fn", "dfn", "diss_const", "growth_coef", "growth_power",
-                                   "label") if getattr(self, name) is not None]
-        if kind is NonlinearityKind.CUSTOM:
-            if a or b:
-                raise ValueError("the custom kind takes no coefficients a and b")
-            if self.fn is None or self.dfn is None:
-                raise ValueError("custom nonlinearity needs fn and dfn callables")
-            if None in (self.diss_const, self.growth_coef, self.growth_power):
-                raise ValueError("custom nonlinearity must state diss_const, growth_coef "
-                                 "and growth_power")
-            if not self.diss_const > 0:
-                raise ValueError("claimed dissipativity constant must be positive")
-            if not self.growth_coef > 0:
-                raise ValueError("claimed growth coefficient must be positive")
-            if self.growth_power < 1:
-                raise ValueError("growth power must be >= 1")
-            derived = {"label": self.label or "custom"}
-        elif given:
-            raise ValueError(f"the {kind.value} kind derives its constants and label from "
-                             f"its coefficients; it takes no {', '.join(given)}")
-        elif kind is NonlinearityKind.LINEAR:
+        if kind is NonlinearityKind.LINEAR:
             if b:
                 raise ValueError("the linear kind takes no coefficient b")
             if not a > 0:
@@ -279,28 +251,12 @@ class NonlinearitySpec:
         """f(s) = -a s - b s^3; dissipative with rate a, growth power 3."""
         return cls(kind=NonlinearityKind.CUBIC, a=a, b=b)
 
-    @classmethod
-    def custom(cls, fn: Callable[[np.ndarray], np.ndarray],
-               dfn: Callable[[np.ndarray], np.ndarray], diss_const: float, growth_coef: float,
-               growth_power: float, label: str = "custom") -> "NonlinearitySpec":
-        """f = fn with derivative dfn and the claimed constants L, K, p."""
-        return cls(kind=NonlinearityKind.CUSTOM, fn=fn, dfn=dfn, diss_const=diss_const,
-                   growth_coef=growth_coef, growth_power=growth_power, label=label)
-
-    @property
-    def linear_coef(self) -> float:
-        """l, the coefficient of f's linear part -l x: a for the linear and cubic kinds, 0 for
-        custom, so that f(x) = -l x + r(x) with r the :meth:`remainder`."""
-        return 0.0 if self.kind is NonlinearityKind.CUSTOM else self.a
-
     def remainder(self, shape: tuple):
-        """r(x) = f(x) + l x prepared once for float x of ``shape``: a callable r(x), None for
-        the linear kind, whose f has none.  The cubic's writes -b (x x x) into a buffer of its
-        own, which it returns; custom's returns fn(x) as a float array."""
+        """r(x) = f(x) + a x prepared once for float x of ``shape``: None for the linear
+        kind, whose f has none, and for the cubic a callable r(x) that writes -b (x x x)
+        into a buffer of its own, which it returns."""
         if self.kind is NonlinearityKind.LINEAR:
             return None
-        if self.kind is NonlinearityKind.CUSTOM:
-            return lambda x: np.asarray(self.fn(x), dtype=float)
         out, work, neg_b, multiply = np.empty(shape), np.empty(shape), self._neg_b, np.multiply
 
         def cubic(x):
@@ -310,18 +266,14 @@ class NonlinearitySpec:
         return cubic
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        """f(x) as a new float array: -a*x + r(x) for the derived kinds, bit for bit
-        -a*x - b*(x*x*x) for the cubic, and fn(x) for custom.  Overflow surfaces as non-finite
-        output, which callers turn into ``NonlinearityOverflowError`` in their ``np.errstate``."""
+        """f(x) as a new float array, -a*x + r(x): bit for bit -a*x - b*(x*x*x) for the
+        cubic.  Overflow surfaces as non-finite output, which callers turn into
+        ``NonlinearityOverflowError`` in their ``np.errstate``."""
         remainder = self.remainder(np.shape(x))
-        if self.kind is NonlinearityKind.CUSTOM:
-            return remainder(x)
         fx = np.multiply(x, self._neg_a)
         return fx if remainder is None else np.add(fx, remainder(x), fx)
 
     def deriv_array(self, x: np.ndarray) -> np.ndarray:
         if self.kind is NonlinearityKind.LINEAR:
             return np.full(np.shape(x), -self.a)
-        if self.kind is NonlinearityKind.CUBIC:
-            return -self.a - 3.0 * self.b * x**2
-        return np.asarray(self.dfn(x), dtype=float)
+        return -self.a - 3.0 * self.b * x**2

@@ -115,17 +115,24 @@ def _steps(t: float, config: SolverConfig) -> int:
 
 
 def step_margin(dt: float, params: LatticeParams, spec: NonlinearitySpec) -> float:
-    """dt (kappa rho(A) + lam + l): the step against the drift's symmetric linear part.
+    """dt (kappa rho(A) + lam + a): the step against the drift's symmetric linear part.
 
-    kappa and lam are the params' coupling and damping and l the spec's ``linear_coef``;
-    rho(A), the spectral radius of the laplacian on the params' d sites, is
+    kappa and lam are the params' coupling and damping and a the spec's linear
+    coefficient; rho(A), the spectral radius of the laplacian on the params' d sites, is
     2 + 2 cos(pi / (d + 1)) with zero padding and 2 + 2 cos(pi / d) periodic.  Euler and
     Heun are stable on a real eigenvalue mu < 0 only when dt |mu| <= 2, so past a margin
     of 2 every step grows the top mode.
     """
     extra = 1 if params.boundary is Boundary.ZERO_PADDING else 0
     radius = 2.0 + 2.0 * math.cos(math.pi / (params.n_sites + extra))
-    return dt * (params.coupling * radius + params.damping + spec.linear_coef)
+    return dt * (params.coupling * radius + params.damping + spec.a)
+
+
+def _stable_step(margin: float | None) -> None:
+    """ValueError if a run's ``step_margin`` (None: not computed) passes 2."""
+    if margin is not None and margin > 2.0:
+        raise ValueError(f"dt (kappa rho(A) + lam + a) = {margin:.3g} exceeds 2, where an "
+                         "explicit step grows the top lattice mode")
 
 
 def _overflow(spec: NonlinearitySpec) -> NonlinearityOverflowError:
@@ -141,7 +148,7 @@ def _step_loop(shape: tuple, params: LatticeParams, spec: NonlinearitySpec,
     returns the last v, with node k written into ``states[k]``, or stepped in place on a
     copy of v0 with ``states`` None.  A step is one straight run of ufunc calls.  Each
     stage writes F(v + w) = -c u + kappa (u_{i-1} + u_{i+1}) + r(u) + g into its own
-    buffer, c = 2 kappa + lam + l folding the scalar linear terms: every left neighbour's
+    buffer, c = 2 kappa + lam + a folding the scalar linear terms: every left neighbour's
     kappa u is added, then every right one's, then r, the spec's ``remainder`` prepared
     per stage (None for the linear kind), then g.  Each step sums the squares of the
     state in one reduction; past ``_GUARD_TOTAL`` the row norms, each row's squares
@@ -151,7 +158,7 @@ def _step_loop(shape: tuple, params: LatticeParams, spec: NonlinearitySpec,
     """
     u0, u1, ku, f0, f1, work, g = (np.empty(shape) for _ in range(7))
     g[...] = params.forcing.values.reshape((-1,) + (1,) * (len(shape) - 1))
-    neg_c = _operand(-(2.0 * params.coupling + params.damping + spec.linear_coef))
+    neg_c = _operand(-(2.0 * params.coupling + params.damping + spec.a))
     kappa, dt, half_dt = (_operand(x) for x in (params.coupling, config.dt, 0.5 * config.dt))
     remainder0, remainder1 = spec.remainder(shape), spec.remainder(shape)
     has_r, heun = remainder0 is not None, config.scheme is Scheme.HEUN
@@ -294,8 +301,9 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
 
     The runs come in any order, with repeats and None for a run of no step;
     a run reads its noise re-anchored at its start node (see ``_read_noise``).
-    The starts are a LatticeVector or an (n_starts, d) batch.  Each distinct
-    run steps once, in one staggered batch from the longest run's start (a
+    The starts are a LatticeVector or an (n_starts, d) batch.  A step past a
+    ``step_margin`` of 2 is a ValueError before any step (``_stable_step``).
+    Each distinct run steps once, in one staggered batch from the longest run's start (a
     blow-up's time counts from there): the runs end together, the site-major state
     (d, runs, starts) stepped by one ``_step_loop`` kernel per batch shape, each call
     handed a noise block of at most ``_BLOCK_VALUES`` values with the starts filled in,
@@ -312,6 +320,7 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
     runs = _runs(rows)
     if not runs:
         return np.stack([x] * len(rows))
+    _stable_step(step_margin(config.dt, params, spec))
     m = config.refinement(field.grid.dt)
     (j, n), sites = np.array(runs).T, x.reshape(-1, params.n_sites).T  # (d, starts)
     d, n_starts = sites.shape

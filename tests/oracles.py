@@ -10,7 +10,8 @@ package computes, or a probe of a claim the package makes:
   its half-spectrum one (these take H as a plain float and do not check
   its range, so they evaluate H = 1/2 too);
 * the randomized ``probe_dissipativity`` and ``probe_growth`` of a
-  drift's claimed constants, the rolled neighbours ``rolled`` and
+  drift's constants, with ``ClaimedDrift``, a drift of stated constants
+  for the probes to refute, the rolled neighbours ``rolled`` and
   laplacian ``laplacian_array``, against the package's slice stencil,
   and the periodic laplacian eigenbasis ``laplacian_modes``;
 * the field shift ``shift_noise`` and restriction ``coarsen_noise``,
@@ -26,6 +27,7 @@ package computes, or a probe of a claim the package makes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +55,7 @@ __all__ = [
     "DEGENERATE_PAIR_TOL",
     "DissipativityReport",
     "GrowthReport",
+    "ClaimedDrift",
     "probe_dissipativity",
     "probe_growth",
     "rolled",
@@ -201,8 +204,19 @@ class GrowthReport:
     passed: bool
 
 
+class ClaimedDrift(NamedTuple):
+    """What the probes read of a ``NonlinearitySpec``: f, its diagonal derivative and the
+    constants L, K, p, here stated rather than derived, so that the probes can refute them."""
+
+    eval_array: Callable[[np.ndarray], np.ndarray]
+    deriv_array: Callable[[np.ndarray], np.ndarray]
+    diss_const: float
+    growth_coef: float
+    growth_power: float
+
+
 def probe_dissipativity(
-    spec: NonlinearitySpec,
+    spec: NonlinearitySpec | ClaimedDrift,
     n_samples: int = 10_000,
     radius: float = 10.0,
     seed=0,
@@ -241,7 +255,7 @@ def probe_dissipativity(
 
 
 def probe_growth(
-    spec: NonlinearitySpec,
+    spec: NonlinearitySpec | ClaimedDrift,
     n_samples: int = 10_000,
     radius: float = 10.0,
     seed=0,

@@ -26,7 +26,8 @@ from fraclattice.noise import (
     stationary_ou,
 )
 from fraclattice.solver import SolverConfig, integrate
-from oracles import cocycle_check, coarsen_noise, linear_oracle, probe_dissipativity
+from oracles import (ClaimedDrift, cocycle_check, coarsen_noise, linear_oracle,
+                     probe_dissipativity)
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)
@@ -93,10 +94,8 @@ def test_criterion_03_dissipativity_probes():
     with _Stopwatch(5.0) as watch:
         exact = probe_dissipativity(NonlinearitySpec.linear(2.0), 10_000, 10.0, seed=1)
         cubic = probe_dissipativity(CUBIC, 10_000, 10.0, seed=1)
-        anti = NonlinearitySpec.custom(
-            fn=lambda s: s, dfn=lambda s: np.ones_like(s),
-            diss_const=1.0, growth_coef=2.0, growth_power=1.0, label="anti",
-        )
+        anti = ClaimedDrift(eval_array=lambda s: s, deriv_array=np.ones_like,
+                            diss_const=1.0, growth_coef=2.0, growth_power=1.0)
         violation = probe_dissipativity(anti, 10_000, 10.0, seed=1)
         ok = (
             exact.worst_quotient == -2.0

@@ -116,9 +116,13 @@ def test_one_derivation_per_constant():
 
 
 def test_one_owner_per_shared_rule():
-    # the plans count a stepping batch with the driver's own list of the runs it steps,
-    # and the OU tail check reads the growth law of the OU growth bound
+    # the plans count a stepping batch with the driver's own list of the runs it steps
+    # and check its step with the driver's own stability rule, and the OU tail check
+    # reads the growth law of the OU growth bound
     assert uses_of("_runs") == [("_runs", "cli._work_check"), ("_runs", "solver._step_rows")]
+    assert uses_of("_stable_step") == [
+        ("_stable_step", "cli._plan_equilibrium"), ("_stable_step", "cli._plan_forward"),
+        ("_stable_step", "cli._plan_ladder"), ("_stable_step", "solver._step_rows")]
     assert uses_of("_growth_shape") == [("_growth_shape", "noise.OUProcess"),
                                         ("_growth_shape", "noise._ou_window")]
 

@@ -517,6 +517,21 @@ class TestMain:
             "solver.dt: dt (kappa rho(A) + lam + a) = 2.95 exceeds 2, where an explicit "
             "step grows the top lattice mode"]
 
+    def test_library_calls_give_the_plan_message(self):
+        # the driver checks the step itself, before any step, in the words of the plans
+        raw = {**UNSTABLE, "grid": {"dt": 0.5, "t_past": 0.0, "t_future": 5.0}}
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        cfg = validate_config({**raw, "solver": {"dt": 0.25}})
+        field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
+        unstable = SolverConfig(dt=0.5, t_end=cfg.solver.t_end)
+        for run in (lambda: integrate(cfg.starts["u0"], field, cfg.params, cfg.spec, unstable),
+                    lambda: _step_rows([(0, 1), (0, 2)], field, cfg.starts["w0"], cfg.params,
+                                       cfg.spec, unstable)):
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert err.value.violations == [f"solver.dt: {exc.value}"]
+
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_exit_two_on_unreadable_config(self, tmp_path, capsys, name):
         path = tmp_path / name

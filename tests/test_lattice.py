@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +19,8 @@ from fraclattice.lattice import (
     apply_laplacian,
 )
 from fraclattice.solver import SolverConfig, _step_loop
-from oracles import laplacian_array, laplacian_modes, probe_dissipativity, probe_growth, rolled
+from oracles import (ClaimedDrift, laplacian_array, laplacian_modes, probe_dissipativity,
+                     probe_growth, rolled)
 
 
 def rand_vec(rng, n, interior=False):
@@ -209,12 +212,6 @@ class TestNonlinearity:
         flipped = LatticeVector(spec.eval_array(x[::-1].copy())).values
         np.testing.assert_array_equal(flipped, LatticeVector(spec.eval_array(x)).values[::-1])
 
-    def test_custom_derivative_is_a_float_array(self):
-        spec = NonlinearitySpec.custom(fn=lambda s: -s, dfn=lambda s: [-1] * len(s),
-                                       diss_const=1.0, growth_coef=2.0, growth_power=1.0)
-        deriv = spec.deriv_array(np.array([0.5, -2.0]))
-        assert deriv.dtype == np.float64 and deriv.tolist() == [-1.0, -1.0]
-
     def test_kind_given_by_value(self):
         # a kind given as its string value is the kind itself, and evaluates as it
         spec = NonlinearitySpec(kind="cubic", a=1.0, b=1.0)
@@ -224,17 +221,31 @@ class TestNonlinearity:
         np.testing.assert_array_equal(spec.eval_array(x),
                                       NonlinearitySpec.cubic(1.0, 1.0).eval_array(x))
 
-    def test_linear_coef_per_kind(self):
-        # l of f(x) = -l x + r(x): a for the derived kinds, 0 for custom, which takes no a
-        custom = NonlinearitySpec.custom(np.sin, np.cos, 1.0, 2.0, 1.0)
-        assert NonlinearitySpec.linear(2.5).linear_coef == 2.5
-        assert NonlinearitySpec.cubic(0.3, 1.7).linear_coef == 0.3
-        assert custom.linear_coef == 0.0
+    def test_remainder_per_kind(self):
+        # f(x) = -a x + r(x), r the prepared remainder, which the linear kind has none of
         x = np.linspace(-2.0, 2.0, 9)
-        for spec in (NonlinearitySpec.linear(2.5), NonlinearitySpec.cubic(0.3, 1.7), custom):
+        for spec in (NonlinearitySpec.linear(2.5), NonlinearitySpec.cubic(0.3, 1.7)):
             r = spec.remainder((9,))
-            np.testing.assert_array_equal(-spec.linear_coef * x + (0.0 if r is None else r(x)),
+            np.testing.assert_array_equal(-spec.a * x + (0.0 if r is None else r(x)),
                                           spec.eval_array(x))
+
+    def test_settable_values(self):
+        # a spec takes its kind and coefficients; L, K, p and the label it derives
+        assert [f.name for f in dataclasses.fields(NonlinearitySpec) if f.init] == [
+            "kind", "a", "b"]
+
+    @pytest.mark.parametrize("spec, changes, derived", [
+        (NonlinearitySpec.cubic(1.0, 1.0), {"a": 2.0}, "cubic(a=2, b=1)"),
+        (NonlinearitySpec.cubic(1.0, 1.0), {"b": 0.5}, "cubic(a=1, b=0.5)"),
+        (NonlinearitySpec.linear(1.0), {"a": 2.5}, "linear(a=2.5)"),
+    ], ids=["cubic-a", "cubic-b", "linear-a"])
+    def test_replace_derives_anew(self, spec, changes, derived):
+        new = dataclasses.replace(spec, **changes)
+        fresh = NonlinearitySpec(kind=spec.kind, **{"a": spec.a, "b": spec.b, **changes})
+        assert new == fresh and new.label == derived
+        assert (new.diss_const, new.growth_coef, new.growth_power) == (
+            fresh.diss_const, fresh.growth_coef, fresh.growth_power)
+        assert new.diss_const == new.a and new.growth_coef != spec.growth_coef
 
     @pytest.mark.parametrize("kind, a, b", [("linear", 2.5, 0.0), ("cubic", 0.3, 1.7),
                                             ("cubic", 5e-324, 1.0), ("cubic", 1.0, 5e-324)])
@@ -266,71 +277,49 @@ class TestNonlinearity:
 
     def test_derivative_is_a_float_array_for_every_kind(self):
         # an integer sample gives float derivatives, the linear kind's included
-        custom = NonlinearitySpec.custom(fn=lambda s: -s, dfn=lambda s: -np.ones_like(s),
-                                         diss_const=1.0, growth_coef=2.0, growth_power=1.0)
         x = np.array([1, 2])
         for spec, expected in ((NonlinearitySpec.linear(2.5), [-2.5, -2.5]),
-                               (NonlinearitySpec.cubic(0.5, 1.0), [-3.5, -12.5]),
-                               (custom, [-1.0, -1.0])):
+                               (NonlinearitySpec.cubic(0.5, 1.0), [-3.5, -12.5])):
             deriv = spec.deriv_array(x)
             assert deriv.dtype == np.float64 and deriv.tolist() == expected
 
-    def test_custom_requires_callables(self):
-        with pytest.raises(ValueError):
-            NonlinearitySpec(kind=NonlinearityKind.CUSTOM, diss_const=1.0,
-                             growth_coef=1.0, growth_power=1.0)
+
+def unexpected(name):
+    """The pattern of the TypeError for a keyword that ``NonlinearitySpec`` does not take."""
+    return re.escape(f"NonlinearitySpec.__init__() got an unexpected keyword argument '{name}'")
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: LatticeVector(np.array([0.0, np.nan, 1.0])), "lattice vector entries must be finite"),
-    (lambda: NonlinearitySpec.custom(np.sin, np.cos, diss_const=0.0, growth_coef=1.0,
-                                     growth_power=1.0),
-     "claimed dissipativity constant must be positive"),
-    (lambda: NonlinearitySpec.custom(np.sin, np.cos, diss_const=1.0, growth_coef=0.0,
-                                     growth_power=1.0),
-     "claimed growth coefficient must be positive"),
-    (lambda: NonlinearitySpec.custom(np.sin, np.cos, diss_const=1.0, growth_coef=1.0,
-                                     growth_power=0.5),
-     "growth power must be >= 1"),
-    (lambda: NonlinearitySpec.linear(0.0), "linear coefficient must be positive"),
-    (lambda: NonlinearitySpec.cubic(0.0, 1.0), "cubic coefficients must be positive"),
-    (lambda: NonlinearitySpec.cubic(1.0, -1.0), "cubic coefficients must be positive"),
-    (lambda: NonlinearitySpec(kind="quartic", a=1.0, b=1.0),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LatticeVector(np.array([0.0, np.nan, 1.0])), ValueError,
+     "lattice vector entries must be finite"),
+    (lambda: NonlinearitySpec.linear(0.0), ValueError, "linear coefficient must be positive"),
+    (lambda: NonlinearitySpec.cubic(0.0, 1.0), ValueError, "cubic coefficients must be positive"),
+    (lambda: NonlinearitySpec.cubic(1.0, -1.0), ValueError,
+     "cubic coefficients must be positive"),
+    (lambda: NonlinearitySpec(kind="quartic", a=1.0, b=1.0), ValueError,
      "'quartic' is not a valid NonlinearityKind"),
-    (lambda: NonlinearitySpec(kind=NonlinearityKind.CUBIC, a=float("nan"), b=1.0),
+    (lambda: NonlinearitySpec(kind=NonlinearityKind.CUBIC, a=float("nan"), b=1.0), ValueError,
      "coefficients a and b must be finite"),
-    (lambda: NonlinearitySpec(kind="linear", a=1.0, b=float("inf")),
+    (lambda: NonlinearitySpec(kind="linear", a=1.0, b=float("inf")), ValueError,
      "coefficients a and b must be finite"),
-    (lambda: NonlinearitySpec(kind="cubic", a=1.0, b=1.0, growth_power=1.0),
-     "the cubic kind derives its constants and label from its coefficients; "
-     "it takes no growth_power"),
-    (lambda: NonlinearitySpec(kind="linear", a=-3.0, diss_const=1.0, label="weak"),
-     "the linear kind derives its constants and label from its coefficients; "
-     "it takes no diss_const, label"),
-    (lambda: NonlinearitySpec(kind="linear", a=1.0, fn=np.sin, dfn=np.cos),
-     "the linear kind derives its constants and label from its coefficients; "
-     "it takes no fn, dfn"),
-    (lambda: NonlinearitySpec(kind="linear", a=1.0, b=1.0),
+    # a derived kind takes no claim: L, K, p and the label are no arguments
+    (lambda: NonlinearitySpec(kind="cubic", a=1.0, b=1.0, growth_power=1.0), TypeError,
+     unexpected("growth_power")),
+    (lambda: NonlinearitySpec(kind="linear", a=-3.0, diss_const=1.0, label="weak"), TypeError,
+     unexpected("diss_const")),
+    (lambda: NonlinearitySpec(kind="linear", a=1.0, fn=np.sin, dfn=np.cos), TypeError,
+     unexpected("fn")),
+    (lambda: NonlinearitySpec(kind="linear", a=1.0, b=1.0), ValueError,
      "the linear kind takes no coefficient b"),
-    (lambda: NonlinearitySpec(kind="linear", a=-3.0), "linear coefficient must be positive"),
-    (lambda: NonlinearitySpec(kind="cubic", a=1.0), "cubic coefficients must be positive"),
-    (lambda: NonlinearitySpec(kind="custom", a=5.0, fn=np.sin, dfn=np.cos, diss_const=0.5,
-                              growth_coef=2.0, growth_power=1.0),
-     "the custom kind takes no coefficients a and b"),
-    (lambda: NonlinearitySpec(kind="custom", b=1.0, fn=np.sin, dfn=np.cos, diss_const=0.5,
-                              growth_coef=2.0, growth_power=1.0),
-     "the custom kind takes no coefficients a and b"),
-    (lambda: NonlinearitySpec(kind="custom", fn=np.sin, dfn=np.cos),
-     "custom nonlinearity must state diss_const, growth_coef and growth_power"),
-    (lambda: NonlinearitySpec(kind="custom", fn=np.sin, dfn=np.cos, diss_const=1.0,
-                              growth_coef=1.0),
-     "custom nonlinearity must state diss_const, growth_coef and growth_power"),
-], ids=["vector-nan", "spec-dissipativity", "spec-growth-coef", "spec-growth-power",
-        "linear-coefficient", "cubic-a", "cubic-b", "spec-kind", "spec-a-nan", "spec-b-inf",
-        "cubic-claim", "linear-claims", "linear-callables", "linear-b", "linear-a-negative",
-        "cubic-no-b", "custom-a", "custom-b", "custom-no-claims", "custom-no-power"])
-def test_input_guards(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    (lambda: NonlinearitySpec(kind="linear", a=-3.0), ValueError,
+     "linear coefficient must be positive"),
+    (lambda: NonlinearitySpec(kind="cubic", a=1.0), ValueError,
+     "cubic coefficients must be positive"),
+], ids=["vector-nan", "linear-coefficient", "cubic-a", "cubic-b", "spec-kind", "spec-a-nan",
+        "spec-b-inf", "cubic-claim", "linear-claims", "linear-callables", "linear-b",
+        "linear-a-negative", "cubic-no-b"])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
         call()
 
 
@@ -348,10 +337,8 @@ class TestDissipativityProbe:
         assert rep.passed
 
     def test_designed_violation_detected(self):
-        anti = NonlinearitySpec.custom(
-            fn=lambda s: s, dfn=lambda s: np.ones_like(s),
-            diss_const=1.0, growth_coef=2.0, growth_power=1.0, label="anti",
-        )
+        anti = ClaimedDrift(eval_array=lambda s: s, deriv_array=np.ones_like,
+                            diss_const=1.0, growth_coef=2.0, growth_power=1.0)
         rep = probe_dissipativity(anti, 500, 10.0, seed=1)
         assert not rep.passed
         assert rep.worst_quotient == 1.0
@@ -361,8 +348,8 @@ class TestGrowthProbe:
     def test_linear_with_doubled_coef(self):
         # f(s) = -s with the claim K = 2, which the linear kind would derive as 1
         linear = NonlinearitySpec.linear(1.0)
-        spec = NonlinearitySpec.custom(linear.eval_array, linear.deriv_array, diss_const=1.0,
-                                       growth_coef=2.0, growth_power=1.0)
+        spec = ClaimedDrift(linear.eval_array, linear.deriv_array, diss_const=1.0,
+                            growth_coef=2.0, growth_power=1.0)
         rep = probe_growth(spec, 2000, 10.0, seed=2)
         assert rep.passed
         assert rep.worst_ratio <= 1.0 + 1e-12  # |x| + 1 <= 1 * (1 + |x|)
@@ -382,10 +369,10 @@ class TestGrowthProbe:
             worst = max(worst, lhs / rhs)
         rep = probe_growth(spec, n, radius, seed=seed, half_width=width)
         assert rep.worst_ratio == pytest.approx(worst, rel=1e-12)
-        ok = NonlinearitySpec.custom(spec.eval_array, spec.deriv_array, diss_const=1.0,
-                                     growth_coef=worst * 1.05, growth_power=3.0)
-        bad = NonlinearitySpec.custom(spec.eval_array, spec.deriv_array, diss_const=1.0,
-                                      growth_coef=worst * 0.95, growth_power=3.0)
+        ok = ClaimedDrift(spec.eval_array, spec.deriv_array, diss_const=1.0,
+                          growth_coef=worst * 1.05, growth_power=3.0)
+        bad = ClaimedDrift(spec.eval_array, spec.deriv_array, diss_const=1.0,
+                           growth_coef=worst * 0.95, growth_power=3.0)
         assert probe_growth(ok, n, radius, seed=seed, half_width=width).passed
         assert not probe_growth(bad, n, radius, seed=seed, half_width=width).passed
 
@@ -395,8 +382,8 @@ class TestGrowthProbe:
 
     def test_cubic_with_claimed_linear_growth_fails(self):
         cubic = NonlinearitySpec.cubic(1.0, 1.0)
-        lying = NonlinearitySpec.custom(cubic.eval_array, cubic.deriv_array, diss_const=1.0,
-                                        growth_coef=cubic.growth_coef, growth_power=1.0)
+        lying = ClaimedDrift(cubic.eval_array, cubic.deriv_array, diss_const=1.0,
+                             growth_coef=cubic.growth_coef, growth_power=1.0)
         assert not probe_growth(lying, 2000, 10.0, seed=4).passed
 
 

@@ -31,14 +31,12 @@ from oracles import (cocycle_check, gronwall_envelope, laplacian_array, laplacia
 
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 LINEAR = NonlinearitySpec.linear(1.0)
-SINE = NonlinearitySpec.custom(lambda x: -x - 0.5 * np.sin(x),
-                               lambda x: -1.0 - 0.5 * np.cos(x),
-                               diss_const=0.5, growth_coef=2.0, growth_power=1.0)
 
 
-def make_params(half_width=8, boundary=Boundary.ZERO_PADDING, sigma=None, forcing=None):
+def make_params(half_width=8, boundary=Boundary.ZERO_PADDING, sigma=None, forcing=None,
+                coupling=1.0):
     return LatticeParams(
-        coupling=1.0,
+        coupling=coupling,
         damping=1.0,
         forcing=LatticeVector.from_support(half_width, forcing or {}),
         noise_amp=LatticeVector.from_support(
@@ -83,7 +81,7 @@ class TestRhs:
 
     def test_equals_drift_of_sum(self):
         # the transformed right side is the plain drift evaluated at v + W
-        for boundary, spec in itertools.product(Boundary, (LINEAR, CUBIC, SINE)):
+        for boundary, spec in itertools.product(Boundary, (LINEAR, CUBIC)):
             params = make_params(6, boundary=boundary, forcing={1: 0.4})
             rng = np.random.default_rng(1)
             for _ in range(50):
@@ -121,10 +119,12 @@ class TestIntegrate:
         assert np.abs(traj.values - exact).max() <= 1e-6
 
     def test_blow_up_guard(self):
-        # f stays finite while |v| passes the guard, in a run and in a batch
+        # f stays finite while |v| passes the guard, in a run and in a batch: the step is
+        # stable for the drift's linear part, margin 1.48, but far too long for the cubic's
+        # stiffness at a large start
         params = make_params(4, sigma={})
-        field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=20), 1)
-        cfg = SolverConfig(dt=0.5, t_end=10.0)
+        field = build_noise_field(params, TimeGrid(dt=0.25, n_steps=40), 1)
+        cfg = SolverConfig(dt=0.25, t_end=10.0)
         u0 = LatticeVector.from_support(4, {0: 1e4})
         with pytest.raises(BlowUpError):
             integrate(u0, field, params, CUBIC, cfg)
@@ -203,25 +203,21 @@ def reference_f(spec, u):
     """f(u) from the literal formula of each kind."""
     if spec.kind is NonlinearityKind.LINEAR:
         return -spec.a * u
-    if spec.kind is NonlinearityKind.CUBIC:
-        return -spec.a * u - spec.b * (u * u * u)
-    return spec.fn(u)
+    return -spec.a * u - spec.b * (u * u * u)
 
 
 def reference_r(spec, u):
-    """r(u) = f(u) + l u from the literal formula of each kind; None for the linear kind."""
+    """r(u) = f(u) + a u from the literal formula of each kind; None for the linear kind."""
     if spec.kind is NonlinearityKind.LINEAR:
         return None
-    if spec.kind is NonlinearityKind.CUBIC:
-        return -spec.b * (u * u * u)
-    return spec.fn(u)
+    return -spec.b * (u * u * u)
 
 
 def written_out_drift(u, params, spec):
-    """F(u) = -c u + kappa (u_{i-1} + u_{i+1}) + r(u) + g, c = 2 kappa + lam + l, site by
+    """F(u) = -c u + kappa (u_{i-1} + u_{i+1}) + r(u) + g, c = 2 kappa + lam + a, site by
     site along the last axis: the left neighbour's kappa u added first, then the right
     one's, a neighbour missing under zero padding skipped."""
-    c = 2.0 * params.coupling + params.damping + spec.linear_coef
+    c = 2.0 * params.coupling + params.damping + spec.a
     ku = params.coupling * u
     d, wrap = u.shape[-1], params.boundary is Boundary.PERIODIC
     out = np.empty_like(u)
@@ -270,13 +266,14 @@ def assert_bits_equal(a, b):
 
 class TestKernel:
     @pytest.mark.parametrize("scheme", list(Scheme))
-    @pytest.mark.parametrize("spec", [LINEAR, CUBIC, SINE], ids=["linear", "cubic", "custom"])
+    @pytest.mark.parametrize("spec", [LINEAR, CUBIC], ids=["linear", "cubic"])
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_one_step_equals_written_out_drift(self, boundary, spec, scheme):
         # noise and forcing sit on both edge sites, so the periodic wrap
-        # matters; the step is long, so the drift's rounding shows in the state
+        # matters; the step is long, so the drift's rounding shows in the state, and the
+        # coupling small enough that it is stable, margin 1.98 at most
         params = make_params(4, boundary=boundary, sigma={-4: 0.7, 0: 0.8, 4: 0.5},
-                             forcing={-4: 0.2, 1: 0.4})
+                             forcing={-4: 0.2, 1: 0.4}, coupling=0.5)
         field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=2), 3)
         cfg = SolverConfig(dt=0.5, t_end=0.5, scheme=scheme)
         batch = 2.0 * np.random.default_rng(4).standard_normal((3, 9))
@@ -304,17 +301,19 @@ class TestStepErrors:
             cocycle_map(1.0, self.field, u0, self.params, CUBIC, cfg)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_custom_fn_returning_inf_mid_run(self, scheme):
-        # f is finite until site 0 climbs past 0.5 under the forcing
-        spike = NonlinearitySpec.custom(lambda x: np.where(x > 0.5, np.inf, -x),
-                                        lambda x: -np.ones_like(x), 1.0, 1.0, 1.0)
-        params = make_params(4, sigma={}, forcing={0: 3.0})
+    def test_cubic_overflow_when_the_noise_arrives(self, scheme):
+        # W is 0 at the start node and about 1e200 after it, so f is finite at the start and
+        # overflows at the first stage that reads W past it: Euler's second step, the
+        # corrector of Heun's first
+        params = make_params(4, sigma={0: 1e200})
+        field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=100), 5)
         cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme)
-        cocycle_map(0.05, self.field, LatticeVector.zeros(4), params, spike, cfg)
+        if scheme is Scheme.EULER:
+            cocycle_map(0.01, field, LatticeVector.zeros(4), params, CUBIC, cfg)
         with pytest.raises(NonlinearityOverflowError):
-            integrate(LatticeVector.zeros(4), self.field, params, spike, cfg)
+            integrate(LatticeVector.zeros(4), field, params, CUBIC, cfg)
         with pytest.raises(NonlinearityOverflowError):
-            cocycle_map(1.0, self.field, np.zeros((2, 9)), params, spike, cfg)
+            cocycle_map(1.0, field, np.zeros((2, 9)), params, CUBIC, cfg)
 
     def test_batch_with_one_overflowing_row(self):
         cfg = SolverConfig(dt=0.01, t_end=1.0)
@@ -373,7 +372,7 @@ def collected(v0, w, params, spec, cfg):
 #: The kernel configurations the property tests draw from.
 KERNEL_CONFIGS = dict(
     boundary=st.sampled_from(list(Boundary)), scheme=st.sampled_from(list(Scheme)),
-    spec=st.sampled_from([LINEAR, CUBIC, SINE, NonlinearitySpec.cubic(0.3, 1.7)]),
+    spec=st.sampled_from([LINEAR, CUBIC, NonlinearitySpec.cubic(0.3, 1.7)]),
     coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
     forced=st.booleans(), name=st.sampled_from(LAYOUTS),
     n_starts=st.sampled_from([1, 2, 5]), half_width=st.integers(1, 4),
@@ -409,7 +408,7 @@ class TestKernelOverConfigs:
 
 
 class TestLinearPart:
-    """The drift's scalar linear terms fold into one coefficient -c u, c = 2 kappa + lam + l."""
+    """The drift's scalar linear terms fold into one coefficient -c u, c = 2 kappa + lam + a."""
 
     @settings(max_examples=150)
     @given(**KERNEL_CONFIGS)
@@ -428,8 +427,8 @@ class TestLinearPart:
         folded = batch_major(rhs(v, w[0], params, spec))
         u = batch_major(v + w[0])
         au = np.abs(u)
-        rest = np.abs(reference_f(spec, u) + spec.linear_coef * u)
-        s = ((2 * coupling + damping + spec.linear_coef) * au
+        rest = np.abs(reference_f(spec, u) + spec.a * u)
+        s = ((2 * coupling + damping + spec.a) * au
              + coupling * (rolled(au, boundary, 1) + rolled(au, boundary, -1))
              + rest + np.abs(params.forcing.values))
         assert (np.abs(folded - unfolded_drift(u, params, spec))
@@ -517,11 +516,6 @@ class CountedUfunc:
         return self.ufunc.reduce(*args, **kwargs)
 
 
-#: A custom spec whose fn is a numpy function, so that its only Python-level call is the
-#: remainder the spec prepares
-SINE_UFUNC = NonlinearitySpec.custom(np.sin, np.cos, diss_const=1.0, growth_coef=2.0,
-                                     growth_power=1.0)
-
 #: ufunc calls per step, by kind, boundary and scheme: a stage adds u = v + w, makes kappa u
 #: and -c u, adds the left and right stencil slices (two more with the periodic wrap), then
 #: r (three products more for the cubic) and g; Heun adds the predictor's two calls and the
@@ -529,17 +523,15 @@ SINE_UFUNC = NonlinearitySpec.custom(np.sin, np.cos, diss_const=1.0, growth_coef
 UFUNC_CALLS = {
     ("linear", "zero-padding", "heun"): 19, ("linear", "periodic", "heun"): 23,
     ("cubic", "zero-padding", "heun"): 27, ("cubic", "periodic", "heun"): 31,
-    ("custom", "zero-padding", "heun"): 21, ("custom", "periodic", "heun"): 25,
     ("linear", "zero-padding", "euler"): 10, ("linear", "periodic", "euler"): 12,
     ("cubic", "zero-padding", "euler"): 14, ("cubic", "periodic", "euler"): 16,
-    ("custom", "zero-padding", "euler"): 11, ("custom", "periodic", "euler"): 13,
 }
 
 
 class TestStepCost:
     """A step is a fixed run of ufunc calls, with one Python-level call per stage at most."""
 
-    SPECS = {"linear": LINEAR, "cubic": CUBIC, "custom": SINE_UFUNC}
+    SPECS = {"linear": LINEAR, "cubic": CUBIC}
 
     def kernel_run(self, kind, boundary, scheme, n_steps):
         params = kernel_params(2, forcing=np.linspace(-1.0, 1.0, 5), boundary=boundary)
@@ -587,16 +579,34 @@ class TestStepCost:
 class TestStepMargin:
     @pytest.mark.parametrize("half_width", [1, 2, 3, 4])
     def test_laplacian_radius_is_the_dense_one(self, half_width):
-        # at dt 1 and kappa 1 the margin is rho(A) itself: a custom drift has l = 0, and
-        # lam 2^-60 is under half an ulp of rho(A)
-        d = 2 * half_width + 1
+        # at dt 1 and kappa 1 the margin is rho(A) itself: lam + a = 2^-59 is under half an
+        # ulp of rho(A)
+        d, tiny = 2 * half_width + 1, NonlinearitySpec.linear(2.0**-60)
         zero, periodic = (solver.step_margin(1.0, kernel_params(half_width, damping=2.0**-60,
-                                                                boundary=b), SINE)
+                                                                boundary=b), tiny)
                           for b in (Boundary.ZERO_PADDING, Boundary.PERIODIC))
         dense = {b: np.linalg.eigvalsh(laplacian_array(np.eye(d), b)).max() for b in Boundary}
         assert zero == pytest.approx(dense[Boundary.ZERO_PADDING], rel=1e-14, abs=0)
         assert periodic == pytest.approx(dense[Boundary.PERIODIC], rel=1e-14, abs=0)
         assert periodic == pytest.approx(laplacian_modes(half_width)[0].max(), rel=1e-14, abs=0)
+
+    def test_driver_refuses_a_step_past_the_margin(self):
+        # d = 33, kappa = lam = a = 1: dt 0.5 is margin 3.0, where the top mode took |u| to
+        # 2.3e7 by t = 10 unchecked; every run refuses it before its first step, and dt
+        # 0.25, margin 1.5, decays
+        params = make_params(16)
+        field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=20), 0)
+        u0 = LatticeVector.from_support(16, {0: 1.0})
+        unstable = SolverConfig(dt=0.5, t_end=10.0)
+        message = (r"^dt \(kappa rho\(A\) \+ lam \+ a\) = 3 exceeds 2, where an explicit "
+                   "step grows the top lattice mode$")
+        for run in (lambda: cocycle_map(10.0, field, u0, params, LINEAR, unstable),
+                    lambda: cocycle_map(0.5, field, np.zeros((2, 33)), params, LINEAR, unstable),
+                    lambda: integrate(u0, field, params, LINEAR, unstable)):
+            with pytest.raises(ValueError, match=message):
+                run()
+        stable = SolverConfig(dt=0.25, t_end=10.0)
+        assert cocycle_map(10.0, field, u0, params, LINEAR, stable).norm() < 1.0
 
     @settings(max_examples=100)
     @given(coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
@@ -651,8 +661,8 @@ class TestEvalInto:
         x = 3.0 * np.random.default_rng(seed).standard_normal(shape)
         assert_bits_equal(spec.eval_array(x), reference_f(spec, x))
 
-    @pytest.mark.parametrize("spec", [LINEAR, CUBIC, NonlinearitySpec.cubic(0.3, 1.7), SINE],
-                             ids=["linear", "cubic", "cubic-2", "custom"])
+    @pytest.mark.parametrize("spec", [LINEAR, CUBIC, NonlinearitySpec.cubic(0.3, 1.7)],
+                             ids=["linear", "cubic", "cubic-2"])
     def test_prepared_remainder_equals_the_formula(self, spec):
         # each preparation writes into buffers of its own, so a second one's call leaves
         # the first one's r as it was; the linear kind has no remainder to prepare
@@ -664,10 +674,6 @@ class TestEvalInto:
         rx, ry = first(x), second(y)
         assert_bits_equal(rx, reference_r(spec, x))
         assert_bits_equal(ry, reference_r(spec, y))
-
-    def test_custom_returns_fn_of_x(self):
-        x = np.linspace(-2.0, 2.0, 9)
-        assert_bits_equal(SINE.eval_array(x), SINE.fn(x))
 
 
 class TestSubStepCocycle:
