@@ -314,14 +314,13 @@ class StationarityReport:
 
 def _stationarity_rows(grid: TimeGrid, config: SolverConfig, times, horizon: float):
     """Every check of :func:`forward_stationarity_check` before its first step: the
-    solver steps to each sorted time, and the ``_run_row`` of each time t's pullback
-    over [t - horizon, t], which reads the noise of theta_(t - horizon) omega."""
-    steps = [_steps(float(t), config) for t in times]
+    ``_run_row`` of each time t's pullback over [t - horizon, t], which reads the noise
+    of theta_(t - horizon) omega, and the solver steps to each sorted time."""
     rows = []
     for t in times:  # the checks of time t on the grid, then of its pullback
         grid.index_of(float(t))
         rows.append(_run_row(grid, float(t) - horizon, horizon, config))
-    return steps, rows
+    return [_steps(float(t), config) for t in times], rows
 
 
 def forward_stationarity_check(

@@ -318,8 +318,8 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
 # ---------------------------------------------------------------------------
 # run plans: ``plan(c, check)`` makes every check its run makes before its first
 # step, through the run's own functions, size-checks each array the run
-# allocates, and checks that a stepping run's explicit step is stable and that
-# each of its stepping batches fits ``MAX_SITE_STEPS``.  ``c``
+# allocates, and checks that a stepping run steps once per noise node, then that
+# its step is stable and each of its stepping batches fits ``MAX_SITE_STEPS``.  ``c``
 # holds the validated values; ``check(path, make, *args)`` returns
 # ``make(*args)``, or None with its error listed under ``path``.
 
@@ -329,6 +329,8 @@ def _plan_fbm_sample(c, check):
 
 
 def _plan_forward(c, check, starts=1):
+    if not check("solver.dt", sv._node_step, c.solver, c.grid):
+        return
     check("solver.dt", sv._stable_step, c.step_margin)
     row = check("solver.t_end", sv._forward_row, c.grid, c.solver.t_end, c.solver)
     # the forward run keeps every state of its starts, in one array
@@ -343,13 +345,17 @@ def _plan_ou(c, check):
         check("grid.t_past", nz._ou_window, c.damping, c.grid, window)
 
 
-def _plan_ladder(c, check):
-    """A pullback ladder of ``n_starts`` starts from each of ``horizons``."""
+def _plan_ladder(c, check) -> bool:
+    """A pullback ladder of ``n_starts`` starts from each of ``horizons``; False if its
+    step is not the noise step, with nothing more checked."""
+    if not check("solver.dt", sv._node_step, c.solver, c.grid):
+        return False
     check("solver.dt", sv._stable_step, c.step_margin)
     rows = check("experiment.horizons", at._ladder_rows, c.grid, c.horizons, c.solver)
     if check("experiment.n_starts", _size_check, "pullback ladder",
              len(c.horizons) * c.n_starts, "horizon x start rows", c.sites) and rows:
         check("solver.dt", _work_check, "pullback ladder", rows, c.n_starts, c.sites)
+    return True
 
 
 def _search(c, initial_horizon: float) -> list[float]:
@@ -362,8 +368,7 @@ def _search(c, initial_horizon: float) -> list[float]:
 
 
 def _plan_pullback(c, check):
-    _plan_ladder(c, check)
-    if c.equilibrium_tol is not None:
+    if _plan_ladder(c, check) and c.equilibrium_tol is not None:
         check("experiment.equilibrium_tol", _search, c, at.INITIAL_HORIZON)
 
 
@@ -385,6 +390,8 @@ def _stationarity(c, horizons, times) -> None:
 
 
 def _plan_equilibrium(c, check):
+    if not check("solver.dt", sv._node_step, c.solver, c.grid):
+        return
     check("solver.dt", sv._stable_step, c.step_margin)
     horizons = check("experiment.initial_horizon", _search, c, float(c.initial_horizon))
     times = sorted(float(t) for t in c.check_times)
@@ -577,17 +584,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
     Each value must pass its ``_FIELDS`` rule, and unknown keys are
     violations too, so a typo never falls back to a default.  The checks
     that every run shares and that join several values (the Hurst range,
-    each site vector against ``half_width``, the grid window, the solver
-    refinement, the noise field's ``MAX_GRID_VALUES`` size guard) run for
-    every group whose values passed their rules; so are the lattice params
-    and the nonlinearity spec, once each, and the config returns those
-    objects.  Then, once those checks and the lattice damping and the
-    experiment's options have passed, the experiment's plan (see "run
-    plans") makes every check its run makes before its first step, each
-    listed under its config path, so a config that validates does not fail
-    on them.  A stepping run's plan also checks the ``solver.step_margin``
-    of the params and the spec, once both are built, and the
-    ``MAX_SITE_STEPS`` work guard of each batch whose arrays fit.
+    each site vector against ``half_width``, the grid window, the noise
+    field's ``MAX_GRID_VALUES`` size guard) run for every group whose values
+    passed their rules; so are the lattice params and the nonlinearity spec,
+    once each, and the config returns those objects.  Then, once those
+    checks and the lattice damping and the experiment's options have
+    passed, the experiment's plan (see "run plans") makes every check its
+    run makes before its first step, each listed under its config path, so
+    a config that validates does not fail on them.  A stepping run's plan
+    first checks that ``solver.dt`` is ``grid.dt``, and only then the
+    ``solver.step_margin`` of the params and the spec, once both are built,
+    and the ``MAX_SITE_STEPS`` work guard of each batch whose arrays fit.
     """
     violations: list[str] = []
     given = _flatten(raw, violations)
@@ -612,7 +619,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     def passed(*paths):
         return failed.isdisjoint(paths)
 
-    hurst = grid = solver_cfg = refinement = None
+    hurst = grid = solver_cfg = None
     if passed("hurst"):
         hurst = _checked(violations, "hurst", as_hurst, values["hurst"])
     half_width = values["lattice.half_width"]
@@ -627,8 +634,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         solver_cfg = sv.SolverConfig(dt=float(values["solver.dt"]),
                                      t_end=float(values["solver.t_end"]),
                                      scheme=values["solver.scheme"])
-        if grid is not None:
-            refinement = _checked(violations, "solver.dt", solver_cfg.refinement, grid.dt)
     sites = 2 * half_width + 1 if passed("lattice.half_width") else None
     params = spec = None
     if (passed("lattice.coupling", "lattice.damping", "lattice.boundary")
@@ -644,8 +649,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if grid is not None and sites is not None:
         fits = _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, "nodes",
                         sites)
-        if (fits and refinement is not None and passed("experiment.name", "lattice.damping",
-                                                       *options) and entry.plan):
+        if (fits and solver_cfg is not None
+                and passed("experiment.name", "lattice.damping", *options) and entry.plan):
             margin = sv.step_margin(solver_cfg.dt, params, spec) if params and spec else None
             c = SimpleNamespace(grid=grid, solver=solver_cfg, sites=sites,
                                 damping=float(values["lattice.damping"]), step_margin=margin,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,11 +93,17 @@ class LatticeVector:
 
     @classmethod
     def from_support(cls, half_width: int, entries: dict[int, float]) -> "LatticeVector":
+        """The vector of ``entries``, site -> value, zero elsewhere.  Each site is an integer
+        read through ``operator.index``: TypeError for a bool, a float or any other key
+        that would silently name another site."""
         v = np.zeros(2 * half_width + 1)
-        for i, x in entries.items():
-            if not -half_width <= int(i) <= half_width:
+        for key, x in entries.items():
+            if isinstance(key, bool):
+                raise TypeError(f"site {key!r} is not an integer")
+            i = operator.index(key)
+            if not -half_width <= i <= half_width:
                 raise ValueError(f"site {i} outside [-{half_width}, {half_width}]")
-            v[int(i) + half_width] = float(x)
+            v[i + half_width] = float(x)
         return cls(v)
 
 

@@ -27,6 +27,7 @@ and the damped field from an initial state ``ou_solution``) live in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +58,15 @@ _BLOCK_VALUES = 1 << 15
 
 
 def derive_seed(master_seed: int, stream: int, index: int) -> np.random.SeedSequence:
-    """Deterministic child seed: entropy tuple (master, stream, index)."""
-    return np.random.SeedSequence((int(master_seed), int(stream), int(index)))
+    """Deterministic child seed: entropy tuple (master, stream, index), each an integer
+    read through ``operator.index`` (TypeError for a float, which would be truncated)."""
+    return np.random.SeedSequence(tuple(map(operator.index, (master_seed, stream, index))))
 
 
 def _site_seeds(master_seed: int, sigma: LatticeVector) -> dict[int, tuple]:
     """Seed tuple of every site i with sigma_i != 0: (master, site stream, i)."""
     n = sigma.half_width
-    return {i: (int(master_seed), _SITE_STREAM, i + _SITE_OFFSET)
+    return {i: (operator.index(master_seed), _SITE_STREAM, i + _SITE_OFFSET)
             for i in (np.flatnonzero(sigma.values) - n).tolist()}
 
 
@@ -160,7 +162,7 @@ def build_noise_field(
         walks = _fbm_rows(z[: len(block)], eig, grid.dt, h)
         walks -= walks[:, k0, None]
         paths[:, [i + params.half_width for i, _ in block]] = walks.T
-    return NoiseField(grid=grid, sigma=params.noise_amp, master_seed=int(master_seed),
+    return NoiseField(grid=grid, sigma=params.noise_amp, master_seed=operator.index(master_seed),
                       paths=paths)
 
 

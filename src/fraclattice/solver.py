@@ -9,9 +9,8 @@ continuous (Hoelder) time dependence,
 stepped here by explicit Euler or Heun, each stage evaluating F once, its
 scalar linear terms folded into one diagonal coefficient, in place, into
 buffers bound once per batch shape, so a step is one straight run of ufunc
-calls.  W is used only at its sampled nodes and never interpolated; refining
-the solver step below the noise step evaluates W at the nearest node, ties
-rounding up.  The solution map
+calls.  A run steps once per noise node (``_node_step``), so W is used
+only at its sampled nodes and never interpolated.  The solution map
 
     phi(t, field, u0) = endpoint of the integration over [0, t]
 
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, NonlinearityOverflowError, WindowError
+from .errors import BlowUpError, NonlinearityOverflowError, OffGridError, WindowError
 from .fbm import TimeGrid, check_step, finite_duration, whole_steps
 from .lattice import (Boundary, LatticeParams, LatticeVector, NonlinearitySpec, _neighbours,
                       _operand)
@@ -76,11 +75,8 @@ class Scheme(str, enum.Enum):
 class SolverConfig:
     """Stepping choices: scheme, step, and final time.
 
-    ``dt`` must equal the noise grid step or subdivide it an integer
-    number of times m.  Solver node j reads W at noise node
-    k0 + (2j + m) // (2m) (k0 at t = 0): the nearest, ties rounding up, a
-    rule that commutes with whole-node shifts and so keeps the cocycle.
-    A ``scheme`` given by its value is the member itself.
+    ``dt`` must equal the noise grid step (``_node_step``).  A ``scheme``
+    given by its value is the member itself.
     """
 
     dt: float
@@ -93,15 +89,6 @@ class SolverConfig:
         if not self.t_end >= 0:
             raise ValueError("t_end must be >= 0")
         finite_duration(self.t_end)
-
-    def refinement(self, noise_dt: float) -> int:
-        m = whole_steps(noise_dt, self.dt)
-        if m < 1:
-            raise ValueError(
-                f"solver dt={self.dt} must equal or evenly subdivide "
-                f"the noise dt={noise_dt}"
-            )
-        return m
 
     def n_steps(self) -> int:
         return whole_steps(self.t_end, self.dt)
@@ -126,6 +113,16 @@ def step_margin(dt: float, params: LatticeParams, spec: NonlinearitySpec) -> flo
     extra = 1 if params.boundary is Boundary.ZERO_PADDING else 0
     radius = 2.0 + 2.0 * math.cos(math.pi / (params.n_sites + extra))
     return dt * (params.coupling * radius + params.damping + spec.a)
+
+
+def _node_step(config: SolverConfig, grid: TimeGrid) -> bool:
+    """True, or ValueError unless the noise step is one whole solver step (``whole_steps``)."""
+    try:
+        if whole_steps(grid.dt, config.dt) == 1:
+            return True
+    except OffGridError:
+        pass
+    raise ValueError(f"solver dt={config.dt} must equal the noise dt={grid.dt}")
 
 
 def _stable_step(margin: float | None) -> None:
@@ -238,20 +235,15 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
 
 
-def _noise_node(j, local, m):
-    """Noise node that solver step ``local`` of a run from node j reads (see ``SolverConfig``)."""
-    return j + (2 * local + m) // (2 * m)
-
-
-def _read_noise(field: NoiseField, j, local, m: int) -> np.ndarray:
-    """W at solver steps ``local`` (steps, runs) of runs from noise nodes j, refinement m.
+def _read_noise(field: NoiseField, j, local) -> np.ndarray:
+    """W at steps ``local`` (steps, runs) of runs from noise nodes j.
 
     Re-anchored once, at the run's start node, in place on one gathered copy:
     (omega - omega[j]) sigma, the noise of theta_(t0) omega, t0 node j's time,
     bit for bit as the field shift of ``tests/oracles.py`` makes it; at t = 0's node, W.
     Returned site-major, as a (steps, d, runs) view of that copy.
     """
-    w = field.paths[_noise_node(j, local, m)]
+    w = field.paths[j + local]
     w -= field.paths[j]
     w *= field.sigma.values
     return np.moveaxis(w, -1, 1)
@@ -260,12 +252,14 @@ def _read_noise(field: NoiseField, j, local, m: int) -> np.ndarray:
 def _run_row(grid: TimeGrid, t0: float, t: float, config: SolverConfig) -> tuple[int, int] | None:
     """(noise node of t0, solver steps) of the run over [t0, t0 + t]; None if it takes no step.
 
-    Raises before any step: for a t0 off or outside the noise grid, a ``t``
-    below 0 or off the solver grid, and ``WindowError`` for noise read past the grid.
+    Raises before any step: first for a step other than the noise step (``_node_step``),
+    then for a t0 off or outside the noise grid, a ``t`` below 0 or off the solver grid,
+    and ``WindowError`` for noise read past the grid.
     """
+    _node_step(config, grid)
     j = grid.index_of(t0)
     n = _steps(t, config)
-    if n and _noise_node(j, n, config.refinement(grid.dt)) > grid.n_steps:
+    if j + n > grid.n_steps:
         raise WindowError(f"noise window ends at {grid.t_end} but integration needs {t}")
     return (j, n) if n else None
 
@@ -301,8 +295,8 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
 
     The runs come in any order, with repeats and None for a run of no step;
     a run reads its noise re-anchored at its start node (see ``_read_noise``).
-    The starts are a LatticeVector or an (n_starts, d) batch.  A step past a
-    ``step_margin`` of 2 is a ValueError before any step (``_stable_step``).
+    The starts are a LatticeVector or an (n_starts, d) batch.  A step other than the noise
+    step or past a ``step_margin`` of 2 is a ValueError before any step.
     Each distinct run steps once, in one staggered batch from the longest run's start (a
     blow-up's time counts from there): the runs end together, the site-major state
     (d, runs, starts) stepped by one ``_step_loop`` kernel per batch shape, each call
@@ -320,8 +314,8 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
     runs = _runs(rows)
     if not runs:
         return np.stack([x] * len(rows))
+    _node_step(config, field.grid)
     _stable_step(step_margin(config.dt, params, spec))
-    m = config.refinement(field.grid.dt)
     (j, n), sites = np.array(runs).T, x.reshape(-1, params.n_sites).T  # (d, starts)
     d, n_starts = sites.shape
     joins = n[0] - n  # global step at which a run starts
@@ -339,8 +333,7 @@ def _step_rows(rows, field: NoiseField, starts, params: LatticeParams,
             if buffer.size < size:
                 buffer = np.empty(size)
             w = buffer[:size].reshape((e - c + 1,) + node)
-            w[...] = _read_noise(field, j[:r], np.arange(c, e + 1)[:, None] - joins[:r],
-                                 m)[..., None]
+            w[...] = _read_noise(field, j[:r], np.arange(c, e + 1)[:, None] - joins[:r])[..., None]
             if c == a:  # the runs joining here start from x - w[0], as v0
                 v = np.concatenate([v, sites[:, None] - w[0, :, v.shape[1]:]], axis=1)
             view = states[c:e + 1] if collect else None

@@ -99,8 +99,7 @@ def test_one_step_kernel():
 def test_one_anchor_per_run():
     # a run reads its noise re-anchored at its own start node, and the noise shift
     # is the field shift of the reference oracles alone
-    assert list(inspect.signature(solver._read_noise).parameters) == [
-        "field", "j", "local", "m"]
+    assert list(inspect.signature(solver._read_noise).parameters) == ["field", "j", "local"]
     assert list(inspect.signature(solver._step_rows).parameters) == [
         "rows", "field", "starts", "params", "spec", "config", "collect"]
     assert uses_of("shifted") == [] and not hasattr(TimeGrid, "shifted")
@@ -117,9 +116,13 @@ def test_one_derivation_per_constant():
 
 def test_one_owner_per_shared_rule():
     # the plans count a stepping batch with the driver's own list of the runs it steps
-    # and check its step with the driver's own stability rule, and the OU tail check
-    # reads the growth law of the OU growth bound
+    # and check its step with the driver's own node-step and stability rules, which the
+    # runs check too, and the OU tail check reads the growth law of the OU growth bound
     assert uses_of("_runs") == [("_runs", "cli._work_check"), ("_runs", "solver._step_rows")]
+    assert uses_of("_node_step") == [
+        ("_node_step", "cli._plan_equilibrium"), ("_node_step", "cli._plan_forward"),
+        ("_node_step", "cli._plan_ladder"), ("_node_step", "solver._run_row"),
+        ("_node_step", "solver._step_rows")]
     assert uses_of("_stable_step") == [
         ("_stable_step", "cli._plan_equilibrium"), ("_stable_step", "cli._plan_forward"),
         ("_stable_step", "cli._plan_ladder"), ("_stable_step", "solver._step_rows")]

@@ -221,10 +221,9 @@ class TestPullbackLadder:
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("scheme", list(Scheme))
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_rows_equal_single_runs(self, field, boundary, scheme, m):
+    def test_rows_equal_single_runs(self, field, boundary, scheme):
         params = make_params(boundary=boundary)
-        cfg = SolverConfig(dt=DT / m, t_end=1.0, scheme=scheme)
+        cfg = SolverConfig(dt=DT, t_end=1.0, scheme=scheme)
         starts = sphere_starts(3.0, 3, N, seed=4)
         starts[0, :5] = -0.0  # phi(0) must hand back the sign of zero
         ends = _pullback_ladder(self.HORIZONS, field, starts, params, CUBIC, cfg)
@@ -302,10 +301,9 @@ class TestStepRows:
     repeats and with None for a run of no step."""
 
     @pytest.mark.parametrize("scheme", list(Scheme))
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_each_run_equals_its_single_run(self, field, ladder_calls, m, scheme):
+    def test_each_run_equals_its_single_run(self, field, ladder_calls, scheme):
         params, grid = make_params(), field.grid
-        cfg = SolverConfig(dt=DT / m, t_end=1.0, scheme=scheme)
+        cfg = SolverConfig(dt=DT, t_end=1.0, scheme=scheme)
         # (run, its single run's duration and field): pullbacks from 1 and 0.37, the
         # forward run over [0, 0.37], and the stationarity batch's runs from horizon
         # 0.37 at t = 0.37 and 1, each on the noise shifted once, to t - 0.37
@@ -492,7 +490,7 @@ class TestForwardStationarity:
     def test_residuals_equal_one_run_per_time(self, field):
         # the forward legs read off one run equal one cocycle_map per time
         params = make_params()
-        cfg = SolverConfig(dt=DT / 2, t_end=1.0)
+        cfg = SolverConfig(dt=DT, t_end=1.0)
         eq = random_equilibrium(field, params, CUBIC, cfg, tol=1e-4)
         times = [0.0, 0.37, 1.0, 2.0]
         rep = forward_stationarity_check(eq, field, params, CUBIC, cfg, times=times)
@@ -507,12 +505,11 @@ class TestForwardStationarity:
         ]
         assert_bits_equal(rep.residuals, np.array(expected))
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_rows_agree_with_the_two_shift_reference(self, field, m):
+    def test_rows_agree_with_the_two_shift_reference(self, field):
         # theta_(t - H) omega is theta_(-H) theta_t omega: the rows read the noise shifted
         # once, and the pullback on the noise shifted twice agrees with them to the
         # bound that test_flow_composition holds the shift to
-        params, cfg = make_params(), SolverConfig(dt=DT / m, t_end=1.0)
+        params, cfg = make_params(), SolverConfig(dt=DT, t_end=1.0)
         times, zero = [0.0, 0.37, 1.0, 2.0], LatticeVector.zeros(N)
         for horizon in (0.37, 4.0):
             _, rows = _stationarity_rows(field.grid, cfg, times, horizon)
@@ -578,12 +575,11 @@ class TestForwardStationarity:
 class TestBlockedForward:
     """Forward runs read their noise in blocks, as pullback ladders do."""
 
-    @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_blocks_keep_every_forward_run(self, field, monkeypatch, ladder_calls, m, scheme):
+    def test_blocks_keep_every_forward_run(self, field, monkeypatch, ladder_calls, scheme):
         # more blocks change nothing but how many steps one call takes
         params = make_params()
-        cfg = SolverConfig(dt=DT / m, t_end=1.0, scheme=scheme)
+        cfg = SolverConfig(dt=DT, t_end=1.0, scheme=scheme)
         x = sphere_starts(2.0, 1, N, seed=3)[0]
         x[:4] = -0.0
         u0 = LatticeVector(x)
@@ -597,21 +593,19 @@ class TestBlockedForward:
                                                times=[0.0, 0.37, 1.0]).residuals)
 
         ref = runs()
-        assert [steps for _, steps in ladder_calls[:3]] == [100 * m] * 3
+        assert [steps for _, steps in ladder_calls[:3]] == [100] * 3
         monkeypatch.setattr(solver, "_BLOCK_VALUES", 8 * (2 * N + 1))  # 7 steps per call
         ladder_calls.clear()
         for got, want in zip(runs(), ref):
             assert_bits_equal(got, want)
-        n = 100 * m
-        blocks = [7] * (n // 7) + [n % 7]
+        blocks = [7] * (100 // 7) + [100 % 7]
         assert [steps for _, steps in ladder_calls[:len(blocks)]] == blocks
 
-    @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_blocked_blow_up_reports_the_same_time(self, field, monkeypatch, m, scheme):
+    def test_blocked_blow_up_reports_the_same_time(self, field, monkeypatch, scheme):
         # the start blows up 3 to 5 steps in, past the first 2-step block
-        cfg = SolverConfig(dt=DT / m, t_end=1.0, scheme=scheme)
-        start = LatticeVector.from_support(N, {0: 15.0 * math.sqrt(m)})
+        cfg = SolverConfig(dt=DT, t_end=1.0, scheme=scheme)
+        start = LatticeVector.from_support(N, {0: 15.0})
         with pytest.raises(BlowUpError) as whole:
             integrate(start, field, make_params(), CUBIC, cfg)
         monkeypatch.setattr(solver, "_BLOCK_VALUES", 3 * (2 * N + 1))  # 2 steps per call
@@ -743,14 +737,14 @@ class TestLadderOverConfigs:
     @settings(max_examples=100)
     @given(coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
            boundary=st.sampled_from([b.value for b in Boundary]),
-           scheme=st.sampled_from([s.value for s in Scheme]), m=st.integers(1, 3),
+           scheme=st.sampled_from([s.value for s in Scheme]),
            kind=st.sampled_from(["cubic", "linear"]),
            a=st.floats(0.0, 2.0, exclude_min=True), b=st.floats(0.0, 2.0, exclude_min=True),
            hurst=st.floats(0.5, 0.95, exclude_min=True, exclude_max=True),
            half_width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
            steps=st.lists(st.integers(0, 30), min_size=1, max_size=4))
-    def test_ladder_equals_per_horizon_runs(self, coupling, damping, boundary, scheme, m,
-                                            kind, a, b, hurst, half_width, seed, steps):
+    def test_ladder_equals_per_horizon_runs(self, coupling, damping, boundary, scheme, kind,
+                                            a, b, hurst, half_width, seed, steps):
         dt = self.DT
         horizons = [k * dt for k in steps]
         cfg = validate_config({
@@ -758,7 +752,7 @@ class TestLadderOverConfigs:
             "lattice": {"coupling": coupling, "damping": damping, "half_width": half_width,
                         "boundary": boundary, "noise_amp": {"0": 1.0, "1": 0.5}},
             "nonlinearity": {"kind": kind, "a": a, "b": b},
-            "solver": {"scheme": scheme, "dt": dt / m, "t_end": 0.5},
+            "solver": {"scheme": scheme, "dt": dt, "t_end": 0.5},
             "grid": {"dt": dt, "t_past": 30 * dt, "t_future": dt},
             "experiment": {"name": "pullback", "radius": 1.0, "horizons": horizons,
                            "n_starts": 2},

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraclattice.attractor import (EquilibriumEstimate, absorption_check,
+                                   contraction_experiment, forward_stationarity_check,
+                                   pullback_experiment, random_equilibrium)
 from fraclattice.cli import (
     MAX_SITE_STEPS,
     _FIELDS,
@@ -25,7 +28,7 @@ from fraclattice.errors import ConfigError
 from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from fraclattice.noise import build_noise_field, stationary_ou
-from fraclattice.solver import SolverConfig, _step_rows, integrate
+from fraclattice.solver import SolverConfig, _step_rows, cocycle_map, integrate
 
 MINIMAL = {
     "lattice": {"half_width": 6, "noise_amp": {"0": 0.8, "1": 0.5}},
@@ -394,11 +397,7 @@ class TestMain:
          "experiment.horizons: -1.01 is not a whole number of steps of dt=0.02"),
         ("equilibrium", {"experiment": {"tol": 1e-4, "check_times": [1.01]}},
          "experiment.check_times: 1.01 is not a whole number of steps of dt=0.02"),
-        # a whole number of sub-steps, but the check time shifts the noise grid
-        ("equilibrium", {"solver": {"dt": 0.01},
-                         "experiment": {"tol": 1e-4, "check_times": [0.01]}},
-         "experiment.check_times: 0.01 is not a whole number of steps of dt=0.02"),
-    ], ids=["t-end", "pullback-horizon", "absorb-horizon", "check-time", "sub-step-check-time"])
+    ], ids=["t-end", "pullback-horizon", "absorb-horizon", "check-time"])
     def test_exit_two_on_time_off_the_steps(self, tmp_path, capsys, name, extra, line):
         # with an on-grid time in its place, each config runs and passes
         path = write_config(tmp_path, name=name, extra=extra)
@@ -467,6 +466,28 @@ class TestMain:
         # pullback runs to its horizons, never to solver.t_end
         load_config(write_config(tmp_path, name="pullback", extra={"solver": {"t_end": 1.01}}))
 
+    @pytest.mark.parametrize("name", ["ou", "sample-fbm", "verify-operators"])
+    def test_unused_solver_dt_need_not_be_the_noise_step(self, tmp_path, name):
+        # these runs never step, so their solver.dt 0.02 may span four noise steps
+        load_config(write_config(tmp_path, name=name,
+                                 extra={"grid": {"dt": 0.005, "t_past": 30.0}}))
+
+    @pytest.mark.parametrize("name, options", [
+        ("simulate", {}), ("contraction", {}), ("pullback", {"equilibrium_tol": 1e-6}),
+        ("equilibrium", {"check_times": [0.5]}), ("absorb", {"ou_tail_tol": 1.0}),
+    ], ids=["simulate", "contraction", "pullback", "equilibrium", "absorb"])
+    def test_exit_two_on_a_solver_step_off_the_noise_step(self, tmp_path, capsys, name,
+                                                          options):
+        # a finer step reads no noise between the nodes and a coarser one skips nodes: the
+        # plan names the step once and checks nothing more of the run
+        for dt in (0.01, 0.04):
+            path = write_config(tmp_path, name=name,
+                                extra={"solver": {"dt": dt}, "experiment": options})
+            assert main([name, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: solver.dt: solver dt={dt} must equal the noise dt=0.02\n")
+        assert not (tmp_path / "out").exists()
+
     def test_exit_two_on_too_many_check_times(self, tmp_path, capsys, monkeypatch):
         # the stationarity batch holds a row per check time: 10 x 13 values, more
         # than the 9-node noise field's 9 x 13; the weak drift keeps dt 0.5 stable
@@ -522,8 +543,10 @@ class TestMain:
         raw = {**UNSTABLE, "grid": {"dt": 0.5, "t_past": 0.0, "t_future": 5.0}}
         with pytest.raises(ConfigError) as err:
             validate_config(raw)
-        cfg = validate_config({**raw, "solver": {"dt": 0.25}})
-        field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
+        cfg = validate_config({**raw, "solver": {"dt": 0.25},
+                               "grid": {"dt": 0.25, "t_past": 0.0, "t_future": 5.0}})
+        field = build_noise_field(cfg.params, TimeGrid.window(0.5, 0.0, 5.0), cfg.master_seed,
+                                  cfg.hurst)
         unstable = SolverConfig(dt=0.5, t_end=cfg.solver.t_end)
         for run in (lambda: integrate(cfg.starts["u0"], field, cfg.params, cfg.spec, unstable),
                     lambda: _step_rows([(0, 1), (0, 2)], field, cfg.starts["w0"], cfg.params,
@@ -531,6 +554,34 @@ class TestMain:
             with pytest.raises(ValueError) as exc:
                 run()
             assert err.value.violations == [f"solver.dt: {exc.value}"]
+
+    def test_library_calls_give_the_node_step_message(self, ladder_calls):
+        # every run refuses a solver step other than the noise step before any step, at
+        # t = 0 too, in the words of the plans
+        raw = {"solver": {"dt": 0.01, "t_end": 1.0},
+               "grid": {"dt": 0.02, "t_past": 4.0, "t_future": 1.0}}
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        (line,) = err.value.violations
+        cfg = validate_config({**raw, "solver": {"dt": 0.02, "t_end": 1.0}})
+        field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
+        params, spec, u0 = cfg.params, cfg.spec, cfg.starts["u0"]
+        fine = SolverConfig(dt=0.01, t_end=1.0)
+        eq = EquilibriumEstimate(u0=u0, horizon=0.5, cauchy_gap=0.0, start_gap=0.0, tol=1.0)
+        for call in (
+                lambda: integrate(u0, field, params, spec, fine),
+                lambda: cocycle_map(0.0, field, u0, params, spec, fine),
+                lambda: _step_rows([(0, 1)], field, u0, params, spec, fine),
+                lambda: contraction_experiment(u0, cfg.starts["w0"], field, params, spec, fine),
+                lambda: pullback_experiment(1.0, 2, field, params, spec, fine, [1.0]),
+                lambda: random_equilibrium(field, params, spec, fine, initial_horizon=0.5),
+                lambda: forward_stationarity_check(eq, field, params, spec, fine, [0.5]),
+                lambda: absorption_check(1.0, field, params, spec, fine, [1.0], t_past=1.0,
+                                         ou_tail_tol=1.0)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert line == f"solver.dt: {exc.value}"
+        assert ladder_calls.builds == []
 
     @pytest.mark.parametrize("name", ["missing.json", "."])
     def test_exit_two_on_unreadable_config(self, tmp_path, capsys, name):
@@ -575,8 +626,9 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, raw, message", [
-        ("contraction", {"solver": {"dt": 1e-300}},
-         "solver.t_end: a trajectory of 1.00e+301 node x start rows x 33 sites exceeds "
+        # the noise field of 2000001 nodes fits, the two states at each of them do not
+        ("contraction", {"grid": {"dt": 2.5e-6, "t_past": 0.0}, "solver": {"dt": 2.5e-6}},
+         "solver.t_end: a trajectory of 4.00e+6 node x start rows x 33 sites exceeds "
          "the limit of 67108864 values"),
         ("contraction", {"grid": {"dt": 1e-7}, "solver": {"dt": 1e-7}},
          "grid: a noise field of 3.50e+8 nodes x 33 sites exceeds the limit of 67108864 values"),
@@ -589,7 +641,7 @@ class TestMain:
         ("absorb", {"experiment": {"name": "absorb", "n_starts": 10**7}},
          "experiment.n_starts: a pullback ladder of 4.00e+7 horizon x start rows x 33 sites "
          "exceeds the limit of 67108864 values"),
-    ], ids=["solver-refinement", "noise-field", "fbm-circulant", "pullback-distances",
+    ], ids=["trajectory", "noise-field", "fbm-circulant", "pullback-distances",
             "absorb-starts"])
     def test_exit_two_on_oversized_run(self, tmp_path, capsys, monkeypatch, command, raw,
                                        message):
@@ -600,19 +652,27 @@ class TestMain:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("name, message", [
-        ("pullback", "solver.dt: a pullback ladder of 2.40e+9 start-steps x 33 sites exceeds "
-                     "the limit of 268435456 site-steps"),
-        ("absorb", "solver.dt: a pullback ladder of 6.00e+8 start-steps x 33 sites exceeds "
-                   "the limit of 268435456 site-steps"),
-        ("equilibrium", "experiment.initial_horizon: a pullback ladder of 6.20e+8 start-steps "
-                        "x 33 sites exceeds the limit of 268435456 site-steps"),
-    ])
-    def test_exit_two_on_unbounded_work(self, tmp_path, capsys, name, message):
-        # solver.dt 1e-7 under grid.dt 0.01: no array grows, but the ladder takes 1e5
-        # solver steps per noise step
+    @pytest.mark.parametrize("name, options, limit, message", [
+        # 1500 steps of the ladder's four horizons from each of 6000 starts: 2.97e8
+        # site-steps, while its arrays hold 4 x 6000 x 33 values
+        ("pullback", {"n_starts": 6000}, MAX_SITE_STEPS,
+         "solver.dt: a pullback ladder of 9.00e+6 start-steps x 33 sites exceeds the limit "
+         "of 268435456 site-steps"),
+        ("absorb", {"n_starts": 12000}, MAX_SITE_STEPS,
+         "solver.dt: a pullback ladder of 9.00e+6 start-steps x 33 sites exceeds the limit "
+         "of 268435456 site-steps"),
+        # the search steps under 4 n_past sites, which the noise field's size guard keeps
+        # below MAX_SITE_STEPS, so only a lower limit reaches its check
+        ("equilibrium", {}, 2**17,
+         "experiment.initial_horizon: a pullback ladder of 6.20e+3 start-steps x 33 sites "
+         "exceeds the limit of 131072 site-steps"),
+    ], ids=["pullback", "absorb", "equilibrium"])
+    def test_exit_two_on_unbounded_work(self, tmp_path, capsys, monkeypatch, name, options,
+                                        limit, message):
+        # no array grows past its limit, but the batch takes too many site-steps
+        monkeypatch.setattr("fraclattice.cli.MAX_SITE_STEPS", limit)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"solver": {"dt": 1e-7}, "experiment": {"name": name}}))
+        path.write_text(json.dumps({"experiment": {"name": name, **options}}))
         assert main([name, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
@@ -872,9 +932,9 @@ class TestValidateConfigDirect:
 
     def test_size_limit_inclusive_and_listed_with_other_violations(self, monkeypatch):
         cases = [
-            # the default grid has 3501 nodes and 33 sites; at solver.dt 0.001 the two
-            # states of the run to t_end 5 take 5001 nodes each
-            ({"solver": {"dt": 0.001}}, 5001 * 2 * 33,
+            # at dt 0.001 with no past the grid has 5001 nodes and 33 sites, and the two
+            # states of the run to t_end 5 take 5001 nodes each, twice as many values
+            ({"solver": {"dt": 0.001}, "grid": {"dt": 0.001, "t_past": 0.0}}, 5001 * 2 * 33,
              "solver.t_end: a trajectory of 1.00e+4 node x start rows x 33 sites exceeds "
              "the limit of 330065 values"),
         ]
@@ -1085,18 +1145,17 @@ class TestPlansCoverRuns:
 
     @pytest.mark.parametrize("name", sorted(_REGISTRY))
     @settings(max_examples=40)
-    @given(data=st.data(), dt=st.sampled_from([0.05, 0.1]), m=st.integers(1, 2),
+    @given(data=st.data(), dt=st.sampled_from([0.05, 0.1]),
            past=st.integers(0, 20), future=st.integers(0, 6), tol=st.sampled_from([1.0, 1e-6]),
            equilibrium_tol=st.sampled_from([None, 1e-1, 1e-6]),
            ou_tail_tol=st.sampled_from([1e-6, 0.5, 1.0]),
            damping=st.sampled_from([1.0, 12.0, 30.0]),
            kind=st.sampled_from(["linear", "cubic"]))
-    def test_validated_config_passes_its_run_checks(self, name, data, dt, m, past, future, tol,
+    def test_validated_config_passes_its_run_checks(self, name, data, dt, past, future, tol,
                                                     equilibrium_tol, ou_tail_tol, damping, kind):
-        # times count solver steps, up to one step beyond the window's edge; with
-        # m = 2 an odd count is off the noise grid
-        step = dt / m
-        back, ahead = st.integers(0, past * m + 1), st.integers(0, future * m + 1)
+        # times count steps, up to one step beyond the window's edge
+        step = dt
+        back, ahead = st.integers(0, past + 1), st.integers(0, future + 1)
         options = {"n_steps": 16, "n_vectors": 4, "tol": tol, "n_starts": 2, "radius": 1.0,
                    "d_radius": 1.0, "equilibrium_tol": equilibrium_tol,
                    "ou_tail_tol": ou_tail_tol,
@@ -1105,7 +1164,7 @@ class TestPlansCoverRuns:
                    "check_times": [k * step for k in data.draw(st.lists(ahead, max_size=3))],
                    "t_past": data.draw(st.integers(1, past + 1)) * dt,
                    # the search needs a past of twice its initial horizon
-                   "initial_horizon": data.draw(st.integers(1, past * m // 2 + 1)) * step}
+                   "initial_horizon": data.draw(st.integers(1, past // 2 + 1)) * step}
         with tempfile.TemporaryDirectory() as out:
             raw = {"lattice": {"half_width": 1, "damping": damping},
                    "nonlinearity": {"kind": kind},

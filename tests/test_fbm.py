@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fraclattice import fbm
+from fraclattice import fbm, solver
 from fraclattice.errors import EmbeddingError, OffGridError, WindowError
 from fraclattice.fbm import (
     TimeGrid,
@@ -71,7 +71,8 @@ STEP_READERS = {
     "index_of": lambda s, dt: TimeGrid(dt, 1 << 26).index_of(s),
     "steps_of": lambda s, dt: TimeGrid(dt, 1).steps_of(s),
     "n_steps": lambda s, dt: SolverConfig(dt=dt, t_end=s).n_steps(),
-    "refinement": lambda s, dt: SolverConfig(dt=dt, t_end=0.0).refinement(s),
+    "run_row": lambda s, dt: solver._run_row(TimeGrid(dt, 1 << 26), 0.0, s,
+                                             SolverConfig(dt=dt, t_end=0.0))[1],
 }
 
 
@@ -94,6 +95,18 @@ class TestWholeSteps:
         for read in STEP_READERS.values():
             with pytest.raises(OffGridError, match=" is not a whole number of steps of dt="):
                 read(s, dt)
+
+    @settings(max_examples=100)
+    @given(dt=st.floats(1e-3, 10.0), offset=st.floats(-1e-7, 1e-7),
+           off=st.sampled_from([-1e-5, 1e-5, 1.0, -0.5, 2.0]))
+    @example(dt=0.1, offset=1e-7, off=1e-5)
+    def test_one_solver_step_per_noise_step_within_the_slack(self, dt, offset, off):
+        # the run's solver step is the noise step as whole steps count it, and nothing else:
+        # a hundred-thousandth apart, half of it or twice it is refused
+        config = SolverConfig(dt=dt, t_end=0.0)
+        assert solver._node_step(config, TimeGrid(dt + offset * dt, 1))
+        with pytest.raises(ValueError, match=f"^solver dt={dt} must equal the noise dt="):
+            solver._node_step(config, TimeGrid(dt + off * dt, 1))
 
     @pytest.mark.parametrize("call", [
         lambda: TimeGrid.window(0.1, float("inf"), 0.0),

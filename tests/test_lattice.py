@@ -43,6 +43,16 @@ class TestLatticeVector:
             with pytest.raises(ValueError, match="outside"):
                 LatticeVector.from_support(3, {site: 1.0})
 
+    def test_from_support_reads_sites_as_integers(self):
+        # a key that int() would truncate or a bool would name site 1 silently
+        for key in (1.5, 1.0, True, np.float64(1.0), "1"):
+            with pytest.raises(TypeError):
+                LatticeVector.from_support(2, {key: 1.0})
+        ref = LatticeVector.from_support(3, {-3: 1.0, 0: 2.0, 2: -1.0})
+        for kind in (int, np.int64, np.int8):
+            v = LatticeVector.from_support(3, {kind(-3): 1.0, kind(0): 2.0, kind(2): -1.0})
+            assert v.values.tobytes() == ref.values.tobytes()
+
     def test_basis_and_norm(self):
         e = LatticeVector.basis(4, -2)
         assert e.norm() == 1.0 and e.get(-2) == 1.0

@@ -57,6 +57,25 @@ class TestBuildField:
         b = build_noise_field(params, grid, 2024)
         assert np.array_equal(a.paths, b.paths)
 
+    def test_seed_must_be_an_integer(self):
+        # int() would truncate 1.7 to the seed-1 field; an integer of any type is that seed
+        params = make_params()
+        grid = TimeGrid(dt=0.1, n_steps=30, i_start=-10)
+        one = build_noise_field(params, grid, 1)
+        for seed in (1.7, 1.0, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                build_noise_field(params, grid, seed)
+            with pytest.raises(TypeError):
+                build_noise_field(make_params(sigma={}), grid, seed)
+        for args in ((1.9, 7, 0), (1, 7.0, 0), (1, 7, 0.5)):
+            with pytest.raises(TypeError):
+                noise.derive_seed(*args)
+        for seed in (np.int64(1), np.uint8(1)):
+            same = build_noise_field(params, grid, seed)
+            assert same.paths.tobytes() == one.paths.tobytes() and same.master_seed == 1
+            assert type(same.master_seed) is int
+            assert noise.derive_seed(seed, 7, 0).entropy == (1, 7, 0)
+
     def test_zero_intensity_sites_carry_no_path(self, field):
         assert noisy_sites(field) == [0, 1]
         assert sorted(field.seed_scheme) == [0, 1]

@@ -140,23 +140,15 @@ class TestIntegrate:
                        SolverConfig(dt=1e-3, t_end=1.0, scheme=Scheme.EULER))
         assert np.abs(he.values - eu.values).max() <= 0.05
 
-    def test_subdivided_solver_step(self):
-        # solver dt = noise dt / 2 reads W at the nearest node and should
-        # land close to the aligned run
-        params = make_params()
-        field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=200), 12)
-        u0 = LatticeVector.from_support(8, {0: 1.0})
-        coarse = integrate(u0, field, params, CUBIC, SolverConfig(dt=0.01, t_end=2.0))
-        fine = integrate(u0, field, params, CUBIC, SolverConfig(dt=0.005, t_end=2.0))
-        gap = np.abs(fine.values[::2] - coarse.values).max()
-        assert gap <= 0.05
-
     def test_mismatched_dt_rejected(self):
+        # a step above or below the noise step, whole multiples of it included, is refused
         params = make_params()
         field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=100), 5)
-        with pytest.raises(ValueError):
-            integrate(LatticeVector.zeros(8), field, params, CUBIC,
-                      SolverConfig(dt=0.03, t_end=0.3))
+        for dt in (0.03, 0.005, 0.0025):
+            with pytest.raises(ValueError, match=f"^solver dt={dt} must equal the noise "
+                                                 "dt=0.01$"):
+                integrate(LatticeVector.zeros(8), field, params, CUBIC,
+                          SolverConfig(dt=dt, t_end=0.3))
 
     def test_ensemble_matches_single_runs(self):
         params = make_params()
@@ -593,7 +585,7 @@ class TestStepMargin:
     def test_driver_refuses_a_step_past_the_margin(self):
         # d = 33, kappa = lam = a = 1: dt 0.5 is margin 3.0, where the top mode took |u| to
         # 2.3e7 by t = 10 unchecked; every run refuses it before its first step, and dt
-        # 0.25, margin 1.5, decays
+        # 0.25, margin 1.5, on its own noise grid, decays
         params = make_params(16)
         field = build_noise_field(params, TimeGrid(dt=0.5, n_steps=20), 0)
         u0 = LatticeVector.from_support(16, {0: 1.0})
@@ -606,7 +598,8 @@ class TestStepMargin:
             with pytest.raises(ValueError, match=message):
                 run()
         stable = SolverConfig(dt=0.25, t_end=10.0)
-        assert cocycle_map(10.0, field, u0, params, LINEAR, stable).norm() < 1.0
+        fine = build_noise_field(params, TimeGrid(dt=0.25, n_steps=40), 0)
+        assert cocycle_map(10.0, fine, u0, params, LINEAR, stable).norm() < 1.0
 
     @settings(max_examples=100)
     @given(coupling=st.floats(0.0, 2.0, exclude_min=True), damping=st.floats(0.2, 2.0),
@@ -676,23 +669,22 @@ class TestEvalInto:
         assert_bits_equal(ry, reference_r(spec, y))
 
 
-class TestSubStepCocycle:
-    # noise dt 0.02 on [0, 0.8]; the solver dt is that divided by m
+class TestShiftParityCocycle:
+    # noise and solver dt 0.02 on [0, 0.8]
     PARAMS = make_params(2, sigma={0: 0.8, 1: 0.5, -2: 0.6}, forcing={0: 0.2})
     FIELD = build_noise_field(PARAMS, TimeGrid(dt=0.02, n_steps=40), 2718)
     U0 = LatticeVector.from_support(2, {0: 1.0, 1: -0.5})
 
     @settings(max_examples=40)
-    @given(m=st.sampled_from([1, 2, 3, 4]), scheme=st.sampled_from(list(Scheme)),
-           shift=st.integers(1, 15), tau_steps=st.integers(1, 20))
-    @example(m=2, scheme=Scheme.HEUN, shift=5, tau_steps=7)
-    @example(m=2, scheme=Scheme.HEUN, shift=6, tau_steps=7)
-    @example(m=4, scheme=Scheme.EULER, shift=3, tau_steps=2)
-    def test_residual_rounding_level_for_odd_and_even_shifts(self, m, scheme, shift,
-                                                             tau_steps):
-        # the node a sub-step reads must not depend on the parity of the
-        # shift, or the two legs see different noise
-        cfg = SolverConfig(dt=0.02 / m, t_end=0.02, scheme=scheme)
+    @given(scheme=st.sampled_from(list(Scheme)), shift=st.integers(1, 15),
+           tau_steps=st.integers(1, 20))
+    @example(scheme=Scheme.HEUN, shift=5, tau_steps=7)
+    @example(scheme=Scheme.HEUN, shift=6, tau_steps=7)
+    @example(scheme=Scheme.EULER, shift=3, tau_steps=2)
+    def test_residual_rounding_level_for_odd_and_even_shifts(self, scheme, shift, tau_steps):
+        # the noise a leg reads must not depend on the parity of the shift, or the two
+        # legs see different noise
+        cfg = SolverConfig(dt=0.02, t_end=0.02, scheme=scheme)
         rep = cocycle_check(shift * 0.02, tau_steps * cfg.dt, self.FIELD, self.U0,
                             self.PARAMS, CUBIC, cfg)
         assert rep.residual <= 1e-12
@@ -705,39 +697,37 @@ class TestNoiseNodes:
     K0 = 100  # the node of t = 0
     STARTS = np.array([[1.0, -0.5, -0.0, 0.3, 0.0], [0.2, 0.1, -1.0, 0.0, 0.5]])
 
-    def by_hand(self, j, n, m, cfg):
+    def by_hand(self, j, n, cfg):
         """Endpoints of the n-step run from node j, its noise written out from the
-        rule: solver step k reads the nearer of the nodes around k / m, ties up."""
-        nodes = [j + k // m + (2 * (k % m) >= m) for k in range(n + 1)]
+        rule: step k reads node j + k."""
+        nodes = [j + k for k in range(n + 1)]
         w = (self.FIELD.paths[nodes] - self.FIELD.paths[j]) * self.FIELD.sigma.values
         v = run_kernel(*site_major(self.STARTS - w[0], w), self.PARAMS, CUBIC, cfg)
         return batch_major(v) + w[-1]
 
-    @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("scheme", list(Scheme))
-    def test_runs_read_the_documented_nodes(self, m, scheme):
-        cfg = SolverConfig(dt=0.01 / m, t_end=1.0, scheme=scheme)
-        n = 37 * m + 1  # one sub-step past a node: the last step reads a rounded node
-        forward = cocycle_map(n * cfg.dt, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
-        assert_bits_equal(forward, self.by_hand(self.K0, n, m, cfg))
+    def test_runs_read_the_documented_nodes(self, scheme):
+        cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme)
+        forward = cocycle_map(0.38, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
+        assert_bits_equal(forward, self.by_hand(self.K0, 38, cfg))
         pulled = _pullback_ladder([0.37], self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
-        assert_bits_equal(pulled[0], self.by_hand(self.K0 - 37, 37 * m, m, cfg))
+        assert_bits_equal(pulled[0], self.by_hand(self.K0 - 37, 37, cfg))
 
     def test_blocks_keep_a_long_run(self, monkeypatch, ladder_calls):
-        cfg = SolverConfig(dt=0.01 / 3, t_end=1.0)
+        cfg = SolverConfig(dt=0.01, t_end=1.0)
         ref = cocycle_map(1.0, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
-        assert ladder_calls == [((5, 1, 2), 300)]
-        # 8 nodes of 1 run, 2 starts and 5 sites: 7 steps per call
+        assert ladder_calls == [((5, 1, 2), 100)]
+        # 8 nodes of 1 run, 2 starts and 5 sites: 7 steps per call, the last of 2
         monkeypatch.setattr(solver, "_BLOCK_VALUES", 8 * 2 * 5)
         assert_bits_equal(cocycle_map(1.0, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg),
                           ref)
-        assert len(ladder_calls) == 1 + 43
-        assert_bits_equal(ref, self.by_hand(self.K0, 300, 3, cfg))
+        assert ladder_calls[1:] == [((5, 1, 2), 7)] * 14 + [((5, 1, 2), 2)]
+        assert_bits_equal(ref, self.by_hand(self.K0, 100, cfg))
 
-    @pytest.mark.parametrize("m, n", [(2, 201), (3, 302)])
-    def test_window_end_checked_before_any_step(self, m, n):
-        # 201 sub-steps at m = 2 and 302 at m = 3 read node 101 past t = 0, one past the end
-        cfg = SolverConfig(dt=0.01 / m, t_end=n * 0.01 / m)
+    def test_window_end_checked_before_any_step(self):
+        # 101 steps read node 101 past t = 0, one past the end
+        n = 101
+        cfg = SolverConfig(dt=0.01, t_end=n * 0.01)
         blow_up = LatticeVector.from_support(2, {0: 1e6})
         message = f"noise window ends at 1.0 but integration needs {cfg.t_end}"
         with pytest.raises(WindowError) as forward:
@@ -745,8 +735,8 @@ class TestNoiseNodes:
         with pytest.raises(WindowError) as run:
             integrate(blow_up, self.FIELD, self.PARAMS, CUBIC, cfg)
         assert str(forward.value) == str(run.value) == message
-        # one sub-step less reads node 100, the last: at m = 3, 301 / 3 rounds down
-        short = SolverConfig(dt=0.01 / m, t_end=(n - 1) * 0.01 / m)
+        # one step less reads node 100, the last
+        short = SolverConfig(dt=0.01, t_end=(n - 1) * 0.01)
         assert integrate(LatticeVector(self.STARTS[0]), self.FIELD, self.PARAMS, CUBIC,
                          short).values.shape == (n, 5)
 
@@ -822,13 +812,6 @@ def test_unknown_scheme_raises():
 def test_long_run_is_a_whole_number_of_steps():
     # 65536.04 is 1.46e-11 off 6553604 * 0.01: over 1e-9 of a step, inside 1e-6 of one
     assert SolverConfig(dt=0.01, t_end=65536.04).n_steps() == 6553604
-
-
-def test_refinement_rejects_a_noise_step_below_the_solver_step():
-    # 1e-7 is within the slack of 0 steps of 1.0: no whole number m >= 1 of solver steps
-    with pytest.raises(ValueError, match="^solver dt=1.0 must equal or evenly subdivide "
-                                         "the noise dt=1e-07$"):
-        SolverConfig(1.0, 1.0).refinement(1e-7)
 
 
 @pytest.mark.parametrize("dt, t_end, message", [
