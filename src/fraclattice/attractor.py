@@ -435,8 +435,10 @@ def absorption_check(
     the smallest tested T from which the bound holds at T and at every
     larger tested horizon; the report fails when no tested horizon works
     (window too short, or a genuine violation).  No ``horizons`` raise ValueError.
+    Every run is checked, as the ladder checks it, before the field is swept.
     """
     horizons = np.asarray(sorted(horizons), dtype=float)
+    _ladder_rows(field.grid, horizons, config)  # the runs' checks, before the field's sweep
     window = _past_window(field.grid, t_past)
     ou = stationary_ou(params.damping, field, eval_grid=window, tail_tol=ou_tail_tol)
     radius = absorbing_radius(ou, spec, t_past)

@@ -83,7 +83,8 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """What a run produced: artifacts and their array records, verdicts, timings."""
+    """What a run produced: artifacts and their array records, verdicts, timings, and the
+    step kernel that stepped it, "compiled" or "numpy" (None: the run took no step)."""
 
     experiment: str
     config_hash: str
@@ -94,6 +95,7 @@ class RunManifest:
     checks: dict = dc_field(default_factory=dict)
     numbers: dict = dc_field(default_factory=dict)
     timings: dict = dc_field(default_factory=dict)
+    kernel: str | None = None
     error: str | None = None
 
     @property
@@ -320,8 +322,9 @@ def _run_absorb(cfg, out: Path, manifest: RunManifest):
 # step, through the run's own functions, size-checks each array the run
 # allocates, and checks that a stepping run steps once per noise node, then that
 # its step is stable and each of its stepping batches fits ``MAX_SITE_STEPS``.  ``c``
-# holds the validated values; ``check(path, make, *args)`` returns
-# ``make(*args)``, or None with its error listed under ``path``.
+# holds the validated values, ``c.solver`` None when a ``solver.*`` value failed its rule,
+# and then a stepping plan checks nothing of its steps; ``check(path, make, *args)``
+# returns ``make(*args)``, or None with its error listed under ``path``.
 
 
 def _plan_fbm_sample(c, check):
@@ -329,7 +332,7 @@ def _plan_fbm_sample(c, check):
 
 
 def _plan_forward(c, check, starts=1):
-    if not check("solver.dt", sv._node_step, c.solver, c.grid):
+    if c.solver is None or not check("solver.dt", sv._node_step, c.solver, c.grid):
         return
     check("solver.dt", sv._stable_step, c.step_margin)
     row = check("solver.t_end", sv._forward_row, c.grid, c.solver.t_end, c.solver)
@@ -348,7 +351,7 @@ def _plan_ou(c, check):
 def _plan_ladder(c, check) -> bool:
     """A pullback ladder of ``n_starts`` starts from each of ``horizons``; False if its
     step is not the noise step, with nothing more checked."""
-    if not check("solver.dt", sv._node_step, c.solver, c.grid):
+    if c.solver is None or not check("solver.dt", sv._node_step, c.solver, c.grid):
         return False
     check("solver.dt", sv._stable_step, c.step_margin)
     rows = check("experiment.horizons", at._ladder_rows, c.grid, c.horizons, c.solver)
@@ -390,7 +393,7 @@ def _stationarity(c, horizons, times) -> None:
 
 
 def _plan_equilibrium(c, check):
-    if not check("solver.dt", sv._node_step, c.solver, c.grid):
+    if c.solver is None or not check("solver.dt", sv._node_step, c.solver, c.grid):
         return
     check("solver.dt", sv._stable_step, c.step_margin)
     horizons = check("experiment.initial_horizon", _search, c, float(c.initial_horizon))
@@ -591,8 +594,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     checks and the lattice damping and the experiment's options have
     passed, the experiment's plan (see "run plans") makes every check its
     run makes before its first step, each listed under its config path, so
-    a config that validates does not fail on them.  A stepping run's plan
-    first checks that ``solver.dt`` is ``grid.dt``, and only then the
+    a config that validates does not fail on them; the plan runs whether or
+    not the ``solver.*`` values passed.  A stepping run's plan checks its
+    steps only when they did: first that ``solver.dt`` is ``grid.dt``, then the
     ``solver.step_margin`` of the params and the spec, once both are built,
     and the ``MAX_SITE_STEPS`` work guard of each batch whose arrays fit.
     """
@@ -649,9 +653,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if grid is not None and sites is not None:
         fits = _checked(violations, "grid", _size_check, "noise field", grid.n_nodes, "nodes",
                         sites)
-        if (fits and solver_cfg is not None
-                and passed("experiment.name", "lattice.damping", *options) and entry.plan):
-            margin = sv.step_margin(solver_cfg.dt, params, spec) if params and spec else None
+        if fits and passed("experiment.name", "lattice.damping", *options) and entry.plan:
+            margin = (sv.step_margin(solver_cfg.dt, params, spec)
+                      if solver_cfg and params and spec else None)
             c = SimpleNamespace(grid=grid, solver=solver_cfg, sites=sites,
                                 damping=float(values["lattice.damping"]), step_margin=margin,
                                 **{key: values[f"experiment.{key}"] for key in entry.options})
@@ -728,12 +732,13 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(experiment=cfg.experiment, config_hash=cfg.config_hash(),
                            config=cfg.effective)
-    t0 = time.perf_counter()
+    t0, bound = time.perf_counter(), sv._BOUND.copy()
     try:
         _REGISTRY[cfg.experiment].run(cfg, out, manifest)
     except (FracLatticeError, ValueError) as exc:
         manifest.error = f"{type(exc).__name__}: {exc}"
     manifest.timings["total"] = time.perf_counter() - t0
+    manifest.kernel = next(iter(sv._BOUND - bound), None)
     manifest_path = out / "manifest.json"
     manifest_path.write_text(manifest.to_json() + "\n")
     manifest.artifacts.append(str(manifest_path))
@@ -796,6 +801,8 @@ def main(argv=None) -> int:
             data = _read_json(args.manifest)
             bad = [k for k in ("experiment", "config_hash") if not isinstance(data.get(k), str)]
             bad += [k for k in ("checks", "numbers") if not isinstance(data.get(k, {}), dict)]
+            if data.get("kernel") not in (None, "compiled", "numpy"):
+                bad.append("kernel")
             if not _arrays_ok(data):
                 bad.append("arrays")
             if bad:
@@ -804,6 +811,8 @@ def main(argv=None) -> int:
             print(f"report error: {exc.violations[0]}", file=sys.stderr)
             return 2
         print(f"experiment: {data['experiment']}   config {data['config_hash'][:12]}")
+        if data.get("kernel"):
+            print(f"  kernel: {data['kernel']}")
         for name, ok in sorted(data.get("checks", {}).items()):
             print(f"  {'PASS' if ok else 'FAIL'}  {name}")
         for name, val in sorted(data.get("numbers", {}).items()):

@@ -8,9 +8,11 @@ continuous (Hoelder) time dependence,
 
 stepped here by explicit Euler or Heun, each stage evaluating F once, its
 scalar linear terms folded into one diagonal coefficient, in place, into
-buffers bound once per batch shape, so a step is one straight run of ufunc
-calls.  A run steps once per noise node (``_node_step``), so W is used
-only at its sampled nodes and never interpolated.  The solution map
+buffers bound once per batch shape.  Where the compiled kernel of
+``_kernel.c`` loads, one C loop steps each noise block, bit for bit as the
+numpy kernel does, which steps otherwise, each step one straight run of
+ufunc calls.  A run steps once per noise node (``_node_step``), so W is
+used only at its sampled nodes and never interpolated.  The solution map
 
     phi(t, field, u0) = endpoint of the integration over [0, t]
 
@@ -31,16 +33,23 @@ periodic lattice, an independent accuracy oracle.
 
 from __future__ import annotations
 
+import collections
+import ctypes
 import enum
+import functools
+import hashlib
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import BlowUpError, NonlinearityOverflowError, OffGridError, WindowError
 from .fbm import TimeGrid, check_step, finite_duration, whole_steps
-from .lattice import (Boundary, LatticeParams, LatticeVector, NonlinearitySpec, _neighbours,
-                      _operand)
+from .lattice import (Boundary, LatticeParams, LatticeVector, NonlinearityKind, NonlinearitySpec,
+                      _neighbours, _operand)
 from .noise import NoiseField, VectorSeries
 
 __all__ = [
@@ -64,6 +73,20 @@ _GUARD_TOTAL = (BLOWUP_NORM / 2) ** 2
 #: block holds at most (two nodes when one node holds more), so the block
 #: grows neither with the run's length nor with its runs and starts.
 _BLOCK_VALUES = 1 << 15
+
+#: The compiled kernel's source, and the command that builds it.  Contraction stays off: a
+#: fused multiply-add rounds once where the numpy kernel rounds twice.
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_CC = ("cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+_UNTRIED = object()
+
+#: ``_kernel``'s memo, set on the first ``_step_loop`` call: the compiled block stepper, or
+#: None, the numpy kernel stepping every run of the process.
+_KERNEL = _UNTRIED
+
+#: ``_step_loop`` kernels bound in this process, by name, "compiled" or "numpy".
+_BOUND = collections.Counter()
 
 
 class Scheme(str, enum.Enum):
@@ -136,10 +159,110 @@ def _overflow(spec: NonlinearitySpec) -> NonlinearityOverflowError:
     return NonlinearityOverflowError(f"{spec.label} overflowed during stepping")
 
 
+def _kernel():
+    """``_load_kernel``, once per process."""
+    global _KERNEL
+    if _KERNEL is _UNTRIED:
+        _KERNEL = _load_kernel()
+    return _KERNEL
+
+
+def _load_kernel():
+    """The compiled block stepper of ``_KERNEL_SOURCE``; None if it cannot be built or
+    loaded, and the numpy kernel then steps every run.
+
+    It is cached in the package's ``__pycache__``, named by the sha256 of the source and
+    ``_CC``.  A cache miss, or a cached file that does not load, builds it there anew
+    (``_build``).
+    """
+    source = _KERNEL_SOURCE
+    try:
+        key = hashlib.sha256(source.read_bytes() + " ".join(_CC).encode()).hexdigest()
+        target = source.parent / "__pycache__" / f"_kernel-{key}.so"
+        try:
+            kernel = ctypes.CDLL(str(target)).step_block
+        except OSError:
+            _build(source, target)
+            kernel = ctypes.CDLL(str(target)).step_block
+    except (OSError, AttributeError):
+        return None
+    long, double, pointer = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
+    kernel.argtypes = [long] * 5 + [double] * 6 + [pointer] * 3 + [long, pointer, pointer, long]
+    kernel.restype = long
+    return kernel
+
+
+def _build(source: Path, target: Path) -> None:
+    """Compiles ``source`` into a temporary file beside ``target`` that then replaces the
+    target whole, so that processes building at once each load a whole library; OSError
+    if it cannot."""
+    import subprocess  # only on a cache miss
+
+    target.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
+    os.close(fd)
+    try:
+        done = subprocess.run([*_CC, "-o", tmp, str(source)], capture_output=True)
+        if done.returncode:
+            raise OSError(f"{_CC[0]} exited with {done.returncode}")
+        os.chmod(tmp, 0o644)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _neg_c(params: LatticeParams, spec: NonlinearitySpec) -> float:
+    """-c, c = 2 kappa + lam + a: the drift's scalar linear terms folded into one."""
+    return -(2.0 * params.coupling + params.damping + spec.a)
+
+
 def _step_loop(shape: tuple, params: LatticeParams, spec: NonlinearitySpec,
                config: SolverConfig):
     """``steps(v0, w, states=None, first_step=0) -> v`` for site-major (d, ...) states of
-    ``shape``, every buffer, view and constant bound here, once.
+    ``shape``: the compiled kernel's when ``_kernel`` loads, else the numpy kernel's
+    (``_numpy_loop``), its oracle, which it matches bit for bit.
+
+    The compiled ``steps`` steps a whole noise block in one call.  When the squares of the
+    state sum past ``_GUARD_TOTAL`` it steps the block anew from its start through the
+    numpy kernel, which raises a blow-up's or an overflow's error at the same step or steps
+    on bit for bit: a row norm passes ``BLOWUP_NORM`` only past 4 ``_GUARD_TOTAL``, so the
+    two sums' rounding cannot change which.  It leaves to the numpy kernel too the states
+    it cannot write in place: of another shape, or not C-contiguous float.
+    """
+    kernel = _kernel()
+    _BOUND["numpy" if kernel is None else "compiled"] += 1
+    if kernel is None:
+        return _numpy_loop(shape, params, spec, config)
+    size = math.prod(shape)
+    g, u, f = params.forcing.values, np.empty(size), np.empty(2 * size)
+    block = functools.partial(
+        kernel, shape[0], size // shape[0], params.boundary is Boundary.PERIODIC,
+        spec.kind is NonlinearityKind.CUBIC, config.scheme is Scheme.HEUN, _neg_c(params, spec),
+        params.coupling, float(spec._neg_b), config.dt, 0.5 * config.dt, _GUARD_TOTAL,
+        *(x.ctypes.data_as(ctypes.c_void_p) for x in (g, u, f)))  # each keeps its array
+    numpy_steps = functools.cache(lambda: _numpy_loop(shape, params, spec, config))
+
+    def steps(v0, w, states=None, first_step=0):
+        w = np.ascontiguousarray(w, dtype=float)
+        # the nodes land in states, or v0's copy is stepped in place: out, one node long
+        out = np.array(v0, dtype=float, order="C")[None] if states is None else states
+        if (w.shape[1:] == out.shape[1:] == shape and len(w) and out.dtype == float
+                and len(out) == (1 if states is None else len(w)) and out.flags.c_contiguous):
+            if states is not None:
+                states[0] = v0
+            if not block(len(w) - 1, w.ctypes.data, out.ctypes.data,
+                         0 if states is None else size):
+                return out[-1]
+        return numpy_steps()(v0, w, states, first_step)
+
+    return steps
+
+
+def _numpy_loop(shape: tuple, params: LatticeParams, spec: NonlinearitySpec,
+                config: SolverConfig):
+    """The numpy kernel: ``steps(v0, w, states=None, first_step=0) -> v`` for site-major
+    (d, ...) states of ``shape``, every buffer, view and constant bound here, once.
 
     ``steps`` advances v0 over the nodes of the noise rows w, (nodes,) + ``shape``, and
     returns the last v, with node k written into ``states[k]``, or stepped in place on a
@@ -155,7 +278,7 @@ def _step_loop(shape: tuple, params: LatticeParams, spec: NonlinearitySpec,
     """
     u0, u1, ku, f0, f1, work, g = (np.empty(shape) for _ in range(7))
     g[...] = params.forcing.values.reshape((-1,) + (1,) * (len(shape) - 1))
-    neg_c = _operand(-(2.0 * params.coupling + params.damping + spec.a))
+    neg_c = _operand(_neg_c(params, spec))
     kappa, dt, half_dt = (_operand(x) for x in (params.coupling, config.dt, 0.5 * config.dt))
     remainder0, remainder1 = spec.remainder(shape), spec.remainder(shape)
     has_r, heun = remainder0 is not None, config.scheme is Scheme.HEUN

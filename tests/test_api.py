@@ -88,12 +88,14 @@ def test_one_stepping_driver():
 
 
 def test_one_step_kernel():
-    # one kernel steps every kind, boundary and scheme, reading the drift's remainder from
-    # the spec, which alone holds the cubic's coefficient: no second drift in the solver
+    # one numpy kernel steps every kind, boundary and scheme, reading the drift's remainder
+    # from the spec, which alone holds the cubic's coefficient: no second drift in the
+    # solver; the compiled kernel, pinned to it bit for bit, reads -b from the spec too
     assert uses_of("_drift", "remainder_into") == []
     assert {owner for _, owner in uses_of("remainder")} == {"lattice.NonlinearitySpec",
-                                                           "solver._step_loop"}
-    assert {owner for _, owner in uses_of("_neg_b")} == {"lattice.NonlinearitySpec"}
+                                                           "solver._numpy_loop"}
+    assert {owner for _, owner in uses_of("_neg_b")} == {"lattice.NonlinearitySpec",
+                                                        "solver._step_loop"}
 
 
 def test_one_anchor_per_run():

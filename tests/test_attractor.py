@@ -653,6 +653,22 @@ class TestAbsorption:
             absorption_check(10.0, field, make_params(), CUBIC, CFG, horizons=[],
                              t_past=2.0, ou_tail_tol=1.0)
 
+    def test_runs_checked_before_the_sweep(self, field, monkeypatch):
+        # a step other than the noise step, and a horizon past the sampled past, fail
+        # before the stationary field is swept
+        sweeps = []
+        monkeypatch.setattr(attractor, "stationary_ou",
+                            lambda *args, **kwargs: sweeps.append(1))
+        fine = SolverConfig(dt=DT / 2, t_end=1.0)
+        with pytest.raises(ValueError, match=rf"^solver dt={DT / 2} must equal the noise dt={DT}$"):
+            absorption_check(10.0, field, make_params(), CUBIC, fine, horizons=[1.0],
+                             t_past=4.0, ou_tail_tol=1e-2)
+        deep = -field.grid.t_start + 1.0
+        with pytest.raises(WindowError):
+            absorption_check(10.0, field, make_params(), CUBIC, CFG, horizons=[1.0, deep],
+                             t_past=4.0, ou_tail_tol=1e-2)
+        assert sweeps == []
+
     def test_one_sweep_reads_centre_and_radius(self, field, sweep_calls):
         rep = absorption_check(10.0, field, make_params(), CUBIC, CFG, horizons=[1.0],
                                t_past=4.0, ou_tail_tol=1e-2)

@@ -29,6 +29,7 @@ from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from fraclattice.noise import build_noise_field, stationary_ou
 from fraclattice.solver import SolverConfig, _step_rows, cocycle_map, integrate
+from kernels import KERNELS, step_kernel
 
 MINIMAL = {
     "lattice": {"half_width": 6, "noise_amp": {"0": 0.8, "1": 0.5}},
@@ -333,6 +334,22 @@ class TestRun:
         manifest = run(load_config(path))
         assert manifest.all_passed
         assert manifest.numbers["absorbing_radius"] >= 1.0
+
+    def test_manifest_names_the_kernel_that_stepped(self, tmp_path, capsys):
+        # a stepping run records the kernel that stepped it, a run of no step null
+        for kernel in KERNELS:
+            with step_kernel(kernel):
+                for name, expected, extra in (("simulate", kernel, {}),
+                                              ("ou", None, {"grid": {"t_past": 26.0}})):
+                    path = write_config(tmp_path / kernel / name, extra, name)
+                    manifest = run(load_config(path))
+                    assert manifest.all_passed and manifest.kernel == expected
+                    saved = tmp_path / kernel / name / "out" / "manifest.json"
+                    assert json.loads(saved.read_text())["kernel"] == expected
+                    capsys.readouterr()
+                    assert main(["report", "--manifest", str(saved)]) == 0
+                    lines = capsys.readouterr().out.splitlines()
+                    assert (lines[1] == f"  kernel: {kernel}") == (expected is not None)
 
     def test_absorb_run_sweeps_the_field_once(self, tmp_path, sweep_calls):
         # the centre, the radius and the radius table all read one stationary field
@@ -733,12 +750,15 @@ class TestMain:
         keyless, typed = tmp_path / "keyless.json", tmp_path / "typed.json"
         keyless.write_text('{"checks": {}}')
         typed.write_text('{"experiment": "ou", "config_hash": 7, "checks": []}')
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text('{"experiment": "ou", "config_hash": "0123", "kernel": "fortran"}')
         for path, reason in ((tmp_path / "nope.json", f"cannot read {tmp_path / 'nope.json'}"),
                              (tmp_path, f"cannot read {tmp_path}"),
                              (bad, "JSON parse error at line 1"),
                              (listed, "top-level JSON value must be an object"),
                              (keyless, "not a run manifest: experiment, config_hash"),
-                             (typed, "not a run manifest: config_hash, checks")):
+                             (typed, "not a run manifest: config_hash, checks"),
+                             (kernel, "not a run manifest: kernel")):
             assert main(["report", "--manifest", str(path)]) == 2
             out = capsys.readouterr()
             assert out.out == ""
@@ -929,6 +949,19 @@ class TestValidateConfigDirect:
         for name, digest in pinned.items():
             raw = {} if name is None else {"experiment": {"name": name}}
             assert validate_config(raw).config_hash() == digest, name
+
+    @pytest.mark.parametrize("name, plan_line", [
+        ("ou", "grid.t_past: past horizon 1 too short: e^(-lam*T)(1+T)^2 = 1.472e+00 > 1.0e-06"),
+        ("absorb", "experiment.t_past: t_past 4 exceeds the sampled past 1"),
+    ])
+    def test_plan_runs_when_a_solver_value_fails(self, name, plan_line):
+        # a failed solver value is listed with the plan's own lines, not instead of them
+        raw = {"experiment": {"name": name}, "solver": {"scheme": "rk4"},
+               "grid": {"t_past": 1.0}}
+        with pytest.raises(ConfigError) as info:
+            validate_config(raw)
+        assert info.value.violations == [
+            "solver.scheme: must be one of 'euler', 'heun', got 'rk4'", plan_line]
 
     def test_size_limit_inclusive_and_listed_with_other_violations(self, monkeypatch):
         cases = [

@@ -26,6 +26,7 @@ from fraclattice.solver import (
     cocycle_map,
     integrate,
 )
+from kernels import KERNELS, step_kernel
 from oracles import (cocycle_check, gronwall_envelope, laplacian_array, laplacian_modes,
                      linear_oracle, rolled)
 
@@ -59,6 +60,16 @@ def rhs(v, w, params, spec):
 def run_kernel(v0, w, params, spec, cfg, states=None, first_step=0):
     """The kernel of site-major ``v0``'s shape, bound and run once over the noise rows w."""
     return _step_loop(np.shape(v0), params, spec, cfg)(v0, w, states, first_step)
+
+
+def raises_on_each_kernel(error, run, match=None):
+    """``run()`` raises ``error``, matching ``match``, on each kernel, with one message."""
+    messages = set()
+    for kernel in KERNELS:
+        with step_kernel(kernel), pytest.raises(error, match=match) as info:
+            run()
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 class TestRhs:
@@ -287,10 +298,10 @@ class TestStepErrors:
     def test_cubic_overflow(self, scheme):
         cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme)
         u0 = LatticeVector.from_support(4, {0: 1e110})
-        with pytest.raises(NonlinearityOverflowError):
-            integrate(u0, self.field, self.params, CUBIC, cfg)
-        with pytest.raises(NonlinearityOverflowError):
-            cocycle_map(1.0, self.field, u0, self.params, CUBIC, cfg)
+        raises_on_each_kernel(NonlinearityOverflowError,
+                              lambda: integrate(u0, self.field, self.params, CUBIC, cfg))
+        raises_on_each_kernel(NonlinearityOverflowError,
+                              lambda: cocycle_map(1.0, self.field, u0, self.params, CUBIC, cfg))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_cubic_overflow_when_the_noise_arrives(self, scheme):
@@ -301,19 +312,25 @@ class TestStepErrors:
         field = build_noise_field(params, TimeGrid(dt=0.01, n_steps=100), 5)
         cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme)
         if scheme is Scheme.EULER:
-            cocycle_map(0.01, field, LatticeVector.zeros(4), params, CUBIC, cfg)
-        with pytest.raises(NonlinearityOverflowError):
-            integrate(LatticeVector.zeros(4), field, params, CUBIC, cfg)
-        with pytest.raises(NonlinearityOverflowError):
-            cocycle_map(1.0, field, np.zeros((2, 9)), params, CUBIC, cfg)
+            for kernel in KERNELS:
+                with step_kernel(kernel):
+                    cocycle_map(0.01, field, LatticeVector.zeros(4), params, CUBIC, cfg)
+        raises_on_each_kernel(NonlinearityOverflowError, lambda: integrate(
+            LatticeVector.zeros(4), field, params, CUBIC, cfg))
+        raises_on_each_kernel(NonlinearityOverflowError, lambda: cocycle_map(
+            1.0, field, np.zeros((2, 9)), params, CUBIC, cfg))
 
     def test_batch_with_one_overflowing_row(self):
         cfg = SolverConfig(dt=0.01, t_end=1.0)
         starts = np.zeros((2, 9))
-        cocycle_map(1.0, self.field, starts, self.params, CUBIC, cfg)
+        ends = []
+        for kernel in KERNELS:
+            with step_kernel(kernel):
+                ends.append(cocycle_map(1.0, self.field, starts, self.params, CUBIC, cfg))
+        assert_bits_equal(ends[0], ends[-1])
         starts[1, 4] = 1e110
-        with pytest.raises(NonlinearityOverflowError):
-            cocycle_map(1.0, self.field, starts, self.params, CUBIC, cfg)
+        raises_on_each_kernel(NonlinearityOverflowError, lambda: cocycle_map(
+            1.0, self.field, starts, self.params, CUBIC, cfg))
 
 
 def kernel_params(half_width, coupling=1.0, damping=1.0, forcing=None,
@@ -385,18 +402,23 @@ class TestKernelOverConfigs:
         v0, w = layout(name, d, n_steps, rng, n_starts)
         v0[..., 0] = -0.0  # the sign of zero must come out as the reference's
         cfg = SolverConfig(dt=0.05, t_end=0.05 * n_steps, scheme=scheme)
-        refs = []
+        refs, blow_up = [], None
         for k in range(n_steps + 1):
             refs.append(written_out_steps(v0, w[: k + 1], params, spec, 0.05, scheme))
             if np.linalg.norm(refs[-1], axis=-1).max() > BLOWUP_NORM:
-                # the guard stops the run at the reference's first node past the bound
-                with pytest.raises(BlowUpError, match=f"at t={k * 0.05:.6g};"):
-                    collected(*site_major(v0, w), params, spec, cfg)
-                return
-        states = collected(*site_major(v0, w), params, spec, cfg)
-        for k in range(n_steps + 1):
-            assert_bits_equal(batch_major(states[k]), refs[k])
-        assert_bits_equal(run_kernel(*site_major(v0, w), params, spec, cfg), states[-1])
+                blow_up = k
+                break
+        for kernel in KERNELS:
+            with step_kernel(kernel):
+                if blow_up is not None:
+                    # the guard stops the run at the reference's first node past the bound
+                    with pytest.raises(BlowUpError, match=f"at t={blow_up * 0.05:.6g};"):
+                        collected(*site_major(v0, w), params, spec, cfg)
+                    continue
+                states = collected(*site_major(v0, w), params, spec, cfg)
+                for k in range(n_steps + 1):
+                    assert_bits_equal(batch_major(states[k]), refs[k])
+                assert_bits_equal(run_kernel(*site_major(v0, w), params, spec, cfg), states[-1])
 
 
 class TestLinearPart:
@@ -463,9 +485,15 @@ class TestGuard:
         w = np.zeros((4, 5))
         assert np.add.reduce((v0 * v0).reshape(-1)) > _GUARD_TOTAL
         cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
-        ends = batch_major(run_kernel(*site_major(v0, w), params, LINEAR, cfg))
-        assert np.add.reduce((ends * ends).reshape(-1)) > _GUARD_TOTAL
-        assert_bits_equal(ends, written_out_steps(v0, w, params, LINEAR, 0.01, scheme))
+        for kernel in KERNELS:
+            with step_kernel(kernel):
+                ends = batch_major(run_kernel(*site_major(v0, w), params, LINEAR, cfg))
+                states = collected(*site_major(v0, w), params, LINEAR, cfg)
+            assert np.add.reduce((ends * ends).reshape(-1)) > _GUARD_TOTAL
+            assert_bits_equal(ends, written_out_steps(v0, w, params, LINEAR, 0.01, scheme))
+            for k in range(4):
+                assert_bits_equal(batch_major(states[k]),
+                                  written_out_steps(v0, w[: k + 1], params, LINEAR, 0.01, scheme))
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("first_step", [0, 7])
@@ -478,8 +506,9 @@ class TestGuard:
         while np.linalg.norm(v, axis=1).max() <= 1e12:
             v, k = written_out_steps(v, w[:2], params, LINEAR, 1.0, scheme), k + 1
         cfg = SolverConfig(dt=1.0, t_end=39.0, scheme=scheme)
-        with pytest.raises(BlowUpError, match=f"at t={first_step + k:.6g};"):
-            run_kernel(*site_major(v0, w), params, LINEAR, cfg, first_step=first_step)
+        raises_on_each_kernel(BlowUpError, lambda: run_kernel(
+            *site_major(v0, w), params, LINEAR, cfg, first_step=first_step),
+            match=f"at t={first_step + k:.6g};")
         assert 2 < k < 39
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -489,8 +518,8 @@ class TestGuard:
         v0, w = layout(name, 5, 3, np.random.default_rng(2))
         v0[..., 2] = 1e110
         cfg = SolverConfig(dt=0.01, t_end=0.03, scheme=scheme)
-        with pytest.raises(NonlinearityOverflowError):
-            run_kernel(*site_major(v0, w), params, CUBIC, cfg)
+        raises_on_each_kernel(NonlinearityOverflowError,
+                              lambda: run_kernel(*site_major(v0, w), params, CUBIC, cfg))
 
 
 class CountedUfunc:
@@ -521,9 +550,15 @@ UFUNC_CALLS = {
 
 
 class TestStepCost:
-    """A step is a fixed run of ufunc calls, with one Python-level call per stage at most."""
+    """A numpy kernel's step is a fixed run of ufunc calls, with one Python-level call per
+    stage at most."""
 
     SPECS = {"linear": LINEAR, "cubic": CUBIC}
+
+    @pytest.fixture(autouse=True)
+    def numpy_kernel(self):
+        with step_kernel("numpy"):
+            yield
 
     def kernel_run(self, kind, boundary, scheme, n_steps):
         params = kernel_params(2, forcing=np.linspace(-1.0, 1.0, 5), boundary=boundary)
