@@ -26,7 +26,8 @@ from .errors import InsufficientHorizonError
 from .fbm import TimeGrid
 from .lattice import LatticeParams, LatticeVector, NonlinearitySpec
 from .noise import NoiseField, OUProcess, stationary_ou
-from .solver import SolverConfig, _forward_row, _run_row, _step_rows, _steps
+from .solver import (SolverConfig, _forward_row, _run_row, _start_values, _step_rows,
+                     _steps)
 
 __all__ = [
     "ContractionReport",
@@ -92,9 +93,10 @@ def contraction_experiment(
     not pass.
     """
     lam = params.damping
-    # one (2, d) batch; each row is the single run bit for bit
-    states = _step_rows([_forward_row(field.grid, config.t_end, config)], field,
-                        np.stack([u0.values, w0.values]), params, spec, config, collect=True)
+    row = _forward_row(field.grid, config.t_end, config)
+    # one (2, d) batch, each start of the driver's width; each row is its single run bit for bit
+    pair = np.stack([_start_values(start, field, params) for start in (u0, w0)])
+    states = _step_rows([row], field, pair, params, spec, config, collect=True)
     diff = np.subtract(states[:, 0], states[:, 1], out=states[:, 0])
     distances = np.linalg.norm(diff, axis=1)
     times = TimeGrid(dt=config.dt, n_steps=len(distances) - 1).times()
@@ -130,31 +132,16 @@ def sphere_starts(
 
 
 def _ladder_rows(grid: TimeGrid, horizons, config: SolverConfig) -> list:
-    """The ``_run_row`` of each horizon T's pullback over [-T, 0], in the order of
-    ``horizons``; each distinct horizon is checked once, smallest first."""
-    runs = {t: _run_row(grid, -t, t, config) for t in sorted({float(t) for t in horizons})}
-    return [runs[float(t)] for t in horizons]
-
-
-def _pullback_ladder(
-    horizons, field: NoiseField, starts: LatticeVector | np.ndarray,
-    params: LatticeParams, spec: NonlinearitySpec, config: SolverConfig,
-) -> np.ndarray:
-    """phi(T, shift_(-T) field, starts) for every T in ``horizons``, in their order.
-
-    The ``_step_rows`` batch of the horizons' runs steps from -max T to 0:
-    horizon T's run joins at -T and reads its own noise
-    (omega(s) - omega(-T)) sigma, so it equals
-    ``cocycle_map(T, shift_noise(field, -T), starts, ...)`` bit for bit
-    (``shift_noise`` is the field shift of ``tests/oracles.py``).  Every
-    horizon is checked before any step, smallest first, as its single run
-    checks it; a blow-up reports its time from -max T, and no horizons
-    raise ValueError.  Returns shape ``(len(horizons),) + starts' shape``.
-    """
+    """The ``_run_row`` of each horizon T's pullback over [-T, 0], in the order of ``horizons``,
+    each distinct one checked once, smallest first; no horizons raise ValueError.  Their
+    ``_step_rows`` batch steps from -max T (a blow-up's time counts from there), and row T,
+    reading its own noise (omega(s) - omega(-T)) sigma, ends bit for bit at
+    ``cocycle_map(T, shift_noise(field, -T), starts, ...)``, ``shift_noise`` being the field
+    shift of ``tests/oracles.py``."""
     if not len(horizons):
         raise ValueError("horizons must not be empty")
-    return _step_rows(_ladder_rows(field.grid, horizons, config), field, starts, params, spec,
-                      config)
+    runs = {t: _run_row(grid, -t, t, config) for t in sorted({float(t) for t in horizons})}
+    return [runs[float(t)] for t in horizons]
 
 
 def _diameter(points: np.ndarray) -> float:
@@ -197,10 +184,11 @@ def pullback_experiment(
     endpoint cloud to it is reported as well.  No ``horizons`` raise ValueError.
     """
     horizons = np.asarray(sorted(horizons), dtype=float)
+    rows = _ladder_rows(field.grid, horizons, config)
     starts = sphere_starts(radius, n_starts, params.half_width, seed)
+    ends = _step_rows(rows, field, starts, params, spec, config)
     d0 = _diameter(starts)
     lam = params.damping
-    ends = _pullback_ladder(horizons, field, starts, params, spec, config)
     diameters = np.array([_diameter(e) for e in ends], dtype=float)
     hausdorff = None
     if equilibrium is not None:
@@ -230,8 +218,11 @@ class EquilibriumEstimate:
 def _doubling_horizons(grid: TimeGrid, initial_horizon: float) -> list[float]:
     """The horizons initial_horizon * 2^k, k >= 0, that the sampled past of ``grid`` holds.
 
-    Raises ``InsufficientHorizonError`` unless it holds the first two.
+    Raises ``InsufficientHorizonError`` unless it holds the first two, and ValueError
+    unless ``initial_horizon`` > 0.
     """
+    if not initial_horizon > 0:
+        raise ValueError(f"initial_horizon must be > 0, got {initial_horizon!r}")
     available = -grid.i_start * grid.dt  # 0.0, not -0.0, for a grid with no past
     t = float(initial_horizon)
     if 2.0 * t > available:
@@ -272,20 +263,17 @@ def random_equilibrium(
     ``InsufficientHorizonError`` when no supported horizon passes both
     checks; the message names the check that failed at the deepest one.
     """
-    if not initial_horizon > 0:
-        raise ValueError(f"initial_horizon must be > 0, got {initial_horizon!r}")
+    horizons = _doubling_horizons(field.grid, initial_horizon)
+    rows = _ladder_rows(field.grid, horizons, config)
     if start is None:
         start = LatticeVector.zeros(params.half_width)
     if verify_start is None:
         signs = np.where(np.arange(params.n_sites) % 2 == 0, 1.0, -1.0)
         verify_start = LatticeVector(10.0 * signs / np.sqrt(params.n_sites))
-    available = -field.grid.t_start
-    horizons = _doubling_horizons(field.grid, initial_horizon)
-    if start.half_width != verify_start.half_width:
-        raise ValueError(f"start and verify_start widths differ: {start.values.size} and "
-                         f"{verify_start.values.size} sites")
+    for one in (start, verify_start):  # the driver's width rule, on each start
+        _start_values(one, field, params)
     pair = np.stack([start.values, verify_start.values])
-    ends = _pullback_ladder(horizons, field, pair, params, spec, config)
+    ends = _step_rows(rows, field, pair, params, spec, config)
     for k in range(1, len(horizons)):
         cur, check = ends[k]
         gap = float(np.linalg.norm(cur - ends[k - 1, 0]))
@@ -298,10 +286,8 @@ def random_equilibrium(
                 )
     failed = (f"start gap {start_gap:.3e} > 2 tol {2 * tol:.1e}" if gap <= tol
               else f"gap {gap:.3e} > tol {tol:.1e}")
-    raise InsufficientHorizonError(
-        f"{failed} at horizon {horizons[-1]:.3g} and the sampled past "
-        f"{available:.3g} cannot support doubling"
-    )
+    raise InsufficientHorizonError(f"{failed} at horizon {horizons[-1]:.3g} and the sampled "
+                                   f"past {-field.grid.t_start:.3g} cannot support doubling")
 
 
 @dataclass(frozen=True)
@@ -438,13 +424,13 @@ def absorption_check(
     Every run is checked, as the ladder checks it, before the field is swept.
     """
     horizons = np.asarray(sorted(horizons), dtype=float)
-    _ladder_rows(field.grid, horizons, config)  # the runs' checks, before the field's sweep
+    rows = _ladder_rows(field.grid, horizons, config)  # the runs' checks, before the sweep
     window = _past_window(field.grid, t_past)
     ou = stationary_ou(params.damping, field, eval_grid=window, tail_tol=ou_tail_tol)
     radius = absorbing_radius(ou, spec, t_past)
     bound = float(np.linalg.norm(ou.at(0.0).values)) + radius.value
     starts = sphere_starts(d_radius, n_starts, params.half_width, seed)
-    ends = _pullback_ladder(horizons, field, starts, params, spec, config)
+    ends = _step_rows(rows, field, starts, params, spec, config)
     max_norms = np.array([float(np.linalg.norm(e, axis=1).max()) for e in ends], dtype=float)
     ok = max_norms <= bound
     entry = None

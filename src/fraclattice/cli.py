@@ -74,10 +74,11 @@ class ExperimentConfig:
     starts: dict  # the experiment's start vectors (u0, w0) as LatticeVectors
     master_seed: int
     output_dir: str
-    effective: dict  # defaults-filled plain dict, echoed and hashed
+    effective: dict  # defaults-filled plain dict, echoed, and hashed without output_dir
 
-    def config_hash(self) -> str:
-        payload = json.dumps(self.effective, sort_keys=True, separators=(",", ":"))
+    def config_hash(self) -> str:  # it names the experiment, not where its run went
+        experiment = {k: v for k, v in self.effective.items() if k != "output_dir"}
+        payload = json.dumps(experiment, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -482,7 +483,7 @@ _SITES = (lambda x: isinstance(x, dict), "an object of site -> finite number")
 
 #: Every config value: dotted path -> (default, (test, requirement)).  A
 #: ``None`` default is filled from each experiment's option defaults in
-#: ``_REGISTRY``.
+#: ``_REGISTRY``, and ``solver.dt``'s from ``grid.dt``.
 _FIELDS = {
     "hurst": (0.75, _NUMBER),  # its range is checked by fbm.as_hurst
     "lattice.coupling": (1.0, _POSITIVE),
@@ -495,7 +496,7 @@ _FIELDS = {
     "nonlinearity.a": (1.0, _POSITIVE),
     "nonlinearity.b": (1.0, _POSITIVE),
     "solver.scheme": ("heun", _one_of(*(s.value for s in sv.Scheme))),
-    "solver.dt": (0.01, _POSITIVE),
+    "solver.dt": (None, _POSITIVE),
     "solver.t_end": (5.0, _NONNEGATIVE),
     "grid.dt": (0.01, _POSITIVE),
     "grid.t_past": (30.0, _NONNEGATIVE),
@@ -585,7 +586,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig`, reporting every violation at once.
 
     Each value must pass its ``_FIELDS`` rule, and unknown keys are
-    violations too, so a typo never falls back to a default.  The checks
+    violations too, so a typo never falls back to a default (an absent
+    ``solver.dt`` is ``grid.dt``, its rule then reported under ``grid.dt``).  The checks
     that every run shares and that join several values (the Hurst range,
     each site vector against ``half_width``, the grid window, the noise
     field's ``MAX_GRID_VALUES`` size guard) run for every group whose values
@@ -607,6 +609,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     options = {f"experiment.{key}": val for key, val in entry.options.items()} if entry else {}
     defaults = {path: default for path, (default, _) in _FIELDS.items() if default is not None}
     values = copy.deepcopy(defaults | options) | given
+    values.setdefault("solver.dt", values["grid.dt"])  # a step the code already has
     known = {path for path in _FIELDS if not path.startswith("experiment.")}
     known |= {"experiment.name", *options}
     for path in given:
@@ -618,6 +621,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     found = {path: _rule_violations(path, values[path])
              for path in _FIELDS if path in known and path in values}
     failed = {path for path, lines in found.items() if lines}
+    if "solver.dt" not in given:  # grid.dt's value, which grid.dt's own line reports
+        del found["solver.dt"]
     violations += [line for lines in found.values() for line in lines]
 
     def passed(*paths):

@@ -147,6 +147,7 @@ def build_noise_field(
     block, so every column is bit-identical to that one-row sample.  The
     columns of sites with sigma_i = 0 are never touched.
     """
+    master_seed = operator.index(master_seed)  # before any work
     k0 = grid.index_of(0.0)  # anchoring requires zero on the grid
     h = as_hurst(h)
     n_steps = grid.n_steps

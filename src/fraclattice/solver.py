@@ -221,40 +221,45 @@ def _step_loop(shape: tuple, params: LatticeParams, spec: NonlinearitySpec,
                config: SolverConfig):
     """``steps(v0, w, states=None, first_step=0) -> v`` for site-major (d, ...) states of
     ``shape``: the compiled kernel's when ``_kernel`` loads, else the numpy kernel's
-    (``_numpy_loop``), its oracle, which it matches bit for bit.
+    (``_numpy_loop``), its oracle, which it matches bit for bit.  Either steps the driver's
+    layout only, all that the C loop reads and writes, and refuses any other with a ValueError
+    before any step: a float v0 of ``shape``, and C-contiguous float noise rows w and states
+    (None: none) of (nodes >= 1,) + ``shape``.
 
     The compiled ``steps`` steps a whole noise block in one call.  When the squares of the
     state sum past ``_GUARD_TOTAL`` it steps the block anew from its start through the
     numpy kernel, which raises a blow-up's or an overflow's error at the same step or steps
     on bit for bit: a row norm passes ``BLOWUP_NORM`` only past 4 ``_GUARD_TOTAL``, so the
-    two sums' rounding cannot change which.  It leaves to the numpy kernel too the states
-    it cannot write in place: of another shape, or not C-contiguous float.
+    two sums' rounding cannot change which.
     """
     kernel = _kernel()
     _BOUND["numpy" if kernel is None else "compiled"] += 1
-    if kernel is None:
-        return _numpy_loop(shape, params, spec, config)
-    size = math.prod(shape)
-    g, u, f = params.forcing.values, np.empty(size), np.empty(2 * size)
-    block = functools.partial(
-        kernel, shape[0], size // shape[0], params.boundary is Boundary.PERIODIC,
-        spec.kind is NonlinearityKind.CUBIC, config.scheme is Scheme.HEUN, _neg_c(params, spec),
-        params.coupling, float(spec._neg_b), config.dt, 0.5 * config.dt, _GUARD_TOTAL,
-        *(x.ctypes.data_as(ctypes.c_void_p) for x in (g, u, f)))  # each keeps its array
     numpy_steps = functools.cache(lambda: _numpy_loop(shape, params, spec, config))
+    size = math.prod(shape)
+    if kernel is not None:  # each pointer of the partial keeps its array
+        g, u, f = params.forcing.values, np.empty(size), np.empty(2 * size)
+        block = functools.partial(
+            kernel, shape[0], size // shape[0], params.boundary is Boundary.PERIODIC,
+            spec.kind is NonlinearityKind.CUBIC, config.scheme is Scheme.HEUN,
+            _neg_c(params, spec), params.coupling, -spec.b, config.dt, 0.5 * config.dt,
+            _GUARD_TOTAL, *(x.ctypes.data_as(ctypes.c_void_p) for x in (g, u, f)))
 
     def steps(v0, w, states=None, first_step=0):
-        w = np.ascontiguousarray(w, dtype=float)
-        # the nodes land in states, or v0's copy is stepped in place: out, one node long
-        out = np.array(v0, dtype=float, order="C")[None] if states is None else states
-        if (w.shape[1:] == out.shape[1:] == shape and len(w) and out.dtype == float
-                and len(out) == (1 if states is None else len(w)) and out.flags.c_contiguous):
-            if states is not None:
-                states[0] = v0
+        rows = (w,) if states is None else (w, states)
+        if not (all(isinstance(x, np.ndarray) and x.dtype == float for x in (v0, *rows))
+                and all(x.flags.c_contiguous and x.shape == w.shape for x in rows)
+                and v0.shape == shape and w.shape[1:] == shape and len(w)):
+            raise ValueError(f"a {shape} step loop takes float arrays, v0 {shape} and "
+                             f"C-contiguous w and states (nodes,) + {shape}; got "
+                             f"{np.shape(v0)}, {np.shape(w)} and {np.shape(states)}")
+        if kernel is not None:
+            # the nodes land in states, or v0's copy is stepped in place: out, one node long
+            out = np.empty((1,) + shape) if states is None else states
+            out[0] = v0
             if not block(len(w) - 1, w.ctypes.data, out.ctypes.data,
                          0 if states is None else size):
                 return out[-1]
-        return numpy_steps()(v0, w, states, first_step)
+        return numpy_steps()(v0, w, states, first_step)  # or the guard's re-step
 
     return steps
 

@@ -80,6 +80,16 @@ def uses_of(*names: str) -> list[tuple[str, str]]:
     return sorted(uses)
 
 
+def raisers_of(message: str) -> list[str]:
+    """The top-level defs of the package whose string literals hold ``message``."""
+    return sorted({owner for path in Path(fraclattice.__file__).parent.glob("*.py")
+                   for stmt in ast.parse(path.read_text()).body
+                   for owner in [f"{path.stem}.{getattr(stmt, 'name', '<module>')}"]
+                   for node in ast.walk(stmt)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and message in node.value})
+
+
 def test_one_stepping_driver():
     # forward runs and pullbacks alike step through solver._step_rows, which alone
     # reads the noise and calls the step loop
@@ -90,12 +100,13 @@ def test_one_stepping_driver():
 def test_one_step_kernel():
     # one numpy kernel steps every kind, boundary and scheme, reading the drift's remainder
     # from the spec, which alone holds the cubic's coefficient: no second drift in the
-    # solver; the compiled kernel, pinned to it bit for bit, reads -b from the spec too
+    # solver; the compiled kernel, pinned to it bit for bit, reads the spec's public b;
+    # both step the driver's layout only, checked in the one place that binds them
     assert uses_of("_drift", "remainder_into") == []
     assert {owner for _, owner in uses_of("remainder")} == {"lattice.NonlinearitySpec",
                                                            "solver._numpy_loop"}
-    assert {owner for _, owner in uses_of("_neg_b")} == {"lattice.NonlinearitySpec",
-                                                        "solver._step_loop"}
+    assert {owner for _, owner in uses_of("_neg_b")} == {"lattice.NonlinearitySpec"}
+    assert raisers_of("step loop takes float arrays") == ["solver._step_loop"]
 
 
 def test_one_anchor_per_run():
@@ -132,6 +143,24 @@ def test_one_owner_per_shared_rule():
                                         ("_growth_shape", "noise._ou_window")]
 
 
+def test_one_owner_per_pre_step_rule():
+    # the ladder experiments build their rows through _ladder_rows, which owns the horizons
+    # rule, and step them through the driver, whose width rule every start meets; the
+    # doubling search owns its first horizon's rule, which the CLI plan shares
+    assert uses_of("_pullback_ladder") == []
+    assert raisers_of("horizons must not be empty") == ["attractor._ladder_rows"]
+    assert uses_of("_ladder_rows") == [
+        ("_ladder_rows", "attractor.absorption_check"),
+        ("_ladder_rows", "attractor.pullback_experiment"),
+        ("_ladder_rows", "attractor.random_equilibrium"), ("_ladder_rows", "cli._plan_ladder"),
+        ("_ladder_rows", "cli._search")]
+    assert raisers_of("widths differ") == ["solver._start_values"]
+    assert raisers_of("initial_horizon must be > 0") == ["attractor._doubling_horizons"]
+    assert uses_of("_doubling_horizons") == [
+        ("_doubling_horizons", "attractor.random_equilibrium"),
+        ("_doubling_horizons", "cli._search")]
+
+
 PARAMS = LatticeParams(coupling=1.0, damping=1.0, forcing=LatticeVector.zeros(2),
                        noise_amp=LatticeVector.from_support(2, {0: 0.5}), half_width=2)
 CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
@@ -139,9 +168,13 @@ CUBIC = NonlinearitySpec.cubic(1.0, 1.0)
 
 def test_the_driver_owns_the_starts():
     # _step_rows checks and shapes every start it steps; cocycle_map checks only
-    # the start that its t = 0 identity hands back
-    assert uses_of("_start_values") == [("_start_values", "solver._step_rows"),
-                                        ("_start_values", "solver.cocycle_map")]
+    # the start that its t = 0 identity hands back, and the experiments of two starts
+    # check each before they stack them
+    assert uses_of("_start_values") == [
+        ("_start_values", "attractor.<module>"),
+        ("_start_values", "attractor.contraction_experiment"),
+        ("_start_values", "attractor.random_equilibrium"),
+        ("_start_values", "solver._step_rows"), ("_start_values", "solver.cocycle_map")]
     field = build_noise_field(PARAMS, TimeGrid(0.01, 10), 0)
     config = SolverConfig(0.01, 0.1)
     for t in (0.0, 0.05):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fraclattice import attractor, solver
 from fraclattice.attractor import (
     EquilibriumEstimate,
-    _pullback_ladder,
+    _ladder_rows,
     _stationarity_rows,
     absorbing_radius,
     absorption_check,
@@ -157,6 +157,13 @@ class TestContraction:
         # no slope can be fitted, and the zero envelope holds the zero distance
         assert math.isnan(rep.fitted_slope) and not rep.slope_ok and rep.pointwise_ok
 
+    def test_mismatched_starts_raise_the_drivers_rule(self, field):
+        # each start is checked against the params and the field before the pair is stacked
+        good, wide = LatticeVector.zeros(N), LatticeVector.zeros(N + 1)
+        for u0, w0 in ((good, wide), (wide, good), (wide, wide)):
+            with pytest.raises(ValueError, match="widths differ"):
+                contraction_experiment(u0, w0, field, make_params(), CUBIC, CFG)
+
     def test_linear_slope_matches_slowest_mode(self, field):
         # periodic linear pair differing in the constant mode decays at
         # exactly damping + a; the fit must land within 1%
@@ -214,6 +221,12 @@ class TestPullback:
         with pytest.raises(ValueError, match="^horizons must not be empty$"):
             pullback_experiment(10.0, 8, field, make_params(), CUBIC, CFG, horizons=[])
 
+    def test_no_horizons_raise_before_the_starts_are_drawn(self, field, monkeypatch):
+        monkeypatch.setattr(attractor, "sphere_starts",
+                            lambda *args: pytest.fail("the starts were drawn"))
+        with pytest.raises(ValueError, match="^horizons must not be empty$"):
+            pullback_experiment(10.0, 8, field, make_params(), CUBIC, CFG, horizons=[])
+
 
 class TestPullbackLadder:
     # 0 (the identity), 0.37 (37 noise nodes, odd), a duplicate 1.0, unsorted
@@ -226,13 +239,15 @@ class TestPullbackLadder:
         cfg = SolverConfig(dt=DT, t_end=1.0, scheme=scheme)
         starts = sphere_starts(3.0, 3, N, seed=4)
         starts[0, :5] = -0.0  # phi(0) must hand back the sign of zero
-        ends = _pullback_ladder(self.HORIZONS, field, starts, params, CUBIC, cfg)
+        ends = _step_rows(_ladder_rows(field.grid, self.HORIZONS, cfg), field, starts, params,
+                          CUBIC, cfg)
         assert ends.shape == (len(self.HORIZONS),) + starts.shape
         for t, end in zip(self.HORIZONS, ends):
             assert_bits_equal(end, single_pullback(t, field, starts, params, CUBIC, cfg))
         assert_bits_equal(ends[1], starts)
         one = LatticeVector(starts[0])
-        rows = _pullback_ladder(self.HORIZONS, field, one, params, CUBIC, cfg)
+        rows = _step_rows(_ladder_rows(field.grid, self.HORIZONS, cfg), field, one, params,
+                          CUBIC, cfg)
         for t, end in zip(self.HORIZONS, rows):
             assert_bits_equal(end, single_pullback(t, field, one, params, CUBIC, cfg))
 
@@ -262,11 +277,11 @@ class TestPullbackLadder:
 
     def test_blocks_bound_noise_rows(self, field, monkeypatch):
         # more blocks change nothing but how many steps one call takes
-        ref = _pullback_ladder([0.5, 1.0], field, sphere_starts(2.0, 2, N, 1),
-                               make_params(), CUBIC, CFG)
+        ref = _step_rows(_ladder_rows(field.grid, [0.5, 1.0], CFG), field,
+                         sphere_starts(2.0, 2, N, 1), make_params(), CUBIC, CFG)
         monkeypatch.setattr(solver, "_BLOCK_VALUES", 7 * (2 * N + 1))
-        ends = _pullback_ladder([0.5, 1.0], field, sphere_starts(2.0, 2, N, 1),
-                                make_params(), CUBIC, CFG)
+        ends = _step_rows(_ladder_rows(field.grid, [0.5, 1.0], CFG), field,
+                          sphere_starts(2.0, 2, N, 1), make_params(), CUBIC, CFG)
         assert_bits_equal(ends, ref)
 
     def test_smallest_horizon_beyond_past_named(self, field):
@@ -274,7 +289,8 @@ class TestPullbackLadder:
         with pytest.raises(WindowError) as single:
             shift_noise(field, -26.0)
         with pytest.raises(WindowError) as ladder:
-            _pullback_ladder([1.0, 30.0, 26.0], field, starts, make_params(), CUBIC, CFG)
+            _step_rows(_ladder_rows(field.grid, [1.0, 30.0, 26.0], CFG), field, starts,
+                       make_params(), CUBIC, CFG)
         assert str(ladder.value) == str(single.value)
         with pytest.raises(WindowError) as pullback:
             pullback_experiment(1.0, 2, field, make_params(), CUBIC, CFG,
@@ -292,7 +308,8 @@ class TestPullbackLadder:
             single_pullback(1.0, field, start, make_params(), CUBIC, CFG)
         assert "t=0.03;" in str(single.value)
         with pytest.raises(BlowUpError) as ladder:
-            _pullback_ladder([0.99, 1.0], field, start, make_params(), CUBIC, CFG)
+            _step_rows(_ladder_rows(field.grid, [0.99, 1.0], CFG), field, start, make_params(),
+                       CUBIC, CFG)
         assert str(ladder.value) == str(single.value)
 
 
@@ -450,6 +467,11 @@ class TestRandomEquilibrium:
         # at 0 every pullback returns the start and t never doubles away from 0
         with pytest.raises(ValueError, match="initial_horizon must be > 0"):
             random_equilibrium(field, make_params(), CUBIC, CFG, initial_horizon=horizon)
+
+    def test_doubling_owns_the_initial_horizon_rule(self, field):
+        # NaN fails every comparison, so only the rule stops the doubling there
+        with pytest.raises(ValueError, match="^initial_horizon must be > 0, got nan$"):
+            attractor._doubling_horizons(field.grid, float("nan"))
 
     def test_horizon_exhaustion_raises(self):
         grid = TimeGrid(dt=DT, n_steps=round(3 / DT), i_start=-round(2 / DT))
@@ -653,6 +675,17 @@ class TestAbsorption:
             absorption_check(10.0, field, make_params(), CUBIC, CFG, horizons=[],
                              t_past=2.0, ou_tail_tol=1.0)
 
+    def test_no_horizons_raise_before_the_sweep(self, field, monkeypatch):
+        # on a long past and on one too short for the field's tail check alike
+        for name in ("stationary_ou", "absorbing_radius"):
+            monkeypatch.setattr(attractor, name,
+                                lambda *args, name=name, **kwargs: pytest.fail(f"{name} ran"))
+        short = build_noise_field(make_params(), TimeGrid(dt=DT, n_steps=300, i_start=-200), 3)
+        for past, t_past in ((field, 10.0), (short, 1.0)):
+            with pytest.raises(ValueError, match="^horizons must not be empty$"):
+                absorption_check(10.0, past, make_params(), CUBIC, CFG, horizons=[],
+                                 t_past=t_past)
+
     def test_runs_checked_before_the_sweep(self, field, monkeypatch):
         # a step other than the noise step, and a horizon past the sampled past, fail
         # before the stationary field is swept
@@ -776,8 +809,8 @@ class TestLadderOverConfigs:
         })
         field = build_noise_field(cfg.params, cfg.grid, cfg.master_seed, cfg.hurst)
         starts = sphere_starts(1.0, 2, half_width, seed)
-        ends = _pullback_ladder(cfg.options["horizons"], field, starts, cfg.params,
-                                cfg.spec, cfg.solver)
+        ends = _step_rows(_ladder_rows(field.grid, cfg.options["horizons"], cfg.solver), field,
+                          starts, cfg.params, cfg.spec, cfg.solver)
         for t, end in zip(cfg.options["horizons"], ends):
             assert_bits_equal(end, single_pullback(t, field, starts, cfg.params, cfg.spec,
                                                    cfg.solver))

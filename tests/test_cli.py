@@ -505,6 +505,18 @@ class TestMain:
                 f"config error: solver.dt: solver dt={dt} must equal the noise dt=0.02\n")
         assert not (tmp_path / "out").exists()
 
+    def test_solver_step_defaults_to_the_noise_step(self, tmp_path, capsys):
+        # an absent solver.dt is grid.dt, and --dt sets both
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid": {"dt": 0.005, "t_future": 1.0},
+                                    "solver": {"t_end": 1.0}, "output_dir": str(out)}))
+        for args, dt in ((["simulate"], 0.005), (["ou", "--dt", "0.02"], 0.02)):
+            assert main([*args, "--config", str(path)]) == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config["grid"]["dt"] == config["solver"]["dt"] == dt
+        capsys.readouterr()
+
     def test_exit_two_on_too_many_check_times(self, tmp_path, capsys, monkeypatch):
         # the stationarity batch holds a row per check time: 10 x 13 values, more
         # than the 9-node noise field's 9 x 13; the weak drift keeps dt 0.5 stable
@@ -932,18 +944,18 @@ class TestValidateConfigDirect:
         assert cfg.config_hash() == validate_config({}).config_hash()
 
     def test_default_config_hashes_pinned(self):
-        # hashes of the defaults-filled configs; a change to a default or to
-        # what the effective dict holds changes them
+        # hashes of the defaults-filled configs but output_dir; a change to a default or
+        # to what the effective dict holds changes them
         pinned = {
-            None: "94b2179f2215e5bfadd749c06e91f70f08397d0891894adbb3fcae787d6cee99",
-            "sample-fbm": "86579a7ca1ce1370268295860c46b3090e91b0c260f6b47ba571b46bc42e3be1",
-            "verify-operators": "84eddcd50a1a7e9cc5afe2c13f4e23ed6a314759a7403874766d288ab00475e7",
-            "simulate": "4a53d6d95a06b1b7fd61d78ac0111935c36e932cb36f59ba43f8f47534abe005",
-            "ou": "9eafb5a8ea84c651bbe657c5ead854be4ab3a09eaa2e8dbbab47a2a71af74976",
-            "contraction": "94b2179f2215e5bfadd749c06e91f70f08397d0891894adbb3fcae787d6cee99",
-            "pullback": "c4c55ef141a14b47b955ff7787ca1e1f08aa3faceedb615e46708f0d03c7812a",
-            "equilibrium": "9fd076f32f7d74bcd49e3d91a1150090d574b901b859d66bbd9a077b4dccacde",
-            "absorb": "3feaa80bee202db852cd63e433efff3ab2f3e4a69270a45deb4d6a72aaf5e8e0",
+            None: "72c6b6bcbe18ae745196882a76540617ec097e9d483bfbdbc3ec2f68bdf7e843",
+            "sample-fbm": "7822a071c35522e233f56116cafc0781450d297f9006f356c619ad6fd1fb20dc",
+            "verify-operators": "b660a3842303bda9512a03b157e361c3c4c620a1a25064059390a61e589fc245",
+            "simulate": "dd65bf663a93cbff85907f5adb2dff53c4ae92b99618ab2e3ff1a337f12055b6",
+            "ou": "2091fe136102728c65d994d042f84ad68cb88d36c22514367f1bab42f50cb9f5",
+            "contraction": "72c6b6bcbe18ae745196882a76540617ec097e9d483bfbdbc3ec2f68bdf7e843",
+            "pullback": "044cb31c09e50fc5cf7f0e3432100f134f556ff7080e1df35423f7e1875d169f",
+            "equilibrium": "1dc53b63e7678c3275b9a2cd6bbd749977a3899622c0a81323a2b071bb65d5d6",
+            "absorb": "f2b3ad55ab966ffca971749e8f72128a6ee2dd9569108ffa2275804ab2d258ce",
         }
         assert set(pinned) == {None, *_REGISTRY}
         for name, digest in pinned.items():
@@ -1108,6 +1120,21 @@ class TestValidateConfigDirect:
         assert validate_config({}).config_hash() != validate_config(
             {"master_seed": 1}
         ).config_hash()
+
+    def test_hash_names_the_experiment_not_its_directory(self):
+        # the manifest echoes output_dir, and the hash leaves it out
+        configs = [validate_config({"experiment": {"name": "pullback"}, "output_dir": out})
+                   for out in ("x1", "x2")]
+        assert [c.effective["output_dir"] for c in configs] == ["x1", "x2"]
+        assert configs[0].config_hash() == configs[1].config_hash()
+        assert configs[0].config_hash() != validate_config(
+            {"experiment": {"name": "pullback", "n_starts": 15}, "output_dir": "x1"}
+        ).config_hash()
+
+    def test_solver_dt_defaults_to_the_noise_step(self):
+        assert validate_config({}).effective["solver"]["dt"] == 0.01
+        cfg = validate_config({"grid": {"dt": 0.005}})
+        assert cfg.solver.dt == cfg.effective["solver"]["dt"] == 0.005
 
 
 #: Values of the wrong type or range for most rules: a numeric string, a

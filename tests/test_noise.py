@@ -76,6 +76,15 @@ class TestBuildField:
             assert type(same.master_seed) is int
             assert noise.derive_seed(seed, 7, 0).entropy == (1, 7, 0)
 
+    def test_seed_read_before_any_work(self, monkeypatch):
+        # no spectrum and no paths array for a field whose seed is refused, noisy or not
+        monkeypatch.setattr(noise, "_fgn_eigenvalues",
+                            lambda *args: pytest.fail("the spectrum was computed"))
+        grid = TimeGrid(dt=0.1, n_steps=30, i_start=-10)
+        for params in (make_params(), make_params(sigma={})):
+            with pytest.raises(TypeError):
+                build_noise_field(params, grid, 1.7)
+
     def test_zero_intensity_sites_carry_no_path(self, field):
         assert noisy_sites(field) == [0, 1]
         assert sorted(field.seed_scheme) == [0, 1]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fraclattice import solver
-from fraclattice.attractor import _pullback_ladder
+from fraclattice.attractor import _ladder_rows
 from fraclattice.errors import BlowUpError, NonlinearityOverflowError, WindowError
 from fraclattice.fbm import TimeGrid
 from fraclattice.lattice import (
@@ -286,6 +286,20 @@ class TestKernel:
         one = cocycle_map(0.5, field, LatticeVector(batch[0]), params, spec, cfg)
         np.testing.assert_array_equal(
             one.values, written_out_step(batch[0], field, params, spec, 0.5, scheme))
+
+    def test_steps_refuse_other_layouts(self):
+        # whichever kernel is bound, a layout the driver never hands over is refused before
+        # any step: Fortran-ordered states, a start that would broadcast, or strided noise
+        params, cfg = kernel_params(2), SolverConfig(dt=0.01, t_end=0.05)
+        v0, w = site_major(*layout("batch", 5, 5, np.random.default_rng(0), n_starts=2))
+        fortran = np.asfortranarray(np.full(w.shape, np.nan))
+        cases = [(v0, w, fortran), (v0[:, :1], w, None), (v0[:, :1], w, np.empty(w.shape)),
+                 (v0, np.asfortranarray(w), None), (v0.astype(np.float32), w, None)]
+        for start, rows, states in cases:
+            raises_on_each_kernel(
+                ValueError, lambda: _step_loop(v0.shape, params, LINEAR, cfg)(start, rows, states),
+                match="step loop takes float arrays")
+        assert np.isnan(fortran).all()
 
 
 class TestStepErrors:
@@ -745,7 +759,8 @@ class TestNoiseNodes:
         cfg = SolverConfig(dt=0.01, t_end=1.0, scheme=scheme)
         forward = cocycle_map(0.38, self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
         assert_bits_equal(forward, self.by_hand(self.K0, 38, cfg))
-        pulled = _pullback_ladder([0.37], self.FIELD, self.STARTS, self.PARAMS, CUBIC, cfg)
+        pulled = solver._step_rows(_ladder_rows(self.FIELD.grid, [0.37], cfg), self.FIELD,
+                                   self.STARTS, self.PARAMS, CUBIC, cfg)
         assert_bits_equal(pulled[0], self.by_hand(self.K0 - 37, 37, cfg))
 
     def test_blocks_keep_a_long_run(self, monkeypatch, ladder_calls):
